@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 from .laurent import MultiLaurent, monomial, one, symmetric_normalize, zero
 from .linkdiag import LinkDiagram
@@ -52,6 +53,7 @@ class WirtingerPresentation:
     def __init__(self, d: LinkDiagram):
         if not d.is_connected():
             raise ValueError("Wirtinger presentation needs a connected projection")
+        d.faces()  # a non-planar PD code fails the face count and is refused
         parent = {e: e for e in d._occ}
 
         def find(e):
@@ -160,19 +162,17 @@ def multivariable_alexander(d: LinkDiagram) -> AlexanderResult:
     del_row = 0
     n = w.n_generators
     cols = [g for g in range(n) if g != del_col]
-    mat = [[rows[r].get(g, zero(nvars)) for g in cols]
+    empty = zero(nvars)
+    mat = [[rows[r].get(g, empty) for g in cols]
            for r in range(n) if r != del_row]
-    det = _bareiss_det(mat, nvars)
+    torres = _var(nvars, 0) - one(nvars) if nvars >= 2 else None
+    det = _packed_det(mat, nvars, torres)
     conv = {
         "deleted_row": del_row,
         "deleted_generator": del_col,
         "generator_component": 0,
-        "torres_factor": None,
+        "torres_factor": None if torres is None else "T1-1",
     }
-    if nvars >= 2:
-        if det:
-            det = _exact_divide(det, _var(nvars, 0) - one(nvars))
-        conv["torres_factor"] = "T1-1"
     if det:
         det = symmetric_normalize(det)
     return AlexanderResult(det, conv)
@@ -183,63 +183,68 @@ def _var(nvars, i):
     return monomial(nvars, tuple(2 if j == i else 0 for j in range(nvars)))
 
 
-def _exact_divide(p: MultiLaurent, q: MultiLaurent) -> MultiLaurent:
-    """Exact quotient p / q in the Laurent ring.
+def _packed_det(mat, nvars, divisor=None):
+    """Determinant of a square MultiLaurent matrix, divided exactly by ``divisor``.
 
-    Greedy leading-term division under lexicographic exponent order.
-    When the division is exact this computes the quotient's terms in
-    strictly decreasing order and terminates after exactly that many
-    steps; inexactness is detected either by a coefficient mismatch or
-    by overrunning a generous step budget.
+    Fraction-free Bareiss elimination with the fewest-terms pivot, run on
+    packed exponent keys.  Each variable's exponents are shifted by their
+    minimum over the matrix (the divisor by its own minimum), so they run
+    over 0..span_v, span_v being their spread over the whole matrix.  An
+    exponent vector is packed into one int, T1 the most significant digit
+    and variable v in base 2*n*span_v + dspan_v + 1 (dspan_v the divisor's
+    spread).  A k-minor spreads at most k*span_v, every Bareiss numerator
+    is a product of two minors of size at most n, and the final quotient
+    times the divisor stays below n*span_v + dspan_v, so no digit of any
+    key ever carries: packing is injective, exponent addition is int
+    addition and int order is lexicographic order.  Polynomials are dicts
+    from key to nonzero coefficient, unpacked to MultiLaurent once at the
+    end.  An inexact division is an internal error and raises
+    ArithmeticError.
     """
-    if not q:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if not p:
-        return zero(p.nvars)
-    q_lead = max(q.terms)
-    q_lc = q.terms[q_lead]
-    rem = dict(p.terms)
-    out = {}
-    budget = 16 * (len(p.terms) + 1) * (len(q.terms) + 1) + 1024
-    while rem:
-        budget -= 1
-        if budget < 0:
-            raise ArithmeticError("inexact polynomial division (internal error)")
-        lead = max(rem)
-        lc = rem[lead]
-        if lc % q_lc:
-            raise ArithmeticError("inexact polynomial division (internal error)")
-        qe = tuple(a - b for a, b in zip(lead, q_lead))
-        qc = lc // q_lc
-        out[qe] = out.get(qe, 0) + qc
-        for e, c in q.terms.items():
-            ne = tuple(a + b for a, b in zip(qe, e))
-            nc = rem.get(ne, 0) - qc * c
-            if nc:
-                rem[ne] = nc
-            else:
-                rem.pop(ne, None)
-    return MultiLaurent(p.nvars, out)
-
-
-def _bareiss_det(mat, nvars):
-    """Fraction-free determinant of a square MultiLaurent matrix."""
     n = len(mat)
-    if n == 0:
-        return one(nvars)
-    a = [row[:] for row in mat]
+    exps = [e for row in mat for p in row for e in p.terms]
+    lo = [min((e[v] for e in exps), default=0) for v in range(nvars)]
+    span = [max((e[v] for e in exps), default=0) - lo[v] for v in range(nvars)]
+    dterms = divisor.terms if divisor is not None else {(0,) * nvars: 1}
+    dlo = [min(e[v] for e in dterms) for v in range(nvars)]
+    bases = [2 * n * s + max(e[v] for e in dterms) - d + 1
+             for v, (s, d) in enumerate(zip(span, dlo))]
+    weights = [1] * nvars
+    for v in range(nvars - 2, -1, -1):
+        weights[v] = weights[v + 1] * bases[v + 1]
+
+    def pack(terms, shift):
+        return {sum((x - s) * w for x, s, w in zip(e, shift, weights)): c
+                for e, c in terms.items()}
+
+    a = [[pack(p.terms, lo) for p in row] for row in mat]
+    det = _bareiss(a)
+    if det:
+        det = _packed_divide(det, pack(dterms, dlo))
+    out = {}
+    for key, c in det.items():
+        e = [0] * nvars
+        for v in range(nvars - 1, -1, -1):
+            key, digit = divmod(key, bases[v])
+            e[v] = digit + n * lo[v] - dlo[v]
+        out[tuple(e)] = c
+    return MultiLaurent(nvars, out)
+
+
+def _bareiss(a):
+    """Determinant of a square matrix of packed polynomials (modified in place)."""
+    n = len(a)
     sign = 1
-    prev = one(nvars)
+    prev = {0: 1}
     for k in range(n):
         best = None
         for i in range(k, n):
             for j in range(k, n):
-                if a[i][j]:
-                    size = len(a[i][j].terms)
-                    if best is None or size < best[0]:
-                        best = (size, i, j)
+                size = len(a[i][j])
+                if size and (best is None or size < best[0]):
+                    best = (size, i, j)
         if best is None:
-            return zero(nvars)
+            return {}
         _, pi, pj = best
         if pi != k:
             a[k], a[pi] = a[pi], a[k]
@@ -248,15 +253,72 @@ def _bareiss_det(mat, nvars):
             for row in a:
                 row[k], row[pj] = row[pj], row[k]
             sign = -sign
-        piv = a[k][k]
+        piv, pivot_row = a[k][k].items(), a[k]
         for i in range(k + 1, n):
+            row = a[i]
+            left = row[k].items()
             for j in range(k + 1, n):
-                num = piv * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = _exact_divide(num, prev) if num else zero(nvars)
-            a[i][k] = zero(nvars)
-        prev = piv
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
+                num = {}
+                get = num.get
+                for k1, c1 in piv:
+                    for k2, c2 in row[j].items():
+                        key = k1 + k2
+                        num[key] = get(key, 0) + c1 * c2
+                for k1, c1 in left:
+                    for k2, c2 in pivot_row[j].items():
+                        key = k1 + k2
+                        num[key] = get(key, 0) - c1 * c2
+                num = {key: c for key, c in num.items() if c}
+                row[j] = _packed_divide(num, prev) if num else num
+            row[k] = {}
+        prev = a[k][k]
+    det = a[n - 1][n - 1] if n else {0: 1}
+    return det if sign == 1 else {key: -c for key, c in det.items()}
+
+
+def _packed_divide(p, q):
+    """Exact quotient of packed polynomials; ArithmeticError if inexact.
+
+    A monomial divisor, which the fewest-terms pivot makes of almost every
+    Bareiss divisor, shifts keys and divides coefficients.  Otherwise
+    leading terms are cancelled in decreasing key order, the remainder's
+    keys held in a max-heap.  A quotient key below zero lies outside the
+    packed box, so the division cannot be exact.
+    """
+    if len(q) == 1:
+        ((qk, qc),) = q.items()
+        out = {}
+        for key, c in p.items():
+            if key < qk or c % qc:
+                raise ArithmeticError("inexact polynomial division (internal error)")
+            out[key - qk] = c // qc
+        return out
+    lead = max(q)
+    lc = q[lead]
+    tail = [(key - lead, c) for key, c in q.items() if key != lead]
+    rem = dict(p)
+    heap = [-key for key in rem]
+    heapify(heap)
+    out = {}
+    while heap:
+        key = -heappop(heap)
+        c = rem.pop(key, 0)
+        if not c:
+            continue
+        if key < lead or c % lc:
+            raise ArithmeticError("inexact polynomial division (internal error)")
+        c //= lc
+        out[key - lead] = c
+        for dk, dc in tail:
+            t = key + dk
+            nc = rem.get(t, 0) - c * dc
+            if t not in rem:
+                heappush(heap, -t)
+            if nc:
+                rem[t] = nc
+            else:
+                del rem[t]
+    return out
 
 
 # ----------------------------------------------------------------------

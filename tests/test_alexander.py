@@ -1,18 +1,26 @@
+import json
+import re
+from itertools import permutations
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfl.alexander import (
     WirtingerPresentation,
+    _packed_det,
     goeritz_determinant,
     multivariable_alexander,
     signature,
 )
-from hfl.laurent import MultiLaurent
+from hfl.laurent import MultiLaurent, one, zero
 from hfl.linkdiag import (
     LinkDiagram,
     braid_closure,
     connected_sum,
     corpus,
     mirror,
+    parse_pd,
     reverse,
     two_bridge,
 )
@@ -168,3 +176,89 @@ def test_unknot_trivial_cases():
     assert multivariable_alexander(d).delta == poly(1, {(0,): 1})
     assert signature(d) == 0
     assert goeritz_determinant(d) == 1
+
+
+def test_non_planar_code_is_refused():
+    # two crossings, two faces: no planar diagram has this PD code
+    d = parse_pd("PD[X[1,4,3,3],X[2,1,2,4]]")
+    with pytest.raises(ValueError, match="face count"):
+        multivariable_alexander(d)
+
+
+# ----------------------------------------------------------------------
+# golden values: Delta of four diagram families, recorded from the
+# MultiLaurent Bareiss elimination that the packed kernel replaced
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "alexander_golden.json").read_text())
+
+
+def golden_diagram(name):
+    """``closure(w)^k`` is the closure of the braid word w repeated k times."""
+    m = re.fullmatch(r"closure\(([-\d,]+)\)\^(\d+)", name)
+    if m is None:
+        return corpus(name)
+    word = [int(x) for x in m.group(1).split(",")]
+    return braid_closure(word * int(m.group(2)), max(map(abs, word)) + 1)
+
+
+@pytest.mark.parametrize("family", ["torus_2_2n(", "closure(1,-2)^", "closure(1,-2,3)^", "two_bridge("])
+def test_golden_delta(family):
+    names = [name for name in GOLDEN if name.startswith(family)]
+    assert names
+    for name in names:
+        assert multivariable_alexander(golden_diagram(name)).delta.to_json_dict() == GOLDEN[name], name
+
+
+# ----------------------------------------------------------------------
+# the packed determinant kernel against the Leibniz expansion
+
+def leibniz_det(mat, nvars):
+    total = zero(nvars)
+    for perm in permutations(range(len(mat))):
+        inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
+        term = one(nvars) if inversions % 2 == 0 else -one(nvars)
+        for i, j in enumerate(perm):
+            term = term * mat[i][j]
+        total = total + term
+    return total
+
+
+def entries(nvars):
+    # doubled exponents: odd values are half-integer exponents
+    expo = st.tuples(*([st.integers(-3, 3)] * nvars))
+    return st.dictionaries(expo, st.integers(-3, 3), max_size=3).map(
+        lambda t: MultiLaurent(nvars, t))
+
+
+@st.composite
+def matrices(draw):
+    nvars = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 4))
+    mat = [[draw(entries(nvars)) for _ in range(n)] for _ in range(n)]
+    if n >= 2 and draw(st.booleans()):
+        # a multiple of another row: the matrix is singular
+        src, dst = draw(st.permutations(range(n)))[:2]
+        factor = draw(entries(nvars))
+        mat[dst] = [factor * p for p in mat[src]]
+    divisor = draw(entries(nvars).filter(bool))
+    return nvars, mat, divisor
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_packed_det_matches_leibniz(case):
+    nvars, mat, divisor = case
+    want = leibniz_det(mat, nvars)
+    assert _packed_det(mat, nvars) == want
+    if mat:
+        # scaling one row by the divisor scales the determinant by it too
+        scaled = [[divisor * p for p in mat[0]]] + mat[1:]
+        assert _packed_det(scaled, nvars, divisor) == want
+
+
+def test_packed_det_refuses_inexact_division():
+    t2_plus_1 = MultiLaurent(1, {(4,): 1, (0,): 1})
+    with pytest.raises(ArithmeticError):
+        _packed_det([[t2_plus_1]], 1, MultiLaurent(1, {(2,): 1, (0,): -1}))
+    with pytest.raises(ArithmeticError):
+        _packed_det([[t2_plus_1]], 1, MultiLaurent(1, {(0,): 2}))

@@ -192,6 +192,13 @@ def test_split_projection_reported(capsys, tmp_path):
     assert code == 1 and "split projection" in err
 
 
+def test_non_planar_code_refused(capsys, tmp_path):
+    path = tmp_path / "nonplanar.pd"
+    path.write_text("PD[X[1,4,3,3],X[2,1,2,4]]")
+    code, out, err = run(capsys, "alexander", str(path))
+    assert code == 1 and out == "" and "face count" in err
+
+
 def test_heegaard_oracle_table_equals_pipeline(capsys):
     code, out, _ = run(capsys, "heegaard", "8", "3", "--emit-complex")
     assert code == 0

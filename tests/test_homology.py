@@ -4,7 +4,7 @@ import random
 import pytest
 
 from helpers import scramble
-from hfl.alexander import multivariable_alexander, signature
+from hfl.alexander import goeritz_determinant, multivariable_alexander, signature
 from hfl.filtered import (
     MultiGradedVS,
     assoc_graded_homology,
@@ -132,6 +132,15 @@ def test_hfl_three_components():
     assert rep.l == 3
     assert rep.table.total_rank() == 16
     assert rep.euler_ok and rep.symmetry_ok
+
+
+def test_hfl_four_components():
+    # closure of (s1 s2^-1 s3)^8: 4 components, 32 crossings
+    d = braid_closure([1, -2, 3] * 8, 4)
+    rep = hfl_alternating(d)
+    assert rep.l == 4
+    assert rep.table.total_rank() == 2 ** 3 * goeritz_determinant(d)
+    assert len(rep.delta.terms) == 864
 
 
 def test_hfl_rejects_knots_nonalternating_and_split():
