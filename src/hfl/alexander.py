@@ -404,7 +404,7 @@ def signature(d: LinkDiagram) -> int:
     values = []
     for white in (0, 1):
         reduced, mu = _goeritz_data(d, faces, color, face_at, white)
-        values.append(_sym_signature(reduced) - mu)
+        values.append(_ldlt(reduced)[0] - mu)
     assert values[0] == values[1], "checkerboard colorings disagree (internal error)"
     return values[0]
 
@@ -417,77 +417,47 @@ def goeritz_determinant(d: LinkDiagram) -> int:
         raise ValueError("needs a connected projection")
     faces, color, face_at = _checkerboard(d)
     reduced, _ = _goeritz_data(d, faces, color, face_at, 0)
-    return abs(_int_det(reduced))
+    return abs(_ldlt(reduced)[1])
 
 
-def _sym_signature(mat) -> int:
-    """Signature of a symmetric integer matrix, by exact block LDL^T.
+def _ldlt(mat) -> tuple[int, int]:
+    """Signature and determinant of a symmetric integer matrix.
 
-    Diagonal pivots contribute their sign; when the live diagonal is
-    entirely zero a nonzero off-diagonal entry gives a hyperbolic 2x2
-    block contributing zero.
+    Exact block LDL^T over the rationals.  A nonzero diagonal pivot
+    contributes its sign to the signature and its value to the
+    determinant.  When the live diagonal is entirely zero, a nonzero
+    off-diagonal entry b gives a hyperbolic 2x2 block: signature 0,
+    determinant -b^2.  A live block that is entirely zero makes the
+    determinant 0 and adds nothing to the signature.
     """
-    n = len(mat)
     a = [[Fraction(x) for x in row] for row in mat]
-    alive = list(range(n))
-    sig = 0
+    alive = list(range(len(mat)))
+    sig, det = 0, Fraction(1)
     while alive:
-        p = None
-        for i in alive:
-            if a[i][i]:
-                p = i
-                break
+        p = next((i for i in alive if a[i][i]), None)
         if p is not None:
             piv = a[p][p]
             sig += 1 if piv > 0 else -1
+            det *= piv
             alive.remove(p)
-            col = {i: a[i][p] for i in alive}
-            for i in alive:
-                if not col[i]:
-                    continue
-                for j in alive:
-                    a[i][j] -= col[i] * col[j] / piv
+            hit = [i for i in alive if a[i][p]]  # only these rows and columns change
+            for i in hit:
+                f = a[i][p] / piv
+                for j in hit:
+                    a[i][j] -= f * a[j][p]
             continue
-        pair = None
-        for i in alive:
-            for j in alive:
-                if i != j and a[i][j]:
-                    pair = (i, j)
-                    break
-            if pair:
-                break
+        pair = next(((i, j) for i in alive for j in alive if i != j and a[i][j]), None)
         if pair is None:
-            break
+            return sig, 0
         i, j = pair
         b = a[i][j]
+        det *= -b * b
         alive.remove(i)
         alive.remove(j)
-        ci = {u: a[u][i] for u in alive}
-        cj = {u: a[u][j] for u in alive}
-        for u in alive:
-            for v in alive:
-                a[u][v] -= (ci[u] * cj[v] + cj[u] * ci[v]) / b
-    return sig
-
-
-def _int_det(mat) -> int:
-    n = len(mat)
-    if n == 0:
-        return 1
-    a = [[Fraction(x) for x in row] for row in mat]
-    det = Fraction(1)
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            return 0
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            r = a[i][k] / a[k][k]
-            if r:
-                for j in range(k, n):
-                    a[i][j] -= r * a[k][j]
+        hit = [u for u in alive if a[u][i] or a[u][j]]
+        for u in hit:
+            fi, fj = a[u][i] / b, a[u][j] / b
+            for v in hit:
+                a[u][v] -= fi * a[v][j] + fj * a[v][i]
     assert det.denominator == 1
-    return int(det)
+    return sig, int(det)

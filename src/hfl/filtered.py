@@ -14,13 +14,18 @@ in filtration, and the filtered homotopy type left after cancelling the
 part of the differential that moves only one chosen coordinate.
 
 Generator sets are small (tens, not thousands), so GF(2) linear algebra
-is done on bitmask integers without any sparse-matrix machinery.
+is done on bitmask integers without any sparse-matrix machinery: every
+elimination in the package, here and in :mod:`hfl.summands`, goes
+through :func:`echelon`.  Spectral pages and component homology share
+one Gaussian-cancellation engine, ``_cancel_all``.  A complex's
+validation report is computed once and kept on the instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
 from .laurent import MultiLaurent
@@ -31,6 +36,8 @@ __all__ = [
     "MultiGradedVS",
     "ValidationReport",
     "validate",
+    "require_valid",
+    "echelon",
     "assoc_graded_homology",
     "total_homology",
     "spectral_pages",
@@ -182,7 +189,7 @@ class FilteredComplex:
     can still be built and reported on.
     """
 
-    __slots__ = ("nvars", "parity", "_order", "_maslov", "_filt", "_arrows")
+    __slots__ = ("nvars", "parity", "_order", "_maslov", "_filt", "_arrows", "_report")
 
     def __init__(
         self,
@@ -221,6 +228,7 @@ class FilteredComplex:
         self._maslov = maslov
         self._filt = filt
         self._arrows = frozenset(arrs)
+        self._report = None  # set by validate(); the instance never changes
 
     # ---- accessors ----
 
@@ -315,7 +323,24 @@ class ValidationReport:
 
 
 def validate(cx: FilteredComplex) -> ValidationReport:
-    """Check arrow gradings, filtration monotonicity, and d^2 = 0."""
+    """Check arrow gradings, filtration monotonicity, and d^2 = 0.
+
+    The report is computed on the first call and kept on the complex,
+    which is immutable, so later calls return the same report.
+    """
+    if cx._report is None:
+        cx._report = _chain_report(cx)
+    return cx._report
+
+
+def require_valid(cx: FilteredComplex) -> None:
+    """Refuse an illegal complex with the first violation found."""
+    rep = validate(cx) if cx._report is None else cx._report
+    if not rep:
+        raise ValueError(f"not a legal filtered complex: {rep.detail}")
+
+
+def _chain_report(cx: FilteredComplex) -> ValidationReport:
     for a, b in sorted(cx.arrows):
         da, db = cx.maslov(a), cx.maslov(b)
         if da - db != 1:
@@ -344,19 +369,27 @@ def validate(cx: FilteredComplex) -> ValidationReport:
 
 
 # ----------------------------------------------------------------------
-# GF(2) helpers on bitmasks
+# GF(2) elimination on bitmasks
 
-def _rank2(rows: list[int]) -> int:
-    rank = 0
-    basis: list[int] = []
-    for r in rows:
-        for b in basis:
-            r = min(r, r ^ b)
-        if r:
-            basis.append(r)
-            basis.sort(reverse=True)
-            rank += 1
-    return rank
+def echelon(vectors: Iterable[int], piv: dict[int, int] | None = None) -> dict[int, int]:
+    """Reduce bitmask vectors into a basis keyed by leading bit.
+
+    Each vector is reduced against the basis ``piv`` (extended in place
+    when given) and joins it under its new leading bit unless it
+    reduces to zero.  The rank is the size of the result; keys keep
+    insertion order, so the last key is the newest pivot.
+    """
+    if piv is None:
+        piv = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length() - 1
+            b = piv.get(top)
+            if b is None:
+                piv[top] = v
+                break
+            v ^= b
+    return piv
 
 
 def _graded_homology(
@@ -380,7 +413,7 @@ def _graded_homology(
         if row:
             by_deg.setdefault(d, []).append(row)
     for d, rows in by_deg.items():
-        bnd_rank[d] = _rank2(rows)
+        bnd_rank[d] = len(echelon(rows))
     hom: dict[int, int] = {}
     for d, n in dim.items():
         h = n - bnd_rank.get(d, 0) - bnd_rank.get(d + 1, 0)
@@ -422,14 +455,18 @@ def _drop2(cx_filt: Mapping[str, tuple[int, ...]], a: str, b: str) -> tuple[int,
     return tuple(x - y for x, y in zip(fa, fb))
 
 
-def _cancel_arrow(out: dict[str, set[str]], inc: dict[str, set[str]], x: str, y: str):
+def _cancel_arrow(
+    out: dict[str, set[str]], inc: dict[str, set[str]], x: str, y: str
+) -> list[tuple[str, str]]:
     """Gaussian cancellation of the arrow x->y, rerouting around it.
 
     Every pair (a -> y, x -> b) with a != x, b != y gains a toggled
     arrow a -> b.  Both adjacency maps are updated and x, y removed.
+    Returns the arrows the toggling switched on.
     """
     sources = [a for a in inc[y] if a != x]
     targets = [b for b in out[x] if b != y]
+    added = []
     for a in sources:
         for b in targets:
             if b in out[a]:
@@ -438,6 +475,7 @@ def _cancel_arrow(out: dict[str, set[str]], inc: dict[str, set[str]], x: str, y:
             else:
                 out[a].add(b)
                 inc[b].add(a)
+                added.append((a, b))
     for b in out.pop(x):
         inc[b].discard(x)
     for a in inc.pop(y):
@@ -446,6 +484,26 @@ def _cancel_arrow(out: dict[str, set[str]], inc: dict[str, set[str]], x: str, y:
         inc[b].discard(y)
     for a in inc.pop(x, set()):
         out[a].discard(x)
+    return added
+
+
+def _cancel_all(out: dict[str, set[str]], inc: dict[str, set[str]], eligible) -> None:
+    """Cancel eligible arrows until none is left, smallest (source, target) first.
+
+    ``eligible(a, b)`` must depend only on the two endpoints.  Arrows
+    wait in a min-heap; one that has since been toggled off or lost an
+    endpoint is skipped when it comes up, and every arrow a cancellation
+    switches on is pushed if eligible, so each pick is the smallest
+    eligible arrow present.  The order decides which generators survive.
+    """
+    heap = [(a, b) for a in out for b in out[a] if eligible(a, b)]
+    heapify(heap)
+    while heap:
+        a, b = heappop(heap)
+        if a in out and b in out[a]:
+            for arrow in _cancel_arrow(out, inc, a, b):
+                if eligible(*arrow):
+                    heappush(heap, arrow)
 
 
 def _adjacency(cx: FilteredComplex):
@@ -467,30 +525,13 @@ def spectral_pages(cx: FilteredComplex) -> list[MultiGradedVS]:
     rounds are exhaustive.  The first page is the associated graded
     homology; the last page, recorded once no arrows remain, is stable.
     """
-    rep = validate(cx)
-    if not rep:
-        raise ValueError(f"not a legal filtered complex: {rep.detail}")
+    require_valid(cx)
     out, inc = _adjacency(cx)
     filt = {g: cx.filt2(g) for g in cx.gen_ids}
-
-    def total_drop(a: str, b: str) -> int:
-        return sum(_drop2(filt, a, b)) // 2
-
     pages: list[MultiGradedVS] = []
     r = 0
     while True:
-        while True:
-            pick = None
-            for a in sorted(out):
-                for b in sorted(out[a]):
-                    if total_drop(a, b) == r:
-                        pick = (a, b)
-                        break
-                if pick:
-                    break
-            if pick is None:
-                break
-            _cancel_arrow(out, inc, *pick)
+        _cancel_all(out, inc, lambda a, b: sum(_drop2(filt, a, b)) == 2 * r)
         ranks: dict = {}
         for g in out:
             key = (cx.maslov(g), filt[g])
@@ -512,9 +553,7 @@ def component_homology(cx: FilteredComplex, i: int) -> FilteredComplex:
     """
     if not 1 <= i <= cx.nvars:
         raise ValueError("coordinate index out of range")
-    rep = validate(cx)
-    if not rep:
-        raise ValueError(f"not a legal filtered complex: {rep.detail}")
+    require_valid(cx)
     out, inc = _adjacency(cx)
     filt = {g: cx.filt2(g) for g in cx.gen_ids}
     k = i - 1
@@ -522,18 +561,7 @@ def component_homology(cx: FilteredComplex, i: int) -> FilteredComplex:
     def only_i(a: str, b: str) -> bool:
         return all(x == 0 for j, x in enumerate(_drop2(filt, a, b)) if j != k)
 
-    while True:
-        pick = None
-        for a in sorted(out):
-            for b in sorted(out[a]):
-                if only_i(a, b):
-                    pick = (a, b)
-                    break
-            if pick:
-                break
-        if pick is None:
-            break
-        _cancel_arrow(out, inc, *pick)
+    _cancel_all(out, inc, only_i)
     keep = [j for j in range(cx.nvars) if j != k]
     gens = [(g, cx.maslov(g), tuple(filt[g][j] for j in keep)) for g in sorted(out)]
     arrows = []

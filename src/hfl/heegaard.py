@@ -327,54 +327,28 @@ class _Pillow:
                 raise ValueError("boundary data is not the boundary of a 2-chain")
         return m
 
-    def arc_alpha(self, g: str, h: str, forward: bool):
-        n = len(self.alpha)
-        i, k = self.alpha.index(g), self.alpha.index(h)
-        coeffs, interior = {}, set()
-        if i == k:
-            return coeffs, interior
-        if forward:
-            pos = i
-            while pos != k:
-                coeffs[("a", pos)] = coeffs.get(("a", pos), 0) + 1
-                pos = (pos + 1) % n
-                if pos != k:
-                    interior.add(self.alpha[pos])
-        else:
-            pos = i
-            while pos != k:
-                pos = (pos - 1) % n
-                coeffs[("a", pos)] = coeffs.get(("a", pos), 0) - 1
-                if pos != k:
-                    interior.add(self.alpha[pos])
-        return coeffs, interior
+    def arc(self, curve: str, g: str, h: str, forward: bool):
+        """Walk curve ``"a"`` (alpha) or ``"b"`` (beta) from g to h.
 
-    def arc_beta(self, g: str, h: str, forward: bool):
-        n = len(self.beta)
-        i, k = self.beta.index(g), self.beta.index(h)
+        Returns the signed edge coefficients of the walk (+1 per edge
+        crossed forward, -1 backward) and the points passed on the way.
+        """
+        points = self.alpha if curve == "a" else self.beta
+        n = len(points)
+        pos, k = points.index(g), points.index(h)
+        step = 1 if forward else -1
         coeffs, interior = {}, set()
-        if i == k:
-            return coeffs, interior
-        if forward:
-            pos = i
-            while pos != k:
-                coeffs[("b", pos)] = coeffs.get(("b", pos), 0) + 1
-                pos = (pos + 1) % n
-                if pos != k:
-                    interior.add(self.beta[pos])
-        else:
-            pos = i
-            while pos != k:
-                pos = (pos - 1) % n
-                coeffs[("b", pos)] = coeffs.get(("b", pos), 0) - 1
-                if pos != k:
-                    interior.add(self.beta[pos])
+        while pos != k:
+            coeffs[(curve, pos if forward else (pos - 1) % n)] = step
+            pos = (pos + step) % n
+            if pos != k:
+                interior.add(points[pos])
         return coeffs, interior
 
     def connect(self, g: str, h: str, fa: bool = True, fb: bool = True) -> dict:
         """Some 2-chain whose boundary runs from g to h on alpha, back on beta."""
-        ca, _ = self.arc_alpha(g, h, fa)
-        cb, _ = self.arc_beta(h, g, fb)
+        ca, _ = self.arc("a", g, h, fa)
+        cb, _ = self.arc("b", h, g, fb)
         coeffs = dict(ca)
         for eid, cval in cb.items():
             coeffs[eid] = coeffs.get(eid, 0) + cval
@@ -398,9 +372,9 @@ class _Pillow:
         """Number of embedded bigons from g to h missing ``avoid`` regions."""
         count = 0
         for fa in (True, False):
-            ca, ia = self.arc_alpha(g, h, fa)
+            ca, ia = self.arc("a", g, h, fa)
             for fb in (True, False):
-                cb, ib = self.arc_beta(h, g, fb)
+                cb, ib = self.arc("b", h, g, fb)
                 if ia & ib or g in ib or h in ia:
                     continue
                 coeffs = dict(ca)

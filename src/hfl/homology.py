@@ -123,17 +123,28 @@ class HFLReport:
         }
 
 
+def _require_alternating(diag: LinkDiagram, message: str) -> None:
+    """Refuse a split, a non-planar, then a non-alternating projection.
+
+    Planarity comes before alternation so that a PD code no projection
+    realises is refused for its face count, not for its crossings.
+    """
+    if not diag.is_connected():
+        raise SplitLinkError("the projection is split")
+    diag.faces()  # raises ValueError on a non-planar code
+    if not diag.is_alternating():
+        raise ValueError(message)
+
+
 def hfl_alternating(diag: LinkDiagram) -> HFLReport:
     """Homology table of a connected alternating link projection, l >= 2."""
     if diag.n_components < 2:
         raise ValueError("knot input: use hfk_alternating_knot")
-    if not diag.is_connected():
-        raise SplitLinkError("the projection is split")
-    if not diag.is_alternating():
-        raise ValueError(
-            "the projection is not alternating, so the rank table is not "
-            "determined by the Alexander polynomial and signature"
-        )
+    _require_alternating(
+        diag,
+        "the projection is not alternating, so the rank table is not "
+        "determined by the Alexander polynomial and signature",
+    )
     delta = multivariable_alexander(diag).delta
     sigma = signature(diag)
     lkd = linking_matrix(diag)
@@ -154,10 +165,7 @@ def hfk_alternating_knot(diag: LinkDiagram) -> MultiGradedVS:
     """One-variable homology table of a connected alternating knot."""
     if diag.n_components != 1:
         raise ValueError("link input: use hfl_alternating")
-    if not diag.is_connected():
-        raise SplitLinkError("the projection is split")
-    if not diag.is_alternating():
-        raise ValueError("the projection is not alternating")
+    _require_alternating(diag, "the projection is not alternating")
     delta = multivariable_alexander(diag).delta
     sigma = signature(diag)
     return table_from_invariants(delta, sigma, (0,))
@@ -390,12 +398,9 @@ def component_data_from_diagram(diag: LinkDiagram) -> ComponentData:
     """
     if diag.n_components != 1:
         raise ValueError("component data needs a knot diagram")
-    if not diag.is_connected():
-        raise SplitLinkError("the projection is split")
-    if not diag.is_alternating():
-        raise ValueError(
-            "the projection is not alternating; the thin rank recursion does not apply"
-        )
+    _require_alternating(
+        diag, "the projection is not alternating; the thin rank recursion does not apply"
+    )
     delta = multivariable_alexander(diag).delta
     sigma = signature(diag)
     assert sigma % 2 == 0, "knot signature should be even"
@@ -618,13 +623,11 @@ def two_component_cfl_from_diagram(
     """
     if diag.n_components != 2:
         raise ValueError("need a two-component diagram")
-    if not diag.is_connected():
-        raise SplitLinkError("the projection is split")
-    if not diag.is_alternating():
-        raise ValueError(
-            "the projection is not alternating; only alternating links "
-            "decompose into the model summands this way"
-        )
+    _require_alternating(
+        diag,
+        "the projection is not alternating; only alternating links "
+        "decompose into the model summands this way",
+    )
     delta = multivariable_alexander(diag).delta
     sigma = signature(diag)
     n = linking_matrix(diag).lk[0][1]

@@ -30,8 +30,9 @@ from .filtered import (
     FilteredComplex,
     component_homology,
     direct_sum,
+    echelon,
+    require_valid,
     total_homology,
-    validate,
 )
 
 __all__ = [
@@ -155,33 +156,20 @@ def e_decomposition(cx: FilteredComplex):
     """
     if cx.nvars != 1:
         raise ValueError("e_decomposition expects a one-coordinate complex")
-    rep = validate(cx)
-    if not rep:
-        raise ValueError(f"not a legal filtered complex: {rep.detail}")
+    require_valid(cx)
     order = sorted(cx.gen_ids, key=lambda g: (cx.filt2(g)[0], g))
     index = {g: i for i, g in enumerate(order)}
     out: dict[str, set[str]] = {g: set() for g in cx.gen_ids}
     for a, b in cx.arrows:
         out[a].add(b)
-    pivot_mask: dict[int, int] = {}
-    pivot_owner: dict[int, str] = {}
+    piv: dict[int, int] = {}
     pairs: Counter = Counter()
     paired: set[str] = set()
     for g in order:
-        m = 0
-        for t in out[g]:
-            m |= 1 << index[t]
-        while m:
-            low = m.bit_length() - 1
-            if low in pivot_mask:
-                m ^= pivot_mask[low]
-            else:
-                break
-        if m:
-            low = m.bit_length() - 1
-            pivot_mask[low] = m
-            pivot_owner[low] = g
-            bottom = order[low]
+        rank = len(piv)
+        echelon([sum(1 << index[t] for t in out[g])], piv)
+        if len(piv) > rank:
+            bottom = order[next(reversed(piv))]  # leading bit of g's reduced column
             lam = (cx.filt2(g)[0] - cx.filt2(bottom)[0]) // 2
             pairs[(lam, cx.maslov(g), cx.filt2(g)[0])] += 1
             paired.add(g)
@@ -289,65 +277,29 @@ def _extract_squares(basis: _Basis) -> list[Summand]:
         basis.remove(orbit)
 
 
-# -- GF(2) subspace helpers on bitmasks ---------------------------------
-
-def _echelon(vectors) -> list[int]:
-    piv: dict[int, int] = {}
-    for v in vectors:
-        while v:
-            low = v.bit_length() - 1
-            if low in piv:
-                v ^= piv[low]
-            else:
-                piv[low] = v
-                break
-    return [piv[k] for k in sorted(piv, reverse=True)]
-
-
-def _reduce(v: int, basis: list[int]) -> int:
-    """Reduce v modulo an echelon basis (distinct leading bits, descending)."""
-    for b in basis:
-        if (v >> (b.bit_length() - 1)) & 1:
-            v ^= b
-    return v
-
-
-def _image(basis_vs: list[int], apply) -> list[int]:
-    return _echelon([apply(v) for v in basis_vs])
-
+# -- GF(2) subspaces ----------------------------------------------------
 
 def _preimage(domain: list[int], apply, target: list[int]) -> list[int]:
     """Vectors of the span of ``domain`` whose image lies in ``target``.
 
-    The kernel of ``apply`` is part of the answer.  Computed as the
-    kernel of the composite domain -> codomain / target, tracking which
-    combination of domain vectors reduces to zero.
+    The kernel of ``apply`` is part of the answer.  Row i of the
+    augmented matrix is [apply(domain[i]) | e_i]; reduced after the
+    rows [t | 0] of the target, the pivots that lead in the
+    combination part are the combinations whose image lies in the span
+    of ``target``.
     """
-    reduced = [_reduce(apply(v), target) for v in domain]
-    kernel_combos: list[int] = []
-    piv: dict[int, tuple[int, int]] = {}
-    for i, w in enumerate(reduced):
-        combo = 1 << i
-        while w:
-            low = w.bit_length() - 1
-            if low in piv:
-                pw, pc = piv[low]
-                w ^= pw
-                combo ^= pc
-            else:
-                break
-        if w:
-            piv[w.bit_length() - 1] = (w, combo)
-        else:
-            kernel_combos.append(combo)
+    n = len(domain)
+    piv = echelon(t << n for t in target)
+    echelon(((apply(v) << n) | (1 << i) for i, v in enumerate(domain)), piv)
     out = []
-    for combo in kernel_combos:
-        v = 0
-        for i, dv in enumerate(domain):
-            if (combo >> i) & 1:
-                v ^= dv
-        out.append(v)
-    return _echelon(out)
+    for top, combo in piv.items():
+        if top < n:
+            v = 0
+            for i, dv in enumerate(domain):
+                if (combo >> i) & 1:
+                    v ^= dv
+            out.append(v)
+    return list(echelon(out).values())
 
 
 @dataclass
@@ -378,11 +330,12 @@ def _string_decomposition(basis: _Basis) -> list[Summand]:
             if adj[g]:
                 c = basis.cls(next(iter(adj[g])))
                 incoming[c].append(mask(c, adj[g]))
-    bottom_space = {c: _echelon(v) for c, v in incoming.items()}
-    top_space: dict[tuple, list[int]] = {}
-    for c, ids in classes.items():
-        pivots = {b.bit_length() - 1 for b in bottom_space[c]}
-        top_space[c] = [1 << i for i in range(len(ids)) if i not in pivots]
+    bottom_piv = {c: echelon(v) for c, v in incoming.items()}
+    bottom_space = {c: list(piv.values()) for c, piv in bottom_piv.items()}
+    top_space = {
+        c: [1 << i for i in range(len(ids)) if i not in bottom_piv[c]]
+        for c, ids in classes.items()
+    }
 
     paths: dict[tuple, dict[int, _Vertex]] = {}
     for c, ids in classes.items():
@@ -453,7 +406,7 @@ def _run_intervals(run, d_top, ssum, apply_map) -> list[Summand]:
             if run[k].is_top:
                 right[k][r] = _preimage(run[k].space, rmap[k], right[k + 1][r])
             else:
-                right[k][r] = _image(right[k + 1][r], lmap[k + 1])
+                right[k][r] = list(echelon(map(lmap[k + 1], right[k + 1][r])).values())
 
     # In the window colimit every source slot is identified with its
     # images, leaving the sink slots modulo, per interior source, the
@@ -479,7 +432,9 @@ def _run_intervals(run, d_top, ssum, apply_map) -> list[Summand]:
             xs = [rmap[a](v) << offs[a + 1] for v in flag]
         else:
             xs = [v << offs[a] for v in flag]
-        return len(_echelon(rel + xs)) - len(_echelon(rel))
+        base = echelon(rel)
+        rank = len(base)
+        return len(echelon(xs, base)) - rank
 
     table = {}
     for a in range(m):
@@ -533,9 +488,7 @@ def decompose(cx: FilteredComplex) -> list[Summand]:
     """
     if cx.nvars != 2:
         raise ValueError("decompose handles two-coordinate complexes")
-    rep = validate(cx)
-    if not rep:
-        raise ValueError(f"not a legal filtered complex: {rep.detail}")
+    require_valid(cx)
     for a, b in sorted(cx.arrows):
         drop = tuple(p - q for p, q in zip(cx.filt2(a), cx.filt2(b)))
         if drop not in ((2, 0), (0, 2)):

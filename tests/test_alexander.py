@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hfl.alexander import (
     WirtingerPresentation,
+    _ldlt,
     _packed_det,
     goeritz_determinant,
     multivariable_alexander,
@@ -262,3 +263,71 @@ def test_packed_det_refuses_inexact_division():
         _packed_det([[t2_plus_1]], 1, MultiLaurent(1, {(2,): 1, (0,): -1}))
     with pytest.raises(ArithmeticError):
         _packed_det([[t2_plus_1]], 1, MultiLaurent(1, {(0,): 2}))
+
+
+# ----------------------------------------------------------------------
+# the rational LDL^T kernel against brute force
+
+def perm_sign(perm):
+    inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
+    return -1 if inversions % 2 else 1
+
+
+def char_poly(mat):
+    """Coefficients of det(x I - mat), lowest degree first, by Leibniz."""
+    n = len(mat)
+    total = [0] * (n + 1)
+    for perm in permutations(range(n)):
+        term = [perm_sign(perm)]
+        for i, j in enumerate(perm):
+            entry = [-mat[i][j], 1] if i == j else [-mat[i][j]]
+            product = [0] * (len(term) + len(entry) - 1)
+            for a, x in enumerate(term):
+                for b, y in enumerate(entry):
+                    product[a + b] += x * y
+            term = product
+        for k, c in enumerate(term):
+            total[k] += c
+    return total
+
+
+def sign_changes(coeffs):
+    signs = [c > 0 for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    n = draw(st.integers(0, 5))
+    zero_diagonal = draw(st.booleans())
+    mat = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if i == j and zero_diagonal:
+                continue
+            mat[i][j] = mat[j][i] = draw(st.integers(-3, 3))
+    return mat
+
+
+@settings(max_examples=200, deadline=None)
+@given(symmetric_matrices())
+def test_ldlt_matches_leibniz_and_descartes(mat):
+    n = len(mat)
+    det = 0
+    for perm in permutations(range(n)):
+        term = perm_sign(perm)
+        for i, j in enumerate(perm):
+            term *= mat[i][j]
+        det += term
+    # det(x I - A) of a symmetric A is real-rooted, so Descartes' rule
+    # counts its positive and negative roots exactly
+    coeffs = char_poly(mat)
+    positive = sign_changes(coeffs)
+    negative = sign_changes([c if k % 2 == 0 else -c for k, c in enumerate(coeffs)])
+    assert _ldlt(mat) == (positive - negative, det)
+
+
+def test_ldlt_hyperbolic_block():
+    assert _ldlt([[0, 3], [3, 0]]) == (0, -9)
+    assert _ldlt([[0, 0], [0, 0]]) == (0, 0)
+    assert _ldlt([]) == (0, 1)

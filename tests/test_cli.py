@@ -208,3 +208,11 @@ def test_heegaard_oracle_table_equals_pipeline(capsys):
     assert assoc_graded_homology(cx) == hfl_alternating(
         linkdiag.two_bridge(8, 3)
     ).table
+
+
+@pytest.mark.parametrize("command", ["table", "cfl2"])
+def test_non_planar_code_refused_before_alternation(capsys, tmp_path, command):
+    path = tmp_path / "nonplanar.pd"
+    path.write_text("PD[X[1,4,3,3],X[2,1,2,4]]")
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1 and out == "" and "face count" in err and "alternating" not in err

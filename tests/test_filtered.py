@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hfl.filtered
 from helpers import random_filtered_complex, scramble
 from hfl.filtered import (
     AlexGrading,
@@ -13,6 +14,7 @@ from hfl.filtered import (
     assoc_graded_homology,
     component_homology,
     direct_sum,
+    echelon,
     shift,
     spectral_pages,
     tensor_graded,
@@ -118,6 +120,48 @@ def test_validate_flags_d_squared():
     cx = FilteredComplex(2, (0, 0), gens, [("a", "b"), ("b", "c")])
     rep = validate(cx)
     assert rep.kind == "d_squared"
+
+
+def broken_complex():
+    return FilteredComplex(2, (0, 0), [("a", 2, (2, 0)), ("b", 0, (0, 0))], [("a", "b")])
+
+
+def test_validate_reports_once_per_instance(monkeypatch):
+    calls = []
+    check = hfl.filtered._chain_report
+    monkeypatch.setattr(hfl.filtered, "_chain_report", lambda cx: calls.append(cx) or check(cx))
+    cx = broken_complex()
+    first = validate(cx)
+    assert not first and first.kind == "arrow_grading"
+    assert validate(cx) is first and len(calls) == 1
+    with pytest.raises(ValueError, match="not a legal filtered complex: arrow a->b drops"):
+        spectral_pages(cx)
+    assert len(calls) == 1
+
+
+def test_equal_complex_is_validated_on_its_own(monkeypatch):
+    calls = []
+    check = hfl.filtered._chain_report
+    monkeypatch.setattr(hfl.filtered, "_chain_report", lambda cx: calls.append(cx) or check(cx))
+    one, two = broken_complex(), broken_complex()
+    assert one == two
+    first = validate(one)
+    second = validate(two)
+    assert calls == [one, two] and calls[1] is two
+    assert second is not first and second == first
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=8))
+def test_echelon_rank_counts_the_span(vectors):
+    span = {0}
+    for v in vectors:
+        span |= {w ^ v for w in span}
+    basis = echelon(vectors)
+    assert len(span) == 2 ** len(basis)
+    assert all(b.bit_length() - 1 == top and b in span for top, b in basis.items())
+    grown = echelon(vectors[:1])
+    assert echelon(vectors[1:], grown) is grown and len(grown) == len(basis)
 
 
 def test_complex_json_round_trip():

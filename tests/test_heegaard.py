@@ -198,3 +198,17 @@ def test_emitted_complex_roundtrips():
     again = FilteredComplex.from_json_dict(cx.to_json_dict())
     assert again.to_json_dict() == cx.to_json_dict()
     assert assoc_graded_homology(again) == assoc_graded_homology(cx)
+
+
+def test_arc_walks_split_each_curve():
+    geo = two_bridge_diagram(8, 3).geometry
+    for curve, points in (("a", geo.alpha), ("b", geo.beta)):
+        g, h = points[1], points[5]
+        there, inside = geo.arc(curve, g, h, True)
+        back, back_inside = geo.arc(curve, h, g, False)
+        assert back == {eid: -c for eid, c in there.items()} and back_inside == inside
+        rest, outside = geo.arc(curve, h, g, True)
+        assert sorted([*there, *rest]) == [(curve, i) for i in range(len(points))]
+        assert set(there.values()) == set(rest.values()) == {1}
+        assert inside | outside == set(points) - {g, h} and not inside & outside
+        assert geo.arc(curve, g, g, True) == ({}, set())

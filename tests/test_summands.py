@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import random_summand_sum, scramble
 from hfl.filtered import (
@@ -15,6 +16,7 @@ from hfl.summands import (
     Summand,
     build_sum,
     build_summand,
+    _preimage,
     decompose,
     e_decomposition,
 )
@@ -189,14 +191,22 @@ def test_decompose_refuses_long_arrows():
         decompose(cx)
 
 
-def test_decompose_refuses_illegal_complex():
+@pytest.mark.parametrize("entry", ["spectral_pages", "component_homology", "e_decomposition", "decompose"])
+def test_public_entry_points_refuse_illegal_complex(entry):
     from hfl.filtered import FilteredComplex
 
+    calls = {
+        "spectral_pages": spectral_pages,
+        "component_homology": lambda cx: component_homology(cx, 1),
+        "e_decomposition": e_decomposition,
+        "decompose": decompose,
+    }
+    nvars = 1 if entry == "e_decomposition" else 2
     bad = FilteredComplex(
-        2, (0, 0), [("a", 2, (2, 0)), ("b", 0, (0, 0))], [("a", "b")]
+        nvars, (0,) * nvars, [("a", 2, (2,) * nvars), ("b", 0, (0,) * nvars)], [("a", "b")]
     )
-    with pytest.raises(ValueError, match="not a legal filtered complex"):
-        decompose(bad)
+    with pytest.raises(ValueError, match="^not a legal filtered complex: arrow a->b drops maslov by 2, not 1$"):
+        calls[entry](bad)
 
 
 def test_decompose_needs_two_coordinates():
@@ -243,3 +253,30 @@ def test_fixture_component_ranks():
     pairs, frees = e_decomposition(vert)
     assert not pairs
     assert dict(frees) == {(0, 1): 1, (-1, 1): 1}
+
+
+def span(vectors):
+    out = {0}
+    for v in vectors:
+        out |= {w ^ v for w in out}
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(0, 63), max_size=5),
+    st.lists(st.integers(0, 31), min_size=6, max_size=6),
+    st.lists(st.integers(0, 31), max_size=3),
+)
+def test_preimage_matches_all_combinations(domain, columns, target):
+    def apply(v):
+        image = 0
+        for i, col in enumerate(columns):
+            if (v >> i) & 1:
+                image ^= col
+        return image
+
+    allowed = span(target)
+    want = {v for v in span(domain) if apply(v) in allowed}
+    got = _preimage(domain, apply, target)
+    assert span(got) == want and len(want) == 2 ** len(got)
