@@ -211,15 +211,10 @@ def _cmd_kunneth(args) -> int:
 
 def _cmd_heegaard(args) -> int:
     diagram = two_bridge_diagram(args.p, args.q)
-    cx = complex_from_diagram(diagram)
     if args.emit_complex:
-        _emit(args, cx.to_json_dict())
+        _emit(args, complex_from_diagram(diagram).to_json_dict())
         return 0
-    table = assoc_graded_homology(cx)
-    if args.p == 1:
-        match = table == hfk_alternating_knot(linkdiag.corpus("unknot"))
-    else:
-        match = table == hfl_alternating(linkdiag.two_bridge(args.p, args.q)).table
+    match = oracle_compare(args.p, args.q)
     if args.json:
         _emit(args, {
             "p": args.p,

@@ -10,43 +10,69 @@ torus again, and the preimage of alpha and beta cut it into standard
 position for the two-bridge link b(p, q): alpha and beta meet in 2p
 points, and the complement of the two curves has 2p + 2 regions.
 
-``complex_from_diagram`` turns such a diagram into a filtered chain
-complex over GF(2).  Generators are the intersection points.  The
+``filtered_complex_from_diagram`` turns such a diagram into a filtered
+chain complex over GF(2).  Generators are the intersection points.  The
 differential counts embedded bigons (positive domains with exactly two
-corners and multiplicities 0 or 1) that miss all four basepoints.
-Relative Maslov gradings come from the combinatorial index of a
-connecting domain, e(D) + n_x(D) + n_y(D), relative Alexander gradings
-from n_z - n_w; the absolute lift is fixed by the symmetry of the rank
-table and the total homology of the complex.  All geometry is done in
-exact rational arithmetic.
+corners and multiplicities 0 or 1) that miss w1 and w2; a bigon that
+covers z_i drops the i-th Alexander grading by one.
+``complex_from_diagram`` keeps the arrows that drop no Alexander
+grading, which are the bigons missing all four basepoints.
 
-This route to the rank table shares no code with the alternating-link
-computation in ``homology``, which makes the two usable as independent
-cross-checks (``oracle_compare``).
+Relative Maslov gradings come from the combinatorial index of a
+connecting domain, e(D) + n_x(D) + n_y(D) - 2 n_w(D), relative
+Alexander gradings from n_z - n_w.  Both absolute lifts are read off
+the diagram:
+
+- Forgetting z1 and z2 leaves the sphere with two basepoints, whose
+  Floer homology is GF(2) in Maslov gradings 0 and -1.  The Maslov
+  shift puts the total homology of the filtered complex there, and any
+  other total homology is refused.
+- The Alexander shift centres the rank table so that it is symmetric
+  under negation.
+
+Forgetting z2 leaves the knot Floer homology of the first component, an
+unknot, shifted by lk/2.  So the component homology in coordinate 2
+sits at one Alexander level, and that level (in doubled units) is the
+linking number of the orientation the diagram realises.
+``oracle_compare`` reads it there and compares the bigon table with the
+alternating-link table of the link so oriented.
+
+All geometry is done in exact rational arithmetic.  The complex uses
+nothing from ``alexander`` or ``homology``; only ``oracle_compare``
+calls the alternating-link computation, so the two routes are
+independent cross-checks of each other.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .alexander import signature
-from .filtered import FilteredComplex, assoc_graded_homology, validate
+from .filtered import (
+    FilteredComplex,
+    assoc_graded_homology,
+    component_homology,
+    total_homology,
+    validate,
+)
 from . import linkdiag
 from .homology import hfk_alternating_knot, hfl_alternating
 
 __all__ = [
-    "Domain",
-    "PeriodicDomainGroup",
     "SphereDiagram",
     "two_bridge_diagram",
     "admissibility",
+    "filtered_complex_from_diagram",
     "complex_from_diagram",
     "oracle_compare",
 ]
+
+# alpha lifts to the lines y = +-A, beta to the lines p*x - q*y = +-C
+_A = Fraction(1, 4)
+_C = Fraction(1, 4)
 
 
 def _frac(x) -> Fraction:
@@ -56,43 +82,21 @@ def _frac(x) -> Fraction:
 
 
 @dataclass
-class Domain:
-    """A 2-chain on the diagram: an integer multiplicity per region."""
-
-    mult: dict
-
-    def n(self, region: str) -> int:
-        return self.mult.get(region, 0)
-
-    def is_positive(self) -> bool:
-        return all(v >= 0 for v in self.mult.values())
-
-    def mixed_signs(self) -> bool:
-        vals = self.mult.values()
-        return any(v > 0 for v in vals) and any(v < 0 for v in vals)
-
-
-@dataclass
-class PeriodicDomainGroup:
-    """Basis of the periodic domains with multiplicity zero at every w."""
-
-    basis: tuple
-
-    def rank(self) -> int:
-        return len(self.basis)
-
-
-@dataclass
 class SphereDiagram:
     """Two curves on the sphere with four basepoints.
 
     ``alpha`` and ``beta`` list the same intersection points in cyclic
     order along each curve; ``sign`` records the local intersection
-    sign.  ``regions`` names the components of the complement,
-    ``adjacency`` the regions sharing an edge, and ``sides`` places each
-    region relative to the two curves: a pair (side of alpha, side of
-    beta) with values 0 or 1.  ``basepoints`` maps w1, z1, w2, z2 to the
-    region containing each.
+    sign.  ``regions`` names the components of the complement, and
+    ``sides`` places each region relative to the two curves: a pair
+    (side of alpha, side of beta) with values 0 or 1.  ``edges`` maps
+    ``("a", i)``, the arc of alpha from ``alpha[i]`` to the next point,
+    and ``("b", k)`` likewise on beta, to the regions on its (left,
+    right).  ``corners`` lists the four regions around each
+    intersection point.  ``basepoints`` maps w1, z1, w2, z2 to the
+    region containing each, and ``periodic`` is the periodic domain with
+    multiplicity zero at every w, as its nonzero multiplicities (empty
+    when there is none).
     """
 
     p: int
@@ -101,11 +105,11 @@ class SphereDiagram:
     beta: tuple
     sign: dict
     regions: tuple
-    adjacency: dict
     sides: dict
+    edges: dict
+    corners: dict
     basepoints: dict
-    periodic: PeriodicDomainGroup
-    geometry: object = field(default=None, repr=False, compare=False)
+    periodic: dict
 
     def check(self) -> None:
         """Validate the balanced placement of curves and basepoints."""
@@ -129,174 +133,16 @@ class SphereDiagram:
             s1, s2 = self.sides[bp["w1"]], self.sides[bp["w2"]]
             if s1[0] == s2[0] or s1[1] == s2[1]:
                 raise ValueError("the two basepoint pairs must sit in opposite sides")
+            if self.periodic.get(bp["w1"]) or self.periodic.get(bp["w2"]):
+                raise ValueError("the periodic domain must vanish at every w")
         elif self.basepoints.keys() != {"w1", "z1"}:
             raise ValueError("the degenerate diagram carries one basepoint pair")
 
-
-class _Pillow:
-    """Exact geometry of the quotient-of-torus diagram for b(p, q)."""
-
-    def __init__(self, p: int, q: int):
-        self.p, self.q = p, q
-        self.a = Fraction(1, 4)
-        self.c = Fraction(1, 4)
-        self.ex = Fraction(1, 8 * p)
-        self.ey = Fraction(1, 8 * (q + 1))
-        self.ev = Fraction(1, 8)
-        self._build_generators()
-        self._build_regions()
-        self._build_edges()
-        self._build_corners()
-
-    # -- point location ------------------------------------------------
-
-    def loc(self, x, y):
-        """Torus face (side of alpha, side of beta, sheet) containing a point."""
-        yr = _frac(Fraction(y) + self.a) - self.a
-        if yr in (self.a, -self.a):
-            raise ValueError("point lies on an alpha curve")
-        iy = 0 if yr < self.a else 1
-        v = self.p * Fraction(x) - self.q * yr
-        vr = _frac(v + self.c) - self.c
-        if vr in (self.c, -self.c):
-            raise ValueError("point lies on a beta curve")
-        iv = 0 if vr < self.c else 1
-        j = int(v - vr) % self.p
-        return (iy, iv, j)
-
-    def _face_point(self, key):
-        iy, iv, j = key
-        ym = Fraction(0) if iy == 0 else Fraction(1, 2)
-        vm = Fraction(0) if iv == 0 else Fraction(1, 2)
-        return (Fraction(vm + self.q * ym + j, self.p), ym)
-
-    # -- intersection points -------------------------------------------
-
-    def _build_generators(self) -> None:
-        p, q, a, c = self.p, self.q, self.a, self.c
-        coords = []
-        for t, vt in ((0, c), (1, 1 - c)):
-            for j in range(p):
-                coords.append((_frac(Fraction(vt + q * a + j, p)), t, j))
-        coords.sort()
-        self.alpha = tuple(f"x{i}" for i in range(2 * p))
-        self.x_of = {name: coords[i][0] for i, name in enumerate(self.alpha)}
-        self.type_of = {name: coords[i][1] for i, name in enumerate(self.alpha)}
-        by_x = {coords[i][0]: name for i, name in enumerate(self.alpha)}
-        by_tj = {(coords[i][1], coords[i][2]): name for i, name in enumerate(self.alpha)}
-
-        # Walk the beta curve: the lift v = c, parameterized by y in [0, p).
-        crossings = []
-        for m in range(p):
-            tau = a + m
-            crossings.append((tau, by_tj[(0, q * m % p)]))
-            tau = (1 - a) + m
-            x_here = _frac(Fraction(c + q * tau, p))
-            name = by_x[_frac(-x_here)]
-            if self.type_of[name] != 1:
-                raise ValueError("beta walk hit a crossing of the wrong type")
-            crossings.append((tau, name))
-        crossings.sort()
-        self.beta_tau = tuple(tau for tau, _ in crossings)
-        self.beta = tuple(name for _, name in crossings)
-        if sorted(self.beta) != sorted(self.alpha):
-            raise ValueError("beta walk missed an intersection point")
-        self.sign = {g: 1 if self.type_of[g] == 0 else -1 for g in self.alpha}
-
-    # -- regions -------------------------------------------------------
-
-    def _build_regions(self) -> None:
-        p = self.p
-        faces = [(iy, iv, j) for iy in (0, 1) for iv in (0, 1) for j in range(p)]
-        invol = {}
-        for key in faces:
-            xm, ym = self._face_point(key)
-            if self.loc(xm, ym) != key:
-                raise ValueError("face sample point landed in the wrong face")
-            invol[key] = self.loc(-xm, -ym)
-        for key, img in invol.items():
-            if invol[img] != key:
-                raise ValueError("the folding involution is not an involution on faces")
-        orbits = sorted({min(key, invol[key]) for key in faces})
-        if len(orbits) != 2 * p + 2:
-            raise ValueError("wrong number of regions on the sphere")
-        self.regions = tuple(f"r{i}" for i in range(len(orbits)))
-        self.region_of = {}
-        self.sides = {}
-        for i, rep in enumerate(orbits):
-            name = self.regions[i]
-            for key in {rep, invol[rep]}:
-                self.region_of[key] = name
-            self.sides[name] = (rep[0], rep[1])
-
-        half = Fraction(1, 2)
-        self.branch = {
-            (0, 0): self.region_of[self.loc(0, 0)],
-            (1, 0): self.region_of[self.loc(half, 0)],
-            (0, 1): self.region_of[self.loc(0, half)],
-            (1, 1): self.region_of[self.loc(half, half)],
-        }
-        if len(set(self.branch.values())) != 4:
-            raise ValueError("branch points must sit in four distinct regions")
-        for key, img in invol.items():
-            if (key == img) != (self.region_of[key] in self.branch.values()):
-                raise ValueError("branch regions must be exactly the folded faces")
-        self.e_measure = {
-            r: Fraction(1, 2) if r in self.branch.values() else Fraction(0)
-            for r in self.regions
-        }
-
-    # -- edges ---------------------------------------------------------
-
-    def _build_edges(self) -> None:
-        p, q, a, c = self.p, self.q, self.a, self.c
-        n = 2 * p
-        self.edges = []
-        for i in range(n):
-            x0 = self.x_of[self.alpha[i]]
-            x1 = self.x_of[self.alpha[(i + 1) % n]]
-            if i + 1 == n:
-                x1 += 1
-            mid = _frac(Fraction(x0 + x1, 2))
-            left = self.region_of[self.loc(mid, a + self.ey)]
-            right = self.region_of[self.loc(mid, a - self.ey)]
-            self.edges.append((("a", i), self.alpha[i], self.alpha[(i + 1) % n], left, right))
-        for k in range(n):
-            t0 = self.beta_tau[k]
-            t1 = self.beta_tau[(k + 1) % n]
-            if k + 1 == n:
-                t1 += p
-            tm = Fraction(t0 + t1, 2)
-            left = self.region_of[self.loc(Fraction(c - self.ev + q * tm, p), _frac(tm))]
-            right = self.region_of[self.loc(Fraction(c + self.ev + q * tm, p), _frac(tm))]
-            self.edges.append((("b", k), self.beta[k], self.beta[(k + 1) % n], left, right))
-        for _, _, _, left, right in self.edges:
-            if left == right:
-                raise ValueError("an edge cannot bound the same region twice")
-
-    def _build_corners(self) -> None:
-        a = self.a
-        self.corners = {}
-        for g in self.alpha:
-            x0 = self.x_of[g]
-            quads = [
-                self.loc(x0 + self.ex, a + self.ey),
-                self.loc(x0 - self.ex, a + self.ey),
-                self.loc(x0 - self.ex, a - self.ey),
-                self.loc(x0 + self.ex, a - self.ey),
-            ]
-            if len(set(quads)) != 4:
-                raise ValueError("corner sampling collapsed two quadrants")
-            self.corners[g] = tuple(self.region_of[key] for key in quads)
-        counts = Counter()
-        for quads in self.corners.values():
-            counts.update(quads)
-        for r in self.regions:
-            want = 2 if self.e_measure[r] else 4
-            if counts[r] != want:
-                raise ValueError("a region has the wrong number of corners")
-
     # -- domains -------------------------------------------------------
+
+    def side_domain(self, which: str, side: int) -> dict:
+        idx = 0 if which == "a" else 1
+        return {r: 1 if self.sides[r][idx] == side else 0 for r in self.regions}
 
     def solve(self, coeffs: dict) -> dict:
         """Multiplicities with the given jump across each edge.
@@ -305,13 +151,11 @@ class _Pillow:
         left and the right multiplicity; the solution is anchored at an
         arbitrary region, so only differences are meaningful.
         """
-        constraints = []
-        for eid, _, _, left, right in self.edges:
-            constraints.append((left, right, coeffs.get(eid, 0)))
         m = {self.regions[0]: 0}
         queue = deque([self.regions[0]])
         touching = {}
-        for left, right, cval in constraints:
+        for eid, (left, right) in self.edges.items():
+            cval = coeffs.get(eid, 0)
             touching.setdefault(left, []).append((right, -cval))
             touching.setdefault(right, []).append((left, cval))
         while queue:
@@ -322,8 +166,8 @@ class _Pillow:
                     queue.append(nb)
         if len(m) != len(self.regions):
             raise ValueError("the complement of the curves is not connected")
-        for left, right, cval in constraints:
-            if m[left] - m[right] != cval:
+        for eid, (left, right) in self.edges.items():
+            if m[left] - m[right] != coeffs.get(eid, 0):
                 raise ValueError("boundary data is not the boundary of a 2-chain")
         return m
 
@@ -347,56 +191,64 @@ class _Pillow:
 
     def connect(self, g: str, h: str, fa: bool = True, fb: bool = True) -> dict:
         """Some 2-chain whose boundary runs from g to h on alpha, back on beta."""
-        ca, _ = self.arc("a", g, h, fa)
-        cb, _ = self.arc("b", h, g, fb)
-        coeffs = dict(ca)
-        for eid, cval in cb.items():
-            coeffs[eid] = coeffs.get(eid, 0) + cval
+        coeffs = Counter(self.arc("a", g, h, fa)[0])
+        coeffs.update(self.arc("b", h, g, fb)[0])
         return self.solve(coeffs)
 
     # -- measures ------------------------------------------------------
 
-    def point_measure(self, m: dict, g: str) -> Fraction:
-        return Fraction(sum(m[r] for r in self.corners[g]), 4)
-
     def index(self, m: dict, g: str, h: str) -> Fraction:
-        """Combinatorial Maslov index e(D) + n_g(D) + n_h(D)."""
-        e = sum(self.e_measure[r] * m[r] for r in self.regions)
-        return e + self.point_measure(m, g) + self.point_measure(m, h)
+        """Combinatorial Maslov index e(D) + n_g(D) + n_h(D).
 
-    def side_domain(self, which: str, side: int) -> dict:
-        idx = 0 if which == "a" else 1
-        return {r: 1 if self.sides[r][idx] == side else 0 for r in self.regions}
+        A region with c corners has Euler measure 1 - c/4, so e(D) is the
+        sum of the multiplicities less the point measures of all the
+        intersection points.  ``m`` gives every region a multiplicity.
+        """
+        def corners(x):
+            return sum(m[r] for r in self.corners[x])
+
+        four_e = 4 * sum(m.values()) - sum(corners(x) for x in self.alpha)
+        return Fraction(four_e + corners(g) + corners(h), 4)
 
     def bigons(self, g: str, h: str, avoid) -> int:
         """Number of embedded bigons from g to h missing ``avoid`` regions."""
         count = 0
-        for fa in (True, False):
-            ca, ia = self.arc("a", g, h, fa)
-            for fb in (True, False):
-                cb, ib = self.arc("b", h, g, fb)
-                if ia & ib or g in ib or h in ia:
-                    continue
-                coeffs = dict(ca)
-                for eid, cval in cb.items():
-                    coeffs[eid] = coeffs.get(eid, 0) + cval
-                m = self.solve(coeffs)
-                lo = min(m.values())
-                m = {r: v - lo for r, v in m.items()}
-                if any(v not in (0, 1) for v in m.values()):
-                    continue
-                if all(v == 0 for v in m.values()):
-                    continue
-                if any(m[r] for r in avoid):
-                    continue
-                if sum(m[r] for r in self.corners[g]) != 1:
-                    continue
-                if sum(m[r] for r in self.corners[h]) != 1:
-                    continue
-                if self.index(m, g, h) != 1:
-                    raise ValueError("an embedded bigon must have index 1")
-                count += 1
+        there = [self.arc("a", g, h, fwd) for fwd in (True, False)]
+        back = [self.arc("b", h, g, fwd) for fwd in (True, False)]
+        for (ca, ia), (cb, ib) in product(there, back):
+            if ia & ib or g in ib or h in ia:
+                continue
+            coeffs = Counter(ca)
+            coeffs.update(cb)
+            m = self.solve(coeffs)
+            lo = min(m.values())
+            m = {r: v - lo for r, v in m.items()}
+            if any(v not in (0, 1) for v in m.values()):
+                continue
+            if all(v == 0 for v in m.values()):
+                continue
+            if any(m[r] for r in avoid):
+                continue
+            if sum(m[r] for r in self.corners[g]) != 1:
+                continue
+            if sum(m[r] for r in self.corners[h]) != 1:
+                continue
+            if self.index(m, g, h) != 1:
+                raise ValueError("an embedded bigon must have index 1")
+            count += 1
         return count
+
+
+def _face(p: int, q: int, x, y) -> tuple:
+    """Torus face (side of alpha, side of beta, sheet) containing a point."""
+    yr = _frac(Fraction(y) + _A) - _A
+    if yr in (_A, -_A):
+        raise ValueError("point lies on an alpha curve")
+    v = p * Fraction(x) - q * yr
+    vr = _frac(v + _C) - _C
+    if vr in (_C, -_C):
+        raise ValueError("point lies on a beta curve")
+    return (0 if yr < _A else 1, 0 if vr < _C else 1, int(v - vr) % p)
 
 
 def two_bridge_diagram(p: int, q: int) -> SphereDiagram:
@@ -409,16 +261,8 @@ def two_bridge_diagram(p: int, q: int) -> SphereDiagram:
     p, q = int(p), int(q)
     if p == 1 and q == 1:
         return SphereDiagram(
-            p=1,
-            q=1,
-            alpha=(),
-            beta=(),
-            sign={},
-            regions=("r0",),
-            adjacency={"r0": ()},
-            sides={},
-            basepoints={"w1": "r0", "z1": "r0"},
-            periodic=PeriodicDomainGroup(basis=()),
+            p=1, q=1, alpha=(), beta=(), sign={}, regions=("r0",), sides={},
+            edges={}, corners={}, basepoints={"w1": "r0", "z1": "r0"}, periodic={},
         )
     if p < 2 or not 0 < q < p:
         raise ValueError("need 0 < q < p (or the degenerate pair p = q = 1)")
@@ -427,39 +271,102 @@ def two_bridge_diagram(p: int, q: int) -> SphereDiagram:
     if p % 2:
         raise ValueError("odd p gives a knot; this diagram needs a two-component link")
 
-    geo = _Pillow(p, q)
-    adjacency = {r: set() for r in geo.regions}
-    for _, _, _, left, right in geo.edges:
-        adjacency[left].add(right)
-        adjacency[right].add(left)
+    def face(x, y):
+        return _face(p, q, x, y)
 
-    pi = {
-        r: geo.side_domain("a", 0)[r] - geo.side_domain("b", 0)[r]
-        for r in geo.regions
-    }
-    pi = Domain({r: v for r, v in pi.items() if v})
+    # Intersection points in order along the alpha lift y = A; a point of
+    # type t lies on the beta lift p*x - q*y = C (t = 0) or 1 - C (t = 1).
+    coords = sorted(
+        (_frac(Fraction(vt + q * _A + j, p)), t, j)
+        for t, vt in ((0, _C), (1, 1 - _C))
+        for j in range(p)
+    )
+    alpha = tuple(f"x{i}" for i in range(2 * p))
+    x_of = {g: x for g, (x, _, _) in zip(alpha, coords)}
+    sign = {g: 1 - 2 * t for g, (_, t, _) in zip(alpha, coords)}
+    by_x = {x: g for g, x in x_of.items()}
+    by_tj = {(t, j): g for g, (_, t, j) in zip(alpha, coords)}
+
+    # Walk the beta curve: the lift v = C, parameterized by y in [0, p).
+    crossings = []
+    for m in range(p):
+        crossings.append((_A + m, by_tj[(0, q * m % p)]))
+        tau = 1 - _A + m
+        name = by_x[_frac(-Fraction(_C + q * tau, p))]
+        if sign[name] != -1:
+            raise ValueError("beta walk hit a crossing of the wrong type")
+        crossings.append((tau, name))
+    crossings.sort()
+    beta_tau = [tau for tau, _ in crossings]
+    beta = tuple(name for _, name in crossings)
+
+    # Regions: orbits of the torus faces under the folding z -> -z.
+    invol = {}
+    for key in product((0, 1), (0, 1), range(p)):
+        iy, iv, j = key
+        ym = Fraction(iy, 2)
+        xm = (Fraction(iv, 2) + q * ym + j) / p
+        if face(xm, ym) != key:
+            raise ValueError("face sample point landed in the wrong face")
+        invol[key] = face(-xm, -ym)
+    if any(invol[img] != key for key, img in invol.items()):
+        raise ValueError("the folding involution is not an involution on faces")
+    orbits = sorted({min(key, img) for key, img in invol.items()})
+    if len(orbits) != 2 * p + 2:
+        raise ValueError("wrong number of regions on the sphere")
+    regions = tuple(f"r{i}" for i in range(len(orbits)))
+    region_of = {}
+    for name, rep in zip(regions, orbits):
+        region_of[rep] = region_of[invol[rep]] = name
+
+    def region(x, y):
+        return region_of[face(x, y)]
+
+    half = Fraction(1, 2)
     basepoints = {
-        "w1": geo.branch[(0, 0)],
-        "z1": geo.branch[(1, 0)],
-        "w2": geo.branch[(0, 1)],
-        "z2": geo.branch[(1, 1)],
+        "w1": region(0, 0), "z1": region(half, 0),
+        "w2": region(0, half), "z2": region(half, half),
     }
-    for key in ("w1", "w2"):
-        if pi.n(basepoints[key]) != 0:
-            raise ValueError("the periodic domain must vanish at every w")
+    for key, img in invol.items():
+        if (key == img) != (region_of[key] in basepoints.values()):
+            raise ValueError("branch regions must be exactly the folded faces")
+
+    ex, ey, ev = Fraction(1, 8 * p), Fraction(1, 8 * (q + 1)), Fraction(1, 8)
+    n = 2 * p
+    edges = {}
+    for i in range(n):
+        x0, x1 = x_of[alpha[i]], x_of[alpha[(i + 1) % n]] + (1 if i + 1 == n else 0)
+        mid = _frac((x0 + x1) / 2)
+        edges[("a", i)] = (region(mid, _A + ey), region(mid, _A - ey))
+    for k in range(n):
+        tm = (beta_tau[k] + beta_tau[(k + 1) % n] + (p if k + 1 == n else 0)) / 2
+        edges[("b", k)] = (
+            region((_C - ev + q * tm) / p, _frac(tm)),
+            region((_C + ev + q * tm) / p, _frac(tm)),
+        )
+    if any(left == right for left, right in edges.values()):
+        raise ValueError("an edge cannot bound the same region twice")
+
+    corners = {}
+    for g in alpha:
+        x0 = x_of[g]
+        quads = [face(x0 + ex, _A + ey), face(x0 - ex, _A + ey),
+                 face(x0 - ex, _A - ey), face(x0 + ex, _A - ey)]
+        if len(set(quads)) != 4:
+            raise ValueError("corner sampling collapsed two quadrants")
+        corners[g] = tuple(region_of[key] for key in quads)
+    counts = Counter(r for quads in corners.values() for r in quads)
+    if any(counts[r] != (2 if r in basepoints.values() else 4) for r in regions):
+        raise ValueError("a region has the wrong number of corners")
+
+    # The periodic domain: the alpha side 0 less the beta side 0, whose
+    # boundary is made of whole curves.
+    sides = {name: rep[:2] for name, rep in zip(regions, orbits)}
+    periodic = {r: ib - ia for r, (ia, ib) in sides.items() if ib != ia}
 
     diagram = SphereDiagram(
-        p=p,
-        q=q,
-        alpha=geo.alpha,
-        beta=geo.beta,
-        sign=dict(geo.sign),
-        regions=geo.regions,
-        adjacency={r: tuple(sorted(nbs)) for r, nbs in adjacency.items()},
-        sides=dict(geo.sides),
-        basepoints=basepoints,
-        periodic=PeriodicDomainGroup(basis=(pi,)),
-        geometry=geo,
+        p=p, q=q, alpha=alpha, beta=beta, sign=sign, regions=regions, sides=sides,
+        edges=edges, corners=corners, basepoints=basepoints, periodic=periodic,
     )
     diagram.check()
     return diagram
@@ -468,44 +375,40 @@ def two_bridge_diagram(p: int, q: int) -> SphereDiagram:
 def admissibility(d: SphereDiagram) -> bool:
     """Every nonzero periodic domain with n_w = 0 must change sign.
 
-    The group here has rank at most one, so checking each basis element
-    and its negation covers all nonzero combinations.
+    The group here has rank at most one, so checking the generator (its
+    negation changes sign with it) covers all nonzero combinations.
     """
-    for dom in d.periodic.basis:
-        if not dom.mixed_signs():
-            return False
-    return True
+    vals = d.periodic.values()
+    return not vals or (max(vals) > 0 > min(vals))
 
 
-def _relative_gradings(geo: _Pillow, basepoints: dict):
+def _relative_gradings(d: SphereDiagram) -> dict:
     """Maslov and Alexander gradings of each generator, up to one shift.
 
     The Maslov difference of a connecting domain D is its index minus
     2(n_w1 + n_w2)(D); the Alexander differences are n_z - n_w per pair.
     Both are checked to be independent of the four choices of connecting
-    arcs, and the index congruence is checked over the full domain
-    lattice (multiples of the two curve sides and of the whole sphere).
+    arcs.  The index is linear in the domain, so the index congruence
+    over the whole domain lattice (multiples of the two curve sides and
+    of the whole sphere, added to any connecting domain) is checked once
+    per lattice generator and endpoint.
     """
-    w1, z1 = basepoints["w1"], basepoints["z1"]
-    w2, z2 = basepoints["w2"], basepoints["z2"]
-    base = geo.alpha[0]
+    w1, z1 = d.basepoints["w1"], d.basepoints["z1"]
+    w2, z2 = d.basepoints["w2"], d.basepoints["z2"]
+    base = d.alpha[0]
     rel = {}
-    lattice = [geo.side_domain("a", 0), geo.side_domain("a", 1),
-               geo.side_domain("b", 0), geo.side_domain("b", 1),
-               {r: 1 for r in geo.regions}]
-    for g in geo.alpha:
+    lattice = [d.side_domain("a", 0), d.side_domain("a", 1),
+               d.side_domain("b", 0), d.side_domain("b", 1),
+               {r: 1 for r in d.regions}]
+    for g in d.alpha:
+        for extra in lattice:
+            if d.index(extra, base, g) != 2 * (extra[w1] + extra[w2]):
+                raise ValueError("the Maslov index congruence fails on the domain lattice")
         seen = set()
         for fa, fb in product((True, False), repeat=2):
-            m = geo.connect(base, g, fa, fb)
-            mas = geo.index(m, base, g) - 2 * (m[w1] + m[w2])
-            alex = (m[z1] - m[w1], m[z2] - m[w2])
-            seen.add((mas, alex))
-            for extra, t in product(lattice, (-1, 1)):
-                m2 = {r: m[r] + t * extra[r] for r in geo.regions}
-                d_index = geo.index(m2, base, g) - geo.index(m, base, g)
-                d_w = 2 * (m2[w1] + m2[w2] - m[w1] - m[w2])
-                if d_index != d_w:
-                    raise ValueError("the Maslov index congruence fails on the domain lattice")
+            m = d.connect(base, g, fa, fb)
+            mas = d.index(m, base, g) - 2 * (m[w1] + m[w2])
+            seen.add((mas, (m[z1] - m[w1], m[z2] - m[w2])))
         if len(seen) != 1:
             raise ValueError("relative gradings depend on the choice of connecting domain")
         mas, alex = seen.pop()
@@ -515,59 +418,50 @@ def _relative_gradings(geo: _Pillow, basepoints: dict):
     return rel
 
 
-def complex_from_diagram(d: SphereDiagram) -> FilteredComplex:
+def filtered_complex_from_diagram(d: SphereDiagram) -> FilteredComplex:
     """Filtered GF(2) complex of a two-bridge diagram.
 
-    Arrows count embedded bigons missing all four basepoints, modulo 2.
-    The absolute Alexander grading centers the homology rank table so it
-    is symmetric under negation.  The absolute Maslov grading follows
-    the convention of the alternating-link tables: the homology of a
-    two-bridge diagram is thin, supported on the diagonal
-    d = h_1 + h_2 + (sigma - 1)/2, and the signature fixes the shift.
+    Arrows count, modulo 2, the embedded bigons that miss w1 and w2; a
+    bigon crosses each z at most once, so it drops each Alexander
+    grading by 0 or 1.  The absolute Maslov grading puts the total
+    homology, which is that of the sphere with two basepoints, in
+    gradings 0 and -1; anything else is refused.  The absolute
+    Alexander grading centres the homology rank table so it is symmetric
+    under negation.
     """
     if d.p == 1:
         return FilteredComplex(1, (0,), [("x0", 0, (0,))])
-    geo = d.geometry
-    if geo is None:
-        raise ValueError("this diagram carries no geometry; build it with two_bridge_diagram")
-
-    rel = _relative_gradings(geo, d.basepoints)
-    avoid = tuple(d.basepoints.values())
+    rel = _relative_gradings(d)
+    avoid = (d.basepoints["w1"], d.basepoints["w2"])
     arrows = []
-    for g in geo.alpha:
-        for h in geo.alpha:
-            if g == h:
+    for g in d.alpha:
+        for h in d.alpha:
+            if g == h or not d.bigons(g, h, avoid) % 2:
                 continue
-            if geo.bigons(g, h, avoid) % 2:
-                if rel[g][0] - rel[h][0] != 1:
-                    raise ValueError("a bigon must drop the Maslov grading by exactly 1")
-                if rel[g][1] != rel[h][1]:
-                    raise ValueError("a bigon missing the basepoints must preserve the filtration")
-                arrows.append((g, h))
+            if rel[g][0] - rel[h][0] != 1:
+                raise ValueError("a bigon must drop the Maslov grading by exactly 1")
+            if any(a - b not in (0, 1) for a, b in zip(rel[g][1], rel[h][1])):
+                raise ValueError("a bigon must drop each Alexander grading by 0 or 1")
+            arrows.append((g, h))
 
     provisional = FilteredComplex(
         2, (0, 0),
         [(g, mas, (2 * a1, 2 * a2)) for g, (mas, (a1, a2)) in rel.items()],
         arrows,
     )
+    total = total_homology(provisional)
+    dshift = -max(total, default=0)
+    if {mas + dshift: r for mas, r in total.items()} != {0: 1, -1: 1}:
+        raise ValueError(f"the bigon complex has total homology {total}, "
+                         "not GF(2) in two adjacent gradings")
     table = assoc_graded_homology(provisional)
-    total = sum(table.ranks.values())
+    size = sum(table.ranks.values())
     shift = []
     for i in (0, 1):
-        center = Fraction(sum(r * h2[i] for (_, h2), r in table.ranks.items()), total)
+        center = Fraction(sum(r * h2[i] for (_, h2), r in table.ranks.items()), size)
         if center.denominator != 1:
             raise ValueError("the rank table cannot be centered on the grading lattice")
         shift.append(int(center))
-    diagonal = {
-        2 * mas - (h2[0] - shift[0]) - (h2[1] - shift[1])
-        for (mas, h2) in table.ranks
-    }
-    if len(diagonal) != 1:
-        raise ValueError("the homology of the diagram is not thin; cannot normalize")
-    sigma = signature(linkdiag.two_bridge(d.p, d.q))
-    dshift, odd = divmod(sigma - 1 - diagonal.pop(), 2)
-    if odd:
-        raise ValueError("the signature does not match the parity of the diagonal")
 
     cx = FilteredComplex(
         2,
@@ -589,13 +483,36 @@ def complex_from_diagram(d: SphereDiagram) -> FilteredComplex:
     return cx
 
 
+def complex_from_diagram(d: SphereDiagram) -> FilteredComplex:
+    """The associated graded part of ``filtered_complex_from_diagram``.
+
+    Its arrows are the bigons that miss all four basepoints: those that
+    drop no Alexander grading.
+    """
+    cx = filtered_complex_from_diagram(d)
+    kept = [(a, b) for a, b in cx.arrows if cx.filt2(a) == cx.filt2(b)]
+    return FilteredComplex(cx.nvars, cx.parity, cx.gens(), kept)
+
+
 def oracle_compare(p: int, q: int) -> bool:
     """Bigon counting against the alternating-link computation.
 
     Builds the rank table twice, once from the diagram and once from the
-    Alexander polynomial and signature, and compares them exactly.
+    Alexander polynomial and signature, and compares them exactly.  The
+    link is oriented as the diagram is: the linking number read off the
+    component homology in coordinate 2 picks ``linkdiag.two_bridge(p, q)``
+    or that link with its second component reversed.
     """
-    table = assoc_graded_homology(complex_from_diagram(two_bridge_diagram(p, q)))
+    cx = filtered_complex_from_diagram(two_bridge_diagram(p, q))
+    table = assoc_graded_homology(cx)
     if p == 1:
         return table == hfk_alternating_knot(linkdiag.corpus("unknot"))
-    return table == hfl_alternating(linkdiag.two_bridge(p, q)).table
+    part = component_homology(cx, 2)
+    levels = {part.filt2(g) for g in part.gen_ids}
+    if len(levels) != 1:
+        raise ValueError(f"the first component's homology spans Alexander levels {levels}")
+    ((lk,),) = levels
+    link = linkdiag.two_bridge(p, q)
+    if linkdiag.linking_matrix(link).lk[0][1] != lk:
+        link = linkdiag.reverse(link, 1)
+    return table == hfl_alternating(link).table

@@ -110,6 +110,17 @@ def test_heegaard_summary_and_complex(capsys):
     assert json.loads(out) == json.loads(json.dumps(want))
 
 
+def test_heegaard_reports_the_diagram_orientation(capsys):
+    # linkdiag orients b(14,5) opposite to the diagram; the oracle follows
+    # the diagram, and the --json keys stay as they were
+    code, out, _ = run(capsys, "heegaard", "14", "5")
+    assert code == 0 and "oracle match: True" in out
+    code, out, _ = run(capsys, "heegaard", "14", "5", "--json")
+    assert code == 0
+    assert json.loads(out) == {"p": 14, "q": 5, "generators": 28, "regions": 30,
+                               "admissible": True, "oracle_match": True}
+
+
 def test_heegaard_rejects_bad_parameters(capsys):
     code, _, err = run(capsys, "heegaard", "4", "2")
     assert code == 1 and "coprime" in err

@@ -1,16 +1,24 @@
+import ast
 import dataclasses
+import math
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from hfl import linkdiag
-from hfl.filtered import FilteredComplex, assoc_graded_homology, total_homology, validate
+from hfl.filtered import (
+    FilteredComplex,
+    assoc_graded_homology,
+    component_homology,
+    total_homology,
+    validate,
+)
 from hfl.heegaard import (
-    Domain,
-    PeriodicDomainGroup,
     SphereDiagram,
     admissibility,
     complex_from_diagram,
+    filtered_complex_from_diagram,
     oracle_compare,
     two_bridge_diagram,
 )
@@ -47,7 +55,7 @@ def test_degenerate_diagram():
     assert d.alpha == () and d.beta == ()
     assert d.regions == ("r0",)
     assert d.basepoints == {"w1": "r0", "z1": "r0"}
-    assert d.periodic.rank() == 0
+    assert d.periodic == {}
     assert admissibility(d)
     cx = complex_from_diagram(d)
     assert len(cx) == 1 and cx.arrows == frozenset()
@@ -73,16 +81,18 @@ def test_check_rejects_separated_pair():
 
 def test_periodic_domain_is_difference_of_sides():
     d = two_bridge_diagram(6, 1)
-    (pi,) = d.periodic.basis
-    assert pi.mixed_signs() and not pi.is_positive()
+    pi = d.periodic
+    assert 0 not in pi.values()
+    assert max(pi.values()) > 0 > min(pi.values())
     for key in ("w1", "z1", "w2", "z2"):
-        assert pi.n(d.basepoints[key]) == 0
+        assert pi.get(d.basepoints[key], 0) == 0
+    a0, b0 = d.side_domain("a", 0), d.side_domain("b", 0)
+    assert all(pi.get(r, 0) == a0[r] - b0[r] for r in d.regions)
     # boundary is a combination of full curves: the jump across every
     # edge of each curve is one and the same unit
-    geo = d.geometry
     jumps = {"a": set(), "b": set()}
-    for (kind, _), _, _, left, right in geo.edges:
-        jumps[kind].add(pi.n(left) - pi.n(right))
+    for (kind, _), (left, right) in d.edges.items():
+        jumps[kind].add(pi.get(left, 0) - pi.get(right, 0))
     assert jumps["a"] == {-1} and jumps["b"] == {-1}
 
 
@@ -93,9 +103,10 @@ def test_admissibility_of_generated_diagrams():
 
 def test_admissibility_rejects_one_sided_domain():
     d = two_bridge_diagram(2, 1)
-    side = Domain({r: 1 for r in d.regions if d.sides[r][0] == 0})
-    bad = dataclasses.replace(d, periodic=PeriodicDomainGroup(basis=(side,)))
-    assert not admissibility(bad)
+    side = {r: 1 for r in d.regions if d.sides[r][0] == 0}
+    assert not admissibility(dataclasses.replace(d, periodic=side))
+    negated = {r: -v for r, v in side.items()}
+    assert not admissibility(dataclasses.replace(d, periodic=negated))
 
 
 def test_hopf_complex():
@@ -137,33 +148,31 @@ def test_oracle_degenerate_and_extras():
 
 
 def test_maslov_congruence_over_domain_lattice():
-    geo = two_bridge_diagram(6, 1).geometry
-    lattice = [
-        geo.side_domain("a", 0),
-        geo.side_domain("b", 1),
-        {r: 1 for r in geo.regions},
-    ]
     d = two_bridge_diagram(6, 1)
+    lattice = [
+        d.side_domain("a", 0),
+        d.side_domain("b", 1),
+        {r: 1 for r in d.regions},
+    ]
     w1, w2 = d.basepoints["w1"], d.basepoints["w2"]
     pairs = [("x0", "x5"), ("x3", "x9"), ("x11", "x2")]
     for g, h in pairs:
-        m = geo.connect(g, h)
+        m = d.connect(g, h)
         for extra, t in product(lattice, (-2, -1, 1, 2)):
-            m2 = {r: m[r] + t * extra[r] for r in geo.regions}
-            lhs = geo.index(m2, g, h) - geo.index(m, g, h)
+            m2 = {r: m[r] + t * extra[r] for r in d.regions}
+            lhs = d.index(m2, g, h) - d.index(m, g, h)
             rhs = 2 * (m2[w1] + m2[w2] - m[w1] - m[w2])
             assert lhs == rhs
 
 
 def test_filtration_path_independence():
     d = two_bridge_diagram(8, 3)
-    geo = d.geometry
     z1, w1 = d.basepoints["z1"], d.basepoints["w1"]
     z2, w2 = d.basepoints["z2"], d.basepoints["w2"]
     for g in d.alpha:
         seen = set()
         for fa, fb in product((True, False), repeat=2):
-            m = geo.connect("x0", g, fa, fb)
+            m = d.connect("x0", g, fa, fb)
             seen.add((m[z1] - m[w1], m[z2] - m[w2]))
         assert len(seen) == 1
 
@@ -174,14 +183,13 @@ def test_bigons_across_z_compute_the_sphere():
     # homology must be one copy of GF(2) at 0 and one at -1.
     for p, q in [(2, 1), (4, 1), (8, 3)]:
         d = two_bridge_diagram(p, q)
-        geo = d.geometry
         cx = complex_from_diagram(d)
         avoid = (d.basepoints["w1"], d.basepoints["w2"])
         arrows = [
             (g, h)
-            for g in geo.alpha
-            for h in geo.alpha
-            if g != h and geo.bigons(g, h, avoid) % 2
+            for g in d.alpha
+            for h in d.alpha
+            if g != h and d.bigons(g, h, avoid) % 2
         ]
         assert arrows
         wcx = FilteredComplex(
@@ -191,6 +199,7 @@ def test_bigons_across_z_compute_the_sphere():
         )
         assert validate(wcx)
         assert total_homology(wcx) == {0: 1, -1: 1}
+        assert wcx == filtered_complex_from_diagram(d)
 
 
 def test_emitted_complex_roundtrips():
@@ -201,14 +210,75 @@ def test_emitted_complex_roundtrips():
 
 
 def test_arc_walks_split_each_curve():
-    geo = two_bridge_diagram(8, 3).geometry
-    for curve, points in (("a", geo.alpha), ("b", geo.beta)):
+    d = two_bridge_diagram(8, 3)
+    for curve, points in (("a", d.alpha), ("b", d.beta)):
         g, h = points[1], points[5]
-        there, inside = geo.arc(curve, g, h, True)
-        back, back_inside = geo.arc(curve, h, g, False)
+        there, inside = d.arc(curve, g, h, True)
+        back, back_inside = d.arc(curve, h, g, False)
         assert back == {eid: -c for eid, c in there.items()} and back_inside == inside
-        rest, outside = geo.arc(curve, h, g, True)
+        rest, outside = d.arc(curve, h, g, True)
         assert sorted([*there, *rest]) == [(curve, i) for i in range(len(points))]
         assert set(there.values()) == set(rest.values()) == {1}
         assert inside | outside == set(points) - {g, h} and not inside & outside
-        assert geo.arc(curve, g, g, True) == ({}, set())
+        assert d.arc(curve, g, g, True) == ({}, set())
+
+
+EVEN_PAIRS = [(p, q) for p in range(2, 21, 2) for q in range(1, p) if math.gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("p,q", EVEN_PAIRS, ids=[f"b({p},{q})" for p, q in EVEN_PAIRS])
+def test_oracle_agrees_on_every_two_bridge_link(p, q):
+    assert oracle_compare(p, q)
+
+
+def test_orientation_read_off_the_diagram():
+    # The diagram realises linking number -1 on b(14,5), 0 on b(8,3) and
+    # 3 on b(6,5), read off the single Alexander level of the first
+    # component.
+    for (p, q), lk in {(14, 5): -1, (8, 3): 0, (6, 5): 3}.items():
+        part = component_homology(filtered_complex_from_diagram(two_bridge_diagram(p, q)), 2)
+        assert {part.filt2(g) for g in part.gen_ids} == {(lk,)}
+    # linkdiag orients b(14,5) the other way, so the reversed link is compared
+    b145 = linkdiag.two_bridge(14, 5)
+    assert linkdiag.linking_matrix(b145).lk[0][1] == 1
+    assert assoc_graded_homology(complex_from_diagram(two_bridge_diagram(14, 5))) \
+        == hfl_alternating(linkdiag.reverse(b145, 1)).table
+
+
+def test_lattice_congruence_refuses_misplaced_basepoints():
+    # w2 and z1 swapped: some lattice element's index is no longer
+    # 2 (n_w1 + n_w2), which the once-per-lattice-element check sees
+    d = two_bridge_diagram(8, 3)
+    bp = d.basepoints
+    bad = dataclasses.replace(d, basepoints={**bp, "w2": bp["z1"], "z1": bp["w2"]})
+    with pytest.raises(ValueError, match="congruence"):
+        complex_from_diagram(bad)
+
+
+def test_maslov_shift_refuses_wrong_total_homology(monkeypatch):
+    monkeypatch.setattr(SphereDiagram, "bigons", lambda self, g, h, avoid: 0)
+    with pytest.raises(ValueError, match="total homology"):
+        complex_from_diagram(two_bridge_diagram(2, 1))
+
+
+def test_bigon_route_is_independent_of_the_alexander_route():
+    source = Path(__file__).parents[1] / "src" / "hfl" / "heegaard.py"
+    tree = ast.parse(source.read_text())
+    borrowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any("alexander" in alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert "alexander" not in (node.module or "")
+            assert "alexander" not in {alias.name for alias in node.names}
+            if (node.module or "").endswith("homology"):
+                borrowed |= {alias.asname or alias.name for alias in node.names}
+    assert borrowed
+    (oracle,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "oracle_compare"
+    ]
+    inside = {id(node) for node in ast.walk(oracle)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in borrowed:
+            assert id(node) in inside, f"{node.id} used outside oracle_compare"
