@@ -2,12 +2,14 @@
 
 Two-bridge links admit diagrams on the round sphere with one alpha and
 one beta curve and four marked points, so the differential is a count
-of embedded bigons, found here by exact rational bookkeeping with no
-Floer theory in the loop.  The diagram also fixes its own gradings and
-orientation: the total homology sets the Maslov grading, and the first
-component's homology gives the linking number.  The same tables also
-fall out of the Alexander polynomial and signature through a completely
-separate code path; this script builds both and diffs them.
+of embedded bigons, found here by integer arithmetic on the pillowcase
+scaled by 8p(q+1), with the Maslov index kept as four times its value,
+and no Floer theory in the loop.  The diagram also fixes its own
+gradings and orientation: the total homology sets the Maslov grading,
+and the first component's homology gives the linking number.  The same
+tables also fall out of the Alexander polynomial and signature through
+a completely separate code path; this script builds both and diffs
+them, naming the orientation compared.
 
 Run:  python3 demos/bigon_oracle.py
 """
@@ -27,7 +29,7 @@ def show(p, q):
           f"({graded} missing the z basepoints)")
     print(f"total homology by Maslov grading: {total_homology(cx)}")
     print(assoc_graded_homology(cx).table_str())
-    print(f"matches the alternating-link pipeline: {oracle_compare(p, q)}")
+    print(f"alternating-link pipeline: {oracle_compare(p, q)}")
     print()
 
 

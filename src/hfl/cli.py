@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -38,13 +39,23 @@ from .homology import (
 )
 from .linkdiag import CORPUS_NAMES, SplitLinkError
 
-_TWO_BRIDGE_PARAMS = {
-    "hopf_plus": (2, 1),
-    "torus_2_2n(2)": (4, 1),
-    "torus_2_2n(3)": (6, 1),
-    "torus_2_2n(4)": (8, 1),
-    "two_bridge(8,3)": (8, 3),
-}
+
+def _two_bridge_params(name: str):
+    """(p, q) of the sphere diagram of a two-component corpus link, or None.
+
+    ``hopf_plus`` is b(2, 1), ``torus_2_2n(n)`` is b(2n, 1), and
+    ``two_bridge(p, q)`` with even p is b(p, q).
+    """
+    name = name.strip()
+    if name == "hopf_plus":
+        return 2, 1
+    m = re.fullmatch(r"torus_2_2n\((\d+)\)", name)
+    if m:
+        return 2 * int(m.group(1)), 1
+    m = re.fullmatch(r"two_bridge\((\d+),(\d+)\)", name)
+    if m and int(m.group(1)) % 2 == 0:
+        return int(m.group(1)), int(m.group(2))
+    return None
 
 
 def _emit(args, obj) -> None:
@@ -214,7 +225,7 @@ def _cmd_heegaard(args) -> int:
     if args.emit_complex:
         _emit(args, complex_from_diagram(diagram).to_json_dict())
         return 0
-    match = oracle_compare(args.p, args.q)
+    report = oracle_compare(args.p, args.q)
     if args.json:
         _emit(args, {
             "p": args.p,
@@ -222,13 +233,15 @@ def _cmd_heegaard(args) -> int:
             "generators": len(diagram.alpha) if args.p > 1 else 1,
             "regions": len(diagram.regions),
             "admissible": admissibility(diagram),
-            "oracle_match": match,
+            "oracle_match": bool(report),
         })
     else:
         print(f"b({args.p},{args.q}): {max(len(diagram.alpha), 1)} generators, "
               f"{len(diagram.regions)} regions")
         print(f"admissible: {admissibility(diagram)}")
-        print(f"oracle match: {match}")
+        print(f"oracle match: {bool(report)}")
+        if not report:
+            print(report)
     return 0
 
 
@@ -324,9 +337,13 @@ def _check_rows(name: str) -> list:
 
         add("spectral", c_spectral)
 
-    if name in _TWO_BRIDGE_PARAMS:
-        p, q = _TWO_BRIDGE_PARAMS[name]
-        add("heegaard", lambda: (oracle_compare(p, q), None))
+    params = _two_bridge_params(name)
+    if params:
+        def c_heegaard():
+            report = oracle_compare(*params)
+            return report, None if report else str(report)
+
+        add("heegaard", c_heegaard)
 
     return rows
 

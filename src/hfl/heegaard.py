@@ -37,10 +37,16 @@ linking number of the orientation the diagram realises.
 ``oracle_compare`` reads it there and compares the bigon table with the
 alternating-link table of the link so oriented.
 
-All geometry is done in exact rational arithmetic.  The complex uses
-nothing from ``alexander`` or ``homology``; only ``oracle_compare``
-calls the alternating-link computation, so the two routes are
-independent cross-checks of each other.
+All geometry is integer arithmetic.  The pillowcase is scaled by
+8p(q+1), which makes every coordinate the construction samples an
+integer, and the index is kept as four times its value.  One connecting
+domain per generator is solved, once per diagram; the candidate domains
+of a pair are the difference of two of them plus whole curves, so
+counting bigons needs no search.
+
+The complex uses nothing from ``alexander`` or ``homology``; only
+``oracle_compare`` calls the alternating-link computation, so the two
+routes are independent cross-checks of each other.
 """
 
 from __future__ import annotations
@@ -49,9 +55,12 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from typing import NamedTuple
 
 from .filtered import (
+    AlexGrading,
     FilteredComplex,
     assoc_graded_homology,
     component_homology,
@@ -68,17 +77,16 @@ __all__ = [
     "filtered_complex_from_diagram",
     "complex_from_diagram",
     "oracle_compare",
+    "OracleReport",
 ]
 
-# alpha lifts to the lines y = +-A, beta to the lines p*x - q*y = +-C
-_A = Fraction(1, 4)
-_C = Fraction(1, 4)
+def _scale(p: int, q: int) -> int:
+    """Units per unit length: every coordinate the diagram uses is a multiple.
 
-
-def _frac(x) -> Fraction:
-    """Reduce to the fundamental domain [0, 1)."""
-    x = Fraction(x)
-    return x - math.floor(x)
+    alpha lifts to the lines y = +-s/4 and beta to p*x - q*y = +-s/4; the
+    sample offsets are s/(8p), s/(8(q+1)) and s/8.
+    """
+    return 8 * p * (q + 1)
 
 
 @dataclass
@@ -97,6 +105,10 @@ class SphereDiagram:
     region containing each, and ``periodic`` is the periodic domain with
     multiplicity zero at every w, as its nonzero multiplicities (empty
     when there is none).
+
+    The domains are solved on first use and kept with the diagram, so a
+    diagram must not be changed once built; ``dataclasses.replace``
+    makes a variant with its own domains.
     """
 
     p: int
@@ -140,32 +152,41 @@ class SphereDiagram:
 
     # -- domains -------------------------------------------------------
 
-    def side_domain(self, which: str, side: int) -> dict:
-        idx = 0 if which == "a" else 1
-        return {r: 1 if self.sides[r][idx] == side else 0 for r in self.regions}
+    @cached_property
+    def _tree(self) -> tuple:
+        """The regions other than ``regions[0]`` in breadth-first order.
+
+        Each comes with the region it is reached from, the edge crossed
+        and the sign that edge's coefficient takes in the step.
+        """
+        touching = {}
+        for eid, (left, right) in self.edges.items():
+            touching.setdefault(left, []).append((right, eid, -1))
+            touching.setdefault(right, []).append((left, eid, 1))
+        seen = {self.regions[0]}
+        queue = deque(seen)
+        tree = []
+        while queue:
+            r = queue.popleft()
+            for nb, eid, sgn in touching.get(r, ()):
+                if nb not in seen:
+                    seen.add(nb)
+                    tree.append((nb, r, eid, sgn))
+                    queue.append(nb)
+        if len(seen) != len(self.regions):
+            raise ValueError("the complement of the curves is not connected")
+        return tuple(tree)
 
     def solve(self, coeffs: dict) -> dict:
         """Multiplicities with the given jump across each edge.
 
         ``coeffs`` maps edge ids to the required difference between the
-        left and the right multiplicity; the solution is anchored at an
-        arbitrary region, so only differences are meaningful.
+        left and the right multiplicity; the solution is anchored at
+        ``regions[0]``, so only differences are meaningful.
         """
         m = {self.regions[0]: 0}
-        queue = deque([self.regions[0]])
-        touching = {}
-        for eid, (left, right) in self.edges.items():
-            cval = coeffs.get(eid, 0)
-            touching.setdefault(left, []).append((right, -cval))
-            touching.setdefault(right, []).append((left, cval))
-        while queue:
-            r = queue.popleft()
-            for nb, delta in touching.get(r, ()):
-                if nb not in m:
-                    m[nb] = m[r] + delta
-                    queue.append(nb)
-        if len(m) != len(self.regions):
-            raise ValueError("the complement of the curves is not connected")
+        for r, parent, eid, sgn in self._tree:
+            m[r] = m[parent] + sgn * coeffs.get(eid, 0)
         for eid, (left, right) in self.edges.items():
             if m[left] - m[right] != coeffs.get(eid, 0):
                 raise ValueError("boundary data is not the boundary of a 2-chain")
@@ -195,60 +216,128 @@ class SphereDiagram:
         coeffs.update(self.arc("b", h, g, fb)[0])
         return self.solve(coeffs)
 
+    @cached_property
+    def _domains(self) -> _Domains:
+        """The connecting and whole-curve domains, solved once per diagram.
+
+        phi_g connects ``alpha[0]`` to g along the arcs of both curves
+        that do not run over the edge closing the curve (from its last
+        point back to its first); A and B are bounded by all of alpha and
+        all of beta.  Each also gets its corner sum at every point.
+        """
+        at = {r: k for k, r in enumerate(self.regions)}
+        counts = Counter(r for quads in self.corners.values() for r in quads)
+        pos_b = {g: k for k, g in enumerate(self.beta)}
+
+        def vector(m):
+            return [m[r] for r in self.regions]
+
+        whole_a = vector(self.solve({e: 1 for e in self.edges if e[0] == "a"}))
+        whole_b = vector(self.solve({e: 1 for e in self.edges if e[0] == "b"}))
+        base = self.alpha[0] if self.alpha else None
+        phi = {g: vector(self.connect(base, g, True, pos_b[g] < pos_b[base]))
+               for g in self.alpha}
+        corners = {g: tuple(at[r] for r in quads) for g, quads in self.corners.items()}
+        corner_sums = {}
+        for x, quads in corners.items():
+            for key, m in (("a", whole_a), ("b", whole_b), *phi.items()):
+                corner_sums[x, key] = sum(m[r] for r in quads)
+        return _Domains(
+            at=at,
+            weight=[4 - counts[r] for r in self.regions],
+            corners=corners,
+            corner_sums=corner_sums,
+            pos_a={g: k for k, g in enumerate(self.alpha)},
+            pos_b=pos_b,
+            phi=phi,
+            whole_a=whole_a,
+            whole_b=whole_b,
+        )
+
     # -- measures ------------------------------------------------------
 
     def index(self, m: dict, g: str, h: str) -> Fraction:
         """Combinatorial Maslov index e(D) + n_g(D) + n_h(D).
 
-        A region with c corners has Euler measure 1 - c/4, so e(D) is the
-        sum of the multiplicities less the point measures of all the
-        intersection points.  ``m`` gives every region a multiplicity.
+        A region with c corners has Euler measure 1 - c/4, and n_x is a
+        quarter of the corner sum at x, so four times the index is an
+        integer.  ``m`` gives every region a multiplicity.
         """
-        def corners(x):
-            return sum(m[r] for r in self.corners[x])
-
-        four_e = 4 * sum(m.values()) - sum(corners(x) for x in self.alpha)
-        return Fraction(four_e + corners(g) + corners(h), 4)
+        return Fraction(self._domains.four_index([m[r] for r in self.regions], g, h), 4)
 
     def bigons(self, g: str, h: str, avoid) -> int:
-        """Number of embedded bigons from g to h missing ``avoid`` regions."""
+        """Number of embedded bigons from g to h missing ``avoid`` regions.
+
+        A domain from g to h is bounded by an arc of alpha from g to h
+        and an arc of beta back, and the two arcs of a curve between two
+        points differ by the whole curve.  So the four candidates are
+        phi_h - phi_g + i A + j B, with A and B the whole-curve domains,
+        i one of i0, i0 - 1 and j one of j0, j0 - 1, where i0 (j0) is 1
+        when the forward arc of alpha from g to h (of beta from h to g)
+        runs over the edge that closes its curve, from the last point
+        back to the first.  A candidate counts when, lowered to minimum
+        0, its multiplicities are 0 or 1, it misses ``avoid`` and its
+        corner sums at g and at h are 1.  Corner sums are linear in the
+        domain, so they are checked first, from those of phi, A and B.
+        """
+        dom = self._domains
+        i0 = int(dom.pos_a[g] > dom.pos_a[h])
+        j0 = int(dom.pos_b[h] > dom.pos_b[g])
+        phi_g, phi_h = dom.phi[g], dom.phi[h]
+        skip = [dom.at[r] for r in avoid]
+        cs = dom.corner_sums
+        at_g, at_h = cs[g, h] - cs[g, g], cs[h, h] - cs[h, g]
         count = 0
-        there = [self.arc("a", g, h, fwd) for fwd in (True, False)]
-        back = [self.arc("b", h, g, fwd) for fwd in (True, False)]
-        for (ca, ia), (cb, ib) in product(there, back):
-            if ia & ib or g in ib or h in ia:
+        for i, j in product((i0 - 1, i0), (j0 - 1, j0)):
+            # a bigon has corner sum 4 lo + 1 at both ends, lo its minimum
+            c = at_g + i * cs[g, "a"] + j * cs[g, "b"]
+            if c % 4 != 1 or c != at_h + i * cs[h, "a"] + j * cs[h, "b"]:
                 continue
-            coeffs = Counter(ca)
-            coeffs.update(cb)
-            m = self.solve(coeffs)
-            lo = min(m.values())
-            m = {r: v - lo for r, v in m.items()}
-            if any(v not in (0, 1) for v in m.values()):
+            lo = c // 4
+            m = [y - x + i * u + j * v
+                 for x, y, u, v in zip(phi_g, phi_h, dom.whole_a, dom.whole_b)]
+            if min(m) != lo or max(m) != lo + 1 or any(m[r] != lo for r in skip):
                 continue
-            if all(v == 0 for v in m.values()):
-                continue
-            if any(m[r] for r in avoid):
-                continue
-            if sum(m[r] for r in self.corners[g]) != 1:
-                continue
-            if sum(m[r] for r in self.corners[h]) != 1:
-                continue
-            if self.index(m, g, h) != 1:
+            if dom.four_index([v - lo for v in m], g, h) != 4:
                 raise ValueError("an embedded bigon must have index 1")
             count += 1
         return count
 
 
-def _face(p: int, q: int, x, y) -> tuple:
-    """Torus face (side of alpha, side of beta, sheet) containing a point."""
-    yr = _frac(Fraction(y) + _A) - _A
-    if yr in (_A, -_A):
+class _Domains(NamedTuple):
+    """Domains of a diagram as lists indexed like ``regions``."""
+
+    at: dict           # region -> list index
+    weight: list       # 4 - (corner count): four times the Euler measure
+    corners: dict      # point -> list indices of its four corner regions
+    corner_sums: dict  # (x, g) -> corner sum at x of phi_g; (x, "a"), (x, "b") of A, B
+    pos_a: dict        # point -> index along alpha
+    pos_b: dict        # point -> index along beta
+    phi: dict          # point g -> phi_g, a connecting domain from alpha[0] to g
+    whole_a: list      # A, a domain bounded by all of alpha
+    whole_b: list      # B, a domain bounded by all of beta
+
+    def four_index(self, m: list, g: str, h: str) -> int:
+        """4 (e(D) + n_g(D) + n_h(D)) of the domain ``m``."""
+        return (sum(v * w for v, w in zip(m, self.weight))
+                + sum(m[r] for r in self.corners[g]) + sum(m[r] for r in self.corners[h]))
+
+
+def _face(p: int, q: int, x: int, y: int) -> tuple:
+    """Torus face (side of alpha, side of beta, sheet) containing a point.
+
+    ``x`` and ``y`` are integers in units of 1/_scale(p, q).
+    """
+    s = _scale(p, q)
+    a = s // 4
+    yr = (y + a) % s - a
+    if yr in (a, -a):
         raise ValueError("point lies on an alpha curve")
-    v = p * Fraction(x) - q * yr
-    vr = _frac(v + _C) - _C
-    if vr in (_C, -_C):
+    v = p * x - q * yr
+    vr = (v + a) % s - a
+    if vr in (a, -a):
         raise ValueError("point lies on a beta curve")
-    return (0 if yr < _A else 1, 0 if vr < _C else 1, int(v - vr) % p)
+    return (0 if yr < a else 1, 0 if vr < a else 1, (v - vr) // s % p)
 
 
 def two_bridge_diagram(p: int, q: int) -> SphereDiagram:
@@ -271,28 +360,30 @@ def two_bridge_diagram(p: int, q: int) -> SphereDiagram:
     if p % 2:
         raise ValueError("odd p gives a knot; this diagram needs a two-component link")
 
+    # Integer coordinates in units of 1/s: alpha lifts to y = +-a, beta to
+    # p*x - q*y = +-a, and the basepoints are the half-periods.
+    s = _scale(p, q)
+    a, half = s // 4, s // 2
+
     def face(x, y):
         return _face(p, q, x, y)
 
-    # Intersection points in order along the alpha lift y = A; a point of
-    # type t lies on the beta lift p*x - q*y = C (t = 0) or 1 - C (t = 1).
-    coords = sorted(
-        (_frac(Fraction(vt + q * _A + j, p)), t, j)
-        for t, vt in ((0, _C), (1, 1 - _C))
-        for j in range(p)
-    )
+    # Intersection points in order along the alpha lift y = a; a point of
+    # type t lies on the beta lift p*x - q*y = a (t = 0) or s - a (t = 1).
+    coords = sorted(((vt + q * a + j * s) // p % s, t, j)
+                    for t, vt in ((0, a), (1, s - a)) for j in range(p))
     alpha = tuple(f"x{i}" for i in range(2 * p))
     x_of = {g: x for g, (x, _, _) in zip(alpha, coords)}
     sign = {g: 1 - 2 * t for g, (_, t, _) in zip(alpha, coords)}
     by_x = {x: g for g, x in x_of.items()}
     by_tj = {(t, j): g for g, (_, t, j) in zip(alpha, coords)}
 
-    # Walk the beta curve: the lift v = C, parameterized by y in [0, p).
+    # Walk the beta curve: the lift v = a, parameterized by y in [0, p*s).
     crossings = []
     for m in range(p):
-        crossings.append((_A + m, by_tj[(0, q * m % p)]))
-        tau = 1 - _A + m
-        name = by_x[_frac(-Fraction(_C + q * tau, p))]
+        crossings.append((a + m * s, by_tj[(0, q * m % p)]))
+        tau = s - a + m * s
+        name = by_x[-(a + q * tau) // p % s]
         if sign[name] != -1:
             raise ValueError("beta walk hit a crossing of the wrong type")
         crossings.append((tau, name))
@@ -304,8 +395,8 @@ def two_bridge_diagram(p: int, q: int) -> SphereDiagram:
     invol = {}
     for key in product((0, 1), (0, 1), range(p)):
         iy, iv, j = key
-        ym = Fraction(iy, 2)
-        xm = (Fraction(iv, 2) + q * ym + j) / p
+        ym = iy * half
+        xm = (iv * half + q * ym + j * s) // p
         if face(xm, ym) != key:
             raise ValueError("face sample point landed in the wrong face")
         invol[key] = face(-xm, -ym)
@@ -322,7 +413,6 @@ def two_bridge_diagram(p: int, q: int) -> SphereDiagram:
     def region(x, y):
         return region_of[face(x, y)]
 
-    half = Fraction(1, 2)
     basepoints = {
         "w1": region(0, 0), "z1": region(half, 0),
         "w2": region(0, half), "z2": region(half, half),
@@ -331,18 +421,19 @@ def two_bridge_diagram(p: int, q: int) -> SphereDiagram:
         if (key == img) != (region_of[key] in basepoints.values()):
             raise ValueError("branch regions must be exactly the folded faces")
 
-    ex, ey, ev = Fraction(1, 8 * p), Fraction(1, 8 * (q + 1)), Fraction(1, 8)
+    # Sample offsets: s/(8p) along alpha, s/(8(q+1)) across it, s/8 across beta.
+    ex, ey, ev = q + 1, p, p * (q + 1)
     n = 2 * p
     edges = {}
     for i in range(n):
-        x0, x1 = x_of[alpha[i]], x_of[alpha[(i + 1) % n]] + (1 if i + 1 == n else 0)
-        mid = _frac((x0 + x1) / 2)
-        edges[("a", i)] = (region(mid, _A + ey), region(mid, _A - ey))
+        x0, x1 = x_of[alpha[i]], x_of[alpha[(i + 1) % n]] + (s if i + 1 == n else 0)
+        mid = (x0 + x1) // 2
+        edges[("a", i)] = (region(mid, a + ey), region(mid, a - ey))
     for k in range(n):
-        tm = (beta_tau[k] + beta_tau[(k + 1) % n] + (p if k + 1 == n else 0)) / 2
+        tm = (beta_tau[k] + beta_tau[(k + 1) % n] + (p * s if k + 1 == n else 0)) // 2
         edges[("b", k)] = (
-            region((_C - ev + q * tm) / p, _frac(tm)),
-            region((_C + ev + q * tm) / p, _frac(tm)),
+            region((a - ev + q * tm) // p, tm),
+            region((a + ev + q * tm) // p, tm),
         )
     if any(left == right for left, right in edges.values()):
         raise ValueError("an edge cannot bound the same region twice")
@@ -350,8 +441,8 @@ def two_bridge_diagram(p: int, q: int) -> SphereDiagram:
     corners = {}
     for g in alpha:
         x0 = x_of[g]
-        quads = [face(x0 + ex, _A + ey), face(x0 - ex, _A + ey),
-                 face(x0 - ex, _A - ey), face(x0 + ex, _A - ey)]
+        quads = [face(x0 + ex, a + ey), face(x0 - ex, a + ey),
+                 face(x0 - ex, a - ey), face(x0 + ex, a - ey)]
         if len(set(quads)) != 4:
             raise ValueError("corner sampling collapsed two quadrants")
         corners[g] = tuple(region_of[key] for key in quads)
@@ -387,34 +478,31 @@ def _relative_gradings(d: SphereDiagram) -> dict:
 
     The Maslov difference of a connecting domain D is its index minus
     2(n_w1 + n_w2)(D); the Alexander differences are n_z - n_w per pair.
-    Both are checked to be independent of the four choices of connecting
-    arcs.  The index is linear in the domain, so the index congruence
-    over the whole domain lattice (multiples of the two curve sides and
-    of the whole sphere, added to any connecting domain) is checked once
-    per lattice generator and endpoint.
+    Any two connecting domains from alpha[0] to g differ by a lattice
+    element: a sum of multiples of the two whole-curve domains and of
+    the whole sphere.  All three measures are linear in the domain, so
+    they are independent of the choice once each lattice generator has
+    index 2(n_w1 + n_w2) (checked at every endpoint g, since the index
+    reads the corners at g) and n_z = n_w per pair.  The index is kept
+    as four times its value, an integer.
     """
-    w1, z1 = d.basepoints["w1"], d.basepoints["z1"]
-    w2, z2 = d.basepoints["w2"], d.basepoints["z2"]
+    dom = d._domains
+    w1, z1, w2, z2 = (dom.at[d.basepoints[k]] for k in ("w1", "z1", "w2", "z2"))
     base = d.alpha[0]
-    rel = {}
-    lattice = [d.side_domain("a", 0), d.side_domain("a", 1),
-               d.side_domain("b", 0), d.side_domain("b", 1),
-               {r: 1 for r in d.regions}]
-    for g in d.alpha:
-        for extra in lattice:
-            if d.index(extra, base, g) != 2 * (extra[w1] + extra[w2]):
+    lattice = [dom.whole_a, dom.whole_b, [1] * len(d.regions)]
+    for extra in lattice:
+        for g in d.alpha:
+            if dom.four_index(extra, base, g) != 8 * (extra[w1] + extra[w2]):
                 raise ValueError("the Maslov index congruence fails on the domain lattice")
-        seen = set()
-        for fa, fb in product((True, False), repeat=2):
-            m = d.connect(base, g, fa, fb)
-            mas = d.index(m, base, g) - 2 * (m[w1] + m[w2])
-            seen.add((mas, (m[z1] - m[w1], m[z2] - m[w2])))
-        if len(seen) != 1:
-            raise ValueError("relative gradings depend on the choice of connecting domain")
-        mas, alex = seen.pop()
-        if mas.denominator != 1:
+    if any(extra[z1] != extra[w1] or extra[z2] != extra[w2] for extra in lattice):
+        raise ValueError("relative gradings depend on the choice of connecting domain")
+    rel = {}
+    for g in d.alpha:
+        m = dom.phi[g]
+        four_mas = dom.four_index(m, base, g) - 8 * (m[w1] + m[w2])
+        if four_mas % 4:
             raise ValueError("relative Maslov gradings must be integers")
-        rel[g] = (-int(mas), (-alex[0], -alex[1]))
+        rel[g] = (-four_mas // 4, (m[w1] - m[z1], m[w2] - m[z2]))
     return rel
 
 
@@ -494,7 +582,48 @@ def complex_from_diagram(d: SphereDiagram) -> FilteredComplex:
     return FilteredComplex(cx.nvars, cx.parity, cx.gens(), kept)
 
 
-def oracle_compare(p: int, q: int) -> bool:
+@dataclass(frozen=True)
+class OracleReport:
+    """What ``oracle_compare`` compared, and where the tables first differ.
+
+    Truthy exactly when the bigon table equals the alternating-link
+    table.  ``lk`` is the linking number read off the diagram (None for
+    the unknot), and ``reversed`` says whether the second component of
+    ``linkdiag.two_bridge(p, q)`` was reversed to give the link that
+    linking number.  ``cell`` is the first grading, in the order
+    ``table_str`` lists them, where the ranks differ: (Maslov grading,
+    doubled Alexander level, bigon rank, alternating rank).
+    """
+
+    p: int
+    q: int
+    match: bool
+    lk: int | None
+    reversed: bool
+    cell: tuple | None
+
+    def __bool__(self) -> bool:
+        return self.match
+
+    def __str__(self) -> str:
+        if self.lk is None:
+            link = "the unknot"
+        else:
+            link = f"linkdiag.two_bridge({self.p},{self.q})"
+            if self.reversed:
+                link += " with its second component reversed"
+            link += f" (lk = {self.lk}, read off the diagram)"
+        if self.match:
+            return f"tables agree for {link}"
+        if self.cell is None:
+            return f"tables differ for {link}"
+        d, h2, mine, theirs = self.cell
+        level = AlexGrading(h2, tuple(x % 2 for x in h2))
+        return (f"tables differ for {link} first at h={level} d={d}: "
+                f"bigon rank {mine}, alternating rank {theirs}")
+
+
+def oracle_compare(p: int, q: int) -> OracleReport:
     """Bigon counting against the alternating-link computation.
 
     Builds the rank table twice, once from the diagram and once from the
@@ -505,14 +634,24 @@ def oracle_compare(p: int, q: int) -> bool:
     """
     cx = filtered_complex_from_diagram(two_bridge_diagram(p, q))
     table = assoc_graded_homology(cx)
+    lk, flipped = None, False
     if p == 1:
-        return table == hfk_alternating_knot(linkdiag.corpus("unknot"))
-    part = component_homology(cx, 2)
-    levels = {part.filt2(g) for g in part.gen_ids}
-    if len(levels) != 1:
-        raise ValueError(f"the first component's homology spans Alexander levels {levels}")
-    ((lk,),) = levels
-    link = linkdiag.two_bridge(p, q)
-    if linkdiag.linking_matrix(link).lk[0][1] != lk:
-        link = linkdiag.reverse(link, 1)
-    return table == hfl_alternating(link).table
+        alt = hfk_alternating_knot(linkdiag.corpus("unknot"))
+    else:
+        part = component_homology(cx, 2)
+        levels = {part.filt2(g) for g in part.gen_ids}
+        if len(levels) != 1:
+            raise ValueError(f"the first component's homology spans Alexander levels {levels}")
+        ((lk,),) = levels
+        link = linkdiag.two_bridge(p, q)
+        flipped = linkdiag.linking_matrix(link).lk[0][1] != lk
+        if flipped:
+            link = linkdiag.reverse(link, 1)
+        alt = hfl_alternating(link).table
+    differ = sorted((h2, d) for d, h2 in table.ranks.keys() | alt.ranks.keys()
+                    if table.rank(d, h2) != alt.rank(d, h2))
+    cell = None
+    if differ:
+        h2, d = differ[0]
+        cell = (d, h2, table.rank(d, h2), alt.rank(d, h2))
+    return OracleReport(p, q, table == alt, lk, flipped, cell)

@@ -1,10 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
 from hfl import linkdiag
-from hfl.cli import main
-from hfl.filtered import assoc_graded_homology
+from hfl import heegaard
+from hfl.cli import _two_bridge_params, main
+from hfl.filtered import MultiGradedVS, assoc_graded_homology
 from hfl.heegaard import complex_from_diagram, two_bridge_diagram
 from hfl.homology import hfl_alternating
 
@@ -119,6 +121,36 @@ def test_heegaard_reports_the_diagram_orientation(capsys):
     assert code == 0
     assert json.loads(out) == {"p": 14, "q": 5, "generators": 28, "regions": 30,
                                "admissible": True, "oracle_match": True}
+
+
+def test_heegaard_prints_the_first_differing_cell(capsys, monkeypatch):
+    real = hfl_alternating(linkdiag.two_bridge(8, 3))
+    ranks = {cell: r + 1 for cell, r in real.table.ranks.items()}
+    wrong = MultiGradedVS(real.table.nvars, real.table.parity, ranks)
+    monkeypatch.setattr(heegaard, "hfl_alternating",
+                        lambda link: dataclasses.replace(real, table=wrong))
+    code, out, _ = run(capsys, "heegaard", "8", "3")
+    assert code == 0 and "oracle match: False" in out
+    first = min(ranks, key=lambda cell: (cell[1], cell[0]))
+    assert f"d={first[0]}: bigon rank {ranks[first] - 1}, alternating rank {ranks[first]}" in out
+    code, out, _ = run(capsys, "heegaard", "8", "3", "--json")
+    assert json.loads(out)["oracle_match"] is False
+
+
+def test_two_bridge_params_from_corpus_names():
+    assert _two_bridge_params("hopf_plus") == (2, 1)
+    assert _two_bridge_params("torus_2_2n(3)") == (6, 1)
+    assert _two_bridge_params("two_bridge(14,5)") == (14, 5)
+    for name in ("hopf_minus", "two_bridge(7,3)", "figure8", "unknot", "L7n1"):
+        assert _two_bridge_params(name) is None
+
+
+def test_check_runs_the_oracle_on_any_two_bridge_link(capsys):
+    code, out, _ = run(capsys, "check", "corpus:two_bridge(14,5)", "--json")
+    assert code == 0
+    rows = {row["check"]: row for row in json.loads(out)["results"]}
+    assert rows["heegaard"] == {"link": "two_bridge(14,5)", "check": "heegaard",
+                                "ok": True, "detail": None}
 
 
 def test_heegaard_rejects_bad_parameters(capsys):

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from hfl import linkdiag
+from hfl import heegaard, linkdiag
 from hfl.filtered import (
     FilteredComplex,
+    MultiGradedVS,
     assoc_graded_homology,
     component_homology,
     total_homology,
@@ -23,6 +24,11 @@ from hfl.heegaard import (
     two_bridge_diagram,
 )
 from hfl.homology import hfl_alternating
+
+
+def side_domain(d, curve, side):
+    """Multiplicity 1 on the regions on one side of alpha (0) or beta (1)."""
+    return {r: int(d.sides[r][curve] == side) for r in d.regions}
 
 
 def test_generator_and_region_counts():
@@ -86,7 +92,7 @@ def test_periodic_domain_is_difference_of_sides():
     assert max(pi.values()) > 0 > min(pi.values())
     for key in ("w1", "z1", "w2", "z2"):
         assert pi.get(d.basepoints[key], 0) == 0
-    a0, b0 = d.side_domain("a", 0), d.side_domain("b", 0)
+    a0, b0 = side_domain(d, 0, 0), side_domain(d, 1, 0)
     assert all(pi.get(r, 0) == a0[r] - b0[r] for r in d.regions)
     # boundary is a combination of full curves: the jump across every
     # edge of each curve is one and the same unit
@@ -150,8 +156,8 @@ def test_oracle_degenerate_and_extras():
 def test_maslov_congruence_over_domain_lattice():
     d = two_bridge_diagram(6, 1)
     lattice = [
-        d.side_domain("a", 0),
-        d.side_domain("b", 1),
+        side_domain(d, 0, 0),
+        side_domain(d, 1, 1),
         {r: 1 for r in d.regions},
     ]
     w1, w2 = d.basepoints["w1"], d.basepoints["w2"]
@@ -223,7 +229,7 @@ def test_arc_walks_split_each_curve():
         assert d.arc(curve, g, g, True) == ({}, set())
 
 
-EVEN_PAIRS = [(p, q) for p in range(2, 21, 2) for q in range(1, p) if math.gcd(p, q) == 1]
+EVEN_PAIRS = [(p, q) for p in range(2, 25, 2) for q in range(1, p) if math.gcd(p, q) == 1]
 
 
 @pytest.mark.parametrize("p,q", EVEN_PAIRS, ids=[f"b({p},{q})" for p, q in EVEN_PAIRS])
@@ -255,6 +261,17 @@ def test_lattice_congruence_refuses_misplaced_basepoints():
         complex_from_diagram(bad)
 
 
+def test_lattice_check_refuses_z_across_a_curve():
+    # z1 and z2 swapped: the w's are where they were, so the Maslov
+    # congruence still holds, but a whole-curve domain now covers z_i
+    # and not w_i, and the Alexander grading would depend on the domain
+    d = two_bridge_diagram(8, 3)
+    bp = d.basepoints
+    bad = dataclasses.replace(d, basepoints={**bp, "z1": bp["z2"], "z2": bp["z1"]})
+    with pytest.raises(ValueError, match="depend on the choice"):
+        complex_from_diagram(bad)
+
+
 def test_maslov_shift_refuses_wrong_total_homology(monkeypatch):
     monkeypatch.setattr(SphereDiagram, "bigons", lambda self, g, h, avoid: 0)
     with pytest.raises(ValueError, match="total homology"):
@@ -282,3 +299,33 @@ def test_bigon_route_is_independent_of_the_alexander_route():
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and node.id in borrowed:
             assert id(node) in inside, f"{node.id} used outside oracle_compare"
+
+
+def test_oracle_report_names_the_orientation():
+    report = oracle_compare(14, 5)
+    assert report and report.match and report.cell is None
+    assert (report.lk, report.reversed) == (-1, True)
+    assert "second component reversed" in str(report) and "lk = -1" in str(report)
+    report = oracle_compare(8, 3)
+    assert report and (report.lk, report.reversed) == (0, False)
+    report = oracle_compare(1, 1)
+    assert report and (report.lk, report.reversed) == (None, False)
+
+
+def test_oracle_report_names_the_first_differing_cell(monkeypatch):
+    real = hfl_alternating(linkdiag.reverse(linkdiag.two_bridge(14, 5), 1))
+    ranks = dict(real.table.ranks)
+    cells = sorted(ranks, key=lambda cell: (cell[1], cell[0]))
+    # drop one cell, add a cell in a Maslov grading the table does not reach
+    lost, gained = cells[3], (max(d for d, _ in cells) + 2, cells[5][1])
+    del ranks[lost]
+    ranks[gained] = 1
+    table = MultiGradedVS(real.table.nvars, real.table.parity, ranks)
+    monkeypatch.setattr(heegaard, "hfl_alternating",
+                        lambda link: dataclasses.replace(real, table=table))
+    report = oracle_compare(14, 5)
+    assert not report and not report.match
+    first = min([lost, gained], key=lambda cell: (cell[1], cell[0]))
+    bigon_rank = real.table.rank(*first)
+    assert report.cell == (first[0], first[1], bigon_rank, table.rank(*first))
+    assert f"bigon rank {bigon_rank}" in str(report)
