@@ -24,7 +24,6 @@ from .linkdiag import LinkDiagram
 __all__ = [
     "WirtingerPresentation",
     "AlexanderResult",
-    "wirtinger_presentation",
     "multivariable_alexander",
     "signature",
     "goeritz_determinant",
@@ -133,10 +132,6 @@ class AlexanderResult:
     conventions: dict
 
 
-def wirtinger_presentation(d: LinkDiagram) -> WirtingerPresentation:
-    return WirtingerPresentation(d)
-
-
 def multivariable_alexander(d: LinkDiagram) -> AlexanderResult:
     """Alexander polynomial of the oriented link presented by ``d``.
 
@@ -156,7 +151,7 @@ def multivariable_alexander(d: LinkDiagram) -> AlexanderResult:
             "deleted_row": None, "deleted_generator": None,
             "generator_component": None, "torres_factor": None,
         })
-    w = wirtinger_presentation(d)
+    w = WirtingerPresentation(d)
     rows = w.fox_matrix(nvars)
     del_col = min(g for g in range(w.n_generators) if w.generator_component[g] == 0)
     del_row = 0

@@ -190,13 +190,14 @@ def _cmd_ss(args) -> int:
     return 0
 
 
-def _cmd_collapse(args) -> int:
-    diag = _load_diagram(args.link)
+def _rank_table(diag):
     if diag.n_components == 1:
-        table = hfk_alternating_knot(diag)
-    else:
-        table = hfl_alternating(diag).table
-    collapsed = collapse_to_hfk(table)
+        return hfk_alternating_knot(diag)
+    return hfl_alternating(diag).table
+
+
+def _cmd_collapse(args) -> int:
+    collapsed = collapse_to_hfk(_rank_table(_load_diagram(args.link)))
     if args.json:
         _emit(args, collapsed.to_json_dict())
     else:
@@ -205,14 +206,8 @@ def _cmd_collapse(args) -> int:
 
 
 def _cmd_kunneth(args) -> int:
-    tables = []
-    for spec in (args.first, args.second):
-        diag = _load_diagram(spec)
-        if diag.n_components == 1:
-            tables.append(hfk_alternating_knot(diag))
-        else:
-            tables.append(hfl_alternating(diag).table)
-    merged = tensor_graded(tables[0], tables[1], (1, 1))
+    first, second = (_rank_table(_load_diagram(spec)) for spec in (args.first, args.second))
+    merged = tensor_graded(first, second, (1, 1))
     if args.json:
         _emit(args, merged.to_json_dict())
     else:
@@ -226,17 +221,18 @@ def _cmd_heegaard(args) -> int:
         _emit(args, complex_from_diagram(diagram).to_json_dict())
         return 0
     report = oracle_compare(args.p, args.q)
+    generators = max(len(diagram.alpha), 1)
     if args.json:
         _emit(args, {
             "p": args.p,
             "q": args.q,
-            "generators": len(diagram.alpha) if args.p > 1 else 1,
+            "generators": generators,
             "regions": len(diagram.regions),
             "admissible": admissibility(diagram),
             "oracle_match": bool(report),
         })
     else:
-        print(f"b({args.p},{args.q}): {max(len(diagram.alpha), 1)} generators, "
+        print(f"b({args.p},{args.q}): {generators} generators, "
               f"{len(diagram.regions)} regions")
         print(f"admissible: {admissibility(diagram)}")
         print(f"oracle match: {bool(report)}")

@@ -10,13 +10,14 @@ and symmetry identities the table must satisfy.
 
 For two-component links it goes further and reconstructs the filtered
 chain homotopy type from the table together with knot data of the two
-components.  The reconstruction is a small constraint solver: the
-staircase summands and their placements are forced by the component
-knot data, the central zigzag pair is forced up to its width, and the
-leftover generators must tile exactly into acyclic squares.  Candidate
-widths whose rebuilt complex fails the rank table, the total homology,
-or either component homology are discarded; the solver insists exactly
-one survives.
+components, in one pass.  The staircase summands and their placements
+are forced by the component knot data.  The central zigzag pair is
+forced too, width included: it alone carries free generators, and the
+component knots put those at gradings 0 and -1.  The leftover
+generators must tile exactly into acyclic squares.  The one complex
+this gives is checked against the rank table, the total homology and
+both component homologies, and an input that fails any stage is
+refused with that stage named.
 """
 
 from __future__ import annotations
@@ -445,10 +446,13 @@ def two_component_cfl(
     reproduces the knot pair tensored with a rank-two space shifted by
     half the linking number.  The free generators force a central
     zigzag pair, X or Y according to the sign of
-    tau1 + tau2 + n + (sigma - 1)/2, whose width is solved for.  All
+    lf = tau1 + tau2 + n + (sigma - 1)/2.  Its width is fixed too: each
+    component knot has its one free generator at grading 0, so the
+    component homology has its frees at gradings 0 and -1, and the
+    central pair is the only summand carrying free generators.  Its top
+    therefore sits at grading 0, which leaves width |lf|.  All
     remaining table entries must tile exactly into acyclic squares.
-    No surviving width means the inputs are inconsistent; more than
-    one is refused rather than silently resolved.
+    Inputs that fail any stage are refused with the stage named.
     """
     if delta.nvars != 2:
         raise ValueError("need a two-variable Alexander polynomial")
@@ -461,7 +465,6 @@ def two_component_cfl(
         target = table_from_invariants(delta, sigma, (n, n))
     except ValueError as e:
         raise ValueError(f"constraints unsatisfiable: {e}") from None
-    target_cells = Counter(dict(target.ranks.items()))
 
     c = (1 - sigma) // 2
     forced: list[Summand] = []
@@ -473,89 +476,65 @@ def two_component_cfl(
         b2 = s2 + n
         for m in (dk, dk - 1):
             forced.append(Summand("H", m, lam, (2 * m - b2 + 2 * c, b2)))
-
-    base = Counter(target_cells)
-    for s in forced:
-        base.subtract(_summand_cells(s))
-    if base and min(base.values()) < 0:
-        raise ValueError(
-            "constraints unsatisfiable: the component pairs do not fit the rank table"
-        )
-    base = +base
+    rest = Counter(target.ranks)
+    _take_cells(rest, forced, "the component pairs do not fit")
 
     lf = comps[0].tau + comps[1].tau + n + (sigma - 1) // 2
-    family = "Y" if lf >= 0 else "X"
-    if target_cells:
-        xs = [h2[0] for (_d, h2) in target_cells]
-        ys = [h2[1] for (_d, h2) in target_cells]
-        spread = (max(xs) - min(xs) + max(ys) - min(ys)) // 2 + 1
-    else:
-        spread = 0
-    widths = range(0, spread + 1) if family == "Y" else range(1, spread + 2)
+    family, k = ("Y" if lf >= 0 else "X"), abs(lf)
+    central = _central_pair(family, k, comps[0].tau, comps[1].tau, n)
+    _take_cells(rest, central, f"the central {family}-pair at width {k} does not fit")
 
-    survivors = []
-    for k in widths:
-        central = _central_pair(family, k, lf, comps[0].tau, comps[1].tau, n, c)
-        rest = Counter(base)
-        for s in central:
-            rest.subtract(_summand_cells(s))
-        if rest and min(rest.values()) < 0:
-            continue
-        bs = _tile_squares(+rest)
-        if bs is None:
-            continue
-        summands = sorted(forced + central + bs)
-        cx = build_sum(summands)
-        if not _solution_checks(cx, target, comps, n):
-            continue
-        survivors.append((k, summands, cx))
-
-    if not survivors:
-        raise ValueError(
-            "constraints unsatisfiable: no width of the central "
-            f"{family}-pair reproduces the rank table and the component homologies"
-        )
-    if len(survivors) > 1:
-        ks = [k for k, _s, _c in survivors]
-        raise ValueError(
-            f"multiple decompositions satisfy the constraints (central widths {ks})"
-        )
-    _k, summands, cx = survivors[0]
+    summands = sorted(forced + central + _tile_squares(+rest))
+    cx = build_sum(summands)
+    failed = _failed_check(cx, target, comps, n)
+    if failed:
+        raise ValueError(f"constraints unsatisfiable: {failed}")
     return cx, summands
 
 
-def _central_pair(family: str, k: int, lf: int, tau1: int, tau2: int, n: int, c: int):
+def _cell(d: int, h2) -> str:
+    return f"d={d}, h2={h2}"
+
+
+def _take_cells(rest: Counter, summands, failure: str) -> None:
+    """Remove the cells of ``summands`` from ``rest``, or refuse.
+
+    The refusal names the first cell the summands need more often than
+    the rank table offers it.
+    """
+    for s in summands:
+        rest.subtract(build_summand(s).counts().ranks)
+    over = sorted(cell for cell, r in rest.items() if r < 0)
+    if over:
+        raise ValueError(
+            f"constraints unsatisfiable: {failure} the rank table "
+            f"(the table has too few generators at {_cell(*over[0])})"
+        )
+
+
+def _central_pair(family: str, k: int, tau1: int, tau2: int, n: int):
     if family == "Y":
         p2 = 2 * tau1 + n - 2 * k
         q2 = 2 * tau2 + n - 2 * k
-        g = lf - k
         return [
-            Summand("Y", g, k, (p2, q2)),
-            Summand("Y", g - 1, k + 1, (p2 - 2, q2 - 2)),
+            Summand("Y", 0, k, (p2, q2)),
+            Summand("Y", -1, k + 1, (p2 - 2, q2 - 2)),
         ]
     a2 = 2 * tau1 + n
     b2 = 2 * tau2 + n
-    g = lf + k
     return [
-        Summand("X", g, k, (a2, b2)),
-        Summand("X", g - 1, k - 1, (a2, b2)),
+        Summand("X", 0, k, (a2, b2)),
+        Summand("X", -1, k - 1, (a2, b2)),
     ]
 
 
-def _summand_cells(s: Summand) -> Counter:
-    cx = build_summand(s)
-    cells: Counter = Counter()
-    for g in cx.gen_ids:
-        cells[(cx.maslov(g), cx.filt2(g))] += 1
-    return cells
-
-
-def _tile_squares(cells: Counter):
-    """Tile a cell multiset exactly by acyclic squares, or return None.
+def _tile_squares(cells: Counter) -> list[Summand]:
+    """Tile a cell multiset exactly by acyclic squares, or refuse.
 
     In any exact tiling the lexicographically smallest remaining
     position must be the low corner of its square, so the greedy
-    choice is forced and the tiling, when it exists, is unique.
+    choice is forced and the tiling, when it exists, is unique.  The
+    refusal names that low corner and the missing corner of its square.
     """
     rest = Counter(cells)
     out = []
@@ -569,7 +548,10 @@ def _tile_squares(cells: Counter):
         ]
         for cell in needed:
             if rest.get(cell, 0) <= 0:
-                return None
+                raise ValueError(
+                    "constraints unsatisfiable: the squares cannot tile the cell at "
+                    f"{_cell(d0, (x, y))} (its square lacks {_cell(*cell)})"
+                )
             rest[cell] -= 1
             if not rest[cell]:
                 del rest[cell]
@@ -596,19 +578,23 @@ def _tensor_two_step(data: ComponentData, n: int):
     return pairs, frees
 
 
-def _solution_checks(cx: FilteredComplex, target: MultiGradedVS, comps, n: int) -> bool:
+def _failed_check(cx: FilteredComplex, target: MultiGradedVS, comps, n: int) -> str | None:
+    """Name the first output check the solved complex fails, or None."""
     if not validate(cx):
-        return False
+        return "the summands do not build a legal complex"
     if assoc_graded_homology(cx) != target:
-        return False
+        return "the associated graded homology differs from the rank table"
     th = total_homology(cx)
     if sorted(th.values()) != [1, 1] or max(th) - min(th) != 1:
-        return False
+        return f"the total homology {th} is not rank one in two adjacent gradings"
     for idx, data in enumerate(comps):
         got = e_decomposition(component_homology(cx, 2 - idx))
         if got != _tensor_two_step(data, n):
-            return False
-    return True
+            return (
+                f"the homology of component {idx + 1} is not its knot data "
+                "tensored with a two-step pair"
+            )
+    return None
 
 
 def two_component_cfl_from_diagram(

@@ -1,0 +1,253 @@
+"""The two-component solver's outputs, pinned, and the search it replaced.
+
+``data/cfl2_golden.json`` was recorded while the solver still searched
+over widths of the central zigzag pair.  For every coprime (p, q) with
+even p <= 40 and every two-component corpus link it holds the sorted
+summand strings and the complex of ``two_component_cfl_from_diagram``,
+or its refusal message.
+
+``reference_search`` is that width search, kept here as an independent
+reference: the one-pass solver must return what it returns, refuse
+where it refuses, and its single survivor must have width |lf|.
+"""
+
+import json
+from collections import Counter
+from functools import cache
+from pathlib import Path
+
+import pytest
+from hypothesis import event, given, settings, strategies as st
+
+from hfl.alexander import multivariable_alexander, signature
+from hfl.filtered import (
+    assoc_graded_homology,
+    component_homology,
+    total_homology,
+    validate,
+)
+from hfl.homology import (
+    ComponentData,
+    component_data_from_diagram,
+    table_from_invariants,
+    two_component_cfl,
+    two_component_cfl_from_diagram,
+)
+from hfl.laurent import MultiLaurent, symmetric_normalize
+from hfl.linkdiag import corpus, keep_component, linking_matrix
+from hfl.summands import Summand, build_sum, build_summand, e_decomposition
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cfl2_golden.json").read_text())
+
+
+def solved(name):
+    try:
+        cx, summands = two_component_cfl_from_diagram(corpus(name))
+    except ValueError as err:
+        return {"refused": str(err)}
+    return {"summands": sorted(str(s) for s in summands), "complex": cx.to_json_dict()}
+
+
+@pytest.mark.parametrize("family", ["two_bridge(", "corpus"])
+def test_golden_two_component_types(family):
+    names = [
+        name for name in GOLDEN["links"]
+        if name.startswith("two_bridge(") == (family == "two_bridge(")
+    ]
+    assert names
+    for name in names:
+        assert solved(name) == GOLDEN["links"][name], name
+
+
+def test_golden_covers_the_family():
+    assert len(GOLDEN["links"]) == 180
+    refused = sorted(name for name, got in GOLDEN["links"].items() if "refused" in got)
+    assert refused == ["L7n1", "L7n2", "two_bridge(34,13)", "two_bridge(34,21)"]
+
+
+# ----------------------------------------------------------------------
+# The width search, as the solver ran it before the width was solved
+# in closed form
+
+def _cells(s):
+    return Counter(build_summand(s).counts().ranks)
+
+
+def _central_at_width(family, k, lf, tau1, tau2, n):
+    if family == "Y":
+        p2, q2, g = 2 * tau1 + n - 2 * k, 2 * tau2 + n - 2 * k, lf - k
+        return [Summand("Y", g, k, (p2, q2)), Summand("Y", g - 1, k + 1, (p2 - 2, q2 - 2))]
+    a2, b2, g = 2 * tau1 + n, 2 * tau2 + n, lf + k
+    return [Summand("X", g, k, (a2, b2)), Summand("X", g - 1, k - 1, (a2, b2))]
+
+
+def _squares(cells):
+    rest = Counter(cells)
+    out = []
+    while rest:
+        d0, (x, y) = min(rest, key=lambda cell: (cell[1], cell[0]))
+        for cell in [(d0, (x, y)), (d0 + 1, (x + 2, y)), (d0 + 1, (x, y + 2)),
+                     (d0 + 2, (x + 2, y + 2))]:
+            if rest[cell] <= 0:
+                return None
+            rest[cell] -= 1
+            if not rest[cell]:
+                del rest[cell]
+        out.append(Summand("B", d0, 0, (x, y)))
+    return out
+
+
+def _two_step(data, n):
+    pairs, frees = Counter(), Counter()
+    for lam, d, s2 in data.pairs:
+        pairs[(lam, d, s2 + n)] += 1
+        pairs[(lam, d - 1, s2 + n)] += 1
+    for d, s2 in data.frees:
+        frees[(d, s2 + n)] += 1
+        frees[(d - 1, s2 + n)] += 1
+    return pairs, frees
+
+
+def _passes(cx, target, comps, n):
+    th = total_homology(cx)
+    return (
+        bool(validate(cx))
+        and assoc_graded_homology(cx) == target
+        and sorted(th.values()) == [1, 1]
+        and max(th) - min(th) == 1
+        and all(
+            e_decomposition(component_homology(cx, 2 - idx)) == _two_step(data, n)
+            for idx, data in enumerate(comps)
+        )
+    )
+
+
+def reference_search(delta, sigma, n, comps):
+    """Every central width whose complex passes all checks, with its summands.
+
+    None when the inputs are refused before any width is tried.
+    """
+    if delta:
+        delta = symmetric_normalize(delta)
+    try:
+        target = table_from_invariants(delta, sigma, (n, n))
+    except ValueError:
+        return None
+    c = (1 - sigma) // 2
+    forced = []
+    for lam, dk, s2 in comps[0].pairs:
+        for m in (dk, dk - 1):
+            forced.append(Summand("V", m, lam, (s2 + n, 2 * m - s2 - n + 2 * c)))
+    for lam, dk, s2 in comps[1].pairs:
+        for m in (dk, dk - 1):
+            forced.append(Summand("H", m, lam, (2 * m - s2 - n + 2 * c, s2 + n)))
+    base = Counter(target.ranks)
+    for s in forced:
+        base.subtract(_cells(s))
+    if base and min(base.values()) < 0:
+        return None
+    lf = comps[0].tau + comps[1].tau + n + (sigma - 1) // 2
+    family = "Y" if lf >= 0 else "X"
+    spread = 0
+    if target.ranks:
+        xs = [h2[0] for (_d, h2) in target.ranks]
+        ys = [h2[1] for (_d, h2) in target.ranks]
+        spread = (max(xs) - min(xs) + max(ys) - min(ys)) // 2 + 1
+    widths = range(0, spread + 1) if family == "Y" else range(1, spread + 2)
+    survivors = {}
+    for k in widths:
+        central = _central_at_width(family, k, lf, comps[0].tau, comps[1].tau, n)
+        rest = +base
+        for s in central:
+            rest.subtract(_cells(s))
+        if rest and min(rest.values()) < 0:
+            continue
+        squares = _squares(+rest)
+        if squares is None:
+            continue
+        summands = sorted(forced + central + squares)
+        if _passes(build_sum(summands), target, comps, n):
+            survivors[k] = summands
+    return survivors
+
+
+LINKS = [
+    "hopf_plus", "hopf_minus", "torus_2_2n(2)", "torus_2_2n(3)", "two_bridge(8,3)",
+    "two_bridge(10,3)", "two_bridge(12,5)", "two_bridge(14,3)", "two_bridge(16,7)", "L7n2",
+]
+
+
+@cache
+def invariants(name):
+    d = corpus(name)
+    if d.is_alternating():
+        comps = tuple(component_data_from_diagram(keep_component(d, i)) for i in range(2))
+    else:  # the clasp link: left trefoil and unknot
+        comps = (ComponentData(-1, pairs=((1, 2, 2),)), ComponentData(0))
+    return multivariable_alexander(d).delta, signature(d), linking_matrix(d).lk[0][1], comps
+
+
+def _domino(delta, x, y):
+    """``delta`` plus T^e + T^(e + (1, 0)) and its mirror image, e = (x, y) + parity.
+
+    Two adjacent equal terms leave cells of the rank table that no
+    square covers, which sends the solver to its tiling stage.
+    """
+    par = tuple(e % 2 for e in next(iter(delta.terms)))
+    e = (2 * x + par[0], 2 * y + par[1])
+    terms = dict(delta.terms)
+    for t in (e, (e[0] + 2, e[1]), (-e[0], -e[1]), (-e[0] - 2, -e[1])):
+        terms[t] = terms.get(t, 0) + 1
+    return MultiLaurent(2, {t: a for t, a in terms.items() if a})
+
+
+pair_st = st.tuples(st.integers(1, 3), st.integers(-3, 3), st.integers(-3, 3).map(lambda s: 2 * s))
+# mostly the link's own value, so that a fair share of draws solve
+offset_st = st.sampled_from([0, 0, 0, 0, -1, 1, -2, 2])
+rarely_st = st.sampled_from([False, False, True])
+STAGES = ("signature", "grading", "component pairs", "central", "tile", "homology", "legal")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(LINKS),
+    st.tuples(offset_st, offset_st),
+    st.tuples(rarely_st, rarely_st),
+    st.lists(pair_st, max_size=1),
+    offset_st,
+    offset_st.map(lambda s: 2 * s),
+    rarely_st,
+    st.one_of(st.none(), st.tuples(st.integers(2, 4), st.integers(-1, 1))),
+)
+def test_one_pass_matches_the_width_search(name, dtau, drop, extra, dn, dsigma, swap, domino):
+    delta, sigma, n, comps = invariants(name)
+    comps = [
+        ComponentData(c.tau + dt, pairs=c.pairs[1:] if dropped else c.pairs)
+        for c, dt, dropped in zip(comps, dtau, drop)
+    ]
+    comps[0] = ComponentData(comps[0].tau, pairs=comps[0].pairs + tuple(extra))
+    if swap:
+        comps.reverse()
+    if domino:
+        delta = _domino(delta, *domino)
+    n, sigma = n + dn, sigma + dsigma
+    survivors = reference_search(delta, sigma, n, comps)
+    try:
+        cx, summands = two_component_cfl(delta, sigma, n, comps)
+    except ValueError as err:
+        assert str(err).startswith("constraints unsatisfiable: "), err
+        assert not survivors
+        event(next((stage for stage in STAGES if stage in str(err)), "other"))
+        return
+    event("solved")
+    lf = comps[0].tau + comps[1].tau + n + (sigma - 1) // 2
+    assert survivors == {abs(lf): summands}
+    assert cx == build_sum(summands)
+
+
+def test_reference_search_solves_the_pinned_links():
+    # the search is only a reference if it finds what the golden file holds
+    for name in LINKS[:-1]:
+        survivors = reference_search(*invariants(name))
+        found = [sorted(str(s) for s in summands) for summands in survivors.values()]
+        assert found == [GOLDEN["links"][name]["summands"]], name

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from helpers import scramble
+from hfl import homology
 from hfl.alexander import goeritz_determinant, multivariable_alexander, signature
 from hfl.filtered import (
     MultiGradedVS,
@@ -359,6 +360,9 @@ def test_solver_accepts_nonalternating_data_when_consistent():
     assert total_homology(cx) == {0: 1, -1: 1}
 
 
+HOPF = (monomial(2, (0, 0)), -1, 1)
+
+
 def test_solver_refuses_inconsistent_data():
     d = corpus("L7n1")
     delta = multivariable_alexander(d).delta
@@ -366,11 +370,55 @@ def test_solver_refuses_inconsistent_data():
     with pytest.raises(ValueError, match="unsatisfiable"):
         two_component_cfl(delta, signature(d), 2, comps)
     # hopf invariants with trefoil component data cannot fit either
-    with pytest.raises(ValueError, match="unsatisfiable"):
-        two_component_cfl(
-            monomial(2, (0, 0)), -1, 1,
-            (ComponentData(1, pairs=((1, -1, 0),)), ComponentData(0)),
-        )
+    with pytest.raises(ValueError) as err:
+        two_component_cfl(*HOPF, (ComponentData(1, pairs=((1, -1, 0),)), ComponentData(0)))
+    assert str(err.value) == (
+        "constraints unsatisfiable: the component pairs do not fit the rank table "
+        "(the table has too few generators at d=-3, h2=(-1, -3))"
+    )
+
+
+def test_solver_names_the_central_pair_stage():
+    # tau1 = 1 asks for a width-one central Y-pair, which the Hopf table cannot hold
+    with pytest.raises(ValueError) as err:
+        two_component_cfl(*HOPF, (ComponentData(1), ComponentData(0)))
+    assert str(err.value) == (
+        "constraints unsatisfiable: the central Y-pair at width 1 does not fit the "
+        "rank table (the table has too few generators at d=-2, h2=(1, -3))"
+    )
+
+
+def test_solver_names_the_tiling_stage():
+    # two adjacent equal terms far from the Hopf term, and their mirror
+    # images, leave two vertical dominoes of cells that no square covers
+    delta = MultiLaurent(2, {(0, 0): 1, (4, 4): 1, (6, 4): 1, (-4, -4): 1, (-6, -4): 1})
+    with pytest.raises(ValueError) as err:
+        two_component_cfl(delta, -1, 1, (ComponentData(0), ComponentData(0)))
+    assert str(err.value) == (
+        "constraints unsatisfiable: the squares cannot tile the cell at "
+        "d=-7, h2=(-7, -5) (its square lacks d=-6, h2=(-5, -5))"
+    )
+
+
+def test_solver_names_the_failed_output_check(monkeypatch):
+    # model summands pass every output check by construction, so broken
+    # builders and homologies stand in for a fault
+    comps = (ComponentData(0), ComponentData(0))
+    build_sum = homology.build_sum
+    monkeypatch.setattr(homology, "build_sum", lambda summands: build_sum(summands[1:]))
+    with pytest.raises(ValueError) as err:
+        two_component_cfl(*HOPF, comps)
+    assert str(err.value) == (
+        "constraints unsatisfiable: the associated graded homology differs from the rank table"
+    )
+    monkeypatch.setattr(homology, "build_sum", build_sum)
+    monkeypatch.setattr(homology, "total_homology", lambda cx: {0: 1, -2: 1})
+    with pytest.raises(ValueError) as err:
+        two_component_cfl(*HOPF, comps)
+    assert str(err.value) == (
+        "constraints unsatisfiable: the total homology {0: 1, -2: 1} is not rank one "
+        "in two adjacent gradings"
+    )
 
 
 def test_solver_argument_checks():
