@@ -19,6 +19,16 @@ elimination in the package, here and in :mod:`hfl.summands`, goes
 through :func:`echelon`.  Spectral pages and component homology share
 one Gaussian-cancellation engine, ``_cancel_all``.  A complex's
 validation report is computed once and kept on the instance.
+
+Validation happens where data enters: the public ``MultiGradedVS``
+constructor checks every entry it is given (JSON, the CLI, callers).
+``FilteredComplex.counts``, ``assoc_graded_homology``,
+``spectral_pages`` and ``tensor_graded`` build their rank dicts from the
+levels of a constructed complex or of existing ``MultiGradedVS`` values,
+checked when those were made, and their ranks are generator counts,
+products of ranks, or homology dimensions, which ``_graded_homology``
+refuses to let go negative.  So they hand the dicts over unchecked,
+through ``MultiGradedVS._trusted``.
 """
 
 from __future__ import annotations
@@ -119,6 +129,17 @@ class MultiGradedVS:
             if r:
                 clean[(int(d), h2)] = clean.get((int(d), h2), 0) + int(r)
         self.ranks = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, parity: tuple[int, ...], ranks: dict) -> "MultiGradedVS":
+        """Wrap a rank dict built inside this module, without re-checking it.
+
+        ``ranks`` must already be what the public constructor would keep:
+        (int, int-tuple) keys of the right length and parity, positive ranks.
+        """
+        v = cls.__new__(cls)
+        v.nvars, v.parity, v.ranks = nvars, parity, ranks
+        return v
 
     def __eq__(self, other) -> bool:
         return (
@@ -261,7 +282,7 @@ class FilteredComplex:
         for g in self._order:
             key = (self._maslov[g], self._filt[g])
             ranks[key] = ranks.get(key, 0) + 1
-        return MultiGradedVS(self.nvars, self.parity, ranks)
+        return MultiGradedVS._trusted(self.nvars, self.parity, ranks)
 
     def __eq__(self, other) -> bool:
         return (
@@ -417,6 +438,8 @@ def _graded_homology(
     hom: dict[int, int] = {}
     for d, n in dim.items():
         h = n - bnd_rank.get(d, 0) - bnd_rank.get(d + 1, 0)
+        if h < 0:
+            raise ValueError("not a legal filtered complex: a homology rank is negative")
         if h:
             hom[d] = h
     return hom
@@ -439,7 +462,7 @@ def assoc_graded_homology(cx: FilteredComplex) -> MultiGradedVS:
     for h2, cells in by_level.items():
         for d, r in _graded_homology(cells, level_out[h2]).items():
             ranks[(d, h2)] = r
-    return MultiGradedVS(cx.nvars, cx.parity, ranks)
+    return MultiGradedVS._trusted(cx.nvars, cx.parity, ranks)
 
 
 def total_homology(cx: FilteredComplex) -> dict[int, int]:
@@ -448,11 +471,6 @@ def total_homology(cx: FilteredComplex) -> dict[int, int]:
     for a, b in cx.arrows:
         out.setdefault(a, set()).add(b)
     return _graded_homology([(g, cx.maslov(g)) for g in cx.gen_ids], out)
-
-
-def _drop2(cx_filt: Mapping[str, tuple[int, ...]], a: str, b: str) -> tuple[int, ...]:
-    fa, fb = cx_filt[a], cx_filt[b]
-    return tuple(x - y for x, y in zip(fa, fb))
 
 
 def _cancel_arrow(
@@ -527,16 +545,16 @@ def spectral_pages(cx: FilteredComplex) -> list[MultiGradedVS]:
     """
     require_valid(cx)
     out, inc = _adjacency(cx)
-    filt = {g: cx.filt2(g) for g in cx.gen_ids}
+    level = {g: sum(cx.filt2(g)) for g in cx.gen_ids}
     pages: list[MultiGradedVS] = []
     r = 0
     while True:
-        _cancel_all(out, inc, lambda a, b: sum(_drop2(filt, a, b)) == 2 * r)
+        _cancel_all(out, inc, lambda a, b: level[a] - level[b] == 2 * r)
         ranks: dict = {}
         for g in out:
-            key = (cx.maslov(g), filt[g])
+            key = (cx.maslov(g), cx.filt2(g))
             ranks[key] = ranks.get(key, 0) + 1
-        pages.append(MultiGradedVS(cx.nvars, cx.parity, ranks))
+        pages.append(MultiGradedVS._trusted(cx.nvars, cx.parity, ranks))
         if not any(out[a] for a in out):
             break
         r += 1
@@ -555,20 +573,15 @@ def component_homology(cx: FilteredComplex, i: int) -> FilteredComplex:
         raise ValueError("coordinate index out of range")
     require_valid(cx)
     out, inc = _adjacency(cx)
-    filt = {g: cx.filt2(g) for g in cx.gen_ids}
-    k = i - 1
-
-    def only_i(a: str, b: str) -> bool:
-        return all(x == 0 for j, x in enumerate(_drop2(filt, a, b)) if j != k)
-
-    _cancel_all(out, inc, only_i)
-    keep = [j for j in range(cx.nvars) if j != k]
-    gens = [(g, cx.maslov(g), tuple(filt[g][j] for j in keep)) for g in sorted(out)]
+    keep = [j for j in range(cx.nvars) if j != i - 1]
+    # the level with coordinate i projected away
+    proj = {g: h2[: i - 1] + h2[i:] for g, h2 in cx._filt.items()}
+    _cancel_all(out, inc, lambda a, b: proj[a] == proj[b])
+    gens = [(g, cx.maslov(g), proj[g]) for g in sorted(out)]
     arrows = []
     for a in out:
         for b in out[a]:
-            drop = _drop2(filt, a, b)
-            if any(drop[j] < 0 for j in keep):
+            if any(x < y for x, y in zip(proj[a], proj[b])):
                 raise AssertionError("cancellation produced an illegal surviving arrow")
             arrows.append((a, b))
     return FilteredComplex(cx.nvars - 1, [cx.parity[j] for j in keep], gens, arrows)
@@ -626,12 +639,11 @@ def tensor_graded(
     parity = list(v1.parity)
     parity[i] = (v1.parity[i] + v2.parity[j]) % 2
     parity += [v2.parity[t] for t in rest2]
+    second = [(d2, h2[j], tuple(h2[t] for t in rest2), r2) for (d2, h2), r2 in v2.ranks.items()]
     ranks: dict = {}
     for (d1, h1), r1 in v1.ranks.items():
-        for (d2, h2), r2 in v2.ranks.items():
-            merged = list(h1)
-            merged[i] += h2[j]
-            merged += [h2[t] for t in rest2]
-            key = (d1 + d2, tuple(merged))
+        head, x, tail = h1[:i], h1[i], h1[i + 1:]
+        for d2, y, rest, r2 in second:
+            key = (d1 + d2, head + (x + y,) + tail + rest)
             ranks[key] = ranks.get(key, 0) + r1 * r2
-    return MultiGradedVS(v1.nvars + v2.nvars - 1, parity, ranks)
+    return MultiGradedVS._trusted(v1.nvars + v2.nvars - 1, tuple(parity), ranks)

@@ -42,7 +42,7 @@ from .laurent import (
     symmetric_normalize,
 )
 from .linkdiag import LinkDiagram, SplitLinkError, keep_component, linking_matrix
-from .summands import Summand, build_sum, build_summand, e_decomposition
+from .summands import Summand, build_sum, e_decomposition, sum_cells
 
 __all__ = [
     "ComponentData",
@@ -350,33 +350,20 @@ class ComponentData:
     """Hat-flavor data of one component knot.
 
     ``tau`` is the concordance invariant of the component, consumed as
-    an input here, never computed.  ``frees`` and ``pairs`` give the
-    knot's filtered complex up to homotopy: ``frees`` lists (grading,
-    doubled filtration) of generators carrying no differential, and
-    ``pairs`` lists (length, top grading, doubled top filtration) of
-    two-step summands whose arrow drops the filtration by its length.
-    A knot has total homology of rank one, so there is exactly one
-    free generator, at grading zero and filtration ``tau``; passing
-    ``frees=None`` fills that in.
+    an input here, never computed.  Together with ``pairs`` it gives the
+    knot's filtered complex up to homotopy.  A knot has total homology
+    of rank one, so there is exactly one generator carrying no
+    differential, at grading zero and filtration ``tau``; ``pairs``
+    lists (length, top grading, doubled top filtration) of the two-step
+    summands whose arrow drops the filtration by its length.
     """
 
     tau: int
-    frees: tuple | None = None
     pairs: tuple = ()
 
     def __post_init__(self):
-        if self.frees is None:
-            frees = ((0, 2 * self.tau),)
-        else:
-            frees = tuple((int(d), int(s2)) for d, s2 in self.frees)
         pairs = tuple(sorted((int(l), int(d), int(s2)) for l, d, s2 in self.pairs))
-        object.__setattr__(self, "frees", frees)
         object.__setattr__(self, "pairs", pairs)
-        if frees != ((0, 2 * self.tau),):
-            raise ValueError(
-                "component data needs exactly one free generator, at grading 0 "
-                f"and doubled filtration {2 * self.tau}"
-            )
         for lam, _d, s2 in pairs:
             if lam < 1:
                 raise ValueError("pair length must be at least 1")
@@ -502,8 +489,7 @@ def _take_cells(rest: Counter, summands, failure: str) -> None:
     The refusal names the first cell the summands need more often than
     the rank table offers it.
     """
-    for s in summands:
-        rest.subtract(build_summand(s).counts().ranks)
+    rest.subtract(sum_cells(summands))
     over = sorted(cell for cell, r in rest.items() if r < 0)
     if over:
         raise ValueError(
@@ -565,17 +551,15 @@ def _tensor_two_step(data: ComponentData, n: int):
     Every summand of the knot complex appears twice, in consecutive
     gradings, with its filtration pushed over by half the linking
     number; this is the tensor with the rank-two homology of the
-    other, unknotted-looking direction.
+    other, unknotted-looking direction.  The knot's one free generator
+    sits at grading 0 and doubled filtration 2 tau.
     """
     pairs: Counter = Counter()
-    frees: Counter = Counter()
     for lam, d, s2 in data.pairs:
         pairs[(lam, d, s2 + n)] += 1
         pairs[(lam, d - 1, s2 + n)] += 1
-    for d, s2 in data.frees:
-        frees[(d, s2 + n)] += 1
-        frees[(d - 1, s2 + n)] += 1
-    return pairs, frees
+    free2 = 2 * data.tau + n
+    return pairs, Counter({(0, free2): 1, (-1, free2): 1})
 
 
 def _failed_check(cx: FilteredComplex, target: MultiGradedVS, comps, n: int) -> str | None:

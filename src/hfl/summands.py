@@ -18,13 +18,17 @@ level and anti-diagonal of the filtration lattice, a zigzag of spaces
 and maps; its interval decomposition is read off from the dimensions of
 section spaces (vectors extendable to compatible families over a
 subinterval), which is the standard barcode computation for a quiver of
-type A.  The result is verified by rebuilding.
+type A.  The result is checked against the summed invariants of the
+model summands (cells, total homology, and per coordinate the counts
+and e-decomposition of the component homology), cached per shape and
+size, so only the input complex is cancelled.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache
 
 from .filtered import (
     FilteredComplex,
@@ -41,6 +45,7 @@ __all__ = [
     "build_sum",
     "decompose",
     "e_decomposition",
+    "sum_cells",
 ]
 
 _KINDS = ("B", "V", "H", "X", "Y", "E")
@@ -84,56 +89,63 @@ class Summand:
         return f"{self.kind}{size}({self.d})[{shift}]"
 
 
-def build_summand(s: Summand) -> FilteredComplex:
-    """Realize a summand as a complex, cells at standard position + shift."""
-    d, lam = s.d, s.lparam
+@cache
+def _standard_model(kind: str, lam: int):
+    """Cells (id, Maslov, doubled level) and arrows of a shape at Maslov
+    offset 0 and standard position."""
     cells: list[tuple[str, int, tuple[int, ...]]] = []
     arrows: list[tuple[str, str]] = []
-    if s.kind == "B":
+    if kind == "B":
         cells = [
-            ("c00", d, (0, 0)),
-            ("c10", d + 1, (2, 0)),
-            ("c01", d + 1, (0, 2)),
-            ("c11", d + 2, (2, 2)),
+            ("c00", 0, (0, 0)),
+            ("c10", 1, (2, 0)),
+            ("c01", 1, (0, 2)),
+            ("c11", 2, (2, 2)),
         ]
         arrows = [("c11", "c10"), ("c11", "c01"), ("c10", "c00"), ("c01", "c00")]
-    elif s.kind == "V":
+    elif kind == "V":
         for j in range(lam):
-            cells.append((f"t{j}", d, (-2 * j, 2 * j)))
-            cells.append((f"u{j}", d - 1, (-2 * j - 2, 2 * j)))
+            cells.append((f"t{j}", 0, (-2 * j, 2 * j)))
+            cells.append((f"u{j}", -1, (-2 * j - 2, 2 * j)))
             arrows.append((f"t{j}", f"u{j}"))
             if j:
                 arrows.append((f"t{j}", f"u{j - 1}"))
-    elif s.kind == "H":
+    elif kind == "H":
         for i in range(lam):
-            cells.append((f"t{i}", d, (2 * i, -2 * i)))
-            cells.append((f"u{i}", d - 1, (2 * i, -2 * i - 2)))
+            cells.append((f"t{i}", 0, (2 * i, -2 * i)))
+            cells.append((f"u{i}", -1, (2 * i, -2 * i - 2)))
             arrows.append((f"t{i}", f"u{i}"))
             if i:
                 arrows.append((f"t{i}", f"u{i - 1}"))
-    elif s.kind == "X":
+    elif kind == "X":
         for i in range(lam + 1):
-            cells.append((f"l{i}", d, (2 * i, 2 * (lam - i))))
+            cells.append((f"l{i}", 0, (2 * i, 2 * (lam - i))))
         for i in range(1, lam + 1):
-            cells.append((f"u{i}", d + 1, (2 * i, 2 * (lam + 1 - i))))
+            cells.append((f"u{i}", 1, (2 * i, 2 * (lam + 1 - i))))
             arrows.append((f"u{i}", f"l{i - 1}"))
             arrows.append((f"u{i}", f"l{i}"))
-    elif s.kind == "Y":
+    elif kind == "Y":
         for i in range(lam + 1):
-            cells.append((f"t{i}", d, (2 * i, 2 * (lam - i))))
+            cells.append((f"t{i}", 0, (2 * i, 2 * (lam - i))))
         for i in range(lam):
-            cells.append((f"l{i}", d - 1, (2 * i, 2 * (lam - 1 - i))))
+            cells.append((f"l{i}", -1, (2 * i, 2 * (lam - 1 - i))))
         for i in range(lam + 1):
             if i:
                 arrows.append((f"t{i}", f"l{i - 1}"))
             if i < lam:
                 arrows.append((f"t{i}", f"l{i}"))
     else:  # E
-        cells = [("t", d, (0,)), ("b", d - 1, (-2 * lam,))]
+        cells = [("t", 0, (0,)), ("b", -1, (-2 * lam,))]
         arrows = [("t", "b")]
+    return tuple(cells), tuple(arrows)
+
+
+def build_summand(s: Summand) -> FilteredComplex:
+    """Realize a summand as a complex, cells at standard position + shift."""
+    cells, arrows = _standard_model(s.kind, s.lparam)
     parity = tuple(x % 2 for x in s.shift2)
     gens = [
-        (gid, dd, tuple(a + b for a, b in zip(h2, s.shift2))) for gid, dd, h2 in cells
+        (gid, dd + s.d, tuple(a + b for a, b in zip(h2, s.shift2))) for gid, dd, h2 in cells
     ]
     return FilteredComplex(len(s.shift2), parity, gens, arrows)
 
@@ -188,22 +200,28 @@ class _Basis:
     """Mutable basis presentation of a complex whose arrows drop one
     coordinate by one step.  Basis elements are ids grouped by class
     (Maslov level and filtration); ``xout[g]``/``yout[g]`` hold the
-    arrow targets dropping the first/second coordinate."""
+    arrow targets dropping the first/second coordinate, and
+    ``xin``/``yin`` are their transposes, kept exact so that every
+    change touches only the arrows at the ids it changes."""
 
     def __init__(self, cx: FilteredComplex):
         self.info: dict[str, tuple[int, tuple[int, ...]]] = {}
         self.xout: dict[str, set[str]] = {}
         self.yout: dict[str, set[str]] = {}
+        self.xin: dict[str, set[str]] = {}
+        self.yin: dict[str, set[str]] = {}
         for g in cx.gen_ids:
             self.info[g] = (cx.maslov(g), cx.filt2(g))
-            self.xout[g] = set()
-            self.yout[g] = set()
+            self.xout[g], self.yout[g] = set(), set()
+            self.xin[g], self.yin[g] = set(), set()
         for a, b in cx.arrows:
             fa, fb = cx.filt2(a), cx.filt2(b)
             if fa[0] - fb[0] == 2:
                 self.xout[a].add(b)
+                self.xin[b].add(a)
             else:
                 self.yout[a].add(b)
+                self.yin[b].add(a)
 
     def cls(self, g: str):
         return self.info[g]
@@ -215,14 +233,18 @@ class _Basis:
         return by
 
     def add_into(self, p: str, m: str):
-        """Basis change p := p + m for two ids of the same class."""
+        """Basis change p := p + m for two ids of the same class.
+
+        d(p) gains d(m), and every arrow into p now also hits m.
+        """
         assert self.info[p] == self.info[m] and p != m
-        self.xout[p] ^= self.xout[m]
-        self.yout[p] ^= self.yout[m]
-        for adj in (self.xout, self.yout):
-            for a, targets in adj.items():
-                if p in targets:
-                    targets.symmetric_difference_update({m})
+        for out, inc in ((self.xout, self.xin), (self.yout, self.yin)):
+            for t in out[m]:
+                inc[t] ^= {p}
+            out[p] ^= out[m]
+            for a in inc[p]:
+                out[a] ^= {m}
+            inc[m] ^= inc[p]
 
     def composite(self, g: str) -> set[str]:
         z: set[str] = set()
@@ -231,11 +253,16 @@ class _Basis:
         return z
 
     def remove(self, ids):
+        for out, inc in ((self.xout, self.xin), (self.yout, self.yin)):
+            for g in ids:
+                for t in out.pop(g):
+                    if t in inc:
+                        inc[t].discard(g)
+                for a in inc.pop(g):
+                    if a in out:
+                        out[a].discard(g)
         for g in ids:
-            del self.info[g], self.xout[g], self.yout[g]
-        for adj in (self.xout, self.yout):
-            for targets in adj.values():
-                targets.difference_update(ids)
+            del self.info[g]
 
 
 def _extract_squares(basis: _Basis) -> list[Summand]:
@@ -258,19 +285,17 @@ def _extract_squares(basis: _Basis) -> list[Summand]:
         for m in zs[1:]:
             basis.add_into(z, m)
         assert basis.yout[px] == {z} and basis.xout[py] == {z}
-        for u in list(basis.info):
-            if u not in (px, g) and basis.cls(u) == basis.cls(px) and z in basis.yout[u]:
-                basis.add_into(u, px)
-            if u not in (py, g) and basis.cls(u) == basis.cls(py) and z in basis.xout[u]:
-                basis.add_into(u, py)
-        for v in list(basis.info):
-            if v != g and basis.cls(v) == basis.cls(g) and px in basis.xout[v]:
-                basis.add_into(v, g)
+        # the other arrows into z and px come from ids of the same
+        # class as px, py and g, and are cleared by adding those in
+        for u in [u for u in basis.yin[z] if u != px and basis.cls(u) == basis.cls(px)]:
+            basis.add_into(u, px)
+        for u in [u for u in basis.xin[z] if u != py and basis.cls(u) == basis.cls(py)]:
+            basis.add_into(u, py)
+        for v in [v for v in basis.xin[px] if v != g and basis.cls(v) == basis.cls(g)]:
+            basis.add_into(v, g)
         orbit = {g, px, py, z}
-        for a in basis.info:
-            if a in orbit:
-                continue
-            if (basis.xout[a] | basis.yout[a]) & orbit:
+        for o in orbit:
+            if (basis.xin[o] | basis.yin[o]) - orbit:
                 raise AssertionError("square extraction left a dangling arrow")
         dz, hz = basis.cls(z)
         found.append(Summand("B", dz, 0, hz))
@@ -351,14 +376,15 @@ def _string_decomposition(basis: _Basis) -> list[Summand]:
 
     def apply_map(src: _Vertex, dst: _Vertex, use_x: bool):
         adj = basis.xout if use_x else basis.yout
-        ids = classes[src.cls]
+        columns = [mask(dst.cls, adj[g]) for g in classes[src.cls]]
 
         def go(v: int) -> int:
-            img: set[str] = set()
-            for i, g in enumerate(ids):
-                if (v >> i) & 1:
-                    img ^= adj[g]
-            return mask(dst.cls, img)
+            img = 0
+            for col in columns:
+                if v & 1:
+                    img ^= col
+                v >>= 1
+            return img
 
         return go
 
@@ -397,6 +423,12 @@ def _run_intervals(run, d_top, ssum, apply_map) -> list[Summand]:
                 rmap[k] = apply_map(run[k], run[k + 1], use_x=False)
             if k:
                 lmap[k] = apply_map(run[k], run[k - 1], use_x=True)
+    # (left image, right image) of each interior source's space
+    images = {
+        k: [(lmap[k](v), rmap[k](v)) for v in run[k].space]
+        for k in range(1, m - 1)
+        if run[k].is_top
+    }
 
     # right[k][r]: values at vertex k extendable to a family over [k, r]
     right: list[list] = [[None] * m for _ in range(m)]
@@ -408,47 +440,39 @@ def _run_intervals(run, d_top, ssum, apply_map) -> list[Summand]:
             else:
                 right[k][r] = list(echelon(map(lmap[k + 1], right[k + 1][r])).values())
 
-    # In the window colimit every source slot is identified with its
-    # images, leaving the sink slots modulo, per interior source, the
-    # sum of its two images.
-    def grank(a, b) -> int:
-        if a < 0 or b >= m:
-            return 0
-        if a == b:
-            return len(run[a].space)
+    # grank[a + 1][b + 1] holds grank(a, b), and windows leaving the run
+    # read 0.  In the window colimit every source slot is identified
+    # with its images, leaving the sink slots modulo, per interior
+    # source, the sum of its two images.  Slots are laid out from a, so
+    # each window's relations extend those of the window one shorter.
+    grank = [[0] * (m + 2) for _ in range(m + 2)]
+    for a in range(m):
+        grank[a + 1][a + 1] = len(run[a].space)
         offs = {}
         tot = 0
-        for k in range(a, b + 1):
-            if not run[k].is_top:
-                offs[k] = tot
-                tot += run[k].width
-        rel = []
-        for k in range(a + 1, b):
-            if run[k].is_top:
-                for v in run[k].space:
-                    rel.append((lmap[k](v) << offs[k - 1]) ^ (rmap[k](v) << offs[k + 1]))
-        flag = right[a][b]
-        if run[a].is_top:
-            xs = [rmap[a](v) << offs[a + 1] for v in flag]
-        else:
-            xs = [v << offs[a] for v in flag]
-        base = echelon(rel)
-        rank = len(base)
-        return len(echelon(xs, base)) - rank
-
-    table = {}
-    for a in range(m):
+        rel: dict[int, int] = {}
         for b in range(a, m):
-            table[(a, b)] = grank(a, b)
-
-    def tget(a, b) -> int:
-        return table.get((a, b), 0)
+            if not run[b].is_top:
+                offs[b] = tot
+                tot += run[b].width
+            if b == a:
+                continue
+            if not right[a][b]:
+                break  # no family reaches b, nor any window beyond it
+            k = b - 1
+            if k > a and run[k].is_top:
+                echelon(((li << offs[k - 1]) ^ (ri << offs[b]) for li, ri in images[k]), rel)
+            if run[a].is_top:
+                xs = [rmap[a](v) << offs[a + 1] for v in right[a][b]]
+            else:
+                xs = [v << offs[a] for v in right[a][b]]
+            grank[a + 1][b + 1] = len(echelon(xs, dict(rel))) - len(rel)
 
     found = []
     check = [0] * m
     for l in range(m):
         for r in range(l, m):
-            cnt = tget(l, r) - tget(l - 1, r) - tget(l, r + 1) + tget(l - 1, r + 1)
+            cnt = grank[l + 1][r + 1] - grank[l][r + 1] - grank[l + 1][r + 2] + grank[l][r + 2]
             if cnt < 0:
                 raise AssertionError("negative interval multiplicity")
             if cnt == 0:
@@ -504,20 +528,73 @@ def decompose(cx: FilteredComplex) -> list[Summand]:
     return summands
 
 
-def _verify_rebuild(cx: FilteredComplex, summands) -> None:
-    rebuilt = build_sum(summands) if summands else None
-    if rebuilt is None:
-        if len(cx) == 0:
-            return
-        raise AssertionError("decomposition lost all generators")
-    if rebuilt.counts() != cx.counts():
-        raise AssertionError("decomposition does not match the generator counts")
-    if total_homology(rebuilt) != total_homology(cx):
-        raise AssertionError("decomposition does not match total homology")
+@cache
+def _model_invariants(kind: str, lparam: int):
+    """Homology invariants of a shape at Maslov offset 0 and shift (0, 0).
+
+    Returns item tuples of its total homology and, for coordinates 1
+    and 2, of the counts and the two halves of the ``e_decomposition``
+    of its ``component_homology``.  Each moves with a summand's Maslov
+    offset and shift, and each adds up over direct sums, since
+    cancellation never crosses summands.
+    """
+    cx = build_summand(Summand(kind, 0, lparam, (0, 0)))
+    per_coordinate = []
     for i in (1, 2):
+        ch = component_homology(cx, i)
+        pairs, frees = e_decomposition(ch)
+        per_coordinate.append(
+            (tuple(ch.counts().ranks.items()), tuple(pairs.items()), tuple(frees.items()))
+        )
+    return tuple(total_homology(cx).items()), tuple(per_coordinate)
+
+
+def sum_cells(summands) -> Counter:
+    """Generator counts of ``build_sum(summands)`` by (Maslov, doubled
+    level), for two-coordinate summands, without building it."""
+    cells: Counter = Counter()
+    for s in summands:
+        d, (x0, y0) = s.d, s.shift2
+        for _, m, (x, y) in _standard_model(s.kind, s.lparam)[0]:
+            cells[(m + d, (x + x0, y + y0))] += 1
+    return cells
+
+
+def _summed_invariants(summands):
+    """The invariants ``_verify_rebuild`` checks, for a direct sum of summands."""
+    total: Counter = Counter()
+    per_coordinate = [(Counter(), Counter(), Counter()) for _ in (1, 2)]
+    for s in summands:
+        d, (x0, y0) = s.d, s.shift2
+        hom, models = _model_invariants(s.kind, s.lparam)
+        for m, r in hom:
+            total[m + d] += r
+        # coordinate 1 cancelled keeps coordinate 2, and the other way round
+        for (counts, pairs, frees), (c, p, f), k in zip(per_coordinate, models, (y0, x0)):
+            for (m, (h,)), r in c:
+                counts[(m + d, (h + k,))] += r
+            for (lam, m, h), r in p:
+                pairs[(lam, m + d, h + k)] += r
+            for (m, h), r in f:
+                frees[(m + d, h + k)] += r
+    return sum_cells(summands), total, per_coordinate
+
+
+def _verify_rebuild(cx: FilteredComplex, summands) -> None:
+    """Check the summands against invariants of the input complex.
+
+    Generator counts, total homology and, per coordinate, the counts
+    and e-decomposition of the component homology are compared with
+    their sums over the model summands; only the input is cancelled.
+    """
+    cells, total, per_coordinate = _summed_invariants(summands)
+    if cx.counts().ranks != cells:
+        raise AssertionError("decomposition does not match the generator counts")
+    if total_homology(cx) != total:
+        raise AssertionError("decomposition does not match total homology")
+    for i, (counts, pairs, frees) in zip((1, 2), per_coordinate):
         a = component_homology(cx, i)
-        b = component_homology(rebuilt, i)
-        if a.counts() != b.counts() or e_decomposition(a) != e_decomposition(b):
+        if a.counts().ranks != counts or e_decomposition(a) != (pairs, frees):
             raise AssertionError(
                 f"decomposition does not match the coordinate-{i} homology"
             )

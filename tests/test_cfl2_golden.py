@@ -102,9 +102,8 @@ def _two_step(data, n):
     for lam, d, s2 in data.pairs:
         pairs[(lam, d, s2 + n)] += 1
         pairs[(lam, d - 1, s2 + n)] += 1
-    for d, s2 in data.frees:
-        frees[(d, s2 + n)] += 1
-        frees[(d - 1, s2 + n)] += 1
+    frees[(0, 2 * data.tau + n)] += 1
+    frees[(-1, 2 * data.tau + n)] += 1
     return pairs, frees
 
 

@@ -338,3 +338,25 @@ def test_scramble_keeps_pages():
     mixed = scramble(direct_sum([cx, cx]), rng, same_class=False)
     assert validate(mixed)
     assert total_homology(mixed) == {0: 2, -1: 2}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 3))
+def test_internal_rank_tables_pass_the_public_checks(seed, n1, n2):
+    rng = random.Random(seed)
+    a = random_filtered_complex(rng, n1, max_gens=16)
+    b = random_filtered_complex(rng, n2, max_gens=16)
+    tables = [a.counts(), assoc_graded_homology(a), *spectral_pages(a)]
+    splice = (rng.randint(1, n1), rng.randint(1, n2))
+    tables.append(tensor_graded(tables[1], b.counts(), splice))
+    for v in tables:
+        assert MultiGradedVS(v.nvars, v.parity, v.ranks) == v
+
+
+def test_homology_refuses_a_differential_that_does_not_square_to_zero():
+    gens = [("a", 2, (0,)), ("b", 1, (0,)), ("c", 0, (0,))]
+    cx = FilteredComplex(1, (0,), gens, [("a", "b"), ("b", "c")])
+    with pytest.raises(ValueError, match="homology rank is negative"):
+        assoc_graded_homology(cx)
+    with pytest.raises(ValueError, match="homology rank is negative"):
+        total_homology(cx)

@@ -260,9 +260,6 @@ def test_component_data_from_corpus_knots():
 
 
 def test_component_data_defaults_and_validation():
-    assert ComponentData(2).frees == ((0, 4),)
-    with pytest.raises(ValueError, match="free generator"):
-        ComponentData(1, frees=((0, 0),))
     with pytest.raises(ValueError, match="length"):
         ComponentData(0, pairs=((0, 0, 0),))
     with pytest.raises(ValueError, match="integers"):

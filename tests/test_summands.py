@@ -3,8 +3,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_summand_sum, scramble
+from helpers import change_basis, random_summand_sum, scramble
 from hfl.filtered import (
+    FilteredComplex,
     assoc_graded_homology,
     component_homology,
     spectral_pages,
@@ -14,11 +15,15 @@ from hfl.filtered import (
 from hfl.fixtures import FIXTURE_NAMES, fixture_complex
 from hfl.summands import (
     Summand,
+    _Basis,
+    _preimage,
+    _summed_invariants,
+    _verify_rebuild,
     build_sum,
     build_summand,
-    _preimage,
     decompose,
     e_decomposition,
+    sum_cells,
 )
 
 
@@ -280,3 +285,127 @@ def test_preimage_matches_all_combinations(domain, columns, target):
     want = {v for v in span(domain) if apply(v) in allowed}
     got = _preimage(domain, apply, target)
     assert span(got) == want and len(want) == 2 ** len(got)
+
+
+# ----------------------------------------------------------------------
+# The rebuild check reads cached per-shape invariants
+
+@st.composite
+def summand_lists(draw):
+    """Summands of every two-coordinate kind, sizes up to 6, sharing one
+    parity vector (odd coordinates included)."""
+    parity = (draw(st.integers(0, 1)), draw(st.integers(0, 1)))
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from("BVHXY"))
+        lam = 0 if kind == "B" else draw(st.integers(1 if kind in "VH" else 0, 6))
+        d = draw(st.integers(-3, 3))
+        shift2 = tuple(2 * draw(st.integers(-3, 3)) + p for p in parity)
+        out.append(Summand(kind, d, lam, shift2))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(summand_lists())
+def test_summed_invariants_match_brute_force(ss):
+    cx = build_sum(ss)
+    cells, total, per_coordinate = _summed_invariants(ss)
+    assert cells == cx.counts().ranks
+    assert total == total_homology(cx)
+    for i, (counts, pairs, frees) in zip((1, 2), per_coordinate):
+        ch = component_homology(cx, i)
+        assert counts == ch.counts().ranks, i
+        assert (pairs, frees) == e_decomposition(ch), i
+    for s in ss:
+        assert sum_cells([s]) == build_summand(s).counts().ranks
+
+
+SQUARE = Summand("B", -1, 0, (-2, -2))
+BACKGROUND = [Summand("Y", 0, 2, (0, 0)), Summand("V", 1, 1, (2, -2))]
+
+
+def refused(summands, perturbed):
+    cx = scramble(build_sum(summands), random.Random(3))
+    _verify_rebuild(cx, sorted(summands))
+    with pytest.raises(AssertionError) as info:
+        _verify_rebuild(cx, sorted(perturbed))
+    return str(info.value)
+
+
+def test_rebuild_check_refuses_other_cells():
+    ss = BACKGROUND + [SQUARE]
+    shifted = BACKGROUND + [Summand("B", -1, 0, (0, -2))]
+    assert refused(ss, shifted) == "decomposition does not match the generator counts"
+    assert refused(ss, BACKGROUND) == "decomposition does not match the generator counts"
+
+
+def test_rebuild_check_refuses_other_total_homology():
+    # a square read as a zigzag and a point: same cells
+    swapped = BACKGROUND + [Summand("X", 0, 1, (-2, -2)), Summand("Y", -1, 0, (-2, -2))]
+    assert refused(BACKGROUND + [SQUARE], swapped) == (
+        "decomposition does not match total homology"
+    )
+
+
+def test_rebuild_check_refuses_other_coordinate_1_homology():
+    # a square read as two staircases whose arrows drop coordinate 2:
+    # same cells, same total homology, and both die when coordinate 2
+    # is cancelled
+    swapped = BACKGROUND + [Summand("H", 0, 1, (-2, 0)), Summand("H", 1, 1, (0, 0))]
+    assert refused(BACKGROUND + [SQUARE], swapped) == (
+        "decomposition does not match the coordinate-1 homology"
+    )
+
+
+def test_rebuild_check_refuses_other_coordinate_2_homology():
+    # the same with staircases whose arrows drop coordinate 1
+    swapped = BACKGROUND + [Summand("V", 0, 1, (0, -2)), Summand("V", 1, 1, (0, 0))]
+    assert refused(BACKGROUND + [SQUARE], swapped) == (
+        "decomposition does not match the coordinate-2 homology"
+    )
+
+
+def test_rebuild_check_of_nothing():
+    with pytest.raises(AssertionError, match="generator counts"):
+        _verify_rebuild(build_sum([SQUARE]), [])
+    assert decompose(FilteredComplex(2, (0, 1), [], [])) == []
+
+
+# ----------------------------------------------------------------------
+# Basis changes keep the incoming maps exact
+
+def arrows_of(basis):
+    return {(a, b) for out in (basis.xout, basis.yout) for a in out for b in out[a]}
+
+
+def assert_transposed(basis):
+    for out, inc in ((basis.xout, basis.xin), (basis.yout, basis.yin)):
+        assert set(out) == set(inc) == set(basis.info)
+        assert {(a, b) for a in out for b in out[a]} == {
+            (a, b) for b in inc for a in inc[b]
+        }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_basis_changes_keep_incoming_maps_transposed(seed):
+    rng = random.Random(seed)
+    cx = scramble(build_sum(random_summand_sum(rng, max_summands=8)), rng)
+    basis = _Basis(cx)
+    assert_transposed(basis)
+    moves = []
+    for _ in range(25):
+        groups = [ids for ids in basis.classes().values() if len(ids) > 1]
+        if not groups:
+            break
+        p, m = rng.sample(rng.choice(groups), 2)
+        basis.add_into(p, m)
+        moves.append((p, m))
+        assert_transposed(basis)
+    assert arrows_of(basis) == set(change_basis(cx, moves).arrows)
+    while basis.info:
+        before = arrows_of(basis)
+        ids = set(rng.sample(sorted(basis.info), min(len(basis.info), rng.randrange(1, 5))))
+        basis.remove(ids)
+        assert_transposed(basis)
+        assert arrows_of(basis) == {(a, b) for a, b in before if a not in ids and b not in ids}
