@@ -195,25 +195,23 @@ class SphereDiagram:
     def arc(self, curve: str, g: str, h: str, forward: bool):
         """Walk curve ``"a"`` (alpha) or ``"b"`` (beta) from g to h.
 
-        Returns the signed edge coefficients of the walk (+1 per edge
-        crossed forward, -1 backward) and the points passed on the way.
+        Returns the signed edge coefficients of the walk: +1 per edge
+        crossed forward, -1 backward.
         """
         points = self.alpha if curve == "a" else self.beta
         n = len(points)
         pos, k = points.index(g), points.index(h)
         step = 1 if forward else -1
-        coeffs, interior = {}, set()
+        coeffs = {}
         while pos != k:
             coeffs[(curve, pos if forward else (pos - 1) % n)] = step
             pos = (pos + step) % n
-            if pos != k:
-                interior.add(points[pos])
-        return coeffs, interior
+        return coeffs
 
     def connect(self, g: str, h: str, fa: bool = True, fb: bool = True) -> dict:
         """Some 2-chain whose boundary runs from g to h on alpha, back on beta."""
-        coeffs = Counter(self.arc("a", g, h, fa)[0])
-        coeffs.update(self.arc("b", h, g, fb)[0])
+        coeffs = Counter(self.arc("a", g, h, fa))
+        coeffs.update(self.arc("b", h, g, fb))
         return self.solve(coeffs)
 
     @cached_property

@@ -113,9 +113,6 @@ class MultiLaurent:
     def support(self) -> list[Expo]:
         return sorted(self.terms)
 
-    def coeff(self, e2: Iterable[int]) -> int:
-        return self.terms.get(tuple(int(x) for x in e2), 0)
-
     def shift(self, e2: Iterable[int]) -> "MultiLaurent":
         """Multiply by the monomial with doubled exponent vector ``e2``."""
         u = tuple(int(x) for x in e2)

@@ -11,7 +11,6 @@ second.
 The zero-crossing unknot is written "U".
 """
 
-import json
 import re
 from math import gcd
 
@@ -266,9 +265,6 @@ class LinkDiagram:
             "crossings": [list(x) for x in self.crossings],
             "orientations": [1] * self.n_components,
         }
-
-    def to_json(self):
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json_dict(cls, data):

@@ -8,12 +8,16 @@ or its refusal message.
 
 ``reference_search`` is that width search, kept here as an independent
 reference: the one-pass solver must return what it returns, refuse
-where it refuses, and its single survivor must have width |lf|.
+where it refuses, and its single survivor must have width |lf|.  The
+output checks the solver reads off closed forms of the model summands
+run here by brute force, on every solved two-bridge link with even
+p <= 36.
 """
 
 import json
 from collections import Counter
 from functools import cache
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -28,14 +32,16 @@ from hfl.filtered import (
 )
 from hfl.homology import (
     ComponentData,
+    _tensor_two_step,
     component_data_from_diagram,
+    hfl_alternating,
     table_from_invariants,
     two_component_cfl,
     two_component_cfl_from_diagram,
 )
 from hfl.laurent import MultiLaurent, symmetric_normalize
-from hfl.linkdiag import corpus, keep_component, linking_matrix
-from hfl.summands import Summand, build_sum, build_summand, e_decomposition
+from hfl.linkdiag import corpus, keep_component, linking_matrix, two_bridge
+from hfl.summands import Summand, build_sum, build_summand, decompose, e_decomposition
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "cfl2_golden.json").read_text())
 
@@ -63,6 +69,35 @@ def test_golden_covers_the_family():
     assert len(GOLDEN["links"]) == 180
     refused = sorted(name for name, got in GOLDEN["links"].items() if "refused" in got)
     assert refused == ["L7n1", "L7n2", "two_bridge(34,13)", "two_bridge(34,21)"]
+
+
+# ----------------------------------------------------------------------
+# The output checks, by brute force
+
+TWO_BRIDGE = [(p, q) for p in range(2, 37, 2) for q in range(1, p) if gcd(p, q) == 1]
+
+
+def test_solved_two_bridge_links_pass_the_brute_force_checks():
+    # the solver reads these checks off closed forms of the model
+    # summands; here they run on the complex it returns
+    refused = []
+    for p, q in TWO_BRIDGE:
+        diag = two_bridge(p, q)
+        try:
+            cx, summands = two_component_cfl_from_diagram(diag)
+        except ValueError:
+            refused.append((p, q))
+            continue
+        n = linking_matrix(diag).lk[0][1]
+        assert validate(cx), (p, q)
+        assert assoc_graded_homology(cx) == hfl_alternating(diag).table, (p, q)
+        assert total_homology(cx) == {0: 1, -1: 1}, (p, q)
+        for i in (0, 1):
+            data = component_data_from_diagram(keep_component(diag, i))
+            got = e_decomposition(component_homology(cx, 2 - i))
+            assert got == _tensor_two_step(data, n), (p, q, i)
+        assert decompose(cx) == summands, (p, q)
+    assert len(TWO_BRIDGE) == 139 and refused == [(34, 13), (34, 21)]
 
 
 # ----------------------------------------------------------------------

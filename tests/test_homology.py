@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -38,7 +39,7 @@ from hfl.linkdiag import (
     linking_matrix,
     parse_pd,
 )
-from hfl.summands import Summand, decompose, e_decomposition
+from hfl.summands import Summand, build_sum, decompose, e_decomposition
 
 
 def nonalt_knot():
@@ -398,24 +399,41 @@ def test_solver_names_the_tiling_stage():
 
 
 def test_solver_names_the_failed_output_check(monkeypatch):
-    # model summands pass every output check by construction, so broken
-    # builders and homologies stand in for a fault
+    # model summands pass every output check by construction, so a broken
+    # tiling and broken closed forms stand in for a fault
     comps = (ComponentData(0), ComponentData(0))
-    build_sum = homology.build_sum
-    monkeypatch.setattr(homology, "build_sum", lambda summands: build_sum(summands[1:]))
-    with pytest.raises(ValueError) as err:
-        two_component_cfl(*HOPF, comps)
-    assert str(err.value) == (
-        "constraints unsatisfiable: the associated graded homology differs from the rank table"
-    )
-    monkeypatch.setattr(homology, "build_sum", build_sum)
-    monkeypatch.setattr(homology, "total_homology", lambda cx: {0: 1, -2: 1})
-    with pytest.raises(ValueError) as err:
-        two_component_cfl(*HOPF, comps)
-    assert str(err.value) == (
-        "constraints unsatisfiable: the total homology {0: 1, -2: 1} is not rank one "
-        "in two adjacent gradings"
-    )
+    sum_invariants = homology.sum_invariants
+
+    def refusal():
+        with pytest.raises(ValueError) as err:
+            two_component_cfl(*HOPF, comps)
+        return str(err.value).removeprefix("constraints unsatisfiable: ")
+
+    with monkeypatch.context() as m:
+        m.setattr(homology, "_tile_squares", lambda cells: [Summand("B", -3, 0, (-3, -3))])
+        assert refusal() == "the associated graded homology differs from the rank table"
+    with monkeypatch.context() as m:
+        m.setattr(homology, "sum_invariants",
+                  lambda ss: (Counter({0: 1, -2: 1}), sum_invariants(ss)[1]))
+        assert refusal() == (
+            "the total homology {0: 1, -2: 1} is not rank one in two adjacent gradings"
+        )
+    for idx in (0, 1):
+        # component idx + 1 is read off coordinate 2 - idx, here emptied
+        def emptied(ss, idx=idx):
+            total, per_coordinate = sum_invariants(ss)
+            per_coordinate = list(per_coordinate)
+            per_coordinate[1 - idx] = (Counter(), Counter())
+            return total, tuple(per_coordinate)
+
+        with monkeypatch.context() as m:
+            m.setattr(homology, "sum_invariants", emptied)
+            assert refusal() == (
+                f"the homology of component {idx + 1} is not its knot data "
+                "tensored with a two-step pair"
+            )
+    cx, summands = two_component_cfl(*HOPF, comps)
+    assert cx == build_sum(summands)
 
 
 def test_solver_argument_checks():
