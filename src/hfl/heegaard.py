@@ -42,7 +42,10 @@ All geometry is integer arithmetic.  The pillowcase is scaled by
 integer, and the index is kept as four times its value.  One connecting
 domain per generator is solved, once per diagram; the candidate domains
 of a pair are the difference of two of them plus whole curves, so
-counting bigons needs no search.
+counting bigons needs no search.  Only pairs with Maslov drop 1 and
+Alexander drops 0 or 1 are counted: an embedded bigon has index 1,
+misses w1 and w2 and covers each z at most once, and the lattice
+congruence gives every domain of a pair the pair's grading drops.
 
 The complex uses nothing from ``alexander`` or ``homology``; only
 ``oracle_compare`` calls the alternating-link computation, so the two
@@ -221,7 +224,7 @@ class SphereDiagram:
         phi_g connects ``alpha[0]`` to g along the arcs of both curves
         that do not run over the edge closing the curve (from its last
         point back to its first); A and B are bounded by all of alpha and
-        all of beta.  Each also gets its corner sum at every point.
+        all of beta.
         """
         at = {r: k for k, r in enumerate(self.regions)}
         counts = Counter(r for quads in self.corners.values() for r in quads)
@@ -230,37 +233,23 @@ class SphereDiagram:
         def vector(m):
             return [m[r] for r in self.regions]
 
-        whole_a = vector(self.solve({e: 1 for e in self.edges if e[0] == "a"}))
-        whole_b = vector(self.solve({e: 1 for e in self.edges if e[0] == "b"}))
         base = self.alpha[0] if self.alpha else None
-        phi = {g: vector(self.connect(base, g, True, pos_b[g] < pos_b[base]))
-               for g in self.alpha}
-        corners = {g: tuple(at[r] for r in quads) for g, quads in self.corners.items()}
-        corner_sums = {}
-        for x, quads in corners.items():
-            for key, m in (("a", whole_a), ("b", whole_b), *phi.items()):
-                corner_sums[x, key] = sum(m[r] for r in quads)
         return _Domains(
             at=at,
             weight=[4 - counts[r] for r in self.regions],
-            corners=corners,
-            corner_sums=corner_sums,
+            corners={g: tuple(at[r] for r in quads) for g, quads in self.corners.items()},
             pos_a={g: k for k, g in enumerate(self.alpha)},
             pos_b=pos_b,
-            phi=phi,
-            whole_a=whole_a,
-            whole_b=whole_b,
+            phi={g: vector(self.connect(base, g, True, pos_b[g] < pos_b[base]))
+                 for g in self.alpha},
+            whole_a=vector(self.solve({e: 1 for e in self.edges if e[0] == "a"})),
+            whole_b=vector(self.solve({e: 1 for e in self.edges if e[0] == "b"})),
         )
 
     # -- measures ------------------------------------------------------
 
     def index(self, m: dict, g: str, h: str) -> Fraction:
-        """Combinatorial Maslov index e(D) + n_g(D) + n_h(D).
-
-        A region with c corners has Euler measure 1 - c/4, and n_x is a
-        quarter of the corner sum at x, so four times the index is an
-        integer.  ``m`` gives every region a multiplicity.
-        """
+        """Combinatorial Maslov index e(D) + n_g(D) + n_h(D) of the multiplicities ``m``."""
         return Fraction(self._domains.four_index([m[r] for r in self.regions], g, h), 4)
 
     def bigons(self, g: str, h: str, avoid) -> int:
@@ -283,13 +272,14 @@ class SphereDiagram:
         j0 = int(dom.pos_b[h] > dom.pos_b[g])
         phi_g, phi_h = dom.phi[g], dom.phi[h]
         skip = [dom.at[r] for r in avoid]
-        cs = dom.corner_sums
-        at_g, at_h = cs[g, h] - cs[g, g], cs[h, h] - cs[h, g]
+        cs = dom.corner_sum
+        at_g, a_g, b_g = cs(phi_h, g) - cs(phi_g, g), cs(dom.whole_a, g), cs(dom.whole_b, g)
+        at_h, a_h, b_h = cs(phi_h, h) - cs(phi_g, h), cs(dom.whole_a, h), cs(dom.whole_b, h)
         count = 0
         for i, j in product((i0 - 1, i0), (j0 - 1, j0)):
             # a bigon has corner sum 4 lo + 1 at both ends, lo its minimum
-            c = at_g + i * cs[g, "a"] + j * cs[g, "b"]
-            if c % 4 != 1 or c != at_h + i * cs[h, "a"] + j * cs[h, "b"]:
+            c = at_g + i * a_g + j * b_g
+            if c % 4 != 1 or c != at_h + i * a_h + j * b_h:
                 continue
             lo = c // 4
             m = [y - x + i * u + j * v
@@ -308,17 +298,20 @@ class _Domains(NamedTuple):
     at: dict           # region -> list index
     weight: list       # 4 - (corner count): four times the Euler measure
     corners: dict      # point -> list indices of its four corner regions
-    corner_sums: dict  # (x, g) -> corner sum at x of phi_g; (x, "a"), (x, "b") of A, B
     pos_a: dict        # point -> index along alpha
     pos_b: dict        # point -> index along beta
     phi: dict          # point g -> phi_g, a connecting domain from alpha[0] to g
     whole_a: list      # A, a domain bounded by all of alpha
     whole_b: list      # B, a domain bounded by all of beta
 
+    def corner_sum(self, m: list, x: str) -> int:
+        """4 n_x(D) of the domain ``m``: its multiplicities at the corners of x."""
+        return sum(m[r] for r in self.corners[x])
+
     def four_index(self, m: list, g: str, h: str) -> int:
         """4 (e(D) + n_g(D) + n_h(D)) of the domain ``m``."""
         return (sum(v * w for v, w in zip(m, self.weight))
-                + sum(m[r] for r in self.corners[g]) + sum(m[r] for r in self.corners[h]))
+                + self.corner_sum(m, g) + self.corner_sum(m, h))
 
 
 def _face(p: int, q: int, x: int, y: int) -> tuple:
@@ -480,18 +473,18 @@ def _relative_gradings(d: SphereDiagram) -> dict:
     element: a sum of multiples of the two whole-curve domains and of
     the whole sphere.  All three measures are linear in the domain, so
     they are independent of the choice once each lattice generator has
-    index 2(n_w1 + n_w2) (checked at every endpoint g, since the index
-    reads the corners at g) and n_z = n_w per pair.  The index is kept
-    as four times its value, an integer.
+    index 2(n_w1 + n_w2) (checked at every endpoint g, which the index
+    reads only through the corner sum at g) and n_z = n_w per pair.  The
+    index is kept as four times its value, an integer.
     """
     dom = d._domains
     w1, z1, w2, z2 = (dom.at[d.basepoints[k]] for k in ("w1", "z1", "w2", "z2"))
     base = d.alpha[0]
     lattice = [dom.whole_a, dom.whole_b, [1] * len(d.regions)]
     for extra in lattice:
-        for g in d.alpha:
-            if dom.four_index(extra, base, g) != 8 * (extra[w1] + extra[w2]):
-                raise ValueError("the Maslov index congruence fails on the domain lattice")
+        rest = dom.four_index(extra, base, base) - dom.corner_sum(extra, base)
+        if any(rest + dom.corner_sum(extra, g) != 8 * (extra[w1] + extra[w2]) for g in d.alpha):
+            raise ValueError("the Maslov index congruence fails on the domain lattice")
     if any(extra[z1] != extra[w1] or extra[z2] != extra[w2] for extra in lattice):
         raise ValueError("relative gradings depend on the choice of connecting domain")
     rel = {}
@@ -508,8 +501,10 @@ def filtered_complex_from_diagram(d: SphereDiagram) -> FilteredComplex:
     """Filtered GF(2) complex of a two-bridge diagram.
 
     Arrows count, modulo 2, the embedded bigons that miss w1 and w2; a
-    bigon crosses each z at most once, so it drops each Alexander
-    grading by 0 or 1.  The absolute Maslov grading puts the total
+    bigon has index 1 and crosses each z at most once, so it drops the
+    Maslov grading by 1 and each Alexander grading by 0 or 1.  Only the
+    pairs with those relative drops are counted, and each arrow's drops
+    are checked again.  The absolute Maslov grading puts the total
     homology, which is that of the sphere with two basepoints, in
     gradings 0 and -1; anything else is refused.  The absolute
     Alexander grading centres the homology rank table so it is symmetric
@@ -519,14 +514,18 @@ def filtered_complex_from_diagram(d: SphereDiagram) -> FilteredComplex:
         return FilteredComplex(1, (0,), [("x0", 0, (0,))])
     rel = _relative_gradings(d)
     avoid = (d.basepoints["w1"], d.basepoints["w2"])
+    by_maslov = {}
+    for h in d.alpha:
+        by_maslov.setdefault(rel[h][0], []).append(h)
     arrows = []
-    for g in d.alpha:
-        for h in d.alpha:
-            if g == h or not d.bigons(g, h, avoid) % 2:
+    for g, (mas, alex) in rel.items():
+        for h in by_maslov.get(mas - 1, ()):
+            if (any(a - b not in (0, 1) for a, b in zip(alex, rel[h][1]))
+                    or not d.bigons(g, h, avoid) % 2):
                 continue
-            if rel[g][0] - rel[h][0] != 1:
+            if mas - rel[h][0] != 1:
                 raise ValueError("a bigon must drop the Maslov grading by exactly 1")
-            if any(a - b not in (0, 1) for a, b in zip(rel[g][1], rel[h][1])):
+            if any(a - b not in (0, 1) for a, b in zip(alex, rel[h][1])):
                 raise ValueError("a bigon must drop each Alexander grading by 0 or 1")
             arrows.append((g, h))
 

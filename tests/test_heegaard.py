@@ -162,13 +162,18 @@ def test_maslov_congruence_over_domain_lattice():
     ]
     w1, w2 = d.basepoints["w1"], d.basepoints["w2"]
     pairs = [("x0", "x5"), ("x3", "x9"), ("x11", "x2")]
+
+    def four_index(m, g, h):
+        return d._domains.four_index([m[r] for r in d.regions], g, h)
+
     for g, h in pairs:
         m = d.connect(g, h)
+        assert d.index(m, g, h) * 4 == four_index(m, g, h)
         for extra, t in product(lattice, (-2, -1, 1, 2)):
             m2 = {r: m[r] + t * extra[r] for r in d.regions}
-            lhs = d.index(m2, g, h) - d.index(m, g, h)
+            lhs = four_index(m2, g, h) - four_index(m, g, h)
             rhs = 2 * (m2[w1] + m2[w2] - m[w1] - m[w2])
-            assert lhs == rhs
+            assert lhs == 4 * rhs
 
 
 def test_filtration_path_independence():
@@ -233,6 +238,22 @@ EVEN_PAIRS = [(p, q) for p in range(2, 25, 2) for q in range(1, p) if math.gcd(p
 @pytest.mark.parametrize("p,q", EVEN_PAIRS, ids=[f"b({p},{q})" for p, q in EVEN_PAIRS])
 def test_oracle_agrees_on_every_two_bridge_link(p, q):
     assert oracle_compare(p, q)
+
+
+@pytest.mark.parametrize("p,q", EVEN_PAIRS, ids=[f"b({p},{q})" for p, q in EVEN_PAIRS])
+def test_pair_window_matches_the_all_pairs_count(p, q):
+    # The reference counts bigons on every ordered pair of generators.
+    # Its odd counts are the arrows, and a pair outside the grading
+    # window (Maslov drop 1, doubled Alexander drops 0 or 2) has none.
+    d = two_bridge_diagram(p, q)
+    avoid = (d.basepoints["w1"], d.basepoints["w2"])
+    counts = {(g, h): d.bigons(g, h, avoid) for g in d.alpha for h in d.alpha if g != h}
+    cx = filtered_complex_from_diagram(d)
+    assert {pair for pair, n in counts.items() if n % 2} == cx.arrows
+    for (g, h), n in counts.items():
+        drops = [a - b for a, b in zip(cx.filt2(g), cx.filt2(h))]
+        if cx.maslov(g) - cx.maslov(h) != 1 or any(x not in (0, 2) for x in drops):
+            assert n == 0, (g, h)
 
 
 def test_orientation_read_off_the_diagram():
