@@ -38,10 +38,11 @@ def show_transcribed(name):
     cx = fixture_complex(name)
     print(f"--- fixture {name} ({len(cx.gen_ids)} generators) ---")
     try:
-        decompose(cx)
-        print("decompose: succeeded")
+        summands = decompose(cx)
     except ValueError as err:
         print(f"decompose: refused ({err})")
+    else:
+        print("summands: " + "  ".join(str(s) for s in summands))
     for i, page in enumerate(spectral_pages(cx)):
         print(f"E{i + 1}: total rank {page.total_rank()}")
     print()

@@ -503,12 +503,12 @@ def filtered_complex_from_diagram(d: SphereDiagram) -> FilteredComplex:
     Arrows count, modulo 2, the embedded bigons that miss w1 and w2; a
     bigon has index 1 and crosses each z at most once, so it drops the
     Maslov grading by 1 and each Alexander grading by 0 or 1.  Only the
-    pairs with those relative drops are counted, and each arrow's drops
-    are checked again.  The absolute Maslov grading puts the total
-    homology, which is that of the sphere with two basepoints, in
-    gradings 0 and -1; anything else is refused.  The absolute
-    Alexander grading centres the homology rank table so it is symmetric
-    under negation.
+    pairs with those relative drops are counted, and ``validate`` checks
+    each arrow's Maslov drop once more.  The absolute Maslov grading
+    puts the total homology, which is that of the sphere with two
+    basepoints, in gradings 0 and -1; anything else is refused.  The
+    absolute Alexander grading centres the homology rank table so it is
+    symmetric under negation.
     """
     if d.p == 1:
         return FilteredComplex(1, (0,), [("x0", 0, (0,))])
@@ -520,14 +520,9 @@ def filtered_complex_from_diagram(d: SphereDiagram) -> FilteredComplex:
     arrows = []
     for g, (mas, alex) in rel.items():
         for h in by_maslov.get(mas - 1, ()):
-            if (any(a - b not in (0, 1) for a, b in zip(alex, rel[h][1]))
-                    or not d.bigons(g, h, avoid) % 2):
-                continue
-            if mas - rel[h][0] != 1:
-                raise ValueError("a bigon must drop the Maslov grading by exactly 1")
-            if any(a - b not in (0, 1) for a, b in zip(alex, rel[h][1])):
-                raise ValueError("a bigon must drop each Alexander grading by 0 or 1")
-            arrows.append((g, h))
+            if (all(a - b in (0, 1) for a, b in zip(alex, rel[h][1]))
+                    and d.bigons(g, h, avoid) % 2):
+                arrows.append((g, h))
 
     provisional = FilteredComplex(
         2, (0, 0),

@@ -15,19 +15,25 @@ returns the multiset of summands, in two phases.  Free squares are
 split off first by explicit change of basis wherever the two-step
 composite of the differential is nonzero.  What remains is, per Maslov
 level and anti-diagonal of the filtration lattice, a zigzag of spaces
-and maps; its interval decomposition is read off from the dimensions of
-section spaces (vectors extendable to compatible families over a
-subinterval), which is the standard barcode computation for a quiver of
-type A.  The result is checked against the summed invariants of the
-model summands (cells, total homology, and per coordinate the
-e-decomposition of the component homology).  Each shape's homology is
-known in closed form, so only the input complex is cancelled.
+and maps, and the intervals of its decomposition are the strings V, H,
+X and Y.  One left-to-right sweep per run of vertices reads them off:
+it keeps each live interval's vector at the current vertex and, with
+one GF(2) elimination per step, ends the intervals whose vectors die or
+have no preimage and starts intervals on what is left over.  Each step
+is a change of basis of the module because a vector only ever absorbs
+the vectors of intervals earlier in one fixed order: those starting at
+a top vertex, latest start first, then those starting at a bottom
+vertex, earliest start first.  The result is checked against the
+summed invariants of the model summands (cells, total homology, and
+per coordinate the e-decomposition of the component homology).  Each
+shape's homology is known in closed form, so only the input complex is
+cancelled.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 from .filtered import (
@@ -303,38 +309,12 @@ def _extract_squares(basis: _Basis) -> list[Summand]:
         basis.remove(orbit)
 
 
-# -- GF(2) subspaces ----------------------------------------------------
-
-def _preimage(domain: list[int], apply, target: list[int]) -> list[int]:
-    """Vectors of the span of ``domain`` whose image lies in ``target``.
-
-    The kernel of ``apply`` is part of the answer.  Row i of the
-    augmented matrix is [apply(domain[i]) | e_i]; reduced after the
-    rows [t | 0] of the target, the pivots that lead in the
-    combination part are the combinations whose image lies in the span
-    of ``target``.
-    """
-    n = len(domain)
-    piv = echelon(t << n for t in target)
-    echelon(((apply(v) << n) | (1 << i) for i, v in enumerate(domain)), piv)
-    out = []
-    for top, combo in piv.items():
-        if top < n:
-            v = 0
-            for i, dv in enumerate(domain):
-                if (combo >> i) & 1:
-                    v ^= dv
-            out.append(v)
-    return list(echelon(out).values())
-
-
 @dataclass
 class _Vertex:
     pos: int
     is_top: bool
     cls: tuple
-    space: list[int] = field(default_factory=list)
-    width: int = 0
+    space: list[int]
 
 
 def _string_decomposition(basis: _Basis) -> list[Summand]:
@@ -356,24 +336,18 @@ def _string_decomposition(basis: _Basis) -> list[Summand]:
             if adj[g]:
                 c = basis.cls(next(iter(adj[g])))
                 incoming[c].append(mask(c, adj[g]))
-    bottom_piv = {c: echelon(v) for c, v in incoming.items()}
-    bottom_space = {c: list(piv.values()) for c, piv in bottom_piv.items()}
-    top_space = {
-        c: [1 << i for i in range(len(ids)) if i not in bottom_piv[c]]
-        for c, ids in classes.items()
-    }
 
     paths: dict[tuple, dict[int, _Vertex]] = {}
     for c, ids in classes.items():
         (m, h2) = c
-        if top_space[c]:
+        image = echelon(incoming[c])
+        top = [1 << i for i in range(len(ids)) if i not in image]
+        if top:
             key, pos = (m, h2[0] + h2[1]), h2[0]
-            paths.setdefault(key, {})[pos] = _Vertex(pos, True, c, top_space[c], len(ids))
-        if bottom_space[c]:
+            paths.setdefault(key, {})[pos] = _Vertex(pos, True, c, top)
+        if image:
             key, pos = (m + 1, h2[0] + h2[1] + 2), h2[0] + 1
-            paths.setdefault(key, {})[pos] = _Vertex(
-                pos, False, c, bottom_space[c], len(ids)
-            )
+            paths.setdefault(key, {})[pos] = _Vertex(pos, False, c, list(image.values()))
 
     def apply_map(src: _Vertex, dst: _Vertex, use_x: bool):
         adj = basis.xout if use_x else basis.yout
@@ -399,91 +373,63 @@ def _string_decomposition(basis: _Basis) -> list[Summand]:
             else:
                 runs.append([verts[p]])
         for run in runs:
-            out.extend(_run_intervals(run, d_top, ssum, apply_map))
+            out.extend(_sweep(run, d_top, ssum, apply_map))
     return out
 
 
-def _run_intervals(run, d_top, ssum, apply_map) -> list[Summand]:
-    """Interval multiplicities over one run of consecutive vertices.
+def _sweep(run, d_top, ssum, apply_map) -> list[Summand]:
+    """Intervals of one run of consecutive vertices, read left to right.
 
-    For every window [a, b] of the run, ``grank(a, b)`` counts the
-    interval summands whose support contains the window: it is the rank
-    of the canonical map from compatible families over the window to
-    the colimit of the window diagram.  A summand supported inside the
-    whole window contributes one; a summand missing either end
-    evaluates that map to zero.  Inclusion-exclusion over the four
-    windows [a or a-1, b or b+1] then isolates the summands supported
-    exactly on [a, b].
+    Each top vertex k maps to the bottoms k - 1 and k + 1.  The sweep
+    keeps the live intervals, each with its vector at the current
+    vertex, and at every step ends some and starts others.  Adding
+    interval j's vector into interval i's is a change of basis of the
+    module only when some morphism from i's interval module to j's is
+    the identity here; on these zigzags that holds whenever j comes
+    before i in the order: intervals starting at a top, latest start
+    first, then intervals starting at a bottom, earliest start first.
+    So the live intervals are sorted into that order before each step,
+    and a vector only ever absorbs earlier ones.
     """
-    m = len(run)
-    rmap = [None] * m
-    lmap = [None] * m
-    for k in range(m):
-        if run[k].is_top:
-            if k + 1 < m:
-                rmap[k] = apply_map(run[k], run[k + 1], use_x=False)
-            if k:
-                lmap[k] = apply_map(run[k], run[k - 1], use_x=True)
-    # (left image, right image) of each interior source's space
-    images = {
-        k: [(lmap[k](v), rmap[k](v)) for v in run[k].space]
-        for k in range(1, m - 1)
-        if run[k].is_top
-    }
-
-    # right[k][r]: values at vertex k extendable to a family over [k, r]
-    right: list[list] = [[None] * m for _ in range(m)]
-    for k in range(m - 1, -1, -1):
-        right[k][k] = run[k].space
-        for r in range(k + 1, m):
-            if run[k].is_top:
-                right[k][r] = _preimage(run[k].space, rmap[k], right[k + 1][r])
-            else:
-                right[k][r] = list(echelon(map(lmap[k + 1], right[k + 1][r])).values())
-
-    # grank[a + 1][b + 1] holds grank(a, b), and windows leaving the run
-    # read 0.  In the window colimit every source slot is identified
-    # with its images, leaving the sink slots modulo, per interior
-    # source, the sum of its two images.  Slots are laid out from a, so
-    # each window's relations extend those of the window one shorter.
-    grank = [[0] * (m + 2) for _ in range(m + 2)]
-    for a in range(m):
-        grank[a + 1][a + 1] = len(run[a].space)
-        offs = {}
-        tot = 0
-        rel: dict[int, int] = {}
-        for b in range(a, m):
-            if not run[b].is_top:
-                offs[b] = tot
-                tot += run[b].width
-            if b == a:
-                continue
-            if not right[a][b]:
-                break  # no family reaches b, nor any window beyond it
-            k = b - 1
-            if k > a and run[k].is_top:
-                echelon(((li << offs[k - 1]) ^ (ri << offs[b]) for li, ri in images[k]), rel)
-            if run[a].is_top:
-                xs = [rmap[a](v) << offs[a + 1] for v in right[a][b]]
-            else:
-                xs = [v << offs[a] for v in right[a][b]]
-            grank[a + 1][b + 1] = len(echelon(xs, dict(rel))) - len(rel)
-
     found = []
-    check = [0] * m
-    for l in range(m):
-        for r in range(l, m):
-            cnt = grank[l + 1][r + 1] - grank[l][r + 1] - grank[l + 1][r + 2] + grank[l][r + 2]
-            if cnt < 0:
-                raise AssertionError("negative interval multiplicity")
-            if cnt == 0:
-                continue
-            for k in range(l, r + 1):
-                check[k] += cnt
-            found.extend([_interval_summand(run, l, r, d_top, ssum)] * cnt)
-    for k in range(m):
-        if check[k] != len(run[k].space):
-            raise AssertionError("interval multiplicities do not tile the run")
+    live = [(0, v) for v in run[0].space]
+    for k in range(len(run) - 1):
+        live.sort(key=lambda iv: (0, -iv[0]) if run[iv[0]].is_top else (1, iv[0]))
+        nxt = []
+        if run[k].is_top:
+            # an image in the span of earlier images ends its interval at k
+            go = apply_map(run[k], run[k + 1], use_x=False)
+            piv: dict[int, int] = {}
+            for start, v in live:
+                rank = len(piv)
+                echelon([go(v)], piv)
+                if len(piv) > rank:
+                    nxt.append((start, piv[next(reversed(piv))]))
+                else:
+                    found.append(_interval_summand(run, start, k, d_top, ssum))
+            rank = len(piv)
+            echelon(run[k + 1].space, piv)
+            nxt += [(k + 1, b) for b in list(piv.values())[rank:]]
+        else:
+            # rows [live vector | live unit | 0] and [left image of t | 0 | t]:
+            # a pivot leading in live coordinate j carries interval j into
+            # the top at k + 1, one leading in the top coordinates is a
+            # kernel vector and starts an interval there
+            go = apply_map(run[k + 1], run[k], use_x=True)
+            width = max(t.bit_length() for t in run[k + 1].space)
+            n = len(live)
+            rows = [(v << n | 1 << j) << width for j, (_, v) in enumerate(live)]
+            rows += [(go(t) << n + width) | t for t in run[k + 1].space]
+            piv = echelon(rows)
+            for j, (start, _) in enumerate(live):
+                row = piv.get(width + j)
+                if row is None:
+                    found.append(_interval_summand(run, start, k, d_top, ssum))
+                else:
+                    nxt.append((start, row & ((1 << width) - 1)))
+            nxt += [(k + 1, row) for lead, row in piv.items() if lead < width]
+        live = nxt
+    found += [_interval_summand(run, start, len(run) - 1, d_top, ssum) for start, _ in live]
     return found
 
 

@@ -45,23 +45,26 @@ def scramble(cx, rng, same_class=True):
     return change_basis(cx, random_moves(cx, rng, 3 * len(cx), same_class))
 
 
-def random_summand(rng, parity):
-    kind = rng.choice(["B", "V", "H", "X", "Y"])
-    d = rng.randrange(-3, 4)
+def random_summand(rng, parity, kinds="BVHXY", max_lam=3, max_d=3):
+    """A random summand of one of ``kinds``, with size up to ``max_lam``,
+    Maslov offset in [-max_d, max_d] and each shift coordinate in
+    {-2, ..., 2}."""
+    kind = rng.choice(kinds)
+    d = rng.randrange(-max_d, max_d + 1)
     if kind == "B":
         lam = 0
     elif kind in ("V", "H"):
-        lam = rng.randrange(1, 4)
+        lam = rng.randrange(1, max_lam + 1)
     else:
-        lam = rng.randrange(0, 4)
+        lam = rng.randrange(0, max_lam + 1)
     shift2 = tuple(2 * rng.randrange(-2, 3) + p for p in parity)
     return Summand(kind, d, lam, shift2)
 
 
-def random_summand_sum(rng, max_summands=20):
+def random_summand_sum(rng, max_summands=20, **shape):
     parity = (rng.randrange(2), rng.randrange(2))
     n = rng.randrange(1, max_summands + 1)
-    return sorted(random_summand(rng, parity) for _ in range(n))
+    return sorted(random_summand(rng, parity, **shape) for _ in range(n))
 
 
 def random_filtered_complex(rng, nvars, max_gens=40):

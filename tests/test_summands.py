@@ -16,7 +16,6 @@ from hfl.fixtures import FIXTURE_NAMES, fixture_complex
 from hfl.summands import (
     Summand,
     _Basis,
-    _preimage,
     _verify_rebuild,
     build_sum,
     build_summand,
@@ -231,6 +230,16 @@ def test_decompose_scrambled_round_trips():
         assert decompose(mixed) == ss
 
 
+def test_decompose_dense_scrambled_round_trips():
+    # wide shapes packed into three Maslov levels share many classes, so
+    # strings of different lengths overlap on the same zigzag; this is
+    # where the order in which phase two mixes intervals shows
+    rng = random.Random(20261018)
+    for _ in range(600):
+        ss = random_summand_sum(rng, max_summands=14, kinds="VHXY", max_lam=4, max_d=1)
+        assert decompose(scramble(build_sum(ss), rng, same_class=True)) == ss
+
+
 def test_decompose_matches_spectral_picture():
     rng = random.Random(11)
     for _ in range(10):
@@ -258,33 +267,6 @@ def test_fixture_component_ranks():
     pairs, frees = e_decomposition(vert)
     assert not pairs
     assert dict(frees) == {(0, 1): 1, (-1, 1): 1}
-
-
-def span(vectors):
-    out = {0}
-    for v in vectors:
-        out |= {w ^ v for w in out}
-    return out
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.integers(0, 63), max_size=5),
-    st.lists(st.integers(0, 31), min_size=6, max_size=6),
-    st.lists(st.integers(0, 31), max_size=3),
-)
-def test_preimage_matches_all_combinations(domain, columns, target):
-    def apply(v):
-        image = 0
-        for i, col in enumerate(columns):
-            if (v >> i) & 1:
-                image ^= col
-        return image
-
-    allowed = span(target)
-    want = {v for v in span(domain) if apply(v) in allowed}
-    got = _preimage(domain, apply, target)
-    assert span(got) == want and len(want) == 2 ** len(got)
 
 
 # ----------------------------------------------------------------------
