@@ -52,7 +52,6 @@ class WirtingerPresentation:
     def __init__(self, d: LinkDiagram):
         if not d.is_connected():
             raise ValueError("Wirtinger presentation needs a connected projection")
-        d.faces()  # a non-planar PD code fails the face count and is refused
         parent = {e: e for e in d._occ}
 
         def find(e):

@@ -119,14 +119,9 @@ class HFLReport:
 
 
 def _require_alternating(diag: LinkDiagram, message: str) -> None:
-    """Refuse a split, a non-planar, then a non-alternating projection.
-
-    Planarity comes before alternation so that a PD code no projection
-    realises is refused for its face count, not for its crossings.
-    """
+    """Refuse a split, then a non-alternating projection."""
     if not diag.is_connected():
         raise SplitLinkError("the projection is split")
-    diag.faces()  # raises ValueError on a non-planar code
     if not diag.is_alternating():
         raise ValueError(message)
 

@@ -71,6 +71,8 @@ class LinkDiagram:
             if any(e < 1 for e in x):
                 raise ValueError("edge labels must be positive")
         self._trace()
+        if self.is_connected():
+            self.faces()  # a non-planar code fails the face count here
 
     # ------------------------------------------------------------------
     # tracing

@@ -11,14 +11,20 @@ standard-position-plus-shift.
 
 ``decompose`` inverts ``build_summand`` + direct sum: given a complex
 whose every arrow drops exactly one coordinate by exactly one step, it
-returns the multiset of summands, in two phases.  Free squares are
-split off first by explicit change of basis wherever the two-step
-composite of the differential is nonzero.  What remains is, per Maslov
-level and anti-diagonal of the filtration lattice, a zigzag of spaces
-and maps, and the intervals of its decomposition are the strings V, H,
-X and Y.  One left-to-right sweep per run of vertices reads them off:
-it keeps each live interval's vector at the current vertex and, with
-one GF(2) elimination per step, ends the intervals whose vectors die or
+returns the multiset of summands.  Such a complex is a module over
+GF(2)[x, y]/(x², y²), graded by class (Maslov level and filtration),
+where x and y are the parts of the differential that drop the first
+and the second coordinate.  The square B is the only shape on which
+xy ≠ 0, so the number of squares whose top lies in a class is the rank
+of y∘x out of it, and the image is rad² of the class it lands in.
+Everything else is read off the tops M/rad and the bottoms rad/rad²:
+per Maslov level and anti-diagonal of the filtration lattice they form
+a zigzag of spaces and maps, and the intervals of its decomposition
+are the strings V, H, X and Y.  A square shows in the zigzag as an
+X^1 one grading up at the same shift, which is taken back out.  One
+left-to-right sweep per run of vertices reads the intervals off: it
+keeps each live interval's vector at the current vertex and, with one
+GF(2) elimination per step, ends the intervals whose vectors die or
 have no preimage and starts intervals on what is left over.  Each step
 is a change of basis of the module because a vector only ever absorbs
 the vectors of intervals earlier in one fixed order: those starting at
@@ -203,110 +209,49 @@ def e_decomposition(cx: FilteredComplex):
 # ----------------------------------------------------------------------
 # Two-coordinate decomposition
 
-class _Basis:
-    """Mutable basis presentation of a complex whose arrows drop one
-    coordinate by one step.  Basis elements are ids grouped by class
-    (Maslov level and filtration); ``xout[g]``/``yout[g]`` hold the
-    arrow targets dropping the first/second coordinate, and
-    ``xin``/``yin`` are their transposes, kept exact so that every
-    change touches only the arrows at the ids it changes."""
-
-    def __init__(self, cx: FilteredComplex):
-        self.info: dict[str, tuple[int, tuple[int, ...]]] = {}
-        self.xout: dict[str, set[str]] = {}
-        self.yout: dict[str, set[str]] = {}
-        self.xin: dict[str, set[str]] = {}
-        self.yin: dict[str, set[str]] = {}
-        for g in cx.gen_ids:
-            self.info[g] = (cx.maslov(g), cx.filt2(g))
-            self.xout[g], self.yout[g] = set(), set()
-            self.xin[g], self.yin[g] = set(), set()
-        for a, b in cx.arrows:
-            fa, fb = cx.filt2(a), cx.filt2(b)
-            if fa[0] - fb[0] == 2:
-                self.xout[a].add(b)
-                self.xin[b].add(a)
-            else:
-                self.yout[a].add(b)
-                self.yin[b].add(a)
-
-    def cls(self, g: str):
-        return self.info[g]
-
-    def classes(self) -> dict:
-        by: dict = {}
-        for g in sorted(self.info):
-            by.setdefault(self.info[g], []).append(g)
-        return by
-
-    def add_into(self, p: str, m: str):
-        """Basis change p := p + m for two ids of the same class.
-
-        d(p) gains d(m), and every arrow into p now also hits m.
-        """
-        assert self.info[p] == self.info[m] and p != m
-        for out, inc in ((self.xout, self.xin), (self.yout, self.yin)):
-            for t in out[m]:
-                inc[t] ^= {p}
-            out[p] ^= out[m]
-            for a in inc[p]:
-                out[a] ^= {m}
-            inc[m] ^= inc[p]
-
-    def composite(self, g: str) -> set[str]:
-        z: set[str] = set()
-        for w in self.xout[g]:
-            z ^= self.yout[w]
-        return z
-
-    def remove(self, ids):
-        for out, inc in ((self.xout, self.xin), (self.yout, self.yin)):
-            for g in ids:
-                for t in out.pop(g):
-                    if t in inc:
-                        inc[t].discard(g)
-                for a in inc.pop(g):
-                    if a in out:
-                        out[a].discard(g)
-        for g in ids:
-            del self.info[g]
+def _target(c: tuple, axis: int) -> tuple:
+    """The class that x (axis 0) or y (axis 1) maps class ``c`` into."""
+    m, (a, b) = c
+    return (m - 1, (a - 2, b) if axis == 0 else (a, b - 2))
 
 
-def _extract_squares(basis: _Basis) -> list[Summand]:
-    """Phase one: split off a free square wherever x-then-y is nonzero."""
-    found = []
-    while True:
-        g = next((v for v in sorted(basis.info) if basis.composite(v)), None)
-        if g is None:
-            return found
-        for adj in (basis.xout, basis.yout):
-            row = sorted(adj[g])
-            piv = row[0]
-            for m in row[1:]:
-                basis.add_into(piv, m)
-            assert adj[g] == {piv}
-        px = next(iter(basis.xout[g]))
-        py = next(iter(basis.yout[g]))
-        zs = sorted(basis.yout[px])
-        z = zs[0]
-        for m in zs[1:]:
-            basis.add_into(z, m)
-        assert basis.yout[px] == {z} and basis.xout[py] == {z}
-        # the other arrows into z and px come from ids of the same
-        # class as px, py and g, and are cleared by adding those in
-        for u in [u for u in basis.yin[z] if u != px and basis.cls(u) == basis.cls(px)]:
-            basis.add_into(u, px)
-        for u in [u for u in basis.xin[z] if u != py and basis.cls(u) == basis.cls(py)]:
-            basis.add_into(u, py)
-        for v in [v for v in basis.xin[px] if v != g and basis.cls(v) == basis.cls(g)]:
-            basis.add_into(v, g)
-        orbit = {g, px, py, z}
-        for o in orbit:
-            if (basis.xin[o] | basis.yin[o]) - orbit:
-                raise AssertionError("square extraction left a dangling arrow")
-        dz, hz = basis.cls(z)
-        found.append(Summand("B", dz, 0, hz))
-        basis.remove(orbit)
+def _image(columns: list[int], v: int) -> int:
+    img = 0
+    for col in columns:
+        if v & 1:
+            img ^= col
+        v >>= 1
+    return img
+
+
+def _module(cx: FilteredComplex) -> dict[tuple, tuple[list[int], list[int]]]:
+    """Per class (Maslov level and filtration), the x- and y-images of
+    its ids, in sorted order, as bitmasks over the ids of the target."""
+    classes: dict[tuple, list[str]] = {}
+    for g in sorted(cx.gen_ids):
+        classes.setdefault((cx.maslov(g), cx.filt2(g)), []).append(g)
+    local = {g: i for ids in classes.values() for i, g in enumerate(ids)}
+    maps = {c: ([0] * len(ids), [0] * len(ids)) for c, ids in classes.items()}
+    for a, b in cx.arrows:
+        axis = 0 if cx.filt2(a)[0] - cx.filt2(b)[0] == 2 else 1
+        maps[(cx.maslov(a), cx.filt2(a))][axis][local[a]] |= 1 << local[b]
+    return maps
+
+
+def _rad2(maps: dict) -> dict[tuple, dict[int, int]]:
+    """Phase one: per class, an echelon basis of the image of y∘x.
+
+    Only the square B has xy ≠ 0, once from its top to its bottom, so
+    the rank of this basis is the number of squares ending in the class.
+    """
+    rad2 = {}
+    for c, (xs, _) in maps.items():
+        if any(xs):
+            ys = maps[_target(c, 0)][1]
+            basis = echelon(_image(ys, v) for v in xs)
+            if basis:
+                rad2[_target(_target(c, 0), 1)] = basis
+    return rad2
 
 
 @dataclass
@@ -315,53 +260,31 @@ class _Vertex:
     is_top: bool
     cls: tuple
     space: list[int]
+    rad2: dict[int, int]
 
 
-def _string_decomposition(basis: _Basis) -> list[Summand]:
-    """Phase two: interval decomposition of the residual zigzag module."""
-    classes = basis.classes()
-    local: dict[tuple, dict[str, int]] = {
-        c: {g: i for i, g in enumerate(ids)} for c, ids in classes.items()
-    }
-
-    def mask(c, ids) -> int:
-        m = 0
-        for g in ids:
-            m |= 1 << local[c][g]
-        return m
-
-    incoming: dict[tuple, list[int]] = {c: [] for c in classes}
-    for g in basis.info:
-        for adj in (basis.xout, basis.yout):
-            if adj[g]:
-                c = basis.cls(next(iter(adj[g])))
-                incoming[c].append(mask(c, adj[g]))
+def _string_decomposition(maps: dict, rad2: dict) -> list[Summand]:
+    """Phase two: interval decomposition of the zigzag of tops and bottoms."""
+    incoming: dict[tuple, list[int]] = {c: [] for c in maps}
+    for c, axes in maps.items():
+        for axis, columns in enumerate(axes):
+            if any(columns):
+                incoming[_target(c, axis)] += columns
 
     paths: dict[tuple, dict[int, _Vertex]] = {}
-    for c, ids in classes.items():
+    for c, (xs, _) in maps.items():
         (m, h2) = c
-        image = echelon(incoming[c])
-        top = [1 << i for i in range(len(ids)) if i not in image]
+        # rad² first, so the new pivots span a complement of it in rad
+        deep = rad2.get(c, {})
+        rad = echelon(incoming[c], dict(deep))
+        top = [1 << i for i in range(len(xs)) if i not in rad]
+        bottom = list(rad.values())[len(deep):]
         if top:
             key, pos = (m, h2[0] + h2[1]), h2[0]
-            paths.setdefault(key, {})[pos] = _Vertex(pos, True, c, top)
-        if image:
+            paths.setdefault(key, {})[pos] = _Vertex(pos, True, c, top, {})
+        if bottom:
             key, pos = (m + 1, h2[0] + h2[1] + 2), h2[0] + 1
-            paths.setdefault(key, {})[pos] = _Vertex(pos, False, c, list(image.values()))
-
-    def apply_map(src: _Vertex, dst: _Vertex, use_x: bool):
-        adj = basis.xout if use_x else basis.yout
-        columns = [mask(dst.cls, adj[g]) for g in classes[src.cls]]
-
-        def go(v: int) -> int:
-            img = 0
-            for col in columns:
-                if v & 1:
-                    img ^= col
-                v >>= 1
-            return img
-
-        return go
+            paths.setdefault(key, {})[pos] = _Vertex(pos, False, c, bottom, deep)
 
     out: list[Summand] = []
     for (d_top, ssum), verts in paths.items():
@@ -373,19 +296,19 @@ def _string_decomposition(basis: _Basis) -> list[Summand]:
             else:
                 runs.append([verts[p]])
         for run in runs:
-            out.extend(_sweep(run, d_top, ssum, apply_map))
+            out.extend(_sweep(run, d_top, ssum, maps))
     return out
 
 
-def _sweep(run, d_top, ssum, apply_map) -> list[Summand]:
+def _sweep(run, d_top, ssum, maps) -> list[Summand]:
     """Intervals of one run of consecutive vertices, read left to right.
 
-    Each top vertex k maps to the bottoms k - 1 and k + 1.  The sweep
-    keeps the live intervals, each with its vector at the current
-    vertex, and at every step ends some and starts others.  Adding
-    interval j's vector into interval i's is a change of basis of the
-    module only when some morphism from i's interval module to j's is
-    the identity here; on these zigzags that holds whenever j comes
+    Each top vertex k maps to the bottoms k - 1 and k + 1, modulo rad²
+    there.  The sweep keeps the live intervals, each with its vector at
+    the current vertex, and at every step ends some and starts others.
+    Adding interval j's vector into interval i's is a change of basis of
+    the module only when some morphism from i's interval module to j's
+    is the identity here; on these zigzags that holds whenever j comes
     before i in the order: intervals starting at a top, latest start
     first, then intervals starting at a bottom, earliest start first.
     So the live intervals are sorted into that order before each step,
@@ -397,12 +320,13 @@ def _sweep(run, d_top, ssum, apply_map) -> list[Summand]:
         live.sort(key=lambda iv: (0, -iv[0]) if run[iv[0]].is_top else (1, iv[0]))
         nxt = []
         if run[k].is_top:
-            # an image in the span of earlier images ends its interval at k
-            go = apply_map(run[k], run[k + 1], use_x=False)
-            piv: dict[int, int] = {}
+            # an image in the span of rad² and earlier images ends its
+            # interval at k
+            ys = maps[run[k].cls][1]
+            piv = dict(run[k + 1].rad2)
             for start, v in live:
                 rank = len(piv)
-                echelon([go(v)], piv)
+                echelon([_image(ys, v)], piv)
                 if len(piv) > rank:
                     nxt.append((start, piv[next(reversed(piv))]))
                 else:
@@ -411,15 +335,17 @@ def _sweep(run, d_top, ssum, apply_map) -> list[Summand]:
             echelon(run[k + 1].space, piv)
             nxt += [(k + 1, b) for b in list(piv.values())[rank:]]
         else:
-            # rows [live vector | live unit | 0] and [left image of t | 0 | t]:
-            # a pivot leading in live coordinate j carries interval j into
-            # the top at k + 1, one leading in the top coordinates is a
-            # kernel vector and starts an interval there
-            go = apply_map(run[k + 1], run[k], use_x=True)
+            # rows [rad² | 0 | 0], [live vector | live unit | 0] and
+            # [left image of t | 0 | t]: a pivot leading in live
+            # coordinate j carries interval j into the top at k + 1, one
+            # leading in the top coordinates is a kernel vector and
+            # starts an interval there
+            xs = maps[run[k + 1].cls][0]
             width = max(t.bit_length() for t in run[k + 1].space)
             n = len(live)
-            rows = [(v << n | 1 << j) << width for j, (_, v) in enumerate(live)]
-            rows += [(go(t) << n + width) | t for t in run[k + 1].space]
+            rows = [r << n + width for r in run[k].rad2.values()]
+            rows += [(v << n | 1 << j) << width for j, (_, v) in enumerate(live)]
+            rows += [(_image(xs, t) << n + width) | t for t in run[k + 1].space]
             piv = echelon(rows)
             for j, (start, _) in enumerate(live):
                 row = piv.get(width + j)
@@ -455,7 +381,10 @@ def decompose(cx: FilteredComplex) -> list[Summand]:
     The complex must be a legal filtered complex whose every arrow
     drops a single coordinate by a single step; otherwise the second
     page of the spectral sequence still carries a differential and no
-    decomposition into the model shapes exists.
+    decomposition into the model shapes exists.  The squares are
+    counted by the rank of y∘x per class; the other summands are the
+    intervals of the zigzag of tops and of rad/rad², less one X^1 per
+    square.  By Krull–Schmidt the list does not depend on the basis.
     """
     if cx.nvars != 2:
         raise ValueError("decompose handles two-coordinate complexes")
@@ -467,10 +396,13 @@ def decompose(cx: FilteredComplex) -> list[Summand]:
                 f"complex is not E₂-collapsed: arrow {a}->{b} moves the filtration "
                 f"by ({drop[0]}/2, {drop[1]}/2)"
             )
-    basis = _Basis(cx)
-    summands = _extract_squares(basis)
-    summands += _string_decomposition(basis)
-    summands.sort()
+    maps = _module(cx)
+    rad2 = _rad2(maps)
+    squares = [Summand("B", m, 0, h2) for (m, h2), basis in rad2.items() for _ in basis]
+    # each square also shows in the zigzag, as an X^1 one grading up
+    strings = Counter(_string_decomposition(maps, rad2))
+    strings.subtract(Summand("X", s.d + 1, 1, s.shift2) for s in squares)
+    summands = sorted(squares + list(strings.elements()))
     _verify_rebuild(cx, summands)
     return summands
 

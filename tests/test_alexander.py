@@ -181,9 +181,8 @@ def test_unknot_trivial_cases():
 
 def test_non_planar_code_is_refused():
     # two crossings, two faces: no planar diagram has this PD code
-    d = parse_pd("PD[X[1,4,3,3],X[2,1,2,4]]")
     with pytest.raises(ValueError, match="face count"):
-        multivariable_alexander(d)
+        multivariable_alexander(parse_pd("PD[X[1,4,3,3],X[2,1,2,4]]"))
 
 
 # ----------------------------------------------------------------------

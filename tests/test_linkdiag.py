@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfl.linkdiag import (
     CORPUS_NAMES,
@@ -20,6 +21,27 @@ def test_parse_round_trip():
     d = corpus("trefoil_right")
     assert parse_pd(d.to_pd_text()) == d
     assert parse_pd("U").crossings == []
+
+
+@st.composite
+def pd_texts(draw):
+    """A PD code on 1-6 crossings whose labels each occur twice, in any
+    order: mostly not planar, sometimes not even traceable."""
+    n = draw(st.integers(1, 6))
+    labels = draw(st.permutations([e for e in range(1, 2 * n + 1) for _ in range(2)]))
+    return "PD[%s]" % ",".join(
+        "X[%s]" % ",".join(map(str, labels[i : i + 4])) for i in range(0, 4 * n, 4)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(pd_texts())
+def test_a_parsed_code_is_planar_or_refused(text):
+    try:
+        d = parse_pd(text)
+    except ValueError:
+        return
+    assert not d.is_connected() or len(d.faces()) == len(d.crossings) + 2
 
 
 def test_parse_rejects_garbage():

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import change_basis, random_summand_sum, scramble
+from helpers import random_summand_sum, scramble
 from hfl.filtered import (
     FilteredComplex,
     assoc_graded_homology,
@@ -15,7 +15,6 @@ from hfl.filtered import (
 from hfl.fixtures import FIXTURE_NAMES, fixture_complex
 from hfl.summands import (
     Summand,
-    _Basis,
     _verify_rebuild,
     build_sum,
     build_summand,
@@ -233,10 +232,17 @@ def test_decompose_scrambled_round_trips():
 def test_decompose_dense_scrambled_round_trips():
     # wide shapes packed into three Maslov levels share many classes, so
     # strings of different lengths overlap on the same zigzag; this is
-    # where the order in which phase two mixes intervals shows
+    # where the order in which phase two mixes intervals shows.  Every
+    # other draw holds only squares and zigzags, and half of the squares
+    # get an X^1 one grading up at the same shift: that zigzag has the
+    # square's tops and bottoms modulo rad², so only the square count
+    # tells the two apart
     rng = random.Random(20261018)
-    for _ in range(600):
-        ss = random_summand_sum(rng, max_summands=14, kinds="VHXY", max_lam=4, max_d=1)
+    for i in range(600):
+        kinds = "BX" if i % 2 else "BVHXY"
+        ss = random_summand_sum(rng, max_summands=14, kinds=kinds, max_lam=4, max_d=1)
+        squares = [s for s in ss if s.kind == "B"]
+        ss = sorted(ss + [Summand("X", s.d + 1, 1, s.shift2) for s in squares[::2]])
         assert decompose(scramble(build_sum(ss), rng, same_class=True)) == ss
 
 
@@ -349,43 +355,3 @@ def test_rebuild_check_of_nothing():
     with pytest.raises(AssertionError, match="generator counts"):
         _verify_rebuild(build_sum([SQUARE]), [])
     assert decompose(FilteredComplex(2, (0, 1), [], [])) == []
-
-
-# ----------------------------------------------------------------------
-# Basis changes keep the incoming maps exact
-
-def arrows_of(basis):
-    return {(a, b) for out in (basis.xout, basis.yout) for a in out for b in out[a]}
-
-
-def assert_transposed(basis):
-    for out, inc in ((basis.xout, basis.xin), (basis.yout, basis.yin)):
-        assert set(out) == set(inc) == set(basis.info)
-        assert {(a, b) for a in out for b in out[a]} == {
-            (a, b) for b in inc for a in inc[b]
-        }
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_basis_changes_keep_incoming_maps_transposed(seed):
-    rng = random.Random(seed)
-    cx = scramble(build_sum(random_summand_sum(rng, max_summands=8)), rng)
-    basis = _Basis(cx)
-    assert_transposed(basis)
-    moves = []
-    for _ in range(25):
-        groups = [ids for ids in basis.classes().values() if len(ids) > 1]
-        if not groups:
-            break
-        p, m = rng.sample(rng.choice(groups), 2)
-        basis.add_into(p, m)
-        moves.append((p, m))
-        assert_transposed(basis)
-    assert arrows_of(basis) == set(change_basis(cx, moves).arrows)
-    while basis.info:
-        before = arrows_of(basis)
-        ids = set(rng.sample(sorted(basis.info), min(len(basis.info), rng.randrange(1, 5))))
-        basis.remove(ids)
-        assert_transposed(basis)
-        assert arrows_of(basis) == {(a, b) for a, b in before if a not in ids and b not in ids}
