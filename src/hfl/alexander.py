@@ -3,7 +3,8 @@
 Two quantities are computed here, both in exact arithmetic:
 
 * the symmetrized multivariable Alexander polynomial, via Fox calculus
-  on the Wirtinger presentation of the diagram's knot group, and
+  on the Wirtinger presentation, whose abelianized Fox matrix is read
+  straight off the crossings, one row per crossing, and
 * the signature of the oriented link, via the Gordon-Litherland form of
   a checkerboard surface.
 
@@ -18,11 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .laurent import MultiLaurent, monomial, one, symmetric_normalize, zero
+from .laurent import MultiLaurent, one, symmetric_normalize
 from .linkdiag import LinkDiagram
 
 __all__ = [
-    "WirtingerPresentation",
     "AlexanderResult",
     "multivariable_alexander",
     "signature",
@@ -31,175 +31,126 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# Wirtinger presentation
-
-class WirtingerPresentation:
-    """Arc generators and crossing relators of a link group.
-
-    Arcs are maximal over-strands: edges of the diagram merged across
-    every crossing where they pass over.  Each crossing contributes one
-    relator expressing the outgoing under-arc as a conjugate of the
-    incoming one by the over-arc.
-
-    Attributes:
-        n_generators: number of arcs.
-        relators: one word per crossing, each a list of
-            (generator index, +1 or -1) letters.
-        generator_component: component index of each arc.
-        arc_of_edge: map edge label -> generator index.
-    """
-
-    def __init__(self, d: LinkDiagram):
-        if not d.is_connected():
-            raise ValueError("Wirtinger presentation needs a connected projection")
-        parent = {e: e for e in d._occ}
-
-        def find(e):
-            while parent[e] != e:
-                parent[e] = parent[parent[e]]
-                e = parent[e]
-            return e
-
-        for x in d.crossings:
-            ra, rb = find(x[1]), find(x[3])
-            if ra != rb:
-                parent[ra] = rb
-        reps = sorted({find(e) for e in d._occ})
-        rep_index = {r: i for i, r in enumerate(reps)}
-        self.arc_of_edge = {e: rep_index[find(e)] for e in d._occ}
-        self.n_generators = len(reps)
-        self.generator_component = [d.edge_comp[r] for r in reps]
-        self.relators = []
-        for ci, x in enumerate(d.crossings):
-            a = self.arc_of_edge[x[0]]
-            b = self.arc_of_edge[x[1]]
-            c = self.arc_of_edge[x[2]]
-            if d.signs[ci] == 1:
-                word = [(b, 1), (a, 1), (b, -1), (c, -1)]
-            else:
-                word = [(b, -1), (a, 1), (b, 1), (c, -1)]
-            self.relators.append(word)
-        if d.crossings:
-            assert self.n_generators == len(d.crossings)
-        for word in self.relators:
-            net = [0] * (max(self.generator_component, default=0) + 1)
-            for g, s in word:
-                net[self.generator_component[g]] += s
-            assert not any(net), "relator does not abelianize to the identity"
-
-    def fox_matrix(self, nvars):
-        """Abelianized Fox derivative matrix, one row per relator.
-
-        Entry (r, g) is the image of the Fox derivative d(relator_r)/d(gen_g)
-        under the abelianization sending a generator on component i to T_i.
-        Rows coming from negative crossings are scaled by the unit T_o,
-        which changes the determinant by a unit only.
-        """
-        rows = []
-        for word in self.relators:
-            row = {}
-
-            def add(g, p):
-                row[g] = row.get(g, zero(nvars)) + p
-
-            b, a, c = word[0][0], word[1][0], word[3][0]
-            positive = word[0][1] == 1
-            t_o = _var(nvars, self.generator_component[b])
-            t_u = _var(nvars, self.generator_component[a])
-            if positive:
-                add(a, t_o)
-                add(b, one(nvars) - t_u)
-                add(c, -one(nvars))
-            else:
-                add(a, one(nvars))
-                add(b, t_u - one(nvars))
-                add(c, -t_o)
-            rows.append(row)
-        return rows
-
+# Fox calculus
 
 @dataclass
 class AlexanderResult:
-    """Symmetrized Alexander polynomial plus the conventions that produced it.
-
-    ``conventions`` records the deleted relator row, the deleted
-    generator column, that generator's component, and the Torres factor
-    divided out (None for knots).
-    """
+    """Symmetrized Alexander polynomial of an oriented link."""
 
     delta: MultiLaurent
-    conventions: dict
 
 
 def multivariable_alexander(d: LinkDiagram) -> AlexanderResult:
     """Alexander polynomial of the oriented link presented by ``d``.
 
-    The Fox matrix of the Wirtinger presentation has one redundant row
-    and satisfies the column relation sum_g M[.,g]*(T_comp(g)-1) = 0, so
-    deleting one row and the column of a generator on component i leaves
-    a square matrix whose determinant is (T_i-1)*Delta up to units when
-    the link has more than one component, and Delta itself for a knot.
-    The determinant is computed fraction-free and the (T_i-1) division
-    is performed exactly; a nonzero remainder is an internal error, not
-    a possible outcome.  The result is normalized to its bar-symmetric
+    The generators of the Wirtinger presentation are the arcs, maximal
+    over-strands, and each crossing gives one relator; ``_fox_rows``
+    reads the abelianized Fox derivatives of that relator straight off
+    the crossing, one row per crossing.  The Fox matrix has one
+    redundant row and satisfies the column relation
+    sum_g M[.,g]*(T_comp(g)-1) = 0, so deleting one row and the column
+    of a generator on component i leaves a square matrix whose
+    determinant is (T_i-1)*Delta up to units when the link has more
+    than one component, and Delta itself for a knot.  Here the first
+    row and the first arc on the first component are deleted.  The
+    determinant is computed fraction-free and the (T_1-1) division is
+    performed exactly; a nonzero remainder is an internal error, not a
+    possible outcome.  The result is normalized to its bar-symmetric
     representative with positive leading coefficient.
     """
-    nvars = d.n_components
     if not d.crossings:
-        return AlexanderResult(one(1), {
-            "deleted_row": None, "deleted_generator": None,
-            "generator_component": None, "torres_factor": None,
-        })
-    w = WirtingerPresentation(d)
-    rows = w.fox_matrix(nvars)
-    del_col = min(g for g in range(w.n_generators) if w.generator_component[g] == 0)
-    del_row = 0
-    n = w.n_generators
-    cols = [g for g in range(n) if g != del_col]
-    empty = zero(nvars)
-    mat = [[rows[r].get(g, empty) for g in cols]
-           for r in range(n) if r != del_row]
-    torres = _var(nvars, 0) - one(nvars) if nvars >= 2 else None
+        return AlexanderResult(one(1))
+    nvars = d.n_components
+    arc_component, rows = _fox_rows(d)
+    del_col = arc_component.index(0)
+    mat = [[row.get(g, {}) for g in range(len(rows)) if g != del_col] for row in rows[1:]]
+    unit = (0,) * nvars
+    torres = {(2,) + unit[1:]: 1, unit: -1} if nvars >= 2 else None
     det = _packed_det(mat, nvars, torres)
-    conv = {
-        "deleted_row": del_row,
-        "deleted_generator": del_col,
-        "generator_component": 0,
-        "torres_factor": None if torres is None else "T1-1",
-    }
-    if det:
-        det = symmetric_normalize(det)
-    return AlexanderResult(det, conv)
+    return AlexanderResult(symmetric_normalize(det) if det else det)
 
 
-def _var(nvars, i):
-    """The monomial T_{i+1} (doubled exponent 2 in slot i)."""
-    return monomial(nvars, tuple(2 if j == i else 0 for j in range(nvars)))
+def _fox_rows(d: LinkDiagram):
+    """The arcs' components and the abelianized Fox matrix, one row per crossing.
+
+    Arcs are maximal over-strands: edges merged across every crossing
+    where they pass over, numbered by their smallest merged edge label.
+    A crossing (a, b, c, .) with incoming under-arc a, over-arc b and
+    outgoing under-arc c has relator b a b^-1 c^-1 when positive and
+    b^-1 a b c^-1 when negative.  Sending an arc on component i to T_i,
+    its Fox row is {a: T_o, b: 1 - T_u, c: -1} or, scaled by the unit
+    T_o, {a: 1, b: T_u - 1, c: -T_o}, where T_o and T_u are the
+    variables of the over- and under-strand.  Each row maps an arc to a
+    dict from doubled exponent vector to nonzero coefficient; coinciding
+    arcs add up.
+    """
+    if not d.is_connected():
+        raise ValueError("Wirtinger presentation needs a connected projection")
+    parent = {e: e for e in d._occ}
+
+    def find(e):
+        while parent[e] != e:
+            parent[e] = parent[parent[e]]
+            e = parent[e]
+        return e
+
+    for x in d.crossings:
+        ra, rb = find(x[1]), find(x[3])
+        if ra != rb:
+            parent[ra] = rb
+    reps = sorted({find(e) for e in d._occ})
+    rep_index = {r: i for i, r in enumerate(reps)}
+    arc = {e: rep_index[find(e)] for e in d._occ}
+    arc_component = [d.edge_comp[r] for r in reps]
+    assert len(reps) == len(d.crossings)
+    nvars = d.n_components
+    unit = (0,) * nvars
+    var = [unit[:i] + (2,) + unit[i + 1:] for i in range(nvars)]
+    rows = []
+    for x, sign in zip(d.crossings, d.signs):
+        a, b, c = arc[x[0]], arc[x[1]], arc[x[2]]
+        assert arc_component[a] == arc_component[c], \
+            "relator does not abelianize to the identity"
+        t_o, t_u = var[arc_component[b]], var[arc_component[a]]
+        if sign == 1:
+            cells = ((a, t_o, 1), (b, unit, 1), (b, t_u, -1), (c, unit, -1))
+        else:
+            cells = ((a, unit, 1), (b, t_u, 1), (b, unit, -1), (c, t_o, -1))
+        row = {}
+        for g, e, coeff in cells:
+            cell = row.setdefault(g, {})
+            coeff += cell.pop(e, 0)
+            if coeff:
+                cell[e] = coeff
+        rows.append(row)
+    return arc_component, rows
 
 
 def _packed_det(mat, nvars, divisor=None):
-    """Determinant of a square MultiLaurent matrix, divided exactly by ``divisor``.
+    """Determinant of a square polynomial matrix, divided exactly by ``divisor``.
 
-    Fraction-free Bareiss elimination with the fewest-terms pivot, run on
-    packed exponent keys.  Each variable's exponents are shifted by their
-    minimum over the matrix (the divisor by its own minimum), so they run
-    over 0..span_v, span_v being their spread over the whole matrix.  An
-    exponent vector is packed into one int, T1 the most significant digit
-    and variable v in base 2*n*span_v + dspan_v + 1 (dspan_v the divisor's
-    spread).  A k-minor spreads at most k*span_v, every Bareiss numerator
-    is a product of two minors of size at most n, and the final quotient
-    times the divisor stays below n*span_v + dspan_v, so no digit of any
-    key ever carries: packing is injective, exponent addition is int
-    addition and int order is lexicographic order.  Polynomials are dicts
-    from key to nonzero coefficient, unpacked to MultiLaurent once at the
+    Entries and the divisor are dicts from doubled exponent vector to
+    nonzero coefficient.  Fraction-free Bareiss elimination with the
+    fewest-terms pivot, run on packed exponent keys.  Each variable's
+    exponents are shifted by their minimum over the matrix (the divisor
+    by its own minimum), so they run over 0..span_v, span_v being their
+    spread over the whole matrix.  An exponent vector is packed into one
+    int, T1 the most significant digit and variable v in base
+    2*n*span_v + dspan_v + 1 (dspan_v the divisor's spread).  A k-minor
+    spreads at most k*span_v, every Bareiss numerator is a product of
+    two minors of size at most n, and the final quotient times the
+    divisor stays below n*span_v + dspan_v, so no digit of any key ever
+    carries: packing is injective, exponent addition is int addition
+    and int order is lexicographic order.  Polynomials are dicts from
+    key to nonzero coefficient, unpacked to a MultiLaurent once at the
     end.  An inexact division is an internal error and raises
     ArithmeticError.
     """
     n = len(mat)
-    exps = [e for row in mat for p in row for e in p.terms]
+    exps = [e for row in mat for p in row for e in p]
     lo = [min((e[v] for e in exps), default=0) for v in range(nvars)]
     span = [max((e[v] for e in exps), default=0) - lo[v] for v in range(nvars)]
-    dterms = divisor.terms if divisor is not None else {(0,) * nvars: 1}
+    dterms = divisor if divisor is not None else {(0,) * nvars: 1}
     dlo = [min(e[v] for e in dterms) for v in range(nvars)]
     bases = [2 * n * s + max(e[v] for e in dterms) - d + 1
              for v, (s, d) in enumerate(zip(span, dlo))]
@@ -211,7 +162,7 @@ def _packed_det(mat, nvars, divisor=None):
         return {sum((x - s) * w for x, s, w in zip(e, shift, weights)): c
                 for e, c in terms.items()}
 
-    a = [[pack(p.terms, lo) for p in row] for row in mat]
+    a = [[pack(p, lo) for p in row] for row in mat]
     det = _bareiss(a)
     if det:
         det = _packed_divide(det, pack(dterms, dlo))

@@ -356,7 +356,7 @@ def validate(cx: FilteredComplex) -> ValidationReport:
 
 def require_valid(cx: FilteredComplex) -> None:
     """Refuse an illegal complex with the first violation found."""
-    rep = validate(cx) if cx._report is None else cx._report
+    rep = validate(cx)
     if not rep:
         raise ValueError(f"not a legal filtered complex: {rep.detail}")
 

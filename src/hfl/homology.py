@@ -118,25 +118,27 @@ class HFLReport:
         }
 
 
-def _require_alternating(diag: LinkDiagram, message: str) -> None:
-    """Refuse a split, then a non-alternating projection."""
+def _alternating_invariants(diag: LinkDiagram, message: str) -> tuple[MultiLaurent, int]:
+    """Delta and sigma of a connected alternating projection.
+
+    Refuses a split projection, then a non-alternating one with ``message``.
+    """
     if not diag.is_connected():
         raise SplitLinkError("the projection is split")
     if not diag.is_alternating():
         raise ValueError(message)
+    return multivariable_alexander(diag).delta, signature(diag)
 
 
 def hfl_alternating(diag: LinkDiagram) -> HFLReport:
     """Homology table of a connected alternating link projection, l >= 2."""
     if diag.n_components < 2:
         raise ValueError("knot input: use hfk_alternating_knot")
-    _require_alternating(
+    delta, sigma = _alternating_invariants(
         diag,
         "the projection is not alternating, so the rank table is not "
         "determined by the Alexander polynomial and signature",
     )
-    delta = multivariable_alexander(diag).delta
-    sigma = signature(diag)
     lkd = linking_matrix(diag)
     table = table_from_invariants(delta, sigma, lkd.total)
     return HFLReport(
@@ -155,9 +157,7 @@ def hfk_alternating_knot(diag: LinkDiagram) -> MultiGradedVS:
     """One-variable homology table of a connected alternating knot."""
     if diag.n_components != 1:
         raise ValueError("link input: use hfl_alternating")
-    _require_alternating(diag, "the projection is not alternating")
-    delta = multivariable_alexander(diag).delta
-    sigma = signature(diag)
+    delta, sigma = _alternating_invariants(diag, "the projection is not alternating")
     return table_from_invariants(delta, sigma, (0,))
 
 
@@ -307,12 +307,11 @@ def _verify_euler_minus(table: MultiGradedVS, delta: MultiLaurent, depth: int) -
         raise ValueError("depth must be at least 1")
     l = table.nvars
     chi = table.euler()
-    series = chi
+    lhs = chi
     for i in range(1, l + 1):
-        series = series_quotient(series, i, depth)
-    lhs = series.poly
+        lhs = series_quotient(lhs, i, depth)
     if l == 1:
-        target = series_quotient(delta, 1, depth).poly
+        target = series_quotient(delta, 1, depth)
     else:
         target = delta.shift((1,) * l)
     floor2 = []
@@ -375,11 +374,9 @@ def component_data_from_diagram(diag: LinkDiagram) -> ComponentData:
     """
     if diag.n_components != 1:
         raise ValueError("component data needs a knot diagram")
-    _require_alternating(
+    delta, sigma = _alternating_invariants(
         diag, "the projection is not alternating; the thin rank recursion does not apply"
     )
-    delta = multivariable_alexander(diag).delta
-    sigma = signature(diag)
     assert sigma % 2 == 0, "knot signature should be even"
     tau = -sigma // 2
     if not delta:
@@ -587,13 +584,11 @@ def two_component_cfl_from_diagram(
     """
     if diag.n_components != 2:
         raise ValueError("need a two-component diagram")
-    _require_alternating(
+    delta, sigma = _alternating_invariants(
         diag,
         "the projection is not alternating; only alternating links "
         "decompose into the model summands this way",
     )
-    delta = multivariable_alexander(diag).delta
-    sigma = signature(diag)
     n = linking_matrix(diag).lk[0][1]
     comps = tuple(
         component_data_from_diagram(keep_component(diag, i)) for i in range(2)

@@ -7,13 +7,11 @@ Coefficients are arbitrary-precision integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 __all__ = [
     "MultiLaurent",
-    "SeriesTruncation",
     "monomial",
     "one",
     "zero",
@@ -239,38 +237,17 @@ def symmetric_normalize(p: MultiLaurent) -> MultiLaurent:
     return g
 
 
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """A Laurent polynomial tagged with the truncation depths used to make it.
-
-    ``depths`` maps a 1-based variable index to the number of geometric
-    terms kept when dividing by (1 - T_i^{-1}).  The dropped tail of the
-    expansion is the exact quotient times T_i^{-depths[i]-1}, so the
-    coefficients of ``poly`` are only trustworthy on the window of
-    doubled T_i-exponents strictly above max_i - 2*depths[i] - 2 for
-    each truncated variable i, with max_i taken over the support before
-    any division.
-    """
-
-    poly: MultiLaurent
-    depths: dict[int, int]
-
-    def restrict(self, floor2: Iterable[int]) -> MultiLaurent:
-        return self.poly.restrict(floor2)
-
-
-def series_quotient(p: MultiLaurent | SeriesTruncation, i: int, depth: int) -> SeriesTruncation:
+def series_quotient(p: MultiLaurent, i: int, depth: int) -> MultiLaurent:
     """Truncated division of ``p`` by (1 - T_i^{-1}).
 
     Multiplies by 1 + T_i^{-1} + ... + T_i^{-depth}, the depth-``depth``
     truncation of the geometric series for 1/(1 - T_i^{-1}).  Multiplying
     the result back by (1 - T_i^{-1}) recovers ``p`` on the window where
-    the truncation has not bitten.
+    the truncation has not bitten: the dropped tail is the exact
+    quotient times T_i^{-depth-1}, so the coefficients are only
+    trustworthy at doubled T_i-exponents strictly above
+    max_i - 2*depth - 2, max_i taken over the support of ``p``.
     """
-    prev: dict[int, int] = {}
-    if isinstance(p, SeriesTruncation):
-        prev = dict(p.depths)
-        p = p.poly
     if not 1 <= i <= p.nvars:
         raise ValueError("variable index out of range")
     if depth < 0:
@@ -279,5 +256,4 @@ def series_quotient(p: MultiLaurent | SeriesTruncation, i: int, depth: int) -> S
         p.nvars,
         {tuple(-2 * a if j == i - 1 else 0 for j in range(p.nvars)): 1 for a in range(depth + 1)},
     )
-    prev[i] = max(depth, prev.get(i, 0))
-    return SeriesTruncation(p * geom, prev)
+    return p * geom

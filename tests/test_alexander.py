@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfl.alexander import (
-    WirtingerPresentation,
+    _fox_rows,
     _ldlt,
     _packed_det,
     goeritz_determinant,
@@ -16,6 +16,7 @@ from hfl.alexander import (
 )
 from hfl.laurent import MultiLaurent, one, zero
 from hfl.linkdiag import (
+    CORPUS_NAMES,
     LinkDiagram,
     braid_closure,
     connected_sum,
@@ -39,16 +40,16 @@ CLASP = poly(2, {(1, 1): 1, (1, -1): -1, (-1, 1): -1, (-1, -1): 1})
 def test_wirtinger_generator_count():
     for name in ("trefoil_right", "figure8", "L7n1", "two_bridge(8,3)"):
         d = corpus(name)
-        w = WirtingerPresentation(d)
-        assert w.n_generators == len(d.crossings)
-        assert len(w.relators) == len(d.crossings)
+        arc_component, rows = _fox_rows(d)
+        assert len(arc_component) == len(d.crossings)
+        assert len(rows) == len(d.crossings)
 
 
 def test_wirtinger_needs_connected():
     h = corpus("hopf_plus")
     split = LinkDiagram(h.crossings + [tuple(e + 10 for e in x) for x in h.crossings])
-    with pytest.raises(ValueError):
-        WirtingerPresentation(split)
+    with pytest.raises(ValueError, match="connected projection"):
+        multivariable_alexander(split)
     with pytest.raises(ValueError):
         signature(split)
 
@@ -81,13 +82,6 @@ def test_corpus_invariants(name):
     assert multivariable_alexander(d).delta == delta
     assert signature(d) == sigma
     assert goeritz_determinant(d) == det
-
-
-def test_result_conventions():
-    r = multivariable_alexander(corpus("hopf_plus"))
-    assert r.conventions["torres_factor"] == "T1-1"
-    assert r.conventions["deleted_row"] == 0
-    assert multivariable_alexander(corpus("figure8")).conventions["torres_factor"] is None
 
 
 def test_mirror_flips_signature():
@@ -209,6 +203,39 @@ def test_golden_delta(family):
         assert multivariable_alexander(golden_diagram(name)).delta.to_json_dict() == GOLDEN[name], name
 
 
+# the same diagram under other edge labels and another crossing order
+RELABEL_SOURCES = (
+    [name for name in CORPUS_NAMES if name != "unknot"]
+    + [f"two_bridge({p},{q})" for p, q in ((7, 3), (12, 5), (14, 5), (20, 7), (21, 8))]
+    + [f"closure(1,-2)^{k}" for k in (2, 3, 4)]
+    + [f"closure(1,-2,3)^{k}" for k in (1, 2, 4)]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(RELABEL_SOURCES), st.randoms(use_true_random=False))
+def test_relabelling_keeps_sigma_and_delta(name, rng):
+    d = golden_diagram(name)
+    labels = sorted(d._occ)
+    new = dict(zip(labels, rng.sample(range(1, len(labels) + 1), len(labels))))
+    crossings = [tuple(new[e] for e in x) for x in d.crossings]
+    rng.shuffle(crossings)
+    r = LinkDiagram(crossings)
+    assert signature(r) == signature(d)
+    # components are numbered by smallest label: component i of d is
+    # component moved[i] of r, and T_i becomes T_moved[i]
+    moved = [r.edge_comp[new[cycle[0]]] for cycle in d.components]
+    want = {}
+    for e, c in multivariable_alexander(d).delta.terms.items():
+        f = [0] * len(e)
+        for i, x in enumerate(e):
+            f[moved[i]] = x
+        want[tuple(f)] = c
+    want = poly(d.n_components, want)
+    got = multivariable_alexander(r).delta
+    assert got == want or got == -want
+
+
 # ----------------------------------------------------------------------
 # the packed determinant kernel against the Leibniz expansion
 
@@ -249,19 +276,20 @@ def matrices(draw):
 def test_packed_det_matches_leibniz(case):
     nvars, mat, divisor = case
     want = leibniz_det(mat, nvars)
-    assert _packed_det(mat, nvars) == want
+    assert _packed_det([[p.terms for p in row] for row in mat], nvars) == want
     if mat:
         # scaling one row by the divisor scales the determinant by it too
         scaled = [[divisor * p for p in mat[0]]] + mat[1:]
-        assert _packed_det(scaled, nvars, divisor) == want
+        assert _packed_det([[p.terms for p in row] for row in scaled], nvars,
+                           divisor.terms) == want
 
 
 def test_packed_det_refuses_inexact_division():
-    t2_plus_1 = MultiLaurent(1, {(4,): 1, (0,): 1})
+    t2_plus_1 = {(4,): 1, (0,): 1}
     with pytest.raises(ArithmeticError):
-        _packed_det([[t2_plus_1]], 1, MultiLaurent(1, {(2,): 1, (0,): -1}))
+        _packed_det([[t2_plus_1]], 1, {(2,): 1, (0,): -1})
     with pytest.raises(ArithmeticError):
-        _packed_det([[t2_plus_1]], 1, MultiLaurent(1, {(0,): 2}))
+        _packed_det([[t2_plus_1]], 1, {(0,): 2})
 
 
 # ----------------------------------------------------------------------
