@@ -84,9 +84,9 @@ def _fox_rows(d: LinkDiagram):
     dict from doubled exponent vector to nonzero coefficient; coinciding
     arcs add up.
     """
-    if not d.is_connected():
+    if not d.connected:
         raise ValueError("Wirtinger presentation needs a connected projection")
-    parent = {e: e for e in d._occ}
+    parent = {e: e for e in d.edge_comp}
 
     def find(e):
         while parent[e] != e:
@@ -98,9 +98,9 @@ def _fox_rows(d: LinkDiagram):
         ra, rb = find(x[1]), find(x[3])
         if ra != rb:
             parent[ra] = rb
-    reps = sorted({find(e) for e in d._occ})
+    reps = sorted({find(e) for e in d.edge_comp})
     rep_index = {r: i for i, r in enumerate(reps)}
-    arc = {e: rep_index[find(e)] for e in d._occ}
+    arc = {e: rep_index[find(e)] for e in d.edge_comp}
     arc_component = [d.edge_comp[r] for r in reps]
     assert len(reps) == len(d.crossings)
     nvars = d.n_components
@@ -280,7 +280,7 @@ TYPE_CAL = 1
 
 def _checkerboard(d: LinkDiagram):
     """Faces, their two-coloring, and the face at each corner."""
-    faces = d.faces()
+    faces = d.faces
     face_at = {}
     for fi, face in enumerate(faces):
         for corner in face:
@@ -343,7 +343,7 @@ def signature(d: LinkDiagram) -> int:
     """
     if not d.crossings:
         return 0
-    if not d.is_connected():
+    if not d.connected:
         raise ValueError("signature needs a connected projection")
     faces, color, face_at = _checkerboard(d)
     values = []
@@ -358,7 +358,7 @@ def goeritz_determinant(d: LinkDiagram) -> int:
     """|det| of the reduced Goeritz matrix; the determinant of the link."""
     if not d.crossings:
         return 1
-    if not d.is_connected():
+    if not d.connected:
         raise ValueError("needs a connected projection")
     faces, color, face_at = _checkerboard(d)
     reduced, _ = _goeritz_data(d, faces, color, face_at, 0)

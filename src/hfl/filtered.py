@@ -38,7 +38,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
-from .laurent import MultiLaurent
+from .laurent import MultiLaurent, fmt_half
 
 __all__ = [
     "AlexGrading",
@@ -91,8 +91,7 @@ class AlexGrading:
         return AlexGrading(tuple(-x for x in self.doubled), self.parity)
 
     def __str__(self) -> str:
-        parts = [str(x // 2) if x % 2 == 0 else f"{x}/2" for x in self.doubled]
-        return "(" + ",".join(parts) + ")"
+        return "(" + ",".join(map(fmt_half, self.doubled)) + ")"
 
 
 class MultiGradedVS:
@@ -269,9 +268,6 @@ class FilteredComplex:
 
     def filt2(self, gid: str) -> tuple[int, ...]:
         return self._filt[gid]
-
-    def grading(self, gid: str) -> AlexGrading:
-        return AlexGrading(self._filt[gid], self.parity)
 
     def gens(self) -> list[tuple[str, int, tuple[int, ...]]]:
         return [(g, self._maslov[g], self._filt[g]) for g in self._order]

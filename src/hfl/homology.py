@@ -31,6 +31,7 @@ from .alexander import multivariable_alexander, signature
 from .filtered import FilteredComplex, MultiGradedVS
 from .laurent import (
     MultiLaurent,
+    fmt_half,
     series_quotient,
     spin_product,
     symmetric_normalize,
@@ -123,7 +124,7 @@ def _alternating_invariants(diag: LinkDiagram, message: str) -> tuple[MultiLaure
 
     Refuses a split projection, then a non-alternating one with ``message``.
     """
-    if not diag.is_connected():
+    if not diag.connected:
         raise SplitLinkError("the projection is split")
     if not diag.is_alternating():
         raise ValueError(message)
@@ -209,15 +210,11 @@ class CollapsedTable:
     def table_str(self) -> str:
         lines = []
         for (d2, s2), r in sorted(self.ranks.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            lines.append(f"s={_half(s2)}  d={_half(d2)}  rank={r}")
+            lines.append(f"s={fmt_half(s2)}  d={fmt_half(d2)}  rank={r}")
         return "\n".join(lines) if lines else "(zero)"
 
     def __repr__(self):
         return f"CollapsedTable({self.ranks!r})"
-
-
-def _half(x2: int) -> str:
-    return str(x2 // 2) if x2 % 2 == 0 else f"{x2}/2"
 
 
 def collapse_to_hfk(v: MultiGradedVS) -> CollapsedTable:

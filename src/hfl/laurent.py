@@ -7,7 +7,6 @@ Coefficients are arbitrary-precision integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -18,6 +17,7 @@ __all__ = [
     "spin_product",
     "symmetric_normalize",
     "series_quotient",
+    "fmt_half",
 ]
 
 Expo = tuple[int, ...]
@@ -152,7 +152,7 @@ class MultiLaurent:
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
             mono = "*".join(
-                f"{names[i]}^{_fmt_half(x)}" for i, x in enumerate(e) if x
+                f"{names[i]}^{fmt_half(x)}" for i, x in enumerate(e) if x
             )
             if not mono:
                 body = str(abs(c))
@@ -178,9 +178,9 @@ class MultiLaurent:
         return cls(int(d["l"]), {tuple(t["e2"]): int(t["c"]) for t in d["terms"]})
 
 
-def _fmt_half(x2: int) -> str:
-    f = Fraction(x2, 2)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/2"
+def fmt_half(x2: int) -> str:
+    """The half-integer x2/2, written as an integer when x2 is even."""
+    return str(x2 // 2) if x2 % 2 == 0 else f"{x2}/2"
 
 
 def zero(nvars: int) -> MultiLaurent:

@@ -61,107 +61,54 @@ class LinkDiagram:
       components  list of edge cycles in traversal order, numbered by
                   smallest edge label, each rotated to start at it
       edge_comp   edge label -> component index
+      connected   whether the projection is connected
+      faces       complementary regions of a connected projection as
+                  corner lists, None for a split one; a corner (ci, k)
+                  is the sector of crossing ci between slots k and
+                  k+1 mod 4
     """
 
     def __init__(self, crossings):
-        self.crossings = [tuple(int(e) for e in x) for x in crossings]
-        for x in self.crossings:
+        self.crossings = xs = [tuple(int(e) for e in x) for x in crossings]
+        for x in xs:
             if len(x) != 4:
                 raise ValueError("crossing %r does not have four edges" % (x,))
             if any(e < 1 for e in x):
                 raise ValueError("edge labels must be positive")
-        self._trace()
-        if self.is_connected():
-            self.faces()  # a non-planar code fails the face count here
+        self._occ = occ = _incidences(xs)
 
-    # ------------------------------------------------------------------
-    # tracing
-
-    def _trace(self):
-        occ = {}
-        for ci, x in enumerate(self.crossings):
-            for k, e in enumerate(x):
-                occ.setdefault(e, []).append((ci, k))
-        for e, places in occ.items():
-            if len(places) != 2:
-                raise ValueError("edge %d used %d times (need exactly 2)" % (e, len(places)))
-        self._occ = occ
-
-        if not self.crossings:
-            self.signs = []
-            self.components = [[]]
-            self.edge_comp = {}
-            self.n_edges = 0
-            return
-
-        # Direction of each (crossing, slot) incidence.  Under slots are
-        # forced; over slots follow by propagating two constraints: an
-        # edge is out at one end and in at the other, and the two over
-        # slots of a crossing carry one in and one out.
         dirs = {}
-        stack = []
-
-        def set_dir(ci, k, d):
-            key = (ci, k)
-            if key in dirs:
-                if dirs[key] != d:
-                    raise ValueError("inconsistent strand orientations (trace does not close)")
-                return
-            dirs[key] = d
-            stack.append((ci, k, d))
-
-        for ci in range(len(self.crossings)):
-            set_dir(ci, 0, IN)
-            set_dir(ci, 2, OUT)
-        while stack:
-            ci, k, d = stack.pop()
-            e = self.crossings[ci][k]
-            for cj, m in self._occ[e]:
-                if (cj, m) != (ci, k):
-                    set_dir(cj, m, 1 - d)
-            if k in (1, 3):
-                set_dir(ci, 4 - k, 1 - d)
-        for ci in range(len(self.crossings)):
-            for k in (1, 3):
-                if (ci, k) not in dirs:
-                    raise ValueError(
-                        "orientation of an all-over component is not determined; "
-                        "give a diagram where every component passes under somewhere"
-                    )
-        self._dirs = dirs
-
+        _orient(xs, occ, dirs, [((ci, 0), IN) for ci in range(len(xs))])
+        if len(dirs) != 4 * len(xs):
+            raise ValueError(
+                "orientation of an all-over component is not determined; "
+                "give a diagram where every component passes under somewhere"
+            )
+        # the (crossing, slot) where each edge comes in
+        self._head = head = {e: a if dirs[a] == IN else b for e, (a, b) in occ.items()}
         # sign +1 exactly when the over-strand enters at slot 3
-        self.signs = [1 if dirs[(ci, 3)] == IN else -1 for ci in range(len(self.crossings))]
+        self.signs = [1 if head[x[3]] == (ci, 3) else -1 for ci, x in enumerate(xs)]
 
-        # successor along the strand: follow the in-slot to the out-slot
-        succ = {}
-        for ci, x in enumerate(self.crossings):
-            succ[x[0]] = x[2]
-            if dirs[(ci, 1)] == IN:
-                succ[x[1]] = x[3]
-            else:
-                succ[x[3]] = x[1]
-
-        comps = []
-        seen = set()
-        for e in sorted(occ):
-            if e in seen:
-                continue
-            cyc = [e]
-            seen.add(e)
-            nxt = succ[e]
-            while nxt != e:
-                cyc.append(nxt)
-                seen.add(nxt)
-                nxt = succ[nxt]
-            comps.append(cyc)
-        comps.sort(key=min)
-        self.components = comps
+        # tracing from the smallest unseen edge starts each cycle at its
+        # minimum, so the components come out in order
+        self.components = []
         self.edge_comp = {}
-        for i, cyc in enumerate(self.components):
-            for e in cyc:
-                self.edge_comp[e] = i
-        self.n_edges = len(occ)
+        for e in sorted(occ):
+            if e in self.edge_comp:
+                continue
+            cyc = []
+            while e not in self.edge_comp:
+                self.edge_comp[e] = len(self.components)
+                cyc.append(e)
+                ci, k = head[e]
+                e = xs[ci][(k + 2) % 4]
+            self.components.append(cyc)
+        if not xs:
+            self.components = [[]]
+
+        self.connected = _connected(len(xs), occ)
+        # a non-planar code fails the face count here
+        self.faces = _faces(xs, occ) if self.connected else None
 
     # ------------------------------------------------------------------
     # basic queries
@@ -175,84 +122,19 @@ class LinkDiagram:
         x = self.crossings[ci]
         return self.edge_comp[x[0]], self.edge_comp[x[1]]
 
-    def in_crossing(self, e):
-        """The crossing index where edge e ends."""
-        for ci, k in self._occ[e]:
-            if self._dirs[(ci, k)] == IN:
-                return ci
-        raise ValueError("edge %d has no incoming end" % e)
-
     def writhe(self):
         return sum(self.signs)
 
-    def is_connected(self):
-        if len(self.crossings) <= 1:
-            return True
-        adj = {ci: set() for ci in range(len(self.crossings))}
-        for places in self._occ.values():
-            (a, _), (b, _) = places
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == len(self.crossings)
-
     def is_alternating(self):
         """Whether over/under strictly alternate along every strand cycle."""
-        if not self.crossings:
-            return True
         for cyc in self.components:
-            passes = []
-            for e in cyc:
-                for ci, k in self._occ[e]:
-                    if self._dirs[(ci, k)] == IN:
-                        passes.append(0 if k == 0 else 1)
+            passes = [self._head[e][1] == 0 for e in cyc]
             if len(passes) % 2:
                 return False
             for i in range(len(passes)):
                 if passes[i] == passes[(i + 1) % len(passes)]:
                     return False
         return True
-
-    def faces(self):
-        """Complementary regions of the projection, as corner lists.
-
-        A corner (ci, k) is the sector of crossing ci between slots k
-        and k+1 mod 4.  The face count is checked against Euler's
-        formula, which fails loudly if the counterclockwise slot
-        convention was violated somewhere.
-        """
-        if not self.crossings:
-            return [[], []]
-        other_end = {}
-        for places in self._occ.values():
-            (a, ka), (b, kb) = places
-            other_end[(a, ka)] = (b, kb)
-            other_end[(b, kb)] = (a, ka)
-        faces = []
-        seen = set()
-        for ci in range(len(self.crossings)):
-            for k in range(4):
-                if (ci, k) in seen:
-                    continue
-                face = []
-                cur = (ci, k)
-                while cur not in seen:
-                    seen.add(cur)
-                    face.append(cur)
-                    cur = other_end[(cur[0], (cur[1] + 1) % 4)]
-                faces.append(face)
-        if len(faces) != len(self.crossings) + 2:
-            raise ValueError(
-                "face count %d != crossings + 2; the counterclockwise slot "
-                "convention is violated" % len(faces)
-            )
-        return faces
 
     # ------------------------------------------------------------------
     # serialization
@@ -283,6 +165,95 @@ class LinkDiagram:
         return "LinkDiagram(%s)" % self.to_pd_text()
 
 
+# ----------------------------------------------------------------------
+# tracing
+
+
+def _incidences(crossings):
+    """Edge label -> its two (crossing, slot) places, in crossing order."""
+    occ = {}
+    for ci, x in enumerate(crossings):
+        for k, e in enumerate(x):
+            occ.setdefault(e, []).append((ci, k))
+    for e, places in occ.items():
+        if len(places) != 2:
+            raise ValueError("edge %d used %d times (need exactly 2)" % (e, len(places)))
+    return occ
+
+
+def _across(crossings, occ, place):
+    """The other place of the edge at ``place``."""
+    a, b = occ[crossings[place[0]][place[1]]]
+    return b if a == place else a
+
+
+def _orient(crossings, occ, dirs, seeds):
+    """Propagate IN/OUT directions from ``seeds``, (place, direction) pairs.
+
+    The two ends of an edge point opposite ways, and so do slots 0 and 2
+    and slots 1 and 3 of a crossing.  ``dirs`` maps each place reached
+    to its direction and is filled in place.
+    """
+    stack = list(seeds)
+    while stack:
+        place, d = stack.pop()
+        if place in dirs:
+            if dirs[place] != d:
+                raise ValueError("inconsistent strand orientations (trace does not close)")
+            continue
+        dirs[place] = d
+        stack.append((_across(crossings, occ, place), 1 - d))
+        stack.append(((place[0], (place[1] + 2) % 4), 1 - d))
+
+
+def _connected(n, occ):
+    """Whether the n crossings are connected by the edges of ``occ``."""
+    if n <= 1:
+        return True
+    adj = [[] for _ in range(n)]
+    for (a, _), (b, _) in occ.values():
+        adj[a].append(b)
+        adj[b].append(a)
+    seen = {0}
+    stack = [0]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return len(seen) == n
+
+
+def _faces(crossings, occ):
+    """Complementary regions of a connected projection, as corner lists.
+
+    The face count is checked against Euler's formula, which fails
+    loudly if the counterclockwise slot convention was violated
+    somewhere.
+    """
+    if not crossings:
+        return [[], []]
+    faces = []
+    seen = set()
+    for ci in range(len(crossings)):
+        for k in range(4):
+            cur = (ci, k)
+            if cur in seen:
+                continue
+            face = []
+            while cur not in seen:
+                seen.add(cur)
+                face.append(cur)
+                cur = _across(crossings, occ, (cur[0], (cur[1] + 1) % 4))
+            faces.append(face)
+    if len(faces) != len(crossings) + 2:
+        raise ValueError(
+            "face count %d != crossings + 2; the counterclockwise slot "
+            "convention is violated" % len(faces)
+        )
+    return faces
+
+
 def _relabel_dense(crossings):
     labels = sorted({e for x in crossings for e in x})
     m = {e: i + 1 for i, e in enumerate(labels)}
@@ -293,40 +264,17 @@ def _from_positional(crossings):
     """Build a diagram from tuples whose slot 0 need not be the under-in.
 
     Slots (0,2) must be the under-strand pair and the cyclic order must
-    be counterclockwise; the actual flow direction is solved by
-    two-coloring and each tuple is then rotated so slot 0 is incoming.
+    be counterclockwise.  Each strand not yet oriented is started out of
+    the first place of its smallest edge, and each tuple is then turned
+    by two slots where that makes slot 0 incoming.
     """
-    occ = {}
-    for ci, x in enumerate(crossings):
-        for k, e in enumerate(x):
-            occ.setdefault(e, []).append((ci, k))
-    for e, places in occ.items():
-        if len(places) != 2:
-            raise ValueError("edge %d used %d times" % (e, len(places)))
+    occ = _incidences(crossings)
     dirs = {}
     for e in sorted(occ):
-        if (occ[e][0]) in dirs:
-            continue
-        stack = [(occ[e][0], OUT)]
-        while stack:
-            (ci, k), d = stack.pop()
-            if (ci, k) in dirs:
-                if dirs[(ci, k)] != d:
-                    raise ValueError("inconsistent positional crossings")
-                continue
-            dirs[(ci, k)] = d
-            ee = crossings[ci][k]
-            for cj, m in occ[ee]:
-                if (cj, m) != (ci, k):
-                    stack.append(((cj, m), 1 - d))
-            partner = (k + 2) % 4
-            stack.append(((ci, partner), 1 - d))
-    out = []
-    for ci, x in enumerate(crossings):
-        if dirs[(ci, 0)] == IN:
-            out.append(x)
-        else:
-            out.append((x[2], x[3], x[0], x[1]))
+        if occ[e][0] not in dirs:
+            _orient(crossings, occ, dirs, [(occ[e][0], OUT)])
+    out = [x if dirs[(ci, 0)] == IN else (x[2], x[3], x[0], x[1])
+           for ci, x in enumerate(crossings)]
     return LinkDiagram(_relabel_dense(out))
 
 
@@ -373,7 +321,7 @@ def linking_matrix(d):
 def classify(d):
     return {
         "component_count": d.n_components,
-        "connected_projection": d.is_connected(),
+        "connected_projection": d.connected,
         "alternating_projection": d.is_alternating(),
         "writhe": d.writhe(),
     }
@@ -419,10 +367,8 @@ def connected_sum(d1, d2, c1=0, c2=0):
     base = max(e for x in d1.crossings for e in x)
 
     def out_type(d, e):
-        for ci, k in d._occ[e]:
-            if d._dirs[(ci, k)] == OUT:
-                return "U" if k == 2 else "O"
-        raise ValueError("edge %d has no outgoing end" % e)
+        tail = _across(d.crossings, d._occ, d._head[e])
+        return "U" if tail[1] == 2 else "O"
 
     # cut both components at edges leaving the same pass type, so that
     # over/under alternation survives the join when both factors alternate
@@ -436,12 +382,10 @@ def connected_sum(d1, d2, c1=0, c2=0):
     xs2 = [[e + base for e in x] for x in d2.crossings]
     # cross-join: each cut edge keeps its outgoing end and inherits the
     # other diagram's label at its incoming end
-    for ci, k in d1._occ[e1]:
-        if d1._dirs[(ci, k)] == IN:
-            xs1[ci][k] = e2
-    for ci, k in d2._occ[e2 - base]:
-        if d2._dirs[(ci, k)] == IN:
-            xs2[ci][k] = e1
+    ci, k = d1._head[e1]
+    xs1[ci][k] = e2
+    ci, k = d2._head[e2 - base]
+    xs2[ci][k] = e1
     return LinkDiagram(_relabel_dense([tuple(x) for x in xs1 + xs2]))
 
 
@@ -463,7 +407,7 @@ def keep_component(d, i):
     cyc = d.components[i]
     n = len(cyc)
     # runs of edges merge into one; they break exactly at kept crossings
-    breaks = [idx for idx in range(n) if kept(d.in_crossing(cyc[idx]))]
+    breaks = [idx for idx in range(n) if kept(d._head[cyc[idx]][0])]
     if not breaks:
         return LinkDiagram([])  # no self-crossings: an unknot
     label_of = {}

@@ -50,6 +50,7 @@ from .filtered import (
     require_valid,
     total_homology,
 )
+from .laurent import fmt_half
 
 __all__ = [
     "Summand",
@@ -97,7 +98,7 @@ class Summand:
             object.__setattr__(self, "kind", "Y")
 
     def __str__(self) -> str:
-        shift = ",".join(str(x // 2) if x % 2 == 0 else f"{x}/2" for x in self.shift2)
+        shift = ",".join(map(fmt_half, self.shift2))
         size = "" if self.kind == "B" else f"^{self.lparam}"
         return f"{self.kind}{size}({self.d})[{shift}]"
 

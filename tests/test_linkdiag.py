@@ -1,9 +1,13 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hfl.alexander import goeritz_determinant
 from hfl.linkdiag import (
     CORPUS_NAMES,
     LinkDiagram,
+    _from_positional,
     braid_closure,
     classify,
     connected_sum,
@@ -41,7 +45,7 @@ def test_a_parsed_code_is_planar_or_refused(text):
         d = parse_pd(text)
     except ValueError:
         return
-    assert not d.is_connected() or len(d.faces()) == len(d.crossings) + 2
+    assert not d.connected or len(d.faces) == len(d.crossings) + 2
 
 
 def test_parse_rejects_garbage():
@@ -103,7 +107,7 @@ def test_faces_euler_count():
     for name in CORPUS_NAMES:
         d = corpus(name)
         if d.crossings:
-            assert len(d.faces()) == len(d.crossings) + 2, name
+            assert len(d.faces) == len(d.crossings) + 2, name
 
 
 def test_mirror_involution():
@@ -155,7 +159,7 @@ def test_two_bridge_component_counts():
         d = two_bridge(p, q)
         assert d.n_components == (2 if p % 2 == 0 else 1), (p, q)
         assert d.is_alternating(), (p, q)
-        assert d.is_connected(), (p, q)
+        assert d.connected, (p, q)
 
 
 def test_two_bridge_hopf_is_positive():
@@ -201,3 +205,42 @@ def test_all_over_component_rejected():
     # under-strand propagation alone, and such projections are split anyway
     with pytest.raises(ValueError):
         LinkDiagram([(1, 3, 2, 4), (2, 4, 1, 3)])
+
+
+# every coprime two-bridge pair with p < 40, and the (s1 s2^-1)^k and
+# (s1 s2^-1 s3)^k braid closures
+POSITIONAL_SOURCES = (
+    [("corpus", name) for name in CORPUS_NAMES]
+    + [("two_bridge", p, q) for p in range(2, 40) for q in range(1, p) if gcd(p, q) == 1]
+    + [("closure", (1, -2), 3, k) for k in range(1, 13)]
+    + [("closure", (1, -2, 3), 4, k) for k in range(1, 10)]
+)
+
+
+def _source(spec):
+    if spec[0] == "corpus":
+        return corpus(spec[1])
+    if spec[0] == "two_bridge":
+        return two_bridge(*spec[1:])
+    _, word, strands, k = spec
+    return braid_closure(list(word) * k, strands)
+
+
+def _abs_linking(d):
+    lk = linking_matrix(d).lk
+    return sorted(abs(lk[i][j]) for i in range(len(lk)) for j in range(i + 1, len(lk)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(POSITIONAL_SOURCES), st.randoms(use_true_random=False))
+def test_positional_solver_recovers_turned_crossings(spec, rng):
+    # a crossing turned by two slots still lists the under-strand in
+    # slots 0 and 2 counterclockwise, so the positional solver must
+    # recover the same unoriented diagram
+    d = _source(spec)
+    turned = [(c, e, a, b) if rng.random() < 0.5 else (a, b, c, e) for a, b, c, e in d.crossings]
+    r = _from_positional(turned)
+    assert r.n_components == d.n_components
+    assert r.is_alternating() == d.is_alternating()
+    assert goeritz_determinant(r) == goeritz_determinant(d)
+    assert _abs_linking(r) == _abs_linking(d)

@@ -246,6 +246,30 @@ def test_decompose_dense_scrambled_round_trips():
         assert decompose(scramble(build_sum(ss), rng, same_class=True)) == ss
 
 
+@st.composite
+def dense_summand_sums(draw):
+    """Up to 14 summands of the shapes above on one parity vector, odd
+    coordinates included, some squares paired with an X^1 one grading up."""
+    kinds = draw(st.sampled_from(["BVHXY", "BX"]))
+    parity = draw(st.tuples(st.integers(0, 1), st.integers(0, 1)))
+    ss = []
+    for _ in range(draw(st.integers(1, 14))):
+        kind = draw(st.sampled_from(kinds))
+        lam = 0 if kind == "B" else draw(st.integers(1 if kind in "VH" else 0, 4))
+        d = draw(st.integers(-1, 1))
+        shift2 = tuple(2 * draw(st.integers(-2, 2)) + p for p in parity)
+        ss.append(Summand(kind, d, lam, shift2))
+        if kind == "B" and draw(st.booleans()):
+            ss.append(Summand("X", d + 1, 1, shift2))
+    return sorted(ss)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_summand_sums(), st.randoms(use_true_random=False))
+def test_decompose_dense_scrambled_round_trips_drawn(ss, rng):
+    assert decompose(scramble(build_sum(ss), rng, same_class=True)) == ss
+
+
 def test_decompose_matches_spectral_picture():
     rng = random.Random(11)
     for _ in range(10):
