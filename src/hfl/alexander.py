@@ -137,14 +137,16 @@ def _packed_det(mat, nvars, divisor=None):
     spread over the whole matrix.  An exponent vector is packed into one
     int, T1 the most significant digit and variable v in base
     2*n*span_v + dspan_v + 1 (dspan_v the divisor's spread).  A k-minor
-    spreads at most k*span_v, every Bareiss numerator is a product of
-    two minors of size at most n, and the final quotient times the
-    divisor stays below n*span_v + dspan_v, so no digit of any key ever
-    carries: packing is injective, exponent addition is int addition
-    and int order is lexicographic order.  Polynomials are dicts from
-    key to nonzero coefficient, unpacked to a MultiLaurent once at the
-    end.  An inexact division is an internal error and raises
-    ArithmeticError.
+    spreads at most k*span_v.  Every numerator of the lazy elimination
+    in ``_bareiss`` is made of products of two minors of size at most
+    n: p_k * a^(m)[i][j] and a^(m)[i][k] * a^(k)[k][j] for a row of
+    level m, p_(k-1) * a^(m)[k][j] for a pivot row brought up to date.
+    The final quotient times the divisor stays below n*span_v +
+    dspan_v.  So no digit of any key ever carries: packing is
+    injective, exponent addition is int addition and int order is
+    lexicographic order.  Polynomials are dicts from key to nonzero
+    coefficient, unpacked to a MultiLaurent once at the end.  An
+    inexact division is an internal error and raises ArithmeticError.
     """
     n = len(mat)
     exps = [e for row in mat for p in row for e in p]
@@ -177,10 +179,33 @@ def _packed_det(mat, nvars, divisor=None):
 
 
 def _bareiss(a):
-    """Determinant of a square matrix of packed polynomials (modified in place)."""
+    """Determinant of a square matrix of packed polynomials (modified in place).
+
+    Fraction-free Bareiss elimination with the fewest-terms pivot, lazy
+    in the rows.  Write p_k for the pivot of step k (p_-1 = 1) and
+    a^(m) for the matrix after m steps.  A step whose pivot column is
+    empty in row i would only scale that row by p_k / p_(k-1).  These
+    factors telescope, so such a step skips the row, which keeps its
+    level m: it holds a^(m)[i].  When step k reaches a row of level m,
+    it brings the row to level k + 1 at once:
+
+        a^(k+1)[i][j] = (p_k a^(m)[i][j] - a^(m)[i][k] a^(k)[k][j]) / p_(m-1),
+
+    an exact division because the result is a (k+2)-minor.  Both
+    products in the numerator multiply two minors of size at most n, so
+    no packed digit carries (see ``_packed_det``).  A column empty in
+    both row i and the pivot row stays empty and is skipped.  A pivot
+    row of level m < k is first brought up to level k, by multiplying
+    with p_(k-1) and dividing by p_(m-1), so the pivots, and with them
+    the determinant, are those of the eager elimination.  Scaling a row
+    empties no entry, so the stored entries have the zero pattern of
+    the eager ones; the fewest-terms rule reads the stored entries.
+    """
     n = len(a)
     sign = 1
-    prev = {0: 1}
+    # divisor[m] = p_(m-1), the divisor of a row of level m
+    divisor = [{0: 1}]
+    level = [0] * n
     for k in range(n):
         best = None
         for i in range(k, n):
@@ -193,30 +218,51 @@ def _bareiss(a):
         _, pi, pj = best
         if pi != k:
             a[k], a[pi] = a[pi], a[k]
+            level[k], level[pi] = level[pi], level[k]
             sign = -sign
         if pj != k:
             for row in a:
                 row[k], row[pj] = row[pj], row[k]
             sign = -sign
-        piv, pivot_row = a[k][k].items(), a[k]
+        pivot_row = a[k]
+        if level[k] < k:
+            up, down = divisor[k].items(), divisor[level[k]]
+            for j in range(k, n):
+                if pivot_row[j]:
+                    num = {}
+                    get = num.get
+                    for k1, c1 in up:
+                        for k2, c2 in pivot_row[j].items():
+                            key = k1 + k2
+                            num[key] = get(key, 0) + c1 * c2
+                    num = {key: c for key, c in num.items() if c}
+                    pivot_row[j] = _packed_divide(num, down)
+        divisor.append(pivot_row[k])
+        piv = pivot_row[k].items()
         for i in range(k + 1, n):
             row = a[i]
             left = row[k].items()
+            if not left:
+                continue
+            down = divisor[level[i]]
             for j in range(k + 1, n):
+                top, cur = pivot_row[j], row[j]
+                if not (top or cur):
+                    continue
                 num = {}
                 get = num.get
                 for k1, c1 in piv:
-                    for k2, c2 in row[j].items():
+                    for k2, c2 in cur.items():
                         key = k1 + k2
                         num[key] = get(key, 0) + c1 * c2
                 for k1, c1 in left:
-                    for k2, c2 in pivot_row[j].items():
+                    for k2, c2 in top.items():
                         key = k1 + k2
                         num[key] = get(key, 0) - c1 * c2
                 num = {key: c for key, c in num.items() if c}
-                row[j] = _packed_divide(num, prev) if num else num
+                row[j] = _packed_divide(num, down) if num else num
             row[k] = {}
-        prev = a[k][k]
+            level[i] = k + 1
     det = a[n - 1][n - 1] if n else {0: 1}
     return det if sign == 1 else {key: -c for key, c in det.items()}
 
@@ -224,11 +270,14 @@ def _bareiss(a):
 def _packed_divide(p, q):
     """Exact quotient of packed polynomials; ArithmeticError if inexact.
 
-    A monomial divisor, which the fewest-terms pivot makes of almost every
-    Bareiss divisor, shifts keys and divides coefficients.  Otherwise
-    leading terms are cancelled in decreasing key order, the remainder's
-    keys held in a max-heap.  A quotient key below zero lies outside the
-    packed box, so the division cannot be exact.
+    A monomial divisor shifts keys and divides coefficients.  A Bareiss
+    divisor is the pivot p_(m-1) of a row's level m, and 1 at level 0.
+    A Fox row holds monomials and binomials and the fewest-terms rule
+    picks a monomial wherever there is one, so nearly every Bareiss
+    divisor is a monomial.  The Torres divisor T1 - 1 never is.
+    Otherwise leading terms are cancelled in decreasing key order, the
+    remainder's keys held in a max-heap.  A quotient key below zero
+    lies outside the packed box, so the division cannot be exact.
     """
     if len(q) == 1:
         ((qk, qc),) = q.items()

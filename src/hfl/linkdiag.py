@@ -260,8 +260,8 @@ def _relabel_dense(crossings):
     return [tuple(m[e] for e in x) for x in crossings]
 
 
-def _from_positional(crossings):
-    """Build a diagram from tuples whose slot 0 need not be the under-in.
+def _positional(crossings):
+    """Orient tuples whose slot 0 need not be the under-in; relabel densely.
 
     Slots (0,2) must be the under-strand pair and the cyclic order must
     be counterclockwise.  Each strand not yet oriented is started out of
@@ -275,7 +275,12 @@ def _from_positional(crossings):
             _orient(crossings, occ, dirs, [(occ[e][0], OUT)])
     out = [x if dirs[(ci, 0)] == IN else (x[2], x[3], x[0], x[1])
            for ci, x in enumerate(crossings)]
-    return LinkDiagram(_relabel_dense(out))
+    return _relabel_dense(out)
+
+
+def _from_positional(crossings):
+    """The diagram of ``_positional(crossings)``."""
+    return LinkDiagram(_positional(crossings))
 
 
 # ----------------------------------------------------------------------
@@ -465,7 +470,8 @@ def _plat_4(blocks):
 
     Each block stacks `count` crossings on strand positions (i, i+1);
     `over` in {"L", "R"} says which incoming strand stays on top.  Caps
-    join positions (1,2) and (3,4) at top and bottom.
+    join positions (1,2) and (3,4) at top and bottom.  Returns the
+    oriented, densely relabelled crossing tuples of ``_positional``.
     """
     cur = {1: 1, 2: 1, 3: 2, 4: 2}  # top cap arcs
     counter = 2
@@ -484,7 +490,7 @@ def _plat_4(blocks):
         if cur[a] == cur[b]:
             raise ValueError("split circle in plat closure")
         crossings = [tuple(cur[a] if e == cur[b] else e for e in x) for x in crossings]
-    return _from_positional(crossings)
+    return _positional(crossings)
 
 
 def _continued_fraction(p, q):
@@ -523,7 +529,8 @@ def two_bridge(p, q):
             blocks.append((2, "L", a))
         else:
             blocks.append((1, "R", a))
-    d = mirror(_plat_4(blocks))
+    # the mirror, as in ``mirror``, applied to the tuples before tracing
+    d = LinkDiagram([(a, b_, c, d_) for (a, d_, c, b_) in _plat_4(blocks)])
     if d.n_components == 2:
         total = linking_matrix(d).total[0]
         if total < 0:
