@@ -8,6 +8,12 @@ Two quantities are computed here, both in exact arithmetic:
 * the signature of the oriented link, via the Gordon-Litherland form of
   a checkerboard surface.
 
+The Fox determinant is a fraction-free Bareiss elimination on sparse
+rows.  On an alternating projection every crossing has the same
+checkerboard type, the Goeritz form is definite, and the signature is
+a count of white faces; only other projections run an elimination for
+it.
+
 Both are diagram invariants of the underlying oriented link, which the
 test suite exercises by computing them from independently constructed
 diagrams of the same link.
@@ -63,7 +69,7 @@ def multivariable_alexander(d: LinkDiagram) -> AlexanderResult:
     nvars = d.n_components
     arc_component, rows = _fox_rows(d)
     del_col = arc_component.index(0)
-    mat = [[row.get(g, {}) for g in range(len(rows)) if g != del_col] for row in rows[1:]]
+    mat = [{g - (g > del_col): p for g, p in row.items() if g != del_col} for row in rows[1:]]
     unit = (0,) * nvars
     torres = {(2,) + unit[1:]: 1, unit: -1} if nvars >= 2 else None
     det = _packed_det(mat, nvars, torres)
@@ -126,11 +132,14 @@ def _fox_rows(d: LinkDiagram):
     return arc_component, rows
 
 
-def _packed_det(mat, nvars, divisor=None):
-    """Determinant of a square polynomial matrix, divided exactly by ``divisor``.
+def _packed_det(rows, nvars, divisor=None):
+    """Determinant of a square sparse polynomial matrix, divided exactly by ``divisor``.
 
-    Entries and the divisor are dicts from doubled exponent vector to
-    nonzero coefficient.  Fraction-free Bareiss elimination with the
+    Row i of the n x n matrix is ``rows[i]``, a dict from column
+    (0..n-1) to entry; columns it lacks, and entries that are empty,
+    are zero, and only the other entries are packed.  Entries and the
+    divisor are dicts from doubled exponent vector to nonzero
+    coefficient.  Fraction-free Bareiss elimination with the
     fewest-terms pivot, run on packed exponent keys.  Each variable's
     exponents are shifted by their minimum over the matrix (the divisor
     by its own minimum), so they run over 0..span_v, span_v being their
@@ -148,8 +157,8 @@ def _packed_det(mat, nvars, divisor=None):
     coefficient, unpacked to a MultiLaurent once at the end.  An
     inexact division is an internal error and raises ArithmeticError.
     """
-    n = len(mat)
-    exps = [e for row in mat for p in row for e in p]
+    n = len(rows)
+    exps = [e for row in rows for p in row.values() for e in p]
     lo = [min((e[v] for e in exps), default=0) for v in range(nvars)]
     span = [max((e[v] for e in exps), default=0) - lo[v] for v in range(nvars)]
     dterms = divisor if divisor is not None else {(0,) * nvars: 1}
@@ -164,7 +173,7 @@ def _packed_det(mat, nvars, divisor=None):
         return {sum((x - s) * w for x, s, w in zip(e, shift, weights)): c
                 for e, c in terms.items()}
 
-    a = [[pack(p, lo) for p in row] for row in mat]
+    a = [{j: pack(p, lo) for j, p in row.items() if p} for row in rows]
     det = _bareiss(a)
     if det:
         det = _packed_divide(det, pack(dterms, dlo))
@@ -179,91 +188,119 @@ def _packed_det(mat, nvars, divisor=None):
 
 
 def _bareiss(a):
-    """Determinant of a square matrix of packed polynomials (modified in place).
+    """Determinant of a square sparse matrix of packed polynomials (modified in place).
 
-    Fraction-free Bareiss elimination with the fewest-terms pivot, lazy
-    in the rows.  Write p_k for the pivot of step k (p_-1 = 1) and
-    a^(m) for the matrix after m steps.  A step whose pivot column is
-    empty in row i would only scale that row by p_k / p_(k-1).  These
-    factors telescope, so such a step skips the row, which keeps its
-    level m: it holds a^(m)[i].  When step k reaches a row of level m,
-    it brings the row to level k + 1 at once:
+    Row i is the dict ``a[i]`` from column to nonzero entry.  Rows are
+    swapped in the list; columns never move, but ``pos[j]`` is column
+    j's current position and ``col_at[k]`` the column at position k, so
+    a column swap is two writes to each.  Step k takes the pivot with
+    the fewest terms among the stored entries of the rows at positions
+    k..n-1, ties broken by row position and then by column position.
+    The rows below the pivot row store only columns at positions above
+    k once the step is done.
+
+    Fraction-free Bareiss elimination, lazy in the rows.  Write p_k for
+    the pivot of step k (p_-1 = 1) and a^(m) for the matrix after m
+    steps.  A step whose pivot column is empty in row i would only scale
+    that row by p_k / p_(k-1).  These factors telescope, so such a step
+    skips the row, which keeps its level m: it holds a^(m)[i].  When
+    step k reaches a row of level m, it brings the row to level k + 1
+    at once:
 
         a^(k+1)[i][j] = (p_k a^(m)[i][j] - a^(m)[i][k] a^(k)[k][j]) / p_(m-1),
 
     an exact division because the result is a (k+2)-minor.  Both
     products in the numerator multiply two minors of size at most n, so
-    no packed digit carries (see ``_packed_det``).  A column empty in
-    both row i and the pivot row stays empty and is skipped.  A pivot
-    row of level m < k is first brought up to level k, by multiplying
-    with p_(k-1) and dividing by p_(m-1), so the pivots, and with them
-    the determinant, are those of the eager elimination.  Scaling a row
-    empties no entry, so the stored entries have the zero pattern of
-    the eager ones; the fewest-terms rule reads the stored entries.
+    no packed digit carries (see ``_packed_det``).  Only the columns
+    stored in row i or in the pivot row are visited, and an entry that
+    becomes zero is deleted.  A pivot row of level m < k is first
+    brought up to level k, by multiplying with p_(k-1) and dividing by
+    p_(m-1), so the pivots, and with them the determinant, are those of
+    the eager elimination.  Scaling a row empties no entry, so the
+    stored entries have the zero pattern of the eager ones; the
+    fewest-terms rule reads the stored entries.
     """
     n = len(a)
     sign = 1
     # divisor[m] = p_(m-1), the divisor of a row of level m
     divisor = [{0: 1}]
     level = [0] * n
+    pos = list(range(n))
+    col_at = list(range(n))
     for k in range(n):
-        best = None
+        best = 0
         for i in range(k, n):
-            for j in range(k, n):
-                size = len(a[i][j])
-                if size and (best is None or size < best[0]):
-                    best = (size, i, j)
-        if best is None:
+            for j, p in a[i].items():
+                size = len(p)
+                if not best or size < best or (size == best and i == pi and pos[j] < pos[pj]):
+                    best, pi, pj = size, i, j
+            if best == 1:
+                # no later row can hold a smaller entry or win a tie
+                break
+        if not best:
             return {}
-        _, pi, pj = best
         if pi != k:
             a[k], a[pi] = a[pi], a[k]
             level[k], level[pi] = level[pi], level[k]
             sign = -sign
-        if pj != k:
-            for row in a:
-                row[k], row[pj] = row[pj], row[k]
+        q = pos[pj]
+        if q != k:
+            other = col_at[k]
+            col_at[k], col_at[q] = pj, other
+            pos[pj], pos[other] = k, q
             sign = -sign
         pivot_row = a[k]
         if level[k] < k:
             up, down = divisor[k].items(), divisor[level[k]]
-            for j in range(k, n):
-                if pivot_row[j]:
+            for j, p in pivot_row.items():
+                num = {}
+                get = num.get
+                for k1, c1 in up:
+                    for k2, c2 in p.items():
+                        key = k1 + k2
+                        num[key] = get(key, 0) + c1 * c2
+                num = {key: c for key, c in num.items() if c}
+                pivot_row[j] = _packed_divide(num, down)
+        divisor.append(pivot_row[pj])
+        piv = pivot_row[pj].items()
+        tops = [(j, top.items()) for j, top in pivot_row.items() if j != pj]
+        for i in range(k + 1, n):
+            row = a[i]
+            left = row.pop(pj, None)
+            if left is None:
+                continue
+            left = left.items()
+            down = divisor[level[i]]
+            for j, cur in row.items():
+                if j not in pivot_row:
                     num = {}
                     get = num.get
-                    for k1, c1 in up:
-                        for k2, c2 in pivot_row[j].items():
+                    for k1, c1 in piv:
+                        for k2, c2 in cur.items():
                             key = k1 + k2
                             num[key] = get(key, 0) + c1 * c2
                     num = {key: c for key, c in num.items() if c}
-                    pivot_row[j] = _packed_divide(num, down)
-        divisor.append(pivot_row[k])
-        piv = pivot_row[k].items()
-        for i in range(k + 1, n):
-            row = a[i]
-            left = row[k].items()
-            if not left:
-                continue
-            down = divisor[level[i]]
-            for j in range(k + 1, n):
-                top, cur = pivot_row[j], row[j]
-                if not (top or cur):
-                    continue
+                    row[j] = _packed_divide(num, down)
+            for j, top in tops:
                 num = {}
                 get = num.get
-                for k1, c1 in piv:
-                    for k2, c2 in cur.items():
-                        key = k1 + k2
-                        num[key] = get(key, 0) + c1 * c2
+                cur = row.get(j)
+                if cur:
+                    for k1, c1 in piv:
+                        for k2, c2 in cur.items():
+                            key = k1 + k2
+                            num[key] = get(key, 0) + c1 * c2
                 for k1, c1 in left:
-                    for k2, c2 in top.items():
+                    for k2, c2 in top:
                         key = k1 + k2
                         num[key] = get(key, 0) - c1 * c2
                 num = {key: c for key, c in num.items() if c}
-                row[j] = _packed_divide(num, down) if num else num
-            row[k] = {}
+                if num:
+                    row[j] = _packed_divide(num, down)
+                elif cur:
+                    del row[j]
             level[i] = k + 1
-    det = a[n - 1][n - 1] if n else {0: 1}
+    det = divisor[n]
     return det if sign == 1 else {key: -c for key, c in det.items()}
 
 
@@ -360,35 +397,56 @@ def _checkerboard(d: LinkDiagram):
 
 
 def _goeritz_data(d, faces, color, face_at, white):
-    """Goeritz matrix (white faces, one deleted) and correction term."""
+    """White face count, one Goeritz edge per crossing, and correction term.
+
+    The white faces are numbered 0..m-1 in face order.  Crossing ci
+    gives the edge (u, v, eta): the white faces at its two white corners
+    and its incidence sign.  An edge with u == v is a loop.
+    """
     white_faces = [fi for fi in range(len(faces)) if color[fi] == white]
     index = {fi: i for i, fi in enumerate(white_faces)}
-    m = len(white_faces)
-    full = [[0] * m for _ in range(m)]
+    edges = []
     mu = 0
-    for ci in range(len(d.crossings)):
+    for ci, sign in enumerate(d.signs):
         white_diag = (1, 3) if color[face_at[(ci, 1)]] == white else (0, 2)
         eta = ETA_CAL if white_diag == (1, 3) else -ETA_CAL
-        if d.signs[ci] * eta == TYPE_CAL:
+        if sign * eta == TYPE_CAL:
             mu += eta
-        u = index[face_at[(ci, white_diag[0])]]
-        v = index[face_at[(ci, white_diag[1])]]
+        edges.append((index[face_at[(ci, white_diag[0])]],
+                      index[face_at[(ci, white_diag[1])]], eta))
+    return len(white_faces), edges, mu
+
+
+def _goeritz_matrix(m, edges):
+    """Goeritz matrix of m white faces, face 0's row and column deleted."""
+    full = [[0] * m for _ in range(m)]
+    for u, v, eta in edges:
         if u != v:
             full[u][v] -= eta
             full[v][u] -= eta
             full[u][u] += eta
             full[v][v] += eta
-    reduced = [row[1:] for row in full[1:]]
-    return reduced, mu
+    return [row[1:] for row in full[1:]]
 
 
 def signature(d: LinkDiagram) -> int:
     """Signature of the oriented link presented by ``d``.
 
     Computed as the signature of the Goeritz form of a checkerboard
-    surface minus the orientation correction term.  Both checkerboard
+    surface minus the orientation correction term mu.  Both checkerboard
     colorings are evaluated and must agree; the shared value is a link
     invariant.  Convention: signature(hopf_plus) = -1.
+
+    When every crossing has the same incidence sign eta, as at every
+    crossing of an alternating projection, the Goeritz matrix is
+    G = eta * L_red, where L_red is the reduced Laplacian of the graph
+    whose vertices are the m white faces and whose edges are the
+    crossings.  That graph is connected for a connected projection, so
+    L_red is positive definite: it is a principal submatrix of the
+    positive semidefinite Laplacian, and its determinant counts the
+    spanning trees (matrix-tree theorem).  The form's signature is then
+    eta * (m - 1), and sigma = eta * (m - 1) - mu is a count, with no
+    matrix built.  Any other coloring goes through ``_ldlt``.
     """
     if not d.crossings:
         return 0
@@ -397,8 +455,13 @@ def signature(d: LinkDiagram) -> int:
     faces, color, face_at = _checkerboard(d)
     values = []
     for white in (0, 1):
-        reduced, mu = _goeritz_data(d, faces, color, face_at, white)
-        values.append(_ldlt(reduced)[0] - mu)
+        m, edges, mu = _goeritz_data(d, faces, color, face_at, white)
+        etas = {eta for _, _, eta in edges}
+        if len(etas) == 1:
+            form = etas.pop() * (m - 1)
+        else:
+            form = _ldlt(_goeritz_matrix(m, edges))[0]
+        values.append(form - mu)
     assert values[0] == values[1], "checkerboard colorings disagree (internal error)"
     return values[0]
 
@@ -410,8 +473,8 @@ def goeritz_determinant(d: LinkDiagram) -> int:
     if not d.connected:
         raise ValueError("needs a connected projection")
     faces, color, face_at = _checkerboard(d)
-    reduced, _ = _goeritz_data(d, faces, color, face_at, 0)
-    return abs(_ldlt(reduced)[1])
+    m, edges, _ = _goeritz_data(d, faces, color, face_at, 0)
+    return abs(_ldlt(_goeritz_matrix(m, edges))[1])
 
 
 def _ldlt(mat) -> tuple[int, int]:

@@ -171,9 +171,6 @@ class MultiGradedVS:
             terms[h2] = terms.get(h2, 0) + c
         return MultiLaurent(self.nvars, terms)
 
-    def euler_number(self) -> int:
-        return sum(r if d % 2 == 0 else -r for (d, _), r in self.ranks.items())
-
     def to_json_dict(self) -> dict:
         entries = [
             {"d": d, "h2": list(h2), "r": r}

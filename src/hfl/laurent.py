@@ -126,22 +126,6 @@ class MultiLaurent:
             {e: c for e, c in self.terms.items() if all(a >= b for a, b in zip(e, f))},
         )
 
-    # ---- specializations ----
-
-    def substitute_one(self, i: int) -> "MultiLaurent":
-        """Set T_i = 1, returning a polynomial in one fewer variable."""
-        if self.nvars < 2:
-            raise ValueError("cannot drop the last variable")
-        if not 1 <= i <= self.nvars:
-            raise ValueError("variable index out of range")
-        out: dict[Expo, int] = {}
-        for e, c in self.terms.items():
-            if e[i - 1] % 2:
-                raise ValueError("cannot specialize a genuine half-integer exponent at T=1")
-            f = e[: i - 1] + e[i:]
-            out[f] = out.get(f, 0) + c
-        return MultiLaurent(self.nvars - 1, out)
-
     # ---- display and serialization ----
 
     def __str__(self) -> str:

@@ -1,9 +1,26 @@
-"""Shared generators for the filtered-complex test suites."""
+"""Shared generators and small specializations for the test suites."""
 
 import random
 
 from hfl.filtered import FilteredComplex
+from hfl.laurent import MultiLaurent
 from hfl.summands import Summand
+
+
+def substitute_one(p, i):
+    """Set T_i = 1 in the MultiLaurent ``p``: one variable fewer."""
+    assert p.nvars >= 2 and 1 <= i <= p.nvars
+    out = {}
+    for e, c in p.terms.items():
+        assert e[i - 1] % 2 == 0, "a half-integer exponent of T_i has no value at 1"
+        f = e[: i - 1] + e[i:]
+        out[f] = out.get(f, 0) + c
+    return MultiLaurent(p.nvars - 1, out)
+
+
+def euler_number(vs):
+    """Euler characteristic of the MultiGradedVS ``vs``, summed over all gradings."""
+    return sum(r if d % 2 == 0 else -r for (d, _), r in vs.ranks.items())
 
 
 def change_basis(cx, moves):

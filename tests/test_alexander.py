@@ -1,13 +1,17 @@
 import json
 import re
 from itertools import permutations
+from math import gcd
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfl.alexander import (
+    _checkerboard,
     _fox_rows,
+    _goeritz_data,
+    _goeritz_matrix,
     _ldlt,
     _packed_det,
     goeritz_determinant,
@@ -239,11 +243,20 @@ def test_relabelling_keeps_sigma_and_delta(name, rng):
 # ----------------------------------------------------------------------
 # the packed determinant kernel against the Leibniz expansion
 
+def perm_sign(perm):
+    inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
+    return -1 if inversions % 2 else 1
+
+
+def sparse(mat):
+    """The rows ``_packed_det`` takes: {column: terms}, zero entries left out."""
+    return [{j: p.terms for j, p in enumerate(row) if p} for row in mat]
+
+
 def leibniz_det(mat, nvars):
     total = zero(nvars)
     for perm in permutations(range(len(mat))):
-        inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
-        term = one(nvars) if inversions % 2 == 0 else -one(nvars)
+        term = one(nvars) if perm_sign(perm) == 1 else -one(nvars)
         for i, j in enumerate(perm):
             term = term * mat[i][j]
             if not term:
@@ -274,7 +287,7 @@ def matrices(draw):
 
 
 @st.composite
-def fox_shaped(draw):
+def fox_shaped(draw, max_n=6):
     """Square matrices with at most three nonzero entries per row, as in a Fox matrix.
 
     Row i meets column i, one column at or after i and one anywhere, so
@@ -283,7 +296,7 @@ def fox_shaped(draw):
     replace a row by a multiple of another: the matrix is singular.
     """
     nvars = draw(st.integers(1, 3))
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, max_n))
     mat = [[zero(nvars)] * n for _ in range(n)]
     for i in range(n):
         for j in {i, draw(st.integers(i, n - 1)), draw(st.integers(0, n - 1))}:
@@ -301,29 +314,42 @@ def fox_shaped(draw):
 def test_packed_det_matches_leibniz(case):
     nvars, mat, divisor = case
     want = leibniz_det(mat, nvars)
-    assert _packed_det([[p.terms for p in row] for row in mat], nvars) == want
+    assert _packed_det(sparse(mat), nvars) == want
     if mat:
         # scaling one row by the divisor scales the determinant by it too
         scaled = [[divisor * p for p in mat[0]]] + mat[1:]
-        assert _packed_det([[p.terms for p in row] for row in scaled], nvars,
-                           divisor.terms) == want
+        assert _packed_det(sparse(scaled), nvars, divisor.terms) == want
+
+
+@st.composite
+def permuted_fox(draw):
+    nvars, mat, _ = draw(fox_shaped(max_n=9))
+    n = len(mat)
+    return nvars, mat, draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(permuted_fox())
+def test_packed_det_permutes_with_the_sign(case):
+    # the pivots move through the row list and the column positions
+    # (pos/col_at); the determinant may change only by the sign
+    nvars, mat, rows, cols = case
+    want = _packed_det(sparse(mat), nvars)
+    permuted = [[mat[i][j] for j in cols] for i in rows]
+    got = _packed_det(sparse(permuted), nvars)
+    assert got == (want if perm_sign(rows) == perm_sign(cols) else -want)
 
 
 def test_packed_det_refuses_inexact_division():
     t2_plus_1 = {(4,): 1, (0,): 1}
     with pytest.raises(ArithmeticError):
-        _packed_det([[t2_plus_1]], 1, {(2,): 1, (0,): -1})
+        _packed_det([{0: t2_plus_1}], 1, {(2,): 1, (0,): -1})
     with pytest.raises(ArithmeticError):
-        _packed_det([[t2_plus_1]], 1, {(0,): 2})
+        _packed_det([{0: t2_plus_1}], 1, {(0,): 2})
 
 
 # ----------------------------------------------------------------------
 # the rational LDL^T kernel against brute force
-
-def perm_sign(perm):
-    inversions = sum(perm[j] > perm[i] for i in range(len(perm)) for j in range(i))
-    return -1 if inversions % 2 else 1
-
 
 def char_poly(mat):
     """Coefficients of det(x I - mat), lowest degree first, by Leibniz."""
@@ -383,3 +409,94 @@ def test_ldlt_hyperbolic_block():
     assert _ldlt([[0, 3], [3, 0]]) == (0, -9)
     assert _ldlt([[0, 0], [0, 0]]) == (0, 0)
     assert _ldlt([]) == (0, 1)
+
+
+# ----------------------------------------------------------------------
+# sigma of an alternating projection as a white-face count, against _ldlt
+
+def ldlt_signature(d):
+    """sigma through ``_ldlt`` on both colorings' Goeritz matrices, no count."""
+    faces, color, face_at = _checkerboard(d)
+    values = set()
+    for white in (0, 1):
+        m, edges, mu = _goeritz_data(d, faces, color, face_at, white)
+        values.add(_ldlt(_goeritz_matrix(m, edges))[0] - mu)
+    (value,) = values
+    return value
+
+
+def assert_sigma_is_a_count(d):
+    faces, color, face_at = _checkerboard(d)
+    for white in (0, 1):
+        m, edges, _ = _goeritz_data(d, faces, color, face_at, white)
+        (eta,) = {eta for _, _, eta in edges}
+        assert eta * (m - 1) == _ldlt(_goeritz_matrix(m, edges))[0]
+    assert signature(d) == ldlt_signature(d)
+
+
+ALTERNATING_FAMILIES = {
+    "corpus": [name for name in CORPUS_NAMES if name not in ("unknot", "L7n1", "L7n2")],
+    "two_bridge": [f"two_bridge({p},{q})" for p in range(2, 42) for q in range(1, p)
+                   if gcd(p, q) == 1],
+    "ladders": [f"closure(1,-2)^{k}" for k in range(1, 13)]
+               + [f"closure(1,-2,3)^{k}" for k in range(1, 10)],
+}
+
+
+@pytest.mark.parametrize("family", sorted(ALTERNATING_FAMILIES))
+def test_alternating_sigma_is_a_white_face_count(family):
+    for name in ALTERNATING_FAMILIES[family]:
+        d = golden_diagram(name)
+        assert d.is_alternating(), name
+        for x in (d, mirror(d)):
+            assert_sigma_is_a_count(x)
+
+
+@st.composite
+def alternating_closures(draw):
+    """Closures of braid words in which sigma_i carries the sign (-1)^(i+1).
+
+    Every generator appears, so the projection is connected; a generator
+    that appears once makes a nugatory crossing.
+    """
+    strands = draw(st.integers(2, 5))
+    extra = draw(st.lists(st.integers(1, strands - 1), max_size=10))
+    word = draw(st.permutations(list(range(1, strands)) + extra))
+    return braid_closure([i if i % 2 else -i for i in word], strands)
+
+
+@settings(max_examples=150, deadline=None)
+@given(alternating_closures())
+def test_random_alternating_sigma_is_a_white_face_count(d):
+    assert d.is_alternating()
+    for x in (d, mirror(d)):
+        assert_sigma_is_a_count(x)
+
+
+# non-alternating closures (word, strands) and their sigma, as the rational
+# LDL^T gave it before sigma of an alternating projection became a count
+MIXED_SIGMA = [
+    ((-2, -3, -2, -1, -3, 2, 1), 4, 2),
+    ((-2, -1, 1, -1, 2), 3, 0),
+    ((1, 2, 2, -3, 1, -3, 2, -1, 2), 4, -2),
+    ((1, 1, 1, 2, -2, -2, -1, 1, 2), 3, -2),
+    ((-1, -2, 1, 2, -2, -2, -1), 3, 1),
+    ((-1, 3, -1, -2, 1, 3, -1, -3, -1), 4, 2),
+    ((-1, -2, -1, -2, -2, 1, -1), 3, 3),
+    ((2, -2, -2, 1, -1, -1, 2, 2, 1), 3, -1),
+    ((2, 1, -3, -2, -2), 4, 0),
+    ((1, -2, 1, 3, 3, -1, 2), 4, -1),
+]
+
+
+def test_non_alternating_sigma_takes_the_matrix_path():
+    cases = [(corpus("L7n1"), CORPUS_TABLE["L7n1"][1]), (corpus("L7n2"), CORPUS_TABLE["L7n2"][1])]
+    cases += [(braid_closure(list(word), strands), sigma) for word, strands, sigma in MIXED_SIGMA]
+    for d, sigma in cases:
+        assert not d.is_alternating()
+        faces, color, face_at = _checkerboard(d)
+        for white in (0, 1):
+            _, edges, _ = _goeritz_data(d, faces, color, face_at, white)
+            assert {eta for _, _, eta in edges} == {-1, 1}
+        assert signature(d) == ldlt_signature(d) == sigma
+        assert signature(mirror(d)) == -sigma

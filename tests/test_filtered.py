@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hfl.filtered
-from helpers import random_filtered_complex, scramble
+from helpers import euler_number, random_filtered_complex, scramble, substitute_one
 from hfl.filtered import (
     AlexGrading,
     FilteredComplex,
@@ -66,7 +66,7 @@ def test_vector_space_aggregation():
 def test_vector_space_euler():
     v = MultiGradedVS(2, (1, 1), [(0, (1, 1), 1), (-1, (1, -1), 1)])
     assert v.euler() == MultiLaurent(2, {(1, 1): 1, (1, -1): -1})
-    assert v.euler_number() == 0
+    assert euler_number(v) == 0
 
 
 def test_vector_space_json_round_trip():
@@ -310,7 +310,7 @@ def test_tensor_graded_commutative_on_merged_coordinate(a, b):
 def test_tensor_graded_euler_multiplies(a, b):
     def flatten(p):
         while p.nvars > 1:
-            p = p.substitute_one(p.nvars)
+            p = substitute_one(p, p.nvars)
         return p
 
     lhs = flatten(tensor_graded(a, b).euler())
@@ -328,7 +328,7 @@ def test_spectral_invariants_random():
         assert pages[0] == assoc_graded_homology(cx)
         einf = pages[-1]
         assert einf.total_rank() == sum(total_homology(cx).values())
-        assert pages[0].euler_number() == einf.euler_number()
+        assert euler_number(pages[0]) == euler_number(einf)
         assert pages[0].euler() == cx.counts().euler()
 
 
