@@ -147,11 +147,9 @@ def _packed_det(rows, nvars, divisor=None):
     int, T1 the most significant digit and variable v in base
     2*n*span_v + dspan_v + 1 (dspan_v the divisor's spread).  A k-minor
     spreads at most k*span_v.  Every numerator of the lazy elimination
-    in ``_bareiss`` is made of products of two minors of size at most
-    n: p_k * a^(m)[i][j] and a^(m)[i][k] * a^(k)[k][j] for a row of
-    level m, p_(k-1) * a^(m)[k][j] for a pivot row brought up to date.
-    The final quotient times the divisor stays below n*span_v +
-    dspan_v.  So no digit of any key ever carries: packing is
+    in ``_bareiss`` is p*a - left*top, each product one of two minors
+    of size at most n.  The final quotient times the divisor stays below
+    n*span_v + dspan_v.  So no digit of any key ever carries: packing is
     injective, exponent addition is int addition and int order is
     lexicographic order.  Polynomials are dicts from key to nonzero
     coefficient, unpacked to a MultiLaurent once at the end.  An
@@ -203,22 +201,22 @@ def _bareiss(a):
     the pivot of step k (p_-1 = 1) and a^(m) for the matrix after m
     steps.  A step whose pivot column is empty in row i would only scale
     that row by p_k / p_(k-1).  These factors telescope, so such a step
-    skips the row, which keeps its level m: it holds a^(m)[i].  When
-    step k reaches a row of level m, it brings the row to level k + 1
-    at once:
+    skips the row, which keeps its level m: it holds a^(m)[i].  Every
+    entry the kernel writes is the one update ``_entry`` computes:
 
         a^(k+1)[i][j] = (p_k a^(m)[i][j] - a^(m)[i][k] a^(k)[k][j]) / p_(m-1),
 
-    an exact division because the result is a (k+2)-minor.  Both
-    products in the numerator multiply two minors of size at most n, so
-    no packed digit carries (see ``_packed_det``).  Only the columns
-    stored in row i or in the pivot row are visited, and an entry that
-    becomes zero is deleted.  A pivot row of level m < k is first
-    brought up to level k, by multiplying with p_(k-1) and dividing by
-    p_(m-1), so the pivots, and with them the determinant, are those of
-    the eager elimination.  Scaling a row empties no entry, so the
-    stored entries have the zero pattern of the eager ones; the
-    fewest-terms rule reads the stored entries.
+    a missing factor counting as zero.  The division is exact because
+    the result is a (k+2)-minor, and both products multiply two minors
+    of size at most n, so no packed digit carries (see ``_packed_det``).
+    Step k brings each row below the pivot row whose pivot column is
+    not empty to level k + 1, visiting only the columns stored in it or
+    in the pivot row and deleting an entry that becomes zero.  A pivot
+    row of level m < k is first brought to level k by the update of step
+    k - 1, in which its pivot column is empty, so the pivots, and with
+    them the determinant, are those of the eager elimination.  Scaling a
+    row empties no entry, so the stored entries have the zero pattern of
+    the eager ones; the fewest-terms rule reads the stored entries.
     """
     n = len(a)
     sign = 1
@@ -253,14 +251,7 @@ def _bareiss(a):
         if level[k] < k:
             up, down = divisor[k].items(), divisor[level[k]]
             for j, p in pivot_row.items():
-                num = {}
-                get = num.get
-                for k1, c1 in up:
-                    for k2, c2 in p.items():
-                        key = k1 + k2
-                        num[key] = get(key, 0) + c1 * c2
-                num = {key: c for key, c in num.items() if c}
-                pivot_row[j] = _packed_divide(num, down)
+                pivot_row[j] = _entry(up, p, (), (), down)
         divisor.append(pivot_row[pj])
         piv = pivot_row[pj].items()
         tops = [(j, top.items()) for j, top in pivot_row.items() if j != pj]
@@ -273,35 +264,31 @@ def _bareiss(a):
             down = divisor[level[i]]
             for j, cur in row.items():
                 if j not in pivot_row:
-                    num = {}
-                    get = num.get
-                    for k1, c1 in piv:
-                        for k2, c2 in cur.items():
-                            key = k1 + k2
-                            num[key] = get(key, 0) + c1 * c2
-                    num = {key: c for key, c in num.items() if c}
-                    row[j] = _packed_divide(num, down)
+                    row[j] = _entry(piv, cur, (), (), down)
             for j, top in tops:
-                num = {}
-                get = num.get
                 cur = row.get(j)
-                if cur:
-                    for k1, c1 in piv:
-                        for k2, c2 in cur.items():
-                            key = k1 + k2
-                            num[key] = get(key, 0) + c1 * c2
-                for k1, c1 in left:
-                    for k2, c2 in top:
-                        key = k1 + k2
-                        num[key] = get(key, 0) - c1 * c2
-                num = {key: c for key, c in num.items() if c}
-                if num:
-                    row[j] = _packed_divide(num, down)
+                new = _entry(piv, cur, left, top, down)
+                if new:
+                    row[j] = new
                 elif cur:
                     del row[j]
             level[i] = k + 1
     det = divisor[n]
     return det if sign == 1 else {key: -c for key, c in det.items()}
+
+
+def _entry(p, a, left, top, down):
+    """The Bareiss entry (p*a - left*top) / down of packed polynomials:
+    ``a`` a dict, the others item views, a missing factor counting as 0."""
+    num = {}
+    get = num.get
+    for x, y, sign in ((p, a.items() if a else (), 1), (left, top, -1)):
+        for k1, c1 in x:
+            c1 *= sign
+            for k2, c2 in y:
+                key = k1 + k2
+                num[key] = get(key, 0) + c1 * c2
+    return _packed_divide({key: c for key, c in num.items() if c}, down)
 
 
 def _packed_divide(p, q):

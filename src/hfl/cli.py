@@ -473,7 +473,13 @@ _HANDLERS = {
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _HANDLERS[args.cmd](args)
+        code = _HANDLERS[args.cmd](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; the flush of stdout at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except SplitLinkError as err:
         return _fail(args, f"split projection: {err}")
     except (ValueError, OSError) as err:

@@ -49,6 +49,7 @@ __all__ = [
     "require_valid",
     "echelon",
     "assoc_graded_homology",
+    "asymmetric_cell",
     "total_homology",
     "spectral_pages",
     "component_homology",
@@ -368,9 +369,7 @@ def _chain_report(cx: FilteredComplex) -> ValidationReport:
                     "filtration",
                     f"arrow {a}->{b} raises coordinate {i + 1} by {Fraction(xb - xa, 2)}",
                 )
-    out: dict[str, set[str]] = {g: set() for g in cx.gen_ids}
-    for a, b in cx.arrows:
-        out[a].add(b)
+    out, _ = _adjacency(cx)
     for g in sorted(cx.gen_ids):
         square: set[str] = set()
         for m in out[g]:
@@ -458,12 +457,21 @@ def assoc_graded_homology(cx: FilteredComplex) -> MultiGradedVS:
     return MultiGradedVS._trusted(cx.nvars, cx.parity, ranks)
 
 
+def asymmetric_cell(ranks: Mapping) -> tuple | None:
+    """The first (Maslov, doubled level) cell, in sorted order, whose rank
+    differs from its partner's, as (cell, partner); None if there is none.
+    A link's homology has the same rank at (d, h) as at its partner
+    (d - 2*o(h), -h), o(h) being the coordinate sum of h."""
+    for d, h2 in sorted(ranks):
+        partner = (d - sum(h2), tuple(-x for x in h2))
+        if ranks[(d, h2)] != ranks.get(partner, 0):
+            return (d, h2), partner
+    return None
+
+
 def total_homology(cx: FilteredComplex) -> dict[int, int]:
     """Homology ranks by Maslov degree, filtration forgotten."""
-    out: dict[str, set[str]] = {}
-    for a, b in cx.arrows:
-        out.setdefault(a, set()).add(b)
-    return _graded_homology([(g, cx.maslov(g)) for g in cx.gen_ids], out)
+    return _graded_homology([(g, cx.maslov(g)) for g in cx.gen_ids], _adjacency(cx)[0])
 
 
 def _cancel_arrow(

@@ -66,6 +66,7 @@ from .filtered import (
     AlexGrading,
     FilteredComplex,
     assoc_graded_homology,
+    asymmetric_cell,
     component_homology,
     total_homology,
     validate,
@@ -555,11 +556,10 @@ def filtered_complex_from_diagram(d: SphereDiagram) -> FilteredComplex:
     report = validate(cx)
     if not report:
         raise ValueError(f"the bigon complex fails validation: {report}")
-    final = assoc_graded_homology(cx)
-    for (mas, h2), r in final.ranks.items():
-        partner = (mas - sum(h2), tuple(-x for x in h2))
-        if final.rank(*partner) != r:
-            raise ValueError("the normalized rank table is not symmetric")
+    final = {(mas + dshift, (x - shift[0], y - shift[1])): r
+             for (mas, (x, y)), r in table.ranks.items()}
+    if asymmetric_cell(final) is not None:
+        raise ValueError("the normalized rank table is not symmetric")
     return cx
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .alexander import multivariable_alexander, signature
-from .filtered import FilteredComplex, MultiGradedVS
+from .filtered import FilteredComplex, MultiGradedVS, asymmetric_cell
 from .laurent import (
     MultiLaurent,
     fmt_half,
@@ -245,7 +245,10 @@ class VerifyReport:
         return self.ok
 
 
-def verify(table: MultiGradedVS, delta: MultiLaurent, kind: str, depth: int = 6) -> VerifyReport:
+EULER_MINUS_DEPTH = 6  # terms of the truncated series in the euler_minus check
+
+
+def verify(table: MultiGradedVS, delta: MultiLaurent, kind: str) -> VerifyReport:
     """Check a rank table against its Alexander polynomial.
 
     ``euler_hat``: the graded Euler characteristic must equal the
@@ -253,16 +256,16 @@ def verify(table: MultiGradedVS, delta: MultiLaurent, kind: str, depth: int = 6)
     itself in one variable).  ``euler_minus``: dividing the Euler
     characteristic by every (1 - T_i^{-1}) as a truncated geometric
     series must reproduce the half-shifted ``delta`` on the window
-    where the truncation is exact.  ``symmetry``: the rank at (d, h)
-    must equal the rank at (d - 2*o(h), -h).  A failed report carries
-    the first counterexample found.
+    where the truncation is exact.  ``symmetry``: no cell may break the
+    symmetry that ``filtered.asymmetric_cell`` checks.  A failed report
+    carries the first counterexample found.
     """
     if table.nvars != delta.nvars:
         raise ValueError("table and polynomial disagree on the variable count")
     if kind == "euler_hat":
         return _verify_euler_hat(table, delta)
     if kind == "euler_minus":
-        return _verify_euler_minus(table, delta, depth)
+        return _verify_euler_minus(table, delta)
     if kind == "symmetry":
         return _verify_symmetry(table)
     raise ValueError(f"unknown check {kind!r}")
@@ -286,35 +289,32 @@ def _verify_euler_hat(table: MultiGradedVS, delta: MultiLaurent) -> VerifyReport
 
 
 def _verify_symmetry(table: MultiGradedVS) -> VerifyReport:
-    for (d, h2), r in sorted(table.ranks.items()):
-        neg = tuple(-x for x in h2)
-        partner = (d - sum(h2), neg)
-        r2 = table.ranks.get(partner, 0)
-        if r != r2:
-            return VerifyReport(
-                False,
-                "symmetry",
-                f"rank {r} at d={d}, h2={h2} but rank {r2} at d={partner[0]}, h2={neg}",
-            )
-    return VerifyReport(True, "symmetry")
+    found = asymmetric_cell(table.ranks)
+    if found is None:
+        return VerifyReport(True, "symmetry")
+    (d, h2), (d2, neg) = found
+    return VerifyReport(
+        False,
+        "symmetry",
+        f"rank {table.rank(d, h2)} at d={d}, h2={h2} "
+        f"but rank {table.rank(d2, neg)} at d={d2}, h2={neg}",
+    )
 
 
-def _verify_euler_minus(table: MultiGradedVS, delta: MultiLaurent, depth: int) -> VerifyReport:
-    if depth < 1:
-        raise ValueError("depth must be at least 1")
+def _verify_euler_minus(table: MultiGradedVS, delta: MultiLaurent) -> VerifyReport:
     l = table.nvars
     chi = table.euler()
     lhs = chi
     for i in range(1, l + 1):
-        lhs = series_quotient(lhs, i, depth)
+        lhs = series_quotient(lhs, i, EULER_MINUS_DEPTH)
     if l == 1:
-        target = series_quotient(delta, 1, depth)
+        target = series_quotient(delta, 1, EULER_MINUS_DEPTH)
     else:
         target = delta.shift((1,) * l)
     floor2 = []
     for i in range(l):
         tops = [e[i] for e in chi.terms] + [e[i] for e in target.terms]
-        floor2.append((max(tops) if tops else 0) - 2 * depth - 1)
+        floor2.append((max(tops) if tops else 0) - 2 * EULER_MINUS_DEPTH - 1)
     lw = lhs.restrict(floor2)
     tw = target.restrict(floor2)
     if lw == tw or lw == -tw:
@@ -441,14 +441,12 @@ def two_component_cfl(
 
     c = (1 - sigma) // 2
     forced: list[Summand] = []
-    for lam, dk, s2 in comps[0].pairs:
-        a2 = s2 + n
-        for m in (dk, dk - 1):
-            forced.append(Summand("V", m, lam, (a2, 2 * m - a2 + 2 * c)))
-    for lam, dk, s2 in comps[1].pairs:
-        b2 = s2 + n
-        for m in (dk, dk - 1):
-            forced.append(Summand("H", m, lam, (2 * m - b2 + 2 * c, b2)))
+    for kind, data in zip("VH", comps):
+        for lam, dk, s2 in data.pairs:
+            for m in (dk, dk - 1):
+                # H is V mirrored: the same placement with the coordinates swapped
+                shift = (s2 + n, 2 * m - s2 - n + 2 * c)
+                forced.append(Summand(kind, m, lam, shift if kind == "V" else shift[::-1]))
     rest = Counter(target.ranks)
     _take_cells(rest, forced, "the component pairs do not fit")
 
@@ -511,13 +509,8 @@ def _tile_squares(cells: Counter) -> list[Summand]:
     out = []
     while rest:
         d0, (x, y) = min(rest, key=lambda cell: (cell[1], cell[0]))
-        needed = [
-            (d0, (x, y)),
-            (d0 + 1, (x + 2, y)),
-            (d0 + 1, (x, y + 2)),
-            (d0 + 2, (x + 2, y + 2)),
-        ]
-        for cell in needed:
+        square = Summand("B", d0, 0, (x, y))
+        for cell in sum_cells([square]):
             if rest.get(cell, 0) <= 0:
                 raise ValueError(
                     "constraints unsatisfiable: the squares cannot tile the cell at "
@@ -526,7 +519,7 @@ def _tile_squares(cells: Counter) -> list[Summand]:
             rest[cell] -= 1
             if not rest[cell]:
                 del rest[cell]
-        out.append(Summand("B", d0, 0, (x, y)))
+        out.append(square)
     return out
 
 

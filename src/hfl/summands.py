@@ -41,11 +41,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
+from operator import add
 
 from .filtered import (
     FilteredComplex,
     component_homology,
-    direct_sum,
     echelon,
     require_valid,
     total_homology,
@@ -125,12 +125,9 @@ def _standard_model(kind: str, lam: int):
             if j:
                 arrows.append((f"t{j}", f"u{j - 1}"))
     elif kind == "H":
-        for i in range(lam):
-            cells.append((f"t{i}", 0, (2 * i, -2 * i)))
-            cells.append((f"u{i}", -1, (2 * i, -2 * i - 2)))
-            arrows.append((f"t{i}", f"u{i}"))
-            if i:
-                arrows.append((f"t{i}", f"u{i - 1}"))
+        # V mirrored: the same ids in the same order, coordinates swapped
+        v_cells, v_arrows = _standard_model("V", lam)
+        return tuple((gid, m, (y, x)) for gid, m, (x, y) in v_cells), v_arrows
     elif kind == "X":
         for i in range(lam + 1):
             cells.append((f"l{i}", 0, (2 * i, 2 * (lam - i))))
@@ -154,18 +151,30 @@ def _standard_model(kind: str, lam: int):
     return tuple(cells), tuple(arrows)
 
 
+def _placed(s: Summand):
+    """Cells (id, Maslov, doubled level) and arrows of a summand: each cell
+    at standard position plus Maslov offset plus shift."""
+    cells, arrows = _standard_model(s.kind, s.lparam)
+    return [(gid, m + s.d, tuple(map(add, h2, s.shift2))) for gid, m, h2 in cells], arrows
+
+
 def build_summand(s: Summand) -> FilteredComplex:
     """Realize a summand as a complex, cells at standard position + shift."""
-    cells, arrows = _standard_model(s.kind, s.lparam)
-    parity = tuple(x % 2 for x in s.shift2)
-    gens = [
-        (gid, dd + s.d, tuple(a + b for a, b in zip(h2, s.shift2))) for gid, dd, h2 in cells
-    ]
-    return FilteredComplex(len(s.shift2), parity, gens, arrows)
+    return FilteredComplex(len(s.shift2), [x % 2 for x in s.shift2], *_placed(s))
 
 
 def build_sum(summands) -> FilteredComplex:
-    return direct_sum([build_summand(s) for s in summands])
+    """The direct sum of the summands, with the ids of summand k prefixed
+    by ``s{k}.`` as in ``direct_sum``.  All must share one parity."""
+    if not summands:
+        raise ValueError("empty direct sum")
+    gens, arrows = [], []
+    for k, s in enumerate(summands):
+        cells, arrs = _placed(s)
+        gens += [(f"s{k}.{gid}", m, h2) for gid, m, h2 in cells]
+        arrows += [(f"s{k}.{a}", f"s{k}.{b}") for a, b in arrs]
+    shift2 = summands[0].shift2
+    return FilteredComplex(len(shift2), [x % 2 for x in shift2], gens, arrows)
 
 
 # ----------------------------------------------------------------------
@@ -410,13 +419,8 @@ def decompose(cx: FilteredComplex) -> list[Summand]:
 
 def sum_cells(summands) -> Counter:
     """Generator counts of ``build_sum(summands)`` by (Maslov, doubled
-    level), for two-coordinate summands, without building it."""
-    cells: Counter = Counter()
-    for s in summands:
-        d, (x0, y0) = s.d, s.shift2
-        for _, m, (x, y) in _standard_model(s.kind, s.lparam)[0]:
-            cells[(m + d, (x + x0, y + y0))] += 1
-    return cells
+    level), without building it."""
+    return Counter((m, h2) for s in summands for _, m, h2 in _placed(s)[0])
 
 
 def sum_invariants(summands):

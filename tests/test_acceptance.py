@@ -157,7 +157,7 @@ def test_criterion_05_euler_minus_series():
         else:
             rep = hfl_alternating(diag)
             table, delta = rep.table, rep.delta
-        assert verify(table, delta, "euler_minus", depth=6), name
+        assert verify(table, delta, "euler_minus"), name
 
 
 def test_criterion_06_bigon_oracle_equivalence():

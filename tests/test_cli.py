@@ -1,8 +1,12 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hfl
 from hfl import linkdiag
 from hfl import heegaard
 from hfl.cli import _two_bridge_params, main
@@ -259,3 +263,17 @@ def test_non_planar_code_refused_before_alternation(capsys, tmp_path, command):
     path.write_text("PD[X[1,4,3,3],X[2,1,2,4]]")
     code, out, err = run(capsys, command, str(path))
     assert code == 1 and out == "" and "face count" in err and "alternating" not in err
+
+
+def test_closed_reader_ends_without_traceback():
+    # the reader is gone before the first write, as with `hfl ... | head -c 10`
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hfl.__file__)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hfl.cli", "table", "corpus:two_bridge(178,69)", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

@@ -12,6 +12,7 @@ from hfl.filtered import (
     FilteredComplex,
     MultiGradedVS,
     assoc_graded_homology,
+    asymmetric_cell,
     component_homology,
     direct_sum,
     echelon,
@@ -258,6 +259,20 @@ def test_direct_sum_disjoint():
     assert total_homology(both) == {0: 2, -1: 2}
     with pytest.raises(ValueError):
         direct_sum([cx, square_complex()])
+
+
+def test_asymmetric_cell_names_the_first_broken_cell():
+    # (d, h) pairs with (d - 2 o(h), -h); the centre pairs with itself
+    table = {(0, (1, 1)): 1, (-2, (-1, -1)): 1, (1, (2, -2)): 3, (1, (-2, 2)): 3,
+             (0, (0, 0)): 2}
+    assert asymmetric_cell(table) is None
+    assert asymmetric_cell({(5, (3,)): 1, (2, (-3,)): 1}) is None
+    broken = dict(table)
+    broken[(0, (1, 1))] = 2
+    assert asymmetric_cell(broken) == ((-2, (-1, -1)), (0, (1, 1)))
+    broken = dict(table)
+    broken[(4, (2, 0))] = 1
+    assert asymmetric_cell(broken) == ((4, (2, 0)), (2, (-2, 0)))
 
 
 def test_tensor_graded_hopf_square():

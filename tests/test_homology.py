@@ -197,19 +197,19 @@ def test_verify_catches_broken_table():
 def test_verify_euler_minus_corpus():
     for name in ["hopf_plus", "torus_2_2n(3)", "two_bridge(8,3)"]:
         rep = hfl_alternating(corpus(name))
-        assert verify(rep.table, rep.delta, "euler_minus", depth=6), name
+        assert verify(rep.table, rep.delta, "euler_minus"), name
     for name in ["unknot", "trefoil_right", "figure8"]:
         d = corpus(name)
         t = hfk_alternating_knot(d)
         delta = multivariable_alexander(d).delta
-        assert verify(t, delta, "euler_minus", depth=6), name
+        assert verify(t, delta, "euler_minus"), name
 
 
 def test_verify_euler_minus_detects_wrong_polynomial():
     d = corpus("trefoil_right")
     t = hfk_alternating_knot(d)
     wrong = multivariable_alexander(corpus("figure8")).delta
-    assert not verify(t, wrong, "euler_minus", depth=6)
+    assert not verify(t, wrong, "euler_minus")
 
 
 def test_verify_rejects_unknown_kind_and_var_mismatch():

@@ -8,6 +8,7 @@ from hfl.filtered import (
     FilteredComplex,
     assoc_graded_homology,
     component_homology,
+    direct_sum,
     spectral_pages,
     total_homology,
     validate,
@@ -98,6 +99,21 @@ def test_shift_is_position_of_base_cell():
         assert any(
             cx.filt2(g) == (2, -2) and cx.maslov(g) == 0 for g in cx.gen_ids
         ), s
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_build_sum_is_the_direct_sum_of_its_summands(rng):
+    ss = random_summand_sum(rng)
+    parts = [build_summand(s) for s in ss]
+    assert build_sum(ss).to_json_dict() == direct_sum(parts).to_json_dict()
+
+
+def test_build_sum_refuses_empty_and_mixed_parity():
+    with pytest.raises(ValueError, match="empty direct sum"):
+        build_sum([])
+    with pytest.raises(ValueError, match="violates parity"):
+        build_sum([Summand("B", 0, 0, (0, 0)), Summand("B", 0, 0, (1, 0))])
 
 
 def test_e_decomposition_pairs_and_frees():
