@@ -2,26 +2,23 @@
 
 For an alternating projection the whole multi-graded rank table is a
 function of the Alexander polynomial and the signature; this script
-computes both invariants from the diagram, prints the resulting table,
-and re-checks the Euler identity and the grading symmetry on the spot.
+computes both invariants from the diagram and prints the resulting
+table with its Euler identity and grading symmetry checks.
 
 Run:  python3 demos/alternating_tables.py
 """
 
 from hfl import linkdiag
-from hfl.alexander import multivariable_alexander, signature
-from hfl.homology import collapse_to_hfk, hfk_alternating_knot, hfl_alternating, verify
+from hfl.homology import collapse_to_hfk, hfl_alternating
 
 
 def show_knot(name):
-    diag = linkdiag.corpus(name)
-    table = hfk_alternating_knot(diag)
-    delta = multivariable_alexander(diag).delta
-    print(f"--- {name}  (knot, sigma = {signature(diag)}) ---")
-    print(f"Alexander polynomial: {delta}")
-    print(table.table_str())
-    for kind in ("euler_hat", "symmetry"):
-        print(f"  {kind}: {'ok' if verify(table, delta, kind) else 'FAILED'}")
+    rep = hfl_alternating(linkdiag.corpus(name))
+    print(f"--- {name}  (knot, sigma = {rep.sigma}) ---")
+    print(f"Alexander polynomial: {rep.delta}")
+    print(rep.table.table_str())
+    print(f"  euler_hat: {'ok' if rep.euler_ok else 'FAILED'}")
+    print(f"  symmetry: {'ok' if rep.symmetry_ok else 'FAILED'}")
     print()
 
 

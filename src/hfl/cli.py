@@ -32,7 +32,6 @@ from .fixtures import FIXTURE_NAMES, fixture_complex
 from .heegaard import admissibility, complex_from_diagram, oracle_compare, two_bridge_diagram
 from .homology import (
     collapse_to_hfk,
-    hfk_alternating_knot,
     hfl_alternating,
     two_component_cfl_from_diagram,
     verify,
@@ -102,6 +101,21 @@ def _fixture_hint(spec: str) -> str | None:
     return None
 
 
+def _alternating_report(spec: str):
+    """``hfl_alternating`` of an input; a refusal names any fixture of it."""
+    diag = _load_diagram(spec)
+    try:
+        return hfl_alternating(diag)
+    except ValueError as err:
+        if "not alternating" in str(err):
+            message = f"non-alternating: {err}"
+            hint = _fixture_hint(spec)
+            if hint:
+                message += f"; a transcribed table is available via `hfl fixture {hint}`"
+            raise ValueError(message) from err
+        raise
+
+
 # -- subcommands -------------------------------------------------------
 
 
@@ -124,33 +138,15 @@ def _cmd_signature(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    diag = _load_diagram(args.link)
-    if diag.n_components == 1:
-        table = hfk_alternating_knot(diag)
-        if args.json:
-            _emit(args, {
-                "l": 1,
-                "sigma": signature(diag),
-                "delta": multivariable_alexander(diag).delta.to_json_dict(),
-                "table": table.to_json_dict(),
-            })
-        else:
-            print(table.table_str())
-        return 0
-    try:
-        report = hfl_alternating(diag)
-    except ValueError as err:
-        if "not alternating" in str(err):
-            message = f"non-alternating: {err}"
-            hint = _fixture_hint(args.link)
-            if hint:
-                message += f"; a transcribed table is available via `hfl fixture {hint}`"
-            raise ValueError(message) from err
-        raise
+    report = _alternating_report(args.link)
     if args.json:
-        _emit(args, report.to_json_dict())
-    else:
-        print(report.table.table_str())
+        out = report.to_json_dict()
+        if report.l == 1:
+            out = {key: out[key] for key in ("l", "sigma", "delta", "table")}
+        _emit(args, out)
+        return 0
+    print(report.table.table_str())
+    if report.l > 1:
         print(f"sigma = {report.sigma}")
         print(f"euler identity: {'ok' if report.euler_ok else 'FAIL'}")
         print(f"symmetry: {'ok' if report.symmetry_ok else 'FAIL'}")
@@ -190,14 +186,8 @@ def _cmd_ss(args) -> int:
     return 0
 
 
-def _rank_table(diag):
-    if diag.n_components == 1:
-        return hfk_alternating_knot(diag)
-    return hfl_alternating(diag).table
-
-
 def _cmd_collapse(args) -> int:
-    collapsed = collapse_to_hfk(_rank_table(_load_diagram(args.link)))
+    collapsed = collapse_to_hfk(_alternating_report(args.link).table)
     if args.json:
         _emit(args, collapsed.to_json_dict())
     else:
@@ -206,7 +196,7 @@ def _cmd_collapse(args) -> int:
 
 
 def _cmd_kunneth(args) -> int:
-    first, second = (_rank_table(_load_diagram(spec)) for spec in (args.first, args.second))
+    first, second = (_alternating_report(spec).table for spec in (args.first, args.second))
     merged = tensor_graded(first, second, (1, 1))
     if args.json:
         _emit(args, merged.to_json_dict())
@@ -258,7 +248,7 @@ def _check_rows(name: str) -> list:
     state = {}
 
     def c_alexander():
-        state["delta"] = multivariable_alexander(diag).delta
+        multivariable_alexander(diag)
         return True, None
 
     add("alexander", c_alexander)
@@ -284,33 +274,21 @@ def _check_rows(name: str) -> list:
             add("fixture", c_fixture)
         return rows
 
-    if diag.n_components == 1:
-        def c_table():
-            state["table"] = hfk_alternating_knot(diag)
-            return True, None
-
-        add("table", c_table)
-        for kind in ("euler_hat", "euler_minus", "symmetry"):
-            def c_verify(kind=kind):
-                rep = verify(state["table"], state["delta"], kind)
-                return rep.ok, rep.detail
-
-            add(kind.replace("_", "-"), c_verify)
-        return rows
-
     def c_table():
         state["report"] = hfl_alternating(diag)
         return True, None
 
     add("table", c_table)
-    add("euler-hat", lambda: (state["report"].euler_ok, None))
-    add("symmetry", lambda: (state["report"].symmetry_ok, None))
+    if diag.n_components == 1:
+        kinds = ("euler_hat", "euler_minus", "symmetry")
+    else:
+        kinds = ("euler_hat", "symmetry", "euler_minus")
+    for kind in kinds:
+        def c_verify(kind=kind):
+            rep = verify(state["report"].table, state["report"].delta, kind)
+            return rep.ok, rep.detail
 
-    def c_minus():
-        rep = verify(state["report"].table, state["report"].delta, "euler_minus")
-        return rep.ok, rep.detail
-
-    add("euler-minus", c_minus)
+        add(kind.replace("_", "-"), c_verify)
 
     if diag.n_components == 2:
         def c_cfl2():

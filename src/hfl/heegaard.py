@@ -72,7 +72,7 @@ from .filtered import (
     validate,
 )
 from . import linkdiag
-from .homology import hfk_alternating_knot, hfl_alternating
+from .homology import hfl_alternating
 
 __all__ = [
     "SphereDiagram",
@@ -628,7 +628,7 @@ def oracle_compare(p: int, q: int) -> OracleReport:
     table = assoc_graded_homology(cx)
     lk, flipped = None, False
     if p == 1:
-        alt = hfk_alternating_knot(linkdiag.corpus("unknot"))
+        link = linkdiag.corpus("unknot")
     else:
         part = component_homology(cx, 2)
         levels = {part.filt2(g) for g in part.gen_ids}
@@ -639,7 +639,7 @@ def oracle_compare(p: int, q: int) -> OracleReport:
         flipped = linkdiag.linking_matrix(link).lk[0][1] != lk
         if flipped:
             link = linkdiag.reverse(link, 1)
-        alt = hfl_alternating(link).table
+    alt = hfl_alternating(link).table
     differ = sorted((h2, d) for d, h2 in table.ranks.keys() | alt.ranks.keys()
                     if table.rank(d, h2) != alt.rank(d, h2))
     cell = None

@@ -58,6 +58,12 @@ __all__ = [
 # ----------------------------------------------------------------------
 # The rank table of an alternating link
 
+def _euler_target(delta: MultiLaurent) -> MultiLaurent:
+    """``delta`` times the spin product; ``delta`` itself in one variable."""
+    l = delta.nvars
+    return spin_product(l) * delta if l > 1 else delta
+
+
 def table_from_invariants(delta: MultiLaurent, sigma: int, totals) -> MultiGradedVS:
     """Rank table determined by the Alexander polynomial and signature.
 
@@ -75,9 +81,8 @@ def table_from_invariants(delta: MultiLaurent, sigma: int, totals) -> MultiGrade
     if len(totals) != l:
         raise ValueError("need one linking total per variable")
     parity = tuple(t % 2 for t in totals)
-    poly = spin_product(l) * delta if l > 1 else delta
     ranks: dict = {}
-    for e2, a in poly.terms.items():
+    for e2, a in _euler_target(delta).terms.items():
         num = sum(e2) + sigma - l + 1
         if num % 2:
             raise ValueError(
@@ -131,35 +136,37 @@ def _alternating_invariants(diag: LinkDiagram, message: str) -> tuple[MultiLaure
     return multivariable_alexander(diag).delta, signature(diag)
 
 
-def hfl_alternating(diag: LinkDiagram) -> HFLReport:
-    """Homology table of a connected alternating link projection, l >= 2."""
-    if diag.n_components < 2:
-        raise ValueError("knot input: use hfk_alternating_knot")
+def _alternating_table(diag: LinkDiagram) -> tuple[MultiLaurent, int, tuple, MultiGradedVS]:
+    """Delta, sigma, the linking matrix and the rank table of ``diag``."""
     delta, sigma = _alternating_invariants(
         diag,
         "the projection is not alternating, so the rank table is not "
         "determined by the Alexander polynomial and signature",
     )
     lkd = linking_matrix(diag)
-    table = table_from_invariants(delta, sigma, lkd.total)
+    return delta, sigma, lkd.lk, table_from_invariants(delta, sigma, lkd.total)
+
+
+def hfl_alternating(diag: LinkDiagram) -> HFLReport:
+    """Homology table of a connected alternating projection, l >= 1."""
+    delta, sigma, linking, table = _alternating_table(diag)
     return HFLReport(
         table=table,
         delta=delta,
         euler=table.euler(),
         sigma=sigma,
         l=diag.n_components,
-        linking=lkd.lk,
+        linking=linking,
         euler_ok=bool(verify(table, delta, "euler_hat")),
         symmetry_ok=bool(verify(table, delta, "symmetry")),
     )
 
 
 def hfk_alternating_knot(diag: LinkDiagram) -> MultiGradedVS:
-    """One-variable homology table of a connected alternating knot."""
+    """The table ``hfl_alternating`` gives a knot, without its identity checks."""
     if diag.n_components != 1:
         raise ValueError("link input: use hfl_alternating")
-    delta, sigma = _alternating_invariants(diag, "the projection is not alternating")
-    return table_from_invariants(delta, sigma, (0,))
+    return _alternating_table(diag)[3]
 
 
 # ----------------------------------------------------------------------
@@ -272,9 +279,8 @@ def verify(table: MultiGradedVS, delta: MultiLaurent, kind: str) -> VerifyReport
 
 
 def _verify_euler_hat(table: MultiGradedVS, delta: MultiLaurent) -> VerifyReport:
-    l = table.nvars
     chi = table.euler()
-    target = spin_product(l) * delta if l > 1 else delta
+    target = _euler_target(delta)
     if chi == target or chi == -target:
         return VerifyReport(True, "euler_hat")
     diff_m = chi - target

@@ -132,15 +132,9 @@ def test_criterion_03_signatures():
 
 def test_criterion_04_euler_hat_and_symmetry():
     for name in ALTERNATING_CORPUS:
-        diag = linkdiag.corpus(name)
-        if diag.n_components == 1:
-            table = hfk_alternating_knot(diag)
-            delta = multivariable_alexander(diag).delta
-        else:
-            rep = hfl_alternating(diag)
-            table, delta = rep.table, rep.delta
-        assert verify(table, delta, "euler_hat"), name
-        assert verify(table, delta, "symmetry"), name
+        rep = hfl_alternating(linkdiag.corpus(name))
+        assert verify(rep.table, rep.delta, "euler_hat"), name
+        assert verify(rep.table, rep.delta, "symmetry"), name
     # the transcribed non-alternating table against its own Fox polynomial
     table = assoc_graded_homology(fixture_complex("l7n2"))
     delta = multivariable_alexander(linkdiag.corpus("L7n2")).delta
@@ -150,14 +144,8 @@ def test_criterion_04_euler_hat_and_symmetry():
 
 def test_criterion_05_euler_minus_series():
     for name in ALTERNATING_CORPUS:
-        diag = linkdiag.corpus(name)
-        if diag.n_components == 1:
-            table = hfk_alternating_knot(diag)
-            delta = multivariable_alexander(diag).delta
-        else:
-            rep = hfl_alternating(diag)
-            table, delta = rep.table, rep.delta
-        assert verify(table, delta, "euler_minus"), name
+        rep = hfl_alternating(linkdiag.corpus(name))
+        assert verify(rep.table, rep.delta, "euler_minus"), name
 
 
 def test_criterion_06_bigon_oracle_equivalence():

@@ -3,12 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import hfl
-from hfl import linkdiag
-from hfl import heegaard
+from hfl import alexander, cli, heegaard, homology, linkdiag
 from hfl.cli import _two_bridge_params, main
 from hfl.filtered import MultiGradedVS, assoc_graded_homology
 from hfl.heegaard import complex_from_diagram, two_bridge_diagram
@@ -61,6 +61,58 @@ def test_table_refuses_nonalternating_with_hint(capsys):
     assert "hfl fixture L7n2" in err
     code, out, _ = run(capsys, "table", "corpus:L7n2", "--json")
     assert code == 1 and "non-alternating" in json.loads(out)["error"]
+
+
+def nonalt_knot_file(tmp_path):
+    # positive 3-braid closure of the trefoil; one component, not alternating
+    path = tmp_path / "knot.pd"
+    path.write_text(linkdiag.braid_closure([1, 2, 1, 2], 3).to_pd_text())
+    return str(path)
+
+
+def test_nonalternating_knot_refused_like_a_link(capsys, tmp_path):
+    knot = nonalt_knot_file(tmp_path)
+    for argv in (["table", knot], ["collapse", knot], ["kunneth", "corpus:hopf_plus", knot]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and err.startswith("error: non-alternating: "), argv
+
+
+def test_collapse_and_kunneth_name_the_fixture(capsys):
+    for argv in (["collapse", "corpus:L7n2"], ["kunneth", "corpus:L7n2", "corpus:hopf_plus"]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and "non-alternating" in err and "hfl fixture L7n2" in err, argv
+
+
+def test_check_refuses_a_nonalternating_knot(monkeypatch):
+    monkeypatch.setattr(linkdiag, "corpus", lambda name: linkdiag.braid_closure([1, 2, 1, 2], 3))
+    rows = {row["check"]: row for row in cli._check_rows("knot")}
+    assert list(rows) == ["alexander", "refusal"]
+    assert rows["refusal"]["ok"] is True, rows["refusal"]["detail"]
+
+
+def test_knot_table_computes_delta_and_sigma_once(capsys, monkeypatch):
+    calls = Counter()
+    for name in ("multivariable_alexander", "signature"):
+        def counted(*args, _real=getattr(alexander, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        for module in (alexander, homology, cli):
+            monkeypatch.setattr(module, name, counted)
+    code, _, _ = run(capsys, "table", "corpus:figure8", "--json")
+    assert code == 0
+    assert calls == {"multivariable_alexander": 1, "signature": 1}
+
+
+def test_knot_table_json_keys(capsys):
+    code, out, _ = run(capsys, "table", "corpus:figure8", "--json")
+    payload = json.loads(out)
+    assert code == 0 and set(payload) == {"l", "sigma", "delta", "table"}
+    rep = hfl_alternating(linkdiag.corpus("figure8"))
+    assert payload == json.loads(json.dumps({
+        "l": 1, "sigma": rep.sigma, "delta": rep.delta.to_json_dict(),
+        "table": rep.table.to_json_dict(),
+    }))
 
 
 def test_cfl2_emits_complex_and_summands(capsys):

@@ -31,6 +31,7 @@ from hfl.homology import (
 )
 from hfl.laurent import MultiLaurent, monomial
 from hfl.linkdiag import (
+    CORPUS_NAMES,
     SplitLinkError,
     braid_closure,
     connected_sum,
@@ -145,9 +146,13 @@ def test_hfl_four_components():
     assert len(rep.delta.terms) == 864
 
 
-def test_hfl_rejects_knots_nonalternating_and_split():
-    with pytest.raises(ValueError, match="hfk_alternating_knot"):
-        hfl_alternating(corpus("unknot"))
+def test_hfl_takes_knots_and_rejects_nonalternating_and_split():
+    for name in CORPUS_NAMES:
+        d = corpus(name)
+        if d.n_components == 1:
+            rep = hfl_alternating(d)
+            assert rep.l == 1 and rep.linking == ((0,),), name
+            assert rep.table == hfk_alternating_knot(d), name
     with pytest.raises(ValueError, match="not alternating"):
         hfl_alternating(corpus("L7n2"))
     with pytest.raises(SplitLinkError):
@@ -195,14 +200,10 @@ def test_verify_catches_broken_table():
 
 
 def test_verify_euler_minus_corpus():
-    for name in ["hopf_plus", "torus_2_2n(3)", "two_bridge(8,3)"]:
+    for name in ["hopf_plus", "torus_2_2n(3)", "two_bridge(8,3)",
+                 "unknot", "trefoil_right", "figure8"]:
         rep = hfl_alternating(corpus(name))
         assert verify(rep.table, rep.delta, "euler_minus"), name
-    for name in ["unknot", "trefoil_right", "figure8"]:
-        d = corpus(name)
-        t = hfk_alternating_knot(d)
-        delta = multivariable_alexander(d).delta
-        assert verify(t, delta, "euler_minus"), name
 
 
 def test_verify_euler_minus_detects_wrong_polynomial():
