@@ -39,13 +39,17 @@ alternating-link table of the link so oriented.
 
 All geometry is integer arithmetic.  The pillowcase is scaled by
 8p(q+1), which makes every coordinate the construction samples an
-integer, and the index is kept as four times its value.  One connecting
-domain per generator is solved, once per diagram; the candidate domains
-of a pair are the difference of two of them plus whole curves, so
-counting bigons needs no search.  Only pairs with Maslov drop 1 and
-Alexander drops 0 or 1 are counted: an embedded bigon has index 1,
-misses w1 and w2 and covers each z at most once, and the lattice
-congruence gives every domain of a pair the pair's grading drops.
+integer, and the index is kept as four times its value.  A domain is
+packed into one integer with a slot of signed digits per region, so
+adding the integers adds the domains.  The connecting domains of all
+generators come at once, per diagram, from prefix sums along each curve
+of the packed solutions for single edges.  The candidate domains of a
+pair are the difference of two of them plus whole curves, and each is
+tested as a whole integer, so counting bigons needs no search and no
+loop over regions.  Only pairs with Maslov drop 1 and Alexander drops
+0 or 1 are counted: an embedded bigon has index 1, misses w1 and w2 and
+covers each z at most once, and the lattice congruence gives every
+domain of a pair the pair's grading drops.
 
 The complex uses nothing from ``alexander`` or ``homology``; only
 ``oracle_compare`` calls the alternating-link computation, so the two
@@ -59,7 +63,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
+from itertools import accumulate, product
 from typing import NamedTuple
 
 from .filtered import (
@@ -110,7 +114,7 @@ class SphereDiagram:
     multiplicity zero at every w, as its nonzero multiplicities (empty
     when there is none).
 
-    The domains are solved on first use and kept with the diagram, so a
+    The domains are built on first use and kept with the diagram, so a
     diagram must not be changed once built; ``dataclasses.replace``
     makes a variant with its own domains.
     """
@@ -181,77 +185,85 @@ class SphereDiagram:
             raise ValueError("the complement of the curves is not connected")
         return tuple(tree)
 
-    def solve(self, coeffs: dict) -> dict:
-        """Multiplicities with the given jump across each edge.
-
-        ``coeffs`` maps edge ids to the required difference between the
-        left and the right multiplicity; the solution is anchored at
-        ``regions[0]``, so only differences are meaningful.
-        """
-        m = {self.regions[0]: 0}
-        for r, parent, eid, sgn in self._tree:
-            m[r] = m[parent] + sgn * coeffs.get(eid, 0)
-        for eid, (left, right) in self.edges.items():
-            if m[left] - m[right] != coeffs.get(eid, 0):
-                raise ValueError("boundary data is not the boundary of a 2-chain")
-        return m
-
-    def arc(self, curve: str, g: str, h: str, forward: bool):
-        """Walk curve ``"a"`` (alpha) or ``"b"`` (beta) from g to h.
-
-        Returns the signed edge coefficients of the walk: +1 per edge
-        crossed forward, -1 backward.
-        """
-        points = self.alpha if curve == "a" else self.beta
-        n = len(points)
-        pos, k = points.index(g), points.index(h)
-        step = 1 if forward else -1
-        coeffs = {}
-        while pos != k:
-            coeffs[(curve, pos if forward else (pos - 1) % n)] = step
-            pos = (pos + step) % n
-        return coeffs
-
-    def connect(self, g: str, h: str, fa: bool = True, fb: bool = True) -> dict:
-        """Some 2-chain whose boundary runs from g to h on alpha, back on beta."""
-        coeffs = Counter(self.arc("a", g, h, fa))
-        coeffs.update(self.arc("b", h, g, fb))
-        return self.solve(coeffs)
-
     @cached_property
     def _domains(self) -> _Domains:
-        """The connecting and whole-curve domains, solved once per diagram.
+        """The connecting and whole-curve domains, packed once per diagram.
 
         phi_g connects ``alpha[0]`` to g along the arcs of both curves
         that do not run over the edge closing the curve (from its last
         point back to its first); A and B are bounded by all of alpha and
         all of beta.
+
+        Multiplicities with given jumps across the edges, anchored at 0 on
+        ``regions[0]``, follow down ``_tree``; they are linear in the jumps,
+        and a unit jump on a tree edge gives +-1 on the subtree below it.
+        Each unit solution carries its defect, its jumps across all edges
+        less the unit one, in slots above the regions'.  Prefix sums PA
+        and PB along the two curves give phi_g = PA[pos_a g] +
+        PB[pos_b alpha[0]] - PB[pos_b g], A = PA[n] and B = PB[n], and
+        each must have defect 0.
+
+        Each of these, and each candidate of ``bigons``, solves a chain
+        with coefficients -1, 0 or 1, so a multiplicity is at most its
+        region's depth in the tree, at most the tree's height H, in
+        absolute value.  A candidate lowered by a value in its own range
+        stays within 2H, and a defect within 2H + 1.  The least width with
+        2H + 1 < 2^(width - 1) holds every digit exactly: no multiplicity
+        can break the bound.
         """
-        at = {r: k for k, r in enumerate(self.regions)}
-        counts = Counter(r for quads in self.corners.values() for r in quads)
+        regions, tree = self.regions, self._tree
+        depth = {regions[0]: 0}
+        for r, parent, _, _ in tree:
+            depth[r] = depth[parent] + 1
+        width = (2 * max(depth.values()) + 1).bit_length() + 1
+        shift = {r: width * k for k, r in enumerate(regions)}
+        edge_bit = {e: 1 << width * k for k, e in enumerate(self.edges, len(regions))}
+        # a region's indicator with its jumps across the edges, summed over subtrees
+        sub = {r: 1 << s for r, s in shift.items()}
+        for e, (left, right) in self.edges.items():
+            sub[left] += edge_bit[e]
+            sub[right] -= edge_bit[e]
+        unit = {e: -bit for e, bit in edge_bit.items()}
+        for r, parent, e, sgn in reversed(tree):
+            unit[e] += sgn * sub[r]
+            sub[parent] += sub[r]
+
+        n = len(self.alpha)
+        pa = [0, *accumulate(unit[("a", k)] for k in range(n))]
+        pb = [0, *accumulate(unit[("b", k)] for k in range(n))]
         pos_b = {g: k for k, g in enumerate(self.beta)}
+        unanchored = {g: pa[k] - pb[pos_b[g]] for k, g in enumerate(self.alpha)}
+        phi = {g: m - unanchored[self.alpha[0]] for g, m in unanchored.items()}
 
-        def vector(m):
-            return [m[r] for r in self.regions]
-
-        base = self.alpha[0] if self.alpha else None
-        return _Domains(
-            at=at,
-            weight=[4 - counts[r] for r in self.regions],
-            corners={g: tuple(at[r] for r in quads) for g, quads in self.corners.items()},
+        ones = sum(1 << s for s in shift.values())
+        offset = ones << width - 1
+        for m in (*phi.values(), pa[n], pb[n]):
+            # half a slot added to each region keeps the region slots from borrowing
+            if (m + offset) >> width * len(regions):
+                raise ValueError("boundary data is not the boundary of a 2-chain")
+        counts = Counter(r for quads in self.corners.values() for r in quads)
+        dom = _Domains(
+            width=width,
+            shift=shift,
+            ones=ones,
+            weight={shift[r]: 4 - counts[r] for r in regions if counts[r] != 4},
+            corners={g: tuple(shift[r] for r in quads) for g, quads in self.corners.items()},
             pos_a={g: k for k, g in enumerate(self.alpha)},
             pos_b=pos_b,
-            phi={g: vector(self.connect(base, g, True, pos_b[g] < pos_b[base]))
-                 for g in self.alpha},
-            whole_a=vector(self.solve({e: 1 for e in self.edges if e[0] == "a"})),
-            whole_b=vector(self.solve({e: 1 for e in self.edges if e[0] == "b"})),
+            phi=phi,
+            whole_a=pa[n],
+            whole_b=pb[n],
+            whole_corners={},
         )
+        return dom._replace(whole_corners={
+            g: (dom.corner_sum(pa[n], g), dom.corner_sum(pb[n], g)) for g in self.alpha})
 
     # -- measures ------------------------------------------------------
 
     def index(self, m: dict, g: str, h: str) -> Fraction:
         """Combinatorial Maslov index e(D) + n_g(D) + n_h(D) of the multiplicities ``m``."""
-        return Fraction(self._domains.four_index([m[r] for r in self.regions], g, h), 4)
+        dom = self._domains
+        return Fraction(dom.four_index(dom.pack(m), g, h), 4)
 
     def bigons(self, g: str, h: str, avoid) -> int:
         """Number of embedded bigons from g to h missing ``avoid`` regions.
@@ -263,55 +275,81 @@ class SphereDiagram:
         i one of i0, i0 - 1 and j one of j0, j0 - 1, where i0 (j0) is 1
         when the forward arc of alpha from g to h (of beta from h to g)
         runs over the edge that closes its curve, from the last point
-        back to the first.  A candidate counts when, lowered to minimum
-        0, its multiplicities are 0 or 1, it misses ``avoid`` and its
-        corner sums at g and at h are 1.  Corner sums are linear in the
-        domain, so they are checked first, from those of phi, A and B.
+        back to the first.  Corner sums are linear in the domain, so they
+        are checked first, from those of phi_h - phi_g, A and B: a bigon
+        has corner sum 4 lo + 1 at g and at h, lo its least multiplicity.
+        A candidate lowered by lo is one integer x, and it is a bigon that
+        misses ``avoid`` exactly when x has no bit outside the lowest of
+        each region slot, which makes every multiplicity 0 or 1, and none
+        in an avoided slot.  Its corner sum 1 at g already makes some
+        multiplicity 0 and some 1.
         """
         dom = self._domains
         i0 = int(dom.pos_a[g] > dom.pos_a[h])
         j0 = int(dom.pos_b[h] > dom.pos_b[g])
-        phi_g, phi_h = dom.phi[g], dom.phi[h]
-        skip = [dom.at[r] for r in avoid]
-        cs = dom.corner_sum
-        at_g, a_g, b_g = cs(phi_h, g) - cs(phi_g, g), cs(dom.whole_a, g), cs(dom.whole_b, g)
-        at_h, a_h, b_h = cs(phi_h, h) - cs(phi_g, h), cs(dom.whole_a, h), cs(dom.whole_b, h)
+        diff = dom.phi[h] - dom.phi[g]
+        whole_a, whole_b, ones = dom.whole_a, dom.whole_b, dom.ones
+        skip = sum(1 << dom.shift[r] for r in avoid)
+        at_g, at_h = dom.corner_sum(diff, g), dom.corner_sum(diff, h)
+        (a_g, b_g), (a_h, b_h) = dom.whole_corners[g], dom.whole_corners[h]
         count = 0
         for i, j in product((i0 - 1, i0), (j0 - 1, j0)):
-            # a bigon has corner sum 4 lo + 1 at both ends, lo its minimum
             c = at_g + i * a_g + j * b_g
             if c % 4 != 1 or c != at_h + i * a_h + j * b_h:
                 continue
-            lo = c // 4
-            m = [y - x + i * u + j * v
-                 for x, y, u, v in zip(phi_g, phi_h, dom.whole_a, dom.whole_b)]
-            if min(m) != lo or max(m) != lo + 1 or any(m[r] != lo for r in skip):
+            x = diff + i * whole_a + j * whole_b - c // 4 * ones
+            if x & ~ones or x & skip:
                 continue
-            if dom.four_index([v - lo for v in m], g, h) != 4:
+            # four times the index: lowered, the corner sums at g and h are 1 each
+            if 2 + sum(w for s, w in dom.weight.items() if x >> s & 1) != 4:
                 raise ValueError("an embedded bigon must have index 1")
             count += 1
         return count
 
 
 class _Domains(NamedTuple):
-    """Domains of a diagram as lists indexed like ``regions``."""
+    """Domains of a diagram, each packed into one integer.
 
-    at: dict           # region -> list index
-    weight: list       # 4 - (corner count): four times the Euler measure
-    corners: dict      # point -> list indices of its four corner regions
+    A domain with multiplicity m_r in region r is the sum of
+    m_r * 2^shift[r]: one slot of ``width`` bits per region, holding a
+    signed digit.  The packing is linear, so adding or scaling the
+    integers adds or scales the domains, and ``_domains`` bounds every
+    digit by 2^(width - 1) in absolute value.
+    """
+
+    width: int         # bits per slot
+    shift: dict        # region -> bit offset of its slot
+    ones: int          # 1 in every region slot: the whole sphere
+    weight: dict       # slot offset -> 4 - (corner count), 4 e(region), where not 0
+    corners: dict      # point -> slot offsets of its four corner regions
     pos_a: dict        # point -> index along alpha
     pos_b: dict        # point -> index along beta
     phi: dict          # point g -> phi_g, a connecting domain from alpha[0] to g
-    whole_a: list      # A, a domain bounded by all of alpha
-    whole_b: list      # B, a domain bounded by all of beta
+    whole_a: int       # A, a domain bounded by all of alpha
+    whole_b: int       # B, a domain bounded by all of beta
+    whole_corners: dict  # point x -> (4 n_x(A), 4 n_x(B))
 
-    def corner_sum(self, m: list, x: str) -> int:
-        """4 n_x(D) of the domain ``m``: its multiplicities at the corners of x."""
-        return sum(m[r] for r in self.corners[x])
+    def digits(self, m: int, shifts) -> list:
+        """Multiplicities of the packed domain ``m`` in the slots at ``shifts``."""
+        half = 1 << self.width - 1
+        # half added to every slot makes each digit nonnegative, so none borrows
+        y = m + half * self.ones
+        return [(y >> s & 2 * half - 1) - half for s in shifts]
 
-    def four_index(self, m: list, g: str, h: str) -> int:
-        """4 (e(D) + n_g(D) + n_h(D)) of the domain ``m``."""
-        return (sum(v * w for v, w in zip(m, self.weight))
+    def pack(self, m: dict) -> int:
+        """The multiplicities ``m`` (region -> int) as one integer."""
+        half = 1 << self.width - 1
+        if any(abs(v) >= half for v in m.values()):
+            raise ValueError(f"a multiplicity does not fit a slot of {self.width} bits")
+        return sum(v << self.shift[r] for r, v in m.items())
+
+    def corner_sum(self, m: int, x: str) -> int:
+        """4 n_x(D) of the packed domain ``m``: its multiplicities at the corners of x."""
+        return sum(self.digits(m, self.corners[x]))
+
+    def four_index(self, m: int, g: str, h: str) -> int:
+        """4 (e(D) + n_g(D) + n_h(D)) of the packed domain ``m``."""
+        return (sum(w * v for w, v in zip(self.weight.values(), self.digits(m, self.weight)))
                 + self.corner_sum(m, g) + self.corner_sum(m, h))
 
 
@@ -479,22 +517,24 @@ def _relative_gradings(d: SphereDiagram) -> dict:
     index is kept as four times its value, an integer.
     """
     dom = d._domains
-    w1, z1, w2, z2 = (dom.at[d.basepoints[k]] for k in ("w1", "z1", "w2", "z2"))
+    bp_shifts = [dom.shift[d.basepoints[k]] for k in ("w1", "z1", "w2", "z2")]
     base = d.alpha[0]
-    lattice = [dom.whole_a, dom.whole_b, [1] * len(d.regions)]
-    for extra in lattice:
+    lattice = [(extra, dom.digits(extra, bp_shifts))
+               for extra in (dom.whole_a, dom.whole_b, dom.ones)]
+    for extra, (w1, _, w2, _) in lattice:
         rest = dom.four_index(extra, base, base) - dom.corner_sum(extra, base)
-        if any(rest + dom.corner_sum(extra, g) != 8 * (extra[w1] + extra[w2]) for g in d.alpha):
+        if any(rest + dom.corner_sum(extra, g) != 8 * (w1 + w2) for g in d.alpha):
             raise ValueError("the Maslov index congruence fails on the domain lattice")
-    if any(extra[z1] != extra[w1] or extra[z2] != extra[w2] for extra in lattice):
+    if any(z1 != w1 or z2 != w2 for _, (w1, z1, w2, z2) in lattice):
         raise ValueError("relative gradings depend on the choice of connecting domain")
     rel = {}
     for g in d.alpha:
         m = dom.phi[g]
-        four_mas = dom.four_index(m, base, g) - 8 * (m[w1] + m[w2])
+        w1, z1, w2, z2 = dom.digits(m, bp_shifts)
+        four_mas = dom.four_index(m, base, g) - 8 * (w1 + w2)
         if four_mas % 4:
             raise ValueError("relative Maslov gradings must be integers")
-        rel[g] = (-four_mas // 4, (m[w1] - m[z1], m[w2] - m[z2]))
+        rel[g] = (-four_mas // 4, (w1 - z1, w2 - z2))
     return rel
 
 

@@ -1,6 +1,8 @@
 """Shared generators and small specializations for the test suites."""
 
 import random
+from collections import Counter
+from itertools import product
 
 from hfl.filtered import FilteredComplex
 from hfl.laurent import MultiLaurent
@@ -116,3 +118,94 @@ def random_filtered_complex(rng, nvars, max_gens=40):
             used.add(j)
     cx = FilteredComplex(nvars, parity, gens, arrows)
     return change_basis(cx, random_moves(cx, rng, 2 * n, same_class=False))
+
+
+def solve(d, coeffs):
+    """Multiplicities of the sphere diagram ``d`` with the given jump
+    across each edge (left minus right), anchored at 0 on ``regions[0]``."""
+    m = {d.regions[0]: 0}
+    for r, parent, eid, sgn in d._tree:
+        m[r] = m[parent] + sgn * coeffs.get(eid, 0)
+    for eid, (left, right) in d.edges.items():
+        if m[left] - m[right] != coeffs.get(eid, 0):
+            raise ValueError("boundary data is not the boundary of a 2-chain")
+    return m
+
+
+def arc(d, curve, g, h, forward):
+    """Signed edge coefficients of the walk along curve ``"a"`` (alpha) or
+    ``"b"`` (beta) from g to h: +1 per edge crossed forward, -1 backward."""
+    points = d.alpha if curve == "a" else d.beta
+    n = len(points)
+    pos, k = points.index(g), points.index(h)
+    step = 1 if forward else -1
+    coeffs = {}
+    while pos != k:
+        coeffs[(curve, pos if forward else (pos - 1) % n)] = step
+        pos = (pos + step) % n
+    return coeffs
+
+
+def connect(d, g, h, fa=True, fb=True):
+    """Some 2-chain whose boundary runs from g to h on alpha, back on beta."""
+    coeffs = Counter(arc(d, "a", g, h, fa))
+    coeffs.update(arc(d, "b", h, g, fb))
+    return solve(d, coeffs)
+
+
+class ListBigons:
+    """Bigon counts of a sphere diagram from domains kept as lists.
+
+    Each domain is a list with one multiplicity per region, solved with
+    ``connect`` and ``solve`` above, and each candidate is scanned entry by
+    entry: the reference for the packed count of ``SphereDiagram.bigons``.
+    """
+
+    def __init__(self, d):
+        self.at = {r: k for k, r in enumerate(d.regions)}
+        counts = Counter(r for quads in d.corners.values() for r in quads)
+        self.weight = [4 - counts[r] for r in d.regions]
+        self.corners = {g: tuple(self.at[r] for r in quads) for g, quads in d.corners.items()}
+        self.pos_a = {g: k for k, g in enumerate(d.alpha)}
+        self.pos_b = {g: k for k, g in enumerate(d.beta)}
+        base = d.alpha[0]
+
+        def vector(m):
+            return [m[r] for r in d.regions]
+
+        self.phi = {g: vector(connect(d, base, g, True, self.pos_b[g] < self.pos_b[base]))
+                    for g in d.alpha}
+        self.whole_a = vector(solve(d, {e: 1 for e in d.edges if e[0] == "a"}))
+        self.whole_b = vector(solve(d, {e: 1 for e in d.edges if e[0] == "b"}))
+
+    def corner_sum(self, m, x):
+        return sum(m[r] for r in self.corners[x])
+
+    def four_index(self, m, g, h):
+        return (sum(v * w for v, w in zip(m, self.weight))
+                + self.corner_sum(m, g) + self.corner_sum(m, h))
+
+    def count(self, g, h, avoid):
+        """Embedded bigons from g to h missing ``avoid``, as ``SphereDiagram.bigons``."""
+        i0 = int(self.pos_a[g] > self.pos_a[h])
+        j0 = int(self.pos_b[h] > self.pos_b[g])
+        phi_g, phi_h = self.phi[g], self.phi[h]
+        skip = [self.at[r] for r in avoid]
+        cs = self.corner_sum
+        at_g, a_g, b_g = cs(phi_h, g) - cs(phi_g, g), cs(self.whole_a, g), cs(self.whole_b, g)
+        at_h, a_h, b_h = cs(phi_h, h) - cs(phi_g, h), cs(self.whole_a, h), cs(self.whole_b, h)
+        count = 0
+        for i, j in product((i0 - 1, i0), (j0 - 1, j0)):
+            # a bigon has corner sum 4 lo + 1 at both ends, lo its minimum
+            c = at_g + i * a_g + j * b_g
+            if c % 4 != 1 or c != at_h + i * a_h + j * b_h:
+                continue
+            lo = c // 4
+            m = [y - x + i * u + j * v
+                 for x, y, u, v in zip(phi_g, phi_h, self.whole_a, self.whole_b)]
+            if min(m) != lo or max(m) != lo + 1 or any(m[r] != lo for r in skip):
+                continue
+            if self.four_index([v - lo for v in m], g, h) != 4:
+                raise ValueError("an embedded bigon must have index 1")
+            count += 1
+        return count

@@ -1,7 +1,8 @@
 import ast
 import dataclasses
 import math
-from itertools import product
+from collections import Counter
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,8 @@ from hfl.heegaard import (
     two_bridge_diagram,
 )
 from hfl.homology import hfl_alternating
+
+from helpers import ListBigons, arc, connect
 
 
 def side_domain(d, curve, side):
@@ -162,12 +165,15 @@ def test_maslov_congruence_over_domain_lattice():
     ]
     w1, w2 = d.basepoints["w1"], d.basepoints["w2"]
     pairs = [("x0", "x5"), ("x3", "x9"), ("x11", "x2")]
+    counts = Counter(r for quads in d.corners.values() for r in quads)
 
     def four_index(m, g, h):
-        return d._domains.four_index([m[r] for r in d.regions], g, h)
+        # 4 e(D) from each region's corner count, plus 4 n_g(D) + 4 n_h(D)
+        return (sum((4 - counts[r]) * m[r] for r in d.regions)
+                + sum(m[r] for r in d.corners[g] + d.corners[h]))
 
     for g, h in pairs:
-        m = d.connect(g, h)
+        m = connect(d, g, h)
         assert d.index(m, g, h) * 4 == four_index(m, g, h)
         for extra, t in product(lattice, (-2, -1, 1, 2)):
             m2 = {r: m[r] + t * extra[r] for r in d.regions}
@@ -183,7 +189,7 @@ def test_filtration_path_independence():
     for g in d.alpha:
         seen = set()
         for fa, fb in product((True, False), repeat=2):
-            m = d.connect("x0", g, fa, fb)
+            m = connect(d, "x0", g, fa, fb)
             seen.add((m[z1] - m[w1], m[z2] - m[w2]))
         assert len(seen) == 1
 
@@ -224,12 +230,12 @@ def test_arc_walks_split_each_curve():
     d = two_bridge_diagram(8, 3)
     for curve, points in (("a", d.alpha), ("b", d.beta)):
         g, h = points[1], points[5]
-        there = d.arc(curve, g, h, True)
-        assert d.arc(curve, h, g, False) == {eid: -c for eid, c in there.items()}
-        rest = d.arc(curve, h, g, True)
+        there = arc(d, curve, g, h, True)
+        assert arc(d, curve, h, g, False) == {eid: -c for eid, c in there.items()}
+        rest = arc(d, curve, h, g, True)
         assert sorted([*there, *rest]) == [(curve, i) for i in range(len(points))]
         assert set(there.values()) == set(rest.values()) == {1}
-        assert d.arc(curve, g, g, True) == {}
+        assert arc(d, curve, g, g, True) == {}
 
 
 EVEN_PAIRS = [(p, q) for p in range(2, 25, 2) for q in range(1, p) if math.gcd(p, q) == 1]
@@ -240,20 +246,71 @@ def test_oracle_agrees_on_every_two_bridge_link(p, q):
     assert oracle_compare(p, q)
 
 
-@pytest.mark.parametrize("p,q", EVEN_PAIRS, ids=[f"b({p},{q})" for p, q in EVEN_PAIRS])
+WINDOW_PAIRS = [(p, q) for p in range(2, 33, 2) for q in range(1, p) if math.gcd(p, q) == 1]
+
+
+@pytest.mark.parametrize("p,q", WINDOW_PAIRS, ids=[f"b({p},{q})" for p, q in WINDOW_PAIRS])
 def test_pair_window_matches_the_all_pairs_count(p, q):
-    # The reference counts bigons on every ordered pair of generators.
-    # Its odd counts are the arrows, and a pair outside the grading
-    # window (Maslov drop 1, doubled Alexander drops 0 or 2) has none.
+    # The list-based reference counts bigons on every ordered pair of
+    # generators, and the packed count agrees with it on each.  Its odd
+    # counts are the arrows, and a pair outside the grading window
+    # (Maslov drop 1, doubled Alexander drops 0 or 2) has none.
     d = two_bridge_diagram(p, q)
+    ref, dom = ListBigons(d), d._domains
+    for g in d.alpha:
+        assert dom.phi[g] == dom.pack(dict(zip(d.regions, ref.phi[g]))), g
     avoid = (d.basepoints["w1"], d.basepoints["w2"])
-    counts = {(g, h): d.bigons(g, h, avoid) for g in d.alpha for h in d.alpha if g != h}
+    counts = {(g, h): ref.count(g, h, avoid) for g, h in permutations(d.alpha, 2)}
+    assert counts == {(g, h): d.bigons(g, h, avoid) for g, h in counts}
     cx = filtered_complex_from_diagram(d)
     assert {pair for pair, n in counts.items() if n % 2} == cx.arrows
     for (g, h), n in counts.items():
         drops = [a - b for a, b in zip(cx.filt2(g), cx.filt2(h))]
         if cx.maslov(g) - cx.maslov(h) != 1 or any(x not in (0, 2) for x in drops):
             assert n == 0, (g, h)
+
+
+@pytest.mark.parametrize("p,q", [(8, 3), (14, 5)])
+def test_packed_count_for_any_avoided_regions(p, q):
+    # Avoiding nothing counts every embedded bigon; each one covers a
+    # basepoint region, so avoiding all four counts none.
+    d = two_bridge_diagram(p, q)
+    ref = ListBigons(d)
+    for avoid in ((), tuple(d.basepoints[k] for k in ("w1", "z1", "w2", "z2"))):
+        counts = {(g, h): ref.count(g, h, avoid) for g, h in permutations(d.alpha, 2)}
+        assert counts == {(g, h): d.bigons(g, h, avoid) for g, h in counts}
+        assert (sum(counts.values()) > 0) == (avoid == ())
+
+
+@pytest.mark.parametrize("p,q", [(98, 37), (98, 1)])
+def test_packed_count_on_a_large_diagram(p, q):
+    # These need wider slots than any pair above, and b(98,1) has
+    # multiplicities up to 49; on the grading window the packed count
+    # still agrees with the reference
+    d = two_bridge_diagram(p, q)
+    ref = ListBigons(d)
+    cx = filtered_complex_from_diagram(d)
+    avoid = (d.basepoints["w1"], d.basepoints["w2"])
+    window = [(g, h) for g, h in permutations(d.alpha, 2)
+              if cx.maslov(g) - cx.maslov(h) == 1
+              and all(a - b in (0, 2) for a, b in zip(cx.filt2(g), cx.filt2(h)))]
+    counts = {(g, h): ref.count(g, h, avoid) for g, h in window}
+    assert counts == {(g, h): d.bigons(g, h, avoid) for g, h in window}
+    assert {pair for pair, n in counts.items() if n % 2} == cx.arrows
+
+
+def test_refuses_arcs_that_bound_no_2_chain():
+    # The tree walk gives multiplicities for any edge data, but their
+    # jumps no longer match the arcs: with the two sides of one beta edge
+    # swapped, the whole curve beta bounds nothing; with two points of
+    # beta swapped, it still does, and the arcs to a generator do not
+    d = two_bridge_diagram(8, 3)
+    left, right = d.edges[("b", 0)]
+    beta = (d.beta[1], d.beta[0], *d.beta[2:])
+    for bad in (dataclasses.replace(d, edges={**d.edges, ("b", 0): (right, left)}),
+                dataclasses.replace(d, beta=beta)):
+        with pytest.raises(ValueError, match="boundary data is not the boundary of a 2-chain"):
+            complex_from_diagram(bad)
 
 
 def test_orientation_read_off_the_diagram():
