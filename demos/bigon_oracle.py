@@ -5,11 +5,11 @@ one beta curve and four marked points, so the differential is a count
 of embedded bigons, found here by integer arithmetic on the pillowcase
 scaled by 8p(q+1), with the Maslov index kept as four times its value,
 and no Floer theory in the loop.  The diagram also fixes its own
-gradings and orientation: the total homology sets the Maslov grading,
-and the first component's homology gives the linking number.  The same
-tables also fall out of the Alexander polynomial and signature through
-a completely separate code path; this script builds both and diffs
-them, naming the orientation compared.
+gradings: the total homology sets the Maslov grading, and the first
+component's homology gives the linking number.  The same tables also
+fall out of the Alexander polynomial and signature of the same oriented
+link through a completely separate code path; this script builds both
+and diffs them.
 
 Run:  python3 demos/bigon_oracle.py
 """

@@ -30,12 +30,13 @@ the diagram:
 - The Alexander shift centres the rank table so that it is symmetric
   under negation.
 
-Forgetting z2 leaves the knot Floer homology of the first component, an
-unknot, shifted by lk/2.  So the component homology in coordinate 2
-sits at one Alexander level, and that level (in doubled units) is the
-linking number of the orientation the diagram realises.
-``oracle_compare`` reads it there and compares the bigon table with the
-alternating-link table of the link so oriented.
+The diagram realises Schubert's oriented link S(p, q), the link
+``linkdiag.two_bridge(p, q)`` builds, and ``oracle_compare`` compares
+the bigon table with that link's alternating-link table.  Forgetting z2
+leaves the knot Floer homology of the first component, an unknot,
+shifted by lk/2.  So the component homology in coordinate 2 sits at one
+Alexander level, that level (in doubled units) is the linking number,
+and ``oracle_compare`` checks it against the link's.
 
 All geometry is integer arithmetic.  The pillowcase is scaled by
 8p(q+1), which makes every coordinate the construction samples an
@@ -371,7 +372,7 @@ def _face(p: int, q: int, x: int, y: int) -> tuple:
 
 
 def two_bridge_diagram(p: int, q: int) -> SphereDiagram:
-    """Genus-zero diagram for the two-bridge link b(p, q).
+    """Genus-zero diagram for Schubert's oriented two-bridge link S(p, q).
 
     ``p`` must be even (two components) and coprime to ``q`` with
     0 < q < p.  The degenerate pair (1, 1) gives the empty diagram for
@@ -519,13 +520,16 @@ def _relative_gradings(d: SphereDiagram) -> dict:
     dom = d._domains
     bp_shifts = [dom.shift[d.basepoints[k]] for k in ("w1", "z1", "w2", "z2")]
     base = d.alpha[0]
-    lattice = [(extra, dom.digits(extra, bp_shifts))
-               for extra in (dom.whole_a, dom.whole_b, dom.ones)]
-    for extra, (w1, _, w2, _) in lattice:
-        rest = dom.four_index(extra, base, base) - dom.corner_sum(extra, base)
-        if any(rest + dom.corner_sum(extra, g) != 8 * (w1 + w2) for g in d.alpha):
+    # corner sums at each point, in the order of alpha; the sphere's are all 4
+    at_a, at_b = zip(*(dom.whole_corners[g] for g in d.alpha))
+    lattice = [(extra, dom.digits(extra, bp_shifts), at)
+               for extra, at in ((dom.whole_a, at_a), (dom.whole_b, at_b),
+                                 (dom.ones, (4,) * len(d.alpha)))]
+    for extra, (w1, _, w2, _), at in lattice:
+        rest = dom.four_index(extra, base, base) - at[0]
+        if any(rest + c != 8 * (w1 + w2) for c in at):
             raise ValueError("the Maslov index congruence fails on the domain lattice")
-    if any(z1 != w1 or z2 != w2 for _, (w1, z1, w2, z2) in lattice):
+    if any(z1 != w1 or z2 != w2 for _, (w1, z1, w2, z2), _ in lattice):
         raise ValueError("relative gradings depend on the choice of connecting domain")
     rel = {}
     for g in d.alpha:
@@ -618,20 +622,20 @@ def complex_from_diagram(d: SphereDiagram) -> FilteredComplex:
 class OracleReport:
     """What ``oracle_compare`` compared, and where the tables first differ.
 
-    Truthy exactly when the bigon table equals the alternating-link
-    table.  ``lk`` is the linking number read off the diagram (None for
-    the unknot), and ``reversed`` says whether the second component of
-    ``linkdiag.two_bridge(p, q)`` was reversed to give the link that
-    linking number.  ``cell`` is the first grading, in the order
-    ``table_str`` lists them, where the ranks differ: (Maslov grading,
-    doubled Alexander level, bigon rank, alternating rank).
+    Truthy exactly when the linking numbers agree and the bigon table
+    equals the alternating-link table.  ``lk`` is the linking number
+    read off the diagram and ``link_lk`` that of
+    ``linkdiag.two_bridge(p, q)`` (both None for the unknot).  ``cell``
+    is the first grading, in the order ``table_str`` lists them, where
+    the ranks differ: (Maslov grading, doubled Alexander level, bigon
+    rank, alternating rank).
     """
 
     p: int
     q: int
     match: bool
     lk: int | None
-    reversed: bool
+    link_lk: int | None
     cell: tuple | None
 
     def __bool__(self) -> bool:
@@ -642,9 +646,10 @@ class OracleReport:
             link = "the unknot"
         else:
             link = f"linkdiag.two_bridge({self.p},{self.q})"
-            if self.reversed:
-                link += " with its second component reversed"
-            link += f" (lk = {self.lk}, read off the diagram)"
+            if self.lk != self.link_lk:
+                return (f"linking numbers differ for {link}: lk = {self.lk} read off "
+                        f"the diagram, lk = {self.link_lk} from linking_matrix")
+            link += f" (lk = {self.lk})"
         if self.match:
             return f"tables agree for {link}"
         if self.cell is None:
@@ -659,14 +664,14 @@ def oracle_compare(p: int, q: int) -> OracleReport:
     """Bigon counting against the alternating-link computation.
 
     Builds the rank table twice, once from the diagram and once from the
-    Alexander polynomial and signature, and compares them exactly.  The
-    link is oriented as the diagram is: the linking number read off the
-    component homology in coordinate 2 picks ``linkdiag.two_bridge(p, q)``
-    or that link with its second component reversed.
+    Alexander polynomial and signature of ``linkdiag.two_bridge(p, q)``,
+    and compares them exactly.  Both name Schubert's S(p, q); the
+    linking number read off the component homology in coordinate 2 is
+    checked against the one ``linking_matrix`` gives the link.
     """
     cx = filtered_complex_from_diagram(two_bridge_diagram(p, q))
     table = assoc_graded_homology(cx)
-    lk, flipped = None, False
+    lk = link_lk = None
     if p == 1:
         link = linkdiag.corpus("unknot")
     else:
@@ -676,9 +681,7 @@ def oracle_compare(p: int, q: int) -> OracleReport:
             raise ValueError(f"the first component's homology spans Alexander levels {levels}")
         ((lk,),) = levels
         link = linkdiag.two_bridge(p, q)
-        flipped = linkdiag.linking_matrix(link).lk[0][1] != lk
-        if flipped:
-            link = linkdiag.reverse(link, 1)
+        link_lk = linkdiag.linking_matrix(link).lk[0][1]
     alt = hfl_alternating(link).table
     differ = sorted((h2, d) for d, h2 in table.ranks.keys() | alt.ranks.keys()
                     if table.rank(d, h2) != alt.rank(d, h2))
@@ -686,4 +689,4 @@ def oracle_compare(p: int, q: int) -> OracleReport:
     if differ:
         h2, d = differ[0]
         cell = (d, h2, table.rank(d, h2), alt.rank(d, h2))
-    return OracleReport(p, q, table == alt, lk, flipped, cell)
+    return OracleReport(p, q, lk == link_lk and table == alt, lk, link_lk, cell)

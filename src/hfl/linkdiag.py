@@ -264,23 +264,19 @@ def _positional(crossings):
     """Orient tuples whose slot 0 need not be the under-in; relabel densely.
 
     Slots (0,2) must be the under-strand pair and the cyclic order must
-    be counterclockwise.  Each strand not yet oriented is started out of
-    the first place of its smallest edge, and each tuple is then turned
-    by two slots where that makes slot 0 incoming.
+    be counterclockwise.  The strand through the smallest edge is started
+    out of that edge's first place, each other strand into the first
+    place of its own smallest edge, and each tuple is then turned by two
+    slots where that makes slot 0 incoming.
     """
     occ = _incidences(crossings)
     dirs = {}
     for e in sorted(occ):
         if occ[e][0] not in dirs:
-            _orient(crossings, occ, dirs, [(occ[e][0], OUT)])
+            _orient(crossings, occ, dirs, [(occ[e][0], IN if dirs else OUT)])
     out = [x if dirs[(ci, 0)] == IN else (x[2], x[3], x[0], x[1])
            for ci, x in enumerate(crossings)]
     return _relabel_dense(out)
-
-
-def _from_positional(crossings):
-    """The diagram of ``_positional(crossings)``."""
-    return LinkDiagram(_positional(crossings))
 
 
 # ----------------------------------------------------------------------
@@ -517,8 +513,12 @@ def two_bridge(p, q):
     """The two-bridge link b(p,q) as an alternating 4-plat diagram.
 
     p odd gives a knot, p even a two-component link; needs 0 < q < p
-    and gcd(p,q) = 1.  Handedness and orientations are normalized so
-    that two_bridge(2,1) is the positive Hopf link.
+    and gcd(p,q) = 1.  Handedness is normalized so that two_bridge(2,1)
+    is the positive Hopf link.  For even p the link is Schubert's
+    oriented S(p,q), the one ``heegaard.two_bridge_diagram(p, q)``
+    realises: the plat's second strand is started into its smallest
+    edge, and the linking number is the sum of (-1)^floor(iq/p) over the
+    odd i < p.
     """
     if p < 2 or not 0 < q < p or gcd(p, q) != 1:
         raise ValueError("need 0 < q < p with gcd(p,q)=1 and p >= 2")
@@ -530,12 +530,7 @@ def two_bridge(p, q):
         else:
             blocks.append((1, "R", a))
     # the mirror, as in ``mirror``, applied to the tuples before tracing
-    d = LinkDiagram([(a, b_, c, d_) for (a, d_, c, b_) in _plat_4(blocks)])
-    if d.n_components == 2:
-        total = linking_matrix(d).total[0]
-        if total < 0:
-            d = reverse(d, 1)
-    return d
+    return LinkDiagram([(a, b_, c, d_) for (a, d_, c, b_) in _plat_4(blocks)])
 
 
 def _axis_link():

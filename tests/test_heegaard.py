@@ -238,7 +238,7 @@ def test_arc_walks_split_each_curve():
         assert arc(d, curve, g, g, True) == {}
 
 
-EVEN_PAIRS = [(p, q) for p in range(2, 25, 2) for q in range(1, p) if math.gcd(p, q) == 1]
+EVEN_PAIRS = [(p, q) for p in range(2, 33, 2) for q in range(1, p) if math.gcd(p, q) == 1]
 
 
 @pytest.mark.parametrize("p,q", EVEN_PAIRS, ids=[f"b({p},{q})" for p, q in EVEN_PAIRS])
@@ -246,10 +246,7 @@ def test_oracle_agrees_on_every_two_bridge_link(p, q):
     assert oracle_compare(p, q)
 
 
-WINDOW_PAIRS = [(p, q) for p in range(2, 33, 2) for q in range(1, p) if math.gcd(p, q) == 1]
-
-
-@pytest.mark.parametrize("p,q", WINDOW_PAIRS, ids=[f"b({p},{q})" for p, q in WINDOW_PAIRS])
+@pytest.mark.parametrize("p,q", EVEN_PAIRS, ids=[f"b({p},{q})" for p, q in EVEN_PAIRS])
 def test_pair_window_matches_the_all_pairs_count(p, q):
     # The list-based reference counts bigons on every ordered pair of
     # generators, and the packed count agrees with it on each.  Its odd
@@ -316,15 +313,16 @@ def test_refuses_arcs_that_bound_no_2_chain():
 def test_orientation_read_off_the_diagram():
     # The diagram realises linking number -1 on b(14,5), 0 on b(8,3) and
     # 3 on b(6,5), read off the single Alexander level of the first
-    # component.
+    # component, and linkdiag.two_bridge builds links with the same ones
     for (p, q), lk in {(14, 5): -1, (8, 3): 0, (6, 5): 3}.items():
         part = component_homology(filtered_complex_from_diagram(two_bridge_diagram(p, q)), 2)
         assert {part.filt2(g) for g in part.gen_ids} == {(lk,)}
-    # linkdiag orients b(14,5) the other way, so the reversed link is compared
-    b145 = linkdiag.two_bridge(14, 5)
-    assert linkdiag.linking_matrix(b145).lk[0][1] == 1
-    assert assoc_graded_homology(complex_from_diagram(two_bridge_diagram(14, 5))) \
-        == hfl_alternating(linkdiag.reverse(b145, 1)).table
+        assert linkdiag.linking_matrix(linkdiag.two_bridge(p, q)).lk[0][1] == lk
+    # lk = 0 does not tell the two orientations of b(32,7) apart, but
+    # their tables differ, and the diagram's is that of linkdiag's link
+    b327 = linkdiag.two_bridge(32, 7)
+    table = assoc_graded_homology(complex_from_diagram(two_bridge_diagram(32, 7)))
+    assert table == hfl_alternating(b327).table != hfl_alternating(linkdiag.reverse(b327, 1)).table
 
 
 def test_lattice_congruence_refuses_misplaced_basepoints():
@@ -380,16 +378,26 @@ def test_bigon_route_is_independent_of_the_alexander_route():
 def test_oracle_report_names_the_orientation():
     report = oracle_compare(14, 5)
     assert report and report.match and report.cell is None
-    assert (report.lk, report.reversed) == (-1, True)
-    assert "second component reversed" in str(report) and "lk = -1" in str(report)
+    assert (report.lk, report.link_lk) == (-1, -1)
+    assert str(report) == "tables agree for linkdiag.two_bridge(14,5) (lk = -1)"
     report = oracle_compare(8, 3)
-    assert report and (report.lk, report.reversed) == (0, False)
+    assert report and (report.lk, report.link_lk) == (0, 0)
     report = oracle_compare(1, 1)
-    assert report and (report.lk, report.reversed) == (None, False)
+    assert report and (report.lk, report.link_lk) == (None, None)
+    assert str(report) == "tables agree for the unknot"
+
+
+def test_oracle_report_checks_the_linking_number(monkeypatch):
+    flipped = linkdiag.reverse(linkdiag.two_bridge(14, 5), 1)
+    monkeypatch.setattr(heegaard.linkdiag, "two_bridge", lambda p, q: flipped)
+    report = oracle_compare(14, 5)
+    assert not report and (report.lk, report.link_lk) == (-1, 1)
+    assert str(report) == ("linking numbers differ for linkdiag.two_bridge(14,5): lk = -1 "
+                           "read off the diagram, lk = 1 from linking_matrix")
 
 
 def test_oracle_report_names_the_first_differing_cell(monkeypatch):
-    real = hfl_alternating(linkdiag.reverse(linkdiag.two_bridge(14, 5), 1))
+    real = hfl_alternating(linkdiag.two_bridge(14, 5))
     ranks = dict(real.table.ranks)
     cells = sorted(ranks, key=lambda cell: (cell[1], cell[0]))
     # drop one cell, add a cell in a Maslov grading the table does not reach

@@ -7,7 +7,7 @@ from hfl.alexander import goeritz_determinant
 from hfl.linkdiag import (
     CORPUS_NAMES,
     LinkDiagram,
-    _from_positional,
+    _positional,
     braid_closure,
     classify,
     connected_sum,
@@ -162,6 +162,16 @@ def test_two_bridge_component_counts():
         assert d.connected, (p, q)
 
 
+def test_two_bridge_is_schuberts_oriented_link():
+    # Schubert's S(p, q) has linking number the sum of (-1)^floor(iq/p)
+    # over the odd i < p
+    for p in range(2, 90, 2):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                want = sum((-1) ** (i * q // p) for i in range(1, p, 2))
+                assert linking_matrix(two_bridge(p, q)).lk[0][1] == want, (p, q)
+
+
 def test_two_bridge_hopf_is_positive():
     d = two_bridge(2, 1)
     assert d.n_components == 2
@@ -239,7 +249,7 @@ def test_positional_solver_recovers_turned_crossings(spec, rng):
     # recover the same unoriented diagram
     d = _source(spec)
     turned = [(c, e, a, b) if rng.random() < 0.5 else (a, b, c, e) for a, b, c, e in d.crossings]
-    r = _from_positional(turned)
+    r = LinkDiagram(_positional(turned))
     assert r.n_components == d.n_components
     assert r.is_alternating() == d.is_alternating()
     assert goeritz_determinant(r) == goeritz_determinant(d)
