@@ -361,10 +361,6 @@ class ComponentData:
             if s2 % 2:
                 raise ValueError("knot filtrations are integers (even doubled values)")
 
-    @classmethod
-    def unknot(cls) -> "ComponentData":
-        return cls(0)
-
 
 def component_data_from_diagram(diag: LinkDiagram) -> ComponentData:
     """Thin knot data from a connected alternating knot projection.

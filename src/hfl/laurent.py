@@ -66,9 +66,6 @@ class MultiLaurent:
     def __sub__(self, other: "MultiLaurent | int") -> "MultiLaurent":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other: int) -> "MultiLaurent":
-        return self._coerce(other) - self
-
     def __mul__(self, other: "MultiLaurent | int") -> "MultiLaurent":
         if isinstance(other, int):
             return MultiLaurent(self.nvars, {e: c * other for e, c in self.terms.items()})
