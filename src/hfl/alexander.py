@@ -198,7 +198,7 @@ def _packed_det(rows, nvars, divisor=None):
             key, digit = divmod(key, bases[v])
             e[v] = digit + n * lo[v] - dlo[v]
         out[tuple(e)] = c
-    return MultiLaurent(nvars, out)
+    return MultiLaurent._trusted(nvars, out)
 
 
 def _bareiss(a, bases):
@@ -429,11 +429,15 @@ def _packed_divide(p, q):
     divisor is the pivot p_(m-1) of a row's level m, and 1 at level 0.
     A Fox row holds monomials and binomials and the fewest-terms rule
     picks a monomial wherever there is one, so nearly every Bareiss
-    divisor is a monomial.  The Torres divisor T1 - 1 never is.
+    divisor is a monomial.  The Torres divisor T1 - 1 never is.  The
+    unit 1, the divisor of every row at level 0, returns ``p`` itself:
+    packed keys are nonnegative, so that division is always exact.
     Otherwise leading terms are cancelled in decreasing key order, the
     remainder's keys held in a max-heap.  A quotient key below zero
     lies outside the packed box, so the division cannot be exact.
     """
+    if q == {0: 1}:
+        return p
     if len(q) == 1:
         ((qk, qc),) = q.items()
         out = {}

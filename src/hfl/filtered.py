@@ -28,7 +28,9 @@ levels of a constructed complex or of existing ``MultiGradedVS`` values,
 checked when those were made, and their ranks are generator counts,
 products of ranks, or homology dimensions, which ``_graded_homology``
 refuses to let go negative.  So they hand the dicts over unchecked,
-through ``MultiGradedVS._trusted``.
+through ``MultiGradedVS._trusted``.  ``MultiGradedVS.euler`` keys its
+terms by those checked levels and drops the coefficients that cancel,
+so it hands them to ``MultiLaurent._trusted`` the same way.
 """
 
 from __future__ import annotations
@@ -170,7 +172,7 @@ class MultiGradedVS:
         for (d, h2), r in self.ranks.items():
             c = r if d % 2 == 0 else -r
             terms[h2] = terms.get(h2, 0) + c
-        return MultiLaurent(self.nvars, terms)
+        return MultiLaurent._trusted(self.nvars, {h2: c for h2, c in terms.items() if c})
 
     def to_json_dict(self) -> dict:
         entries = [

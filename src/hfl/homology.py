@@ -76,13 +76,18 @@ def table_from_invariants(delta: MultiLaurent, sigma: int, totals) -> MultiGrade
     grading o(h) + (sigma - l + 1)/2, where o(h) is the coordinate
     sum of h.
     """
-    l = delta.nvars
+    return _table_from_target(_euler_target(delta), sigma, totals)
+
+
+def _table_from_target(target: MultiLaurent, sigma: int, totals) -> MultiGradedVS:
+    """``table_from_invariants`` given ``_euler_target(delta)``."""
+    l = target.nvars
     totals = tuple(int(t) for t in totals)
     if len(totals) != l:
         raise ValueError("need one linking total per variable")
     parity = tuple(t % 2 for t in totals)
     ranks: dict = {}
-    for e2, a in _euler_target(delta).terms.items():
+    for e2, a in target.terms.items():
         num = sum(e2) + sigma - l + 1
         if num % 2:
             raise ValueError(
@@ -136,28 +141,33 @@ def _alternating_invariants(diag: LinkDiagram, message: str) -> tuple[MultiLaure
     return multivariable_alexander(diag).delta, signature(diag)
 
 
-def _alternating_table(diag: LinkDiagram) -> tuple[MultiLaurent, int, tuple, MultiGradedVS]:
-    """Delta, sigma, the linking matrix and the rank table of ``diag``."""
+def _alternating_table(
+    diag: LinkDiagram,
+) -> tuple[MultiLaurent, int, tuple, MultiGradedVS, MultiLaurent]:
+    """Delta, sigma, the linking matrix, the rank table of ``diag`` and
+    the Euler target the table was read from."""
     delta, sigma = _alternating_invariants(
         diag,
         "the projection is not alternating, so the rank table is not "
         "determined by the Alexander polynomial and signature",
     )
     lkd = linking_matrix(diag)
-    return delta, sigma, lkd.lk, table_from_invariants(delta, sigma, lkd.total)
+    target = _euler_target(delta)
+    return delta, sigma, lkd.lk, _table_from_target(target, sigma, lkd.total), target
 
 
 def hfl_alternating(diag: LinkDiagram) -> HFLReport:
     """Homology table of a connected alternating projection, l >= 1."""
-    delta, sigma, linking, table = _alternating_table(diag)
+    delta, sigma, linking, table, target = _alternating_table(diag)
+    euler = table.euler()
     return HFLReport(
         table=table,
         delta=delta,
-        euler=table.euler(),
+        euler=euler,
         sigma=sigma,
         l=diag.n_components,
         linking=linking,
-        euler_ok=bool(verify(table, delta, "euler_hat")),
+        euler_ok=bool(_verify_euler_hat(euler, target)),
         symmetry_ok=bool(verify(table, delta, "symmetry")),
     )
 
@@ -270,7 +280,7 @@ def verify(table: MultiGradedVS, delta: MultiLaurent, kind: str) -> VerifyReport
     if table.nvars != delta.nvars:
         raise ValueError("table and polynomial disagree on the variable count")
     if kind == "euler_hat":
-        return _verify_euler_hat(table, delta)
+        return _verify_euler_hat(table.euler(), _euler_target(delta))
     if kind == "euler_minus":
         return _verify_euler_minus(table, delta)
     if kind == "symmetry":
@@ -278,9 +288,9 @@ def verify(table: MultiGradedVS, delta: MultiLaurent, kind: str) -> VerifyReport
     raise ValueError(f"unknown check {kind!r}")
 
 
-def _verify_euler_hat(table: MultiGradedVS, delta: MultiLaurent) -> VerifyReport:
-    chi = table.euler()
-    target = _euler_target(delta)
+def _verify_euler_hat(chi: MultiLaurent, target: MultiLaurent) -> VerifyReport:
+    """The ``euler_hat`` check of a table's Euler characteristic ``chi``
+    against ``_euler_target(delta)``."""
     if chi == target or chi == -target:
         return VerifyReport(True, "euler_hat")
     diff_m = chi - target

@@ -3,10 +3,23 @@
 Exponents live in (1/2)Z per variable and are stored doubled, as plain
 integers, so every computation stays in exact integer arithmetic.
 Coefficients are arbitrary-precision integers.
+
+Validation happens where values enter: the public ``MultiLaurent``
+constructor turns every exponent into ints, checks its length, merges
+keys that become equal and drops zero coefficients, for JSON
+(``from_json_dict``), ``monomial``, CLI input and callers.  The ring
+operations ``+``, ``-``, ``*`` (by an int or a polynomial), negation,
+``bar``, ``shift`` and ``restrict`` build their term dicts from the
+keys and coefficients of values already checked, dropping the
+coefficients that cancel, so they hand them over unchecked, through
+``MultiLaurent._trusted``.  So do ``MultiGradedVS.euler`` in
+:mod:`hfl.filtered` and the Fox determinant's final unpacking in
+:mod:`hfl.alexander`.
 """
 
 from __future__ import annotations
 
+from operator import add, neg
 from typing import Iterable, Mapping
 
 __all__ = [
@@ -47,6 +60,17 @@ class MultiLaurent:
                     del clean[e]
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "MultiLaurent":
+        """Wrap a term dict built from checked values, without re-checking it.
+
+        ``terms`` must already be what the public constructor would keep:
+        int-tuple keys of length ``nvars``, nonzero int coefficients.
+        """
+        p = cls.__new__(cls)
+        p.nvars, p.terms = nvars, terms
+        return p
+
     # ---- ring structure ----
 
     def __add__(self, other: "MultiLaurent | int") -> "MultiLaurent":
@@ -56,26 +80,29 @@ class MultiLaurent:
             out[e] = out.get(e, 0) + c
             if not out[e]:
                 del out[e]
-        return MultiLaurent(self.nvars, out)
+        return MultiLaurent._trusted(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiLaurent":
-        return MultiLaurent(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiLaurent._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "MultiLaurent | int") -> "MultiLaurent":
         return self + (-self._coerce(other))
 
     def __mul__(self, other: "MultiLaurent | int") -> "MultiLaurent":
         if isinstance(other, int):
-            return MultiLaurent(self.nvars, {e: c * other for e, c in self.terms.items()})
+            other = int(other)
+            terms = {e: c * other for e, c in self.terms.items()} if other else {}
+            return MultiLaurent._trusted(self.nvars, terms)
         other = self._coerce(other)
         out: dict[Expo, int] = {}
+        get = out.get
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, 0) + c1 * c2
-        return MultiLaurent(self.nvars, out)
+                e = tuple(map(add, e1, e2))
+                out[e] = get(e, 0) + c1 * c2
+        return MultiLaurent._trusted(self.nvars, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -103,7 +130,7 @@ class MultiLaurent:
 
     def bar(self) -> "MultiLaurent":
         """The involution T_i -> T_i^{-1} on every variable."""
-        return MultiLaurent(self.nvars, {tuple(-x for x in e): c for e, c in self.terms.items()})
+        return MultiLaurent._trusted(self.nvars, {tuple(map(neg, e)): c for e, c in self.terms.items()})
 
     def support(self) -> list[Expo]:
         return sorted(self.terms)
@@ -113,12 +140,12 @@ class MultiLaurent:
         u = tuple(int(x) for x in e2)
         if len(u) != self.nvars:
             raise ValueError("shift vector has wrong length")
-        return MultiLaurent(self.nvars, {tuple(a + b for a, b in zip(e, u)): c for e, c in self.terms.items()})
+        return MultiLaurent._trusted(self.nvars, {tuple(map(add, e, u)): c for e, c in self.terms.items()})
 
     def restrict(self, floor2: Iterable[int]) -> "MultiLaurent":
         """Drop terms with any doubled exponent below the given floor."""
         f = tuple(int(x) for x in floor2)
-        return MultiLaurent(
+        return MultiLaurent._trusted(
             self.nvars,
             {e: c for e, c in self.terms.items() if all(a >= b for a, b in zip(e, f))},
         )
@@ -203,15 +230,14 @@ def symmetric_normalize(p: MultiLaurent) -> MultiLaurent:
     """
     if not p:
         return p
-    supp = p.support()
-    lo = supp[0]
-    blo = sorted(p.bar().terms)[0]
-    v = tuple(b - a for a, b in zip(lo, blo))
+    # bar reverses the lexicographic order, so bar(p)'s least exponent is -max
+    v = tuple(-a - b for a, b in zip(min(p.terms), max(p.terms)))
     if any(x % 2 for x in v):
         raise ValueError("no symmetric unit multiple exists (odd lattice offset)")
     u = tuple(x // 2 for x in v)
     g = p.shift(u)
-    if g.bar() != g and g.bar() != -g:
+    gbar = g.bar()
+    if gbar != g and gbar != -g:
         raise ValueError("no symmetric unit multiple exists")
     if g.terms[max(g.terms)] < 0:
         g = -g

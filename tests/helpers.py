@@ -1,12 +1,24 @@
 """Shared generators and small specializations for the test suites."""
 
 import random
+import re
 from collections import Counter
 from itertools import product
 
 from hfl.filtered import FilteredComplex
 from hfl.laurent import MultiLaurent
+from hfl.linkdiag import braid_closure, corpus
 from hfl.summands import Summand
+
+
+def golden_diagram(name):
+    """A corpus link, or ``closure(w)^k``: the closure of the braid word w
+    repeated k times, as the golden files name them."""
+    m = re.fullmatch(r"closure\(([-\d,]+)\)\^(\d+)", name)
+    if m is None:
+        return corpus(name)
+    word = [int(x) for x in m.group(1).split(",")]
+    return braid_closure(word * int(m.group(2)), max(map(abs, word)) + 1)
 
 
 def substitute_one(p, i):

@@ -1,5 +1,4 @@
 import json
-import re
 from itertools import permutations
 from math import gcd, prod
 from pathlib import Path
@@ -7,6 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import golden_diagram
 from hfl import alexander
 from hfl.alexander import (
     _checkerboard,
@@ -190,15 +190,6 @@ def test_non_planar_code_is_refused():
 # MultiLaurent Bareiss elimination that the packed kernel replaced
 
 GOLDEN = json.loads((Path(__file__).parent / "data" / "alexander_golden.json").read_text())
-
-
-def golden_diagram(name):
-    """``closure(w)^k`` is the closure of the braid word w repeated k times."""
-    m = re.fullmatch(r"closure\(([-\d,]+)\)\^(\d+)", name)
-    if m is None:
-        return corpus(name)
-    word = [int(x) for x in m.group(1).split(",")]
-    return braid_closure(word * int(m.group(2)), max(map(abs, word)) + 1)
 
 
 @pytest.mark.parametrize("family", ["torus_2_2n(", "closure(1,-2)^", "closure(1,-2,3)^", "two_bridge("])

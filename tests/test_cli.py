@@ -4,15 +4,18 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import hfl
+from helpers import golden_diagram
 from hfl import alexander, cli, heegaard, homology, linkdiag
 from hfl.cli import _two_bridge_params, main
 from hfl.filtered import MultiGradedVS, assoc_graded_homology
 from hfl.heegaard import complex_from_diagram, two_bridge_diagram
 from hfl.homology import hfl_alternating
+from hfl.laurent import MultiLaurent
 
 
 def run(capsys, *argv):
@@ -102,6 +105,42 @@ def test_knot_table_computes_delta_and_sigma_once(capsys, monkeypatch):
     code, _, _ = run(capsys, "table", "corpus:figure8", "--json")
     assert code == 0
     assert calls == {"multivariable_alexander": 1, "signature": 1}
+
+
+# `hfl table <input> --json`, recorded while the table and its euler_hat
+# check each built their own Euler target
+TABLE_GOLDEN = json.loads((Path(__file__).parent / "data" / "table_golden.json").read_text())
+
+
+@pytest.mark.parametrize("name", list(TABLE_GOLDEN))
+def test_table_multiplies_by_the_spin_product_once(capsys, monkeypatch, tmp_path, name):
+    spins, products = [], Counter()
+
+    def built(nvars, _real=homology.spin_product):
+        spins.append(_real(nvars))
+        return spins[-1]
+
+    def mul(self, other, _real=MultiLaurent.__mul__):
+        products[any(x is s for s in spins for x in (self, other))] += 1
+        return _real(self, other)
+
+    monkeypatch.setattr(homology, "spin_product", built)
+    monkeypatch.setattr(MultiLaurent, "__mul__", mul)
+    d = golden_diagram(name)
+    once = 1 if d.n_components > 1 else 0
+    rep = hfl_alternating(d)
+    assert len(spins) == products[True] == once
+    want = TABLE_GOLDEN[name]
+    assert rep.delta.to_json_dict() == want["delta"]
+    assert rep.table.to_json_dict() == want["table"]
+    assert rep.euler_ok and rep.symmetry_ok
+    if once:
+        assert rep.euler.to_json_dict() == want["euler"]
+    path = tmp_path / "link.pd"
+    path.write_text(d.to_pd_text())
+    code, out, _ = run(capsys, "table", str(path), "--json")
+    assert code == 0 and json.loads(out) == want
+    assert len(spins) == products[True] == 2 * once
 
 
 def test_knot_table_json_keys(capsys):

@@ -213,6 +213,24 @@ def test_verify_euler_minus_detects_wrong_polynomial():
     assert not verify(t, wrong, "euler_minus")
 
 
+@pytest.mark.parametrize("name", ["trefoil_right", "figure8", "hopf_plus", "torus_2_2n(3)"])
+def test_verify_euler_minus_window_ends_at_its_edge(name):
+    """The check compares the doubled levels top, top - 2, ...,
+    top - 2 * EULER_MINUS_DEPTH of each variable, where the truncated
+    series is exact, and nothing below them."""
+    rep = hfl_alternating(corpus(name))
+    top = max(rep.euler.terms)  # its first coordinate is the greatest
+
+    def one_wrong_cell(steps_below_edge):
+        h2 = (top[0] - 2 * (homology.EULER_MINUS_DEPTH + steps_below_edge),) + top[1:]
+        ranks = Counter(rep.table.ranks)
+        ranks[(0, h2)] += 1
+        return MultiGradedVS(rep.l, rep.table.parity, ranks)
+
+    assert not verify(one_wrong_cell(0), rep.delta, "euler_minus")
+    assert verify(one_wrong_cell(1), rep.delta, "euler_minus")
+
+
 def test_verify_rejects_unknown_kind_and_var_mismatch():
     rep = hfl_alternating(corpus("hopf_plus"))
     with pytest.raises(ValueError, match="unknown check"):

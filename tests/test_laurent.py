@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hfl.filtered import MultiGradedVS
 from hfl.laurent import (
     MultiLaurent,
     monomial,
@@ -171,3 +172,73 @@ def test_str_formatting():
     s = str(p)
     assert "T1^1" in s and "T2^1/2" in s and "- 3" in s
     assert str(zero(2)) == "0"
+
+
+# ----------------------------------------------------------------------
+# the public constructor is the one validating path; ring results are
+# built unchecked, so they must already be what it would keep
+
+def test_constructor_checks_and_cleans_exponents():
+    with pytest.raises(ValueError, match="wrong length"):
+        L(2, {(1,): 1})
+    with pytest.raises(ValueError, match="wrong length"):
+        MultiLaurent.from_json_dict({"l": 2, "terms": [{"e2": [1, 0, 0], "c": 1}]})
+    with pytest.raises(ValueError):
+        monomial(3, (0, 0))
+    # exponents become ints, and keys that become equal merge
+    p = L(2, {("2", "0"): 3, (2, 0): 4, ("1", -1): 5, (1, "-1"): -5})
+    assert p.terms == {(2, 0): 7}
+    assert all(type(x) is int for e in p.terms for x in e)
+
+
+def assert_clean(r, nvars):
+    """``r`` is what the public constructor keeps: int-tuple keys of
+    length ``nvars`` and nonzero int coefficients."""
+    assert r.nvars == nvars
+    for e, c in r.terms.items():
+        assert type(e) is tuple and len(e) == nvars and all(type(x) is int for x in e)
+        assert type(c) is int and c != 0
+    assert r == MultiLaurent(nvars, r.terms)
+
+
+@st.composite
+def cancelling_pairs(draw):
+    """Two polynomials in 1 to 4 variables whose sums, differences and
+    products lose terms: ``q`` repeats every term of ``p``, a drawn
+    subset of them negated, so p + q and p - q cancel terms and
+    (a + b)(a - b) = a^2 - b^2 cancels the cross terms of p * q."""
+    n = draw(st.integers(1, 4))
+    p = draw(coeffs(n, -3, 3))
+    q = draw(coeffs(n, -3, 3))
+    flipped = draw(st.sets(st.sampled_from(sorted(p)))) if p else set()
+    q.update({e: -c if e in flipped else c for e, c in p.items()})
+    return n, L(n, p), L(n, q)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cancelling_pairs(), st.integers(-3, 3), st.data())
+def test_ring_results_are_clean(pq, k, data):
+    n, p, q = pq
+    vec = st.tuples(*([st.integers(-4, 4)] * n))
+    results = [p + q, p - q, p * q, q * p, k * p, p * k, p + k, p - k, -p, p.bar(),
+               p.shift(data.draw(vec)), p.restrict(data.draw(vec)), spin_product(n)]
+    sym = p * q + (p * q).bar()
+    try:
+        results.append(symmetric_normalize(sym))
+    except ValueError:
+        pass
+    for r in results:
+        assert_clean(r, n)
+
+
+@given(st.integers(1, 4), st.data())
+def test_euler_of_cancelling_cells_is_clean(n, data):
+    level = st.tuples(*([st.integers(-3, 3).map(lambda x: 2 * x)] * n))
+    cells = data.draw(st.dictionaries(st.tuples(st.integers(-3, 3), level), st.integers(1, 3)))
+    # each drawn cell gets a partner one grading up with the same rank, or not
+    cancelled = data.draw(st.sets(st.sampled_from(sorted(cells)))) if cells else set()
+    ranks = dict(cells)
+    for d, h2 in cancelled:
+        ranks[(d + 1, h2)] = ranks.get((d + 1, h2), 0) + cells[(d, h2)]
+    chi = MultiGradedVS(n, (0,) * n, ranks).euler()
+    assert_clean(chi, n)
