@@ -126,8 +126,7 @@ def _fox_rows(d: LinkDiagram):
     rows = []
     for x, sign in zip(d.crossings, d.signs):
         a, b, c = arc[x[0]], arc[x[1]], arc[x[2]]
-        assert arc_component[a] == arc_component[c], \
-            "relator does not abelianize to the identity"
+        assert arc_component[a] == arc_component[c], "relator does not abelianize to the identity"
         t_o, t_u = var[arc_component[b]], var[arc_component[a]]
         if sign == 1:
             cells = ((a, t_o, 1), (b, unit, 1), (b, t_u, -1), (c, unit, -1))
@@ -351,7 +350,7 @@ def _entry(p, a, left, top, down, bases):
             for k2, c2 in y:
                 key = k1 + k2
                 num[key] = get(key, 0) + c1 * c2
-    return _packed_divide({key: c for key, c in num.items() if c}, down)
+    return _packed_divide(num, down)
 
 
 def _int_numerator(pairs, bases):
@@ -430,18 +429,22 @@ def _packed_divide(p, q):
     A Fox row holds monomials and binomials and the fewest-terms rule
     picks a monomial wherever there is one, so nearly every Bareiss
     divisor is a monomial.  The Torres divisor T1 - 1 never is.  The
-    unit 1, the divisor of every row at level 0, returns ``p`` itself:
-    packed keys are nonnegative, so that division is always exact.
-    Otherwise leading terms are cancelled in decreasing key order, the
-    remainder's keys held in a max-heap.  A quotient key below zero
-    lies outside the packed box, so the division cannot be exact.
+    unit 1, the divisor of every row at level 0, returns the terms of
+    ``p``: packed keys are nonnegative, so that division is always
+    exact.  Otherwise leading terms are cancelled in decreasing key
+    order, the remainder's keys held in a max-heap.  A quotient key
+    below zero lies outside the packed box, so the division cannot be
+    exact.  ``p`` may hold zero coefficients, as a numerator formed term
+    by term does; the quotient has none.
     """
     if q == {0: 1}:
-        return p
+        return {key: c for key, c in p.items() if c}
     if len(q) == 1:
         ((qk, qc),) = q.items()
         out = {}
         for key, c in p.items():
+            if not c:
+                continue
             if key < qk or c % qc:
                 raise ArithmeticError("inexact polynomial division (internal error)")
             out[key - qk] = c // qc
@@ -487,7 +490,12 @@ TYPE_CAL = 1
 
 
 def _checkerboard(d: LinkDiagram):
-    """Faces, their two-coloring, and the face at each corner."""
+    """Faces, their two-coloring, and the face at each corner.
+
+    ``LinkDiagram`` refuses a connected code whose face count breaks
+    Euler's formula, so the projection is planar and the coloring that
+    alternates across every edge exists; the search below finds it.
+    """
     faces = d.faces
     face_at = {}
     for fi, face in enumerate(faces):
@@ -512,8 +520,6 @@ def _checkerboard(d: LinkDiagram):
             if g not in color:
                 color[g] = 1 - color[f]
                 queue.append(g)
-            elif color[g] == color[f]:
-                raise ValueError("projection is not checkerboard colorable")
     assert len(color) == len(faces)
     return faces, color, face_at
 

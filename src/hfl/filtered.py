@@ -67,7 +67,8 @@ class AlexGrading:
 
     ``doubled[i]`` is twice the i-th coordinate and must agree with
     ``parity[i]`` mod 2, so the level lies on the lattice coset fixed by
-    the parity vector.
+    the parity vector; a parity entry other than 0 or 1 matches no
+    coordinate.
     """
 
     doubled: tuple[int, ...]
@@ -77,8 +78,6 @@ class AlexGrading:
         if len(self.doubled) != len(self.parity):
             raise ValueError("doubled and parity vectors differ in length")
         for x, p in zip(self.doubled, self.parity):
-            if p not in (0, 1):
-                raise ValueError("parity entries must be 0 or 1")
             if x % 2 != p:
                 raise ValueError(f"coordinate {x}/2 violates parity {p}")
 
@@ -103,18 +102,17 @@ class MultiGradedVS:
     ``ranks`` maps pairs (d, doubled level) to positive integers, or is
     an iterable of (d, doubled level, rank) triples with duplicates
     aggregated.  The parity vector applies to every level that occurs.
+    Values compare by their ranks and are unhashable.
     """
 
     __slots__ = ("nvars", "parity", "ranks")
 
-    def __init__(self, nvars: int, parity: Sequence[int], ranks=None):
+    def __init__(self, nvars: int, parity: Sequence[int], ranks=()):
         self.nvars = int(nvars)
         self.parity = tuple(int(p) for p in parity)
         if len(self.parity) != self.nvars:
             raise ValueError("parity vector has wrong length")
-        if ranks is None:
-            entries = []
-        elif isinstance(ranks, Mapping):
+        if isinstance(ranks, Mapping):
             entries = [(d, h2, r) for (d, h2), r in ranks.items()]
         else:
             entries = list(ranks)
@@ -134,10 +132,13 @@ class MultiGradedVS:
 
     @classmethod
     def _trusted(cls, nvars: int, parity: tuple[int, ...], ranks: dict) -> "MultiGradedVS":
-        """Wrap a rank dict built inside this module, without re-checking it.
+        """Wrap a rank dict built from checked values, without re-checking it.
 
         ``ranks`` must already be what the public constructor would keep:
         (int, int-tuple) keys of the right length and parity, positive ranks.
+        The callers here build it from the levels of a constructed complex
+        or of existing tables; ``homology._table_from_target`` builds it
+        from a checked polynomial and tests each level's parity itself.
         """
         v = cls.__new__(cls)
         v.nvars, v.parity, v.ranks = nvars, parity, ranks
@@ -150,9 +151,6 @@ class MultiGradedVS:
             and self.parity == other.parity
             and self.ranks == other.ranks
         )
-
-    def __hash__(self):
-        return hash((self.nvars, self.parity, frozenset(self.ranks.items())))
 
     def rank(self, d: int, h2: Iterable[int]) -> int:
         return self.ranks.get((d, tuple(h2)), 0)
@@ -206,7 +204,8 @@ class FilteredComplex:
     id pairs.  The constructor checks structural well-formedness (unique
     ids, parity, arrow endpoints); the chain conditions are checked
     separately by :func:`validate` so that deliberately broken complexes
-    can still be built and reported on.
+    can still be built and reported on.  Complexes compare by value and
+    are unhashable.
     """
 
     __slots__ = ("nvars", "parity", "_order", "_maslov", "_filt", "_arrows", "_report")
@@ -289,9 +288,6 @@ class FilteredComplex:
             and self._filt == other._filt
             and self._arrows == other._arrows
         )
-
-    def __hash__(self):
-        return hash((self.nvars, self.parity, frozenset(self._maslov.items()), self._arrows))
 
     def __repr__(self):
         return f"FilteredComplex(l={self.nvars}, gens={len(self)}, arrows={len(self._arrows)})"
@@ -581,12 +577,9 @@ def component_homology(cx: FilteredComplex, i: int) -> FilteredComplex:
     proj = {g: h2[: i - 1] + h2[i:] for g, h2 in cx._filt.items()}
     _cancel_all(out, inc, lambda a, b: proj[a] == proj[b])
     gens = [(g, cx.maslov(g), proj[g]) for g in sorted(out)]
-    arrows = []
-    for a in out:
-        for b in out[a]:
-            if any(x < y for x, y in zip(proj[a], proj[b])):
-                raise AssertionError("cancellation produced an illegal surviving arrow")
-            arrows.append((a, b))
+    # cx is valid, so no arrow raises a level; nor does a rerouted a -> b
+    # through a cancelled x -> y, since proj[a] >= proj[y] = proj[x] >= proj[b]
+    arrows = [(a, b) for a in out for b in out[a]]
     return FilteredComplex(cx.nvars - 1, [cx.parity[j] for j in keep], gens, arrows)
 
 

@@ -40,7 +40,8 @@ class MultiLaurent:
     """A Laurent polynomial in ``nvars`` variables T_1..T_n.
 
     ``terms`` maps doubled exponent vectors to nonzero integer
-    coefficients; the zero polynomial has no terms.
+    coefficients; the zero polynomial has no terms.  Polynomials compare
+    by value, and only with polynomials; they are unhashable.
     """
 
     __slots__ = ("nvars", "terms")
@@ -107,14 +108,9 @@ class MultiLaurent:
     __rmul__ = __mul__
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, int):
-            other = self._coerce(other)
         if not isinstance(other, MultiLaurent):
             return NotImplemented
         return self.nvars == other.nvars and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -207,10 +203,8 @@ def spin_product(nvars: int) -> MultiLaurent:
     """Return prod_i (T_i^{1/2} - T_i^{-1/2}) in ``nvars`` variables.
 
     The product has 2^nvars terms with coefficients +-1 and half-integer
-    exponents throughout.
+    exponents throughout.  Like every polynomial, it needs ``nvars >= 1``.
     """
-    if nvars < 0:
-        raise ValueError("nvars must be nonnegative")
     out = one(nvars)
     for i in range(nvars):
         e_plus = tuple(1 if j == i else 0 for j in range(nvars))

@@ -12,6 +12,7 @@ The zero-crossing unknot is written "U".
 """
 
 import re
+from dataclasses import dataclass
 from math import gcd
 
 __all__ = [
@@ -38,18 +39,12 @@ class SplitLinkError(ValueError):
     """Raised when an operation requires a connected projection."""
 
 
+@dataclass(frozen=True)
 class LinkingData:
     """Symmetric linking matrix and its row sums."""
 
-    def __init__(self, lk):
-        self.lk = tuple(tuple(row) for row in lk)
-        self.total = tuple(sum(row) for row in self.lk)
-
-    def __eq__(self, other):
-        return isinstance(other, LinkingData) and self.lk == other.lk
-
-    def __repr__(self):
-        return "LinkingData(%r)" % (self.lk,)
+    lk: tuple
+    total: tuple
 
 
 class LinkDiagram:
@@ -129,8 +124,6 @@ class LinkDiagram:
         """Whether over/under strictly alternate along every strand cycle."""
         for cyc in self.components:
             passes = [self._head[e][1] == 0 for e in cyc]
-            if len(passes) % 2:
-                return False
             for i in range(len(passes)):
                 if passes[i] == passes[(i + 1) % len(passes)]:
                     return False
@@ -143,20 +136,6 @@ class LinkDiagram:
         if not self.crossings:
             return "U"
         return "PD[" + ",".join("X[%d,%d,%d,%d]" % x for x in self.crossings) + "]"
-
-    def to_json_dict(self):
-        return {
-            "crossings": [list(x) for x in self.crossings],
-            "orientations": [1] * self.n_components,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data):
-        d = cls(data["crossings"])
-        for i, o in enumerate(data.get("orientations", [])):
-            if o == -1:
-                d = reverse(d, i)
-        return d
 
     def __eq__(self, other):
         return isinstance(other, LinkDiagram) and self.crossings == other.crossings
@@ -316,7 +295,8 @@ def linking_matrix(d):
         for j in range(l):
             if lk2[i][j] % 2:
                 raise ValueError("odd crossing count between components %d,%d" % (i, j))
-    return LinkingData([[v // 2 for v in row] for row in lk2])
+    lk = tuple(tuple(v // 2 for v in row) for row in lk2)
+    return LinkingData(lk, tuple(map(sum, lk)))
 
 
 def classify(d):
@@ -337,8 +317,6 @@ def reverse(d, i):
     """Reverse the orientation of component i."""
     if not 0 <= i < d.n_components:
         raise ValueError("no component %d" % i)
-    if not d.crossings:
-        return d
     comp_edges = set(d.components[i])
     out = []
     for x in d.crossings:
@@ -398,8 +376,6 @@ def keep_component(d, i):
     """
     if not 0 <= i < d.n_components:
         raise ValueError("no component %d" % i)
-    if not d.crossings:
-        return d
 
     def kept(ci):
         u, o = d.crossing_strands(ci)
@@ -482,9 +458,9 @@ def _plat_4(blocks):
             else:
                 crossings.append((v, u, x, y))
             cur[i], cur[i + 1] = x, y
+    # ``two_bridge``'s first block crosses positions 2 and 3, so each cap
+    # joins two different arcs and no circle closes up on its own
     for a, b in ((1, 2), (3, 4)):
-        if cur[a] == cur[b]:
-            raise ValueError("split circle in plat closure")
         crossings = [tuple(cur[a] if e == cur[b] else e for e in x) for x in crossings]
     return _positional(crossings)
 
@@ -500,12 +476,9 @@ def _continued_fraction(p, q):
         out.append(p // q)
         p, q = q, p % q
     if len(out) % 2 == 0:
-        if out[-1] > 1:
-            out[-1] -= 1
-            out.append(1)
-        else:
-            out.pop()
-            out[-1] += 1
+        # for coprime 0 < q < p the last quotient is at least 2
+        out[-1] -= 1
+        out.append(1)
     return out
 
 

@@ -16,6 +16,7 @@ from hfl.alexander import (
     _int_numerator,
     _ldlt,
     _packed_det,
+    _packed_divide,
     goeritz_determinant,
     multivariable_alexander,
     signature,
@@ -58,6 +59,8 @@ def test_wirtinger_needs_connected():
         multivariable_alexander(split)
     with pytest.raises(ValueError):
         signature(split)
+    with pytest.raises(ValueError, match="^needs a connected projection$"):
+        goeritz_determinant(split)
 
 
 # the fixed table every other module leans on
@@ -631,3 +634,13 @@ def test_non_alternating_sigma_takes_the_matrix_path():
             assert {eta for _, _, eta in edges} == {-1, 1}
         assert signature(d) == ldlt_signature(d) == sigma
         assert signature(mirror(d)) == -sigma
+
+
+def test_packed_divide_drops_zero_coefficients():
+    # a numerator formed term by term may keep the zeros its terms cancel to
+    assert _packed_divide({7: 0, 4: 1, 0: 0}, {0: 1}) == {4: 1}
+    assert _packed_divide({1: 0, 5: 6, 3: -3}, {2: 3}) == {3: 2, 1: -1}
+    # (x + 1)(x - 1) over x + 1, with a cancelled x^3 term carried along
+    assert _packed_divide({3: 0, 2: 1, 0: -1}, {1: 1, 0: 1}) == {1: 1, 0: -1}
+    with pytest.raises(ArithmeticError):
+        _packed_divide({5: 7, 1: 0}, {2: 3})

@@ -12,7 +12,7 @@ import hfl
 from helpers import golden_diagram
 from hfl import alexander, cli, heegaard, homology, linkdiag
 from hfl.cli import _two_bridge_params, main
-from hfl.filtered import MultiGradedVS, assoc_graded_homology
+from hfl.filtered import FilteredComplex, MultiGradedVS, assoc_graded_homology
 from hfl.heegaard import complex_from_diagram, two_bridge_diagram
 from hfl.homology import hfl_alternating
 from hfl.laurent import MultiLaurent
@@ -268,6 +268,7 @@ def test_check_single_link(capsys):
     code, out, _ = run(capsys, "check", "corpus:figure8")
     assert code == 0
     assert "failures: 0" in out
+    assert run(capsys, "check", "figure8") == (code, out, "")
 
 
 def test_check_is_deterministic(capsys):
@@ -368,3 +369,73 @@ def test_closed_reader_ends_without_traceback():
     proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert err == b""
+
+
+# ----------------------------------------------------------------------
+# human output and the failure rows of `hfl check`
+
+CLI_GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(CLI_GOLDEN))
+def test_output_matches_golden(capsys, command):
+    """``data/cli_golden.json`` maps each command line to its stdout, as
+    recorded before the unreached code of the package was pruned."""
+    code, out, _ = run(capsys, *command.split())
+    assert code == 0 and out == CLI_GOLDEN[command]
+
+
+def failing_row(monkeypatch, name, attr, fake):
+    monkeypatch.setattr(cli, attr, fake)
+    return [row for row in cli._check_rows(name) if not row["ok"]]
+
+
+def test_check_row_names_an_exception(monkeypatch):
+    def boom(diag):
+        raise ValueError("no polynomial today")
+
+    rows = failing_row(monkeypatch, "figure8", "multivariable_alexander", boom)
+    assert [(row["check"], row["detail"]) for row in rows] == [
+        ("alexander", "ValueError: no polynomial today")]
+
+
+def test_check_row_names_an_unrefused_nonalternating_link(monkeypatch):
+    rows = failing_row(monkeypatch, "L7n2", "hfl_alternating", lambda diag: None)
+    assert [(row["check"], row["detail"]) for row in rows] == [
+        ("refusal", "non-alternating input was not refused")]
+
+
+def test_check_row_names_an_invalid_fixture(monkeypatch):
+    broken = FilteredComplex(1, (0,), [("a", 0, (0,)), ("b", 0, (0,))], [("a", "b")])
+    rows = failing_row(monkeypatch, "L7n2", "fixture_complex", lambda name: broken)
+    assert [(row["check"], row["detail"]) for row in rows] == [
+        ("fixture", "fixture fails validation")]
+
+
+def test_check_row_names_an_invalid_cfl2_complex(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "validate", lambda cx: False)
+    code, out, _ = run(capsys, "check", "corpus:hopf_plus")
+    assert code == 1
+    assert "cfl2           FAIL  (complex fails validation)" in out
+    assert out.endswith("failures: 1\n")
+
+
+def wrong_table(name):
+    table = hfl_alternating(linkdiag.corpus(name)).table
+    ranks = Counter(table.ranks)
+    ranks[next(iter(ranks))] += 1
+    return MultiGradedVS(table.nvars, table.parity, ranks)
+
+
+def test_check_row_names_a_disagreeing_associated_graded(monkeypatch):
+    wrong = wrong_table("hopf_plus")
+    rows = failing_row(monkeypatch, "hopf_plus", "assoc_graded_homology", lambda cx: wrong)
+    assert [(row["check"], row["detail"]) for row in rows] == [
+        ("cfl2", "associated graded disagrees with the rank table")]
+
+
+def test_check_row_names_a_disagreeing_first_page(monkeypatch):
+    wrong = wrong_table("hopf_plus")
+    rows = failing_row(monkeypatch, "hopf_plus", "spectral_pages", lambda cx: [wrong])
+    assert [(row["check"], row["detail"]) for row in rows] == [
+        ("spectral", "first page disagrees with the rank table")]

@@ -375,3 +375,37 @@ def test_homology_refuses_a_differential_that_does_not_square_to_zero():
         assoc_graded_homology(cx)
     with pytest.raises(ValueError, match="homology rank is negative"):
         total_homology(cx)
+
+
+def test_entry_guards_name_the_fault():
+    with pytest.raises(ValueError, match="parity vector has wrong length"):
+        MultiGradedVS(2, (0,))
+    with pytest.raises(ValueError, match="grading vector has wrong length"):
+        MultiGradedVS.from_json_dict({"l": 1, "parity": [0], "ranks": [{"d": 0, "h2": [0, 0], "r": 1}]})
+    with pytest.raises(ValueError, match="ranks must be nonnegative"):
+        MultiGradedVS(1, (0,), {(0, (0,)): -1})
+    with pytest.raises(ValueError, match=r"^grading \(1,\) violates parity \(0,\)$"):
+        MultiGradedVS(1, (0,), {(0, (1,)): 1})
+    assert MultiGradedVS(1, (0,)).ranks == {}
+    with pytest.raises(ValueError, match="bad parity vector"):
+        FilteredComplex.from_json_dict({"l": 1, "parity": [2], "gens": []})
+    with pytest.raises(ValueError, match="generator 'a' has a filtration of wrong length"):
+        FilteredComplex(2, (0, 0), [("a", 0, (0,))])
+    # a parity entry other than 0 or 1 matches no coordinate
+    with pytest.raises(ValueError, match="coordinate 2/2 violates parity 2"):
+        AlexGrading((2,), (2,))
+    cx = FilteredComplex(1, (0,), [("a", 0, (0,))])
+    with pytest.raises(ValueError, match="shift vector has wrong length"):
+        shift(cx, (2, 0))
+    with pytest.raises(ValueError, match="empty direct sum"):
+        direct_sum([])
+
+
+def test_tables_and_complexes_are_unhashable_values():
+    v = MultiGradedVS(1, (0,), {(0, (2,)): 1})
+    cx = FilteredComplex(1, (0,), [("a", 0, (0,))])
+    assert repr(v) == "MultiGradedVS(1, (0,), {(0, (2,)): 1})"
+    assert repr(cx) == "FilteredComplex(l=1, gens=1, arrows=0)"
+    for value in (v, cx):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)

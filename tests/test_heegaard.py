@@ -413,3 +413,95 @@ def test_oracle_report_names_the_first_differing_cell(monkeypatch):
     bigon_rank = real.table.rank(*first)
     assert report.cell == (first[0], first[1], bigon_rank, table.rank(*first))
     assert f"bigon rank {bigon_rank}" in str(report)
+
+
+def test_oracle_report_without_a_differing_cell():
+    # tables with the same ranks can still differ, in their parity vectors
+    report = heegaard.OracleReport(8, 3, False, 0, 0, None)
+    assert str(report) == "tables differ for linkdiag.two_bridge(8,3) (lk = 0)"
+
+
+def corrupt(d, **fields):
+    bp, sides = d.basepoints, d.sides
+    other = next(r for r in d.regions if r not in bp.values() and sides[r] != sides[bp["w1"]])
+    return {
+        "regions": {"regions": d.regions[:-1]},
+        "points": {"beta": d.beta[:-1] + ("y0",)},
+        "unplaced": {"basepoints": {**bp, "z2": "nowhere"}},
+        "shared": {"basepoints": {**bp, "z1": bp["w1"]}},
+        "z1 across": {"basepoints": {**bp, "z1": other}},
+        "z2 across": {"basepoints": {**bp, "z2": next(
+            r for r in d.regions if r not in bp.values() and sides[r] != sides[bp["w2"]])}},
+        "same side": {"sides": {**sides, bp["w2"]: sides[bp["w1"]], bp["z2"]: sides[bp["w1"]]}},
+        "periodic at w": {"periodic": {**d.periodic, bp["w2"]: 1}},
+    }
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("regions", "region count must exceed the intersection count by 2"),
+    ("points", "alpha and beta must share the same intersection points"),
+    ("unplaced", "basepoint z2 is not placed in a region"),
+    ("shared", "basepoints must sit in four distinct regions"),
+    ("z1 across", "w1 and z1 must not be separated by either curve"),
+    ("z2 across", "w2 and z2 must not be separated by either curve"),
+    ("same side", "the two basepoint pairs must sit in opposite sides"),
+    ("periodic at w", "the periodic domain must vanish at every w"),
+])
+def test_check_names_each_fault(fault, message):
+    d = two_bridge_diagram(8, 3)
+    d.check()
+    bad = dataclasses.replace(d, **corrupt(d)[fault])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bad.check()
+
+
+def test_domains_refuse_a_disconnected_complement():
+    d = two_bridge_diagram(8, 3)
+    cut = d.regions[-1]
+    bad = dataclasses.replace(d, edges={e: lr for e, lr in d.edges.items() if cut not in lr})
+    with pytest.raises(ValueError, match="the complement of the curves is not connected"):
+        bad.bigons("x0", "x1", ())
+
+
+def test_index_refuses_a_multiplicity_wider_than_a_slot():
+    d = two_bridge_diagram(8, 3)
+    width = d._domains.width
+    assert d.index({d.regions[1]: (1 << width - 1) - 1}, "x0", "x0") is not None
+    with pytest.raises(ValueError, match=f"a multiplicity does not fit a slot of {width} bits"):
+        d.index({d.regions[1]: 1 << width - 1}, "x0", "x0")
+
+
+def with_phi(d, h, r, extra):
+    """``d`` with ``extra`` added to the multiplicity of phi_h in region r."""
+    dom = d._domains
+    bumped = dom._replace(phi={**dom.phi, h: dom.phi[h] + (extra << dom.shift[r])})
+    d = dataclasses.replace(d)
+    d.__dict__["_domains"] = bumped
+    return d
+
+
+def test_bigons_refuse_a_multiplicity_of_two():
+    """Each candidate of ``bigons`` must hold 0 or 1 in every region slot.
+    A 2 added to phi_h in a region away from the corners of g and h
+    leaves every corner sum alone, so only that test can refuse the
+    candidates it lifts to 2 or 3.  The list-based count, which reads
+    every multiplicity, is the reference; a lifted phi_h bounds no
+    domain, so it checks no index."""
+    d = two_bridge_diagram(8, 3)
+    ref = ListBigons(d)
+    ref.four_index = lambda m, g, h: 4
+    phi = ref.phi
+    pairs = [(g, h) for g in d.alpha for h in d.alpha if d.bigons(g, h, ())]
+    dropped = 0
+    for g, h in pairs:
+        corners = set(d.corners[g]) | set(d.corners[h])
+        for r in d.regions:
+            if r in corners:
+                continue
+            lifted = list(phi[h])
+            lifted[ref.at[r]] += 2
+            ref.phi = {**phi, h: lifted}
+            got = with_phi(d, h, r, 2).bigons(g, h, ())
+            assert got == ref.count(g, h, ()), (g, h, r)
+            dropped += got < d.bigons(g, h, ())
+    assert len(pairs) == 68 and dropped >= 700

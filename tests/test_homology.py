@@ -172,6 +172,16 @@ def test_table_from_invariants_parity_guard():
         table_from_invariants(monomial(2, (0, 0)), 0, (1, 1))
 
 
+def test_table_from_invariants_refuses_totals_of_the_wrong_parity():
+    # the hopf link's exponents lie on the odd coset its linking totals fix
+    rep = hfl_alternating(corpus("hopf_plus"))
+    assert table_from_invariants(rep.delta, rep.sigma, (1, 1)) == rep.table
+    with pytest.raises(ValueError, match=r"^grading \(-?1, -?1\) violates parity \(0, 0\)$"):
+        table_from_invariants(rep.delta, rep.sigma, (0, 0))
+    with pytest.raises(ValueError, match="need one linking total per variable"):
+        table_from_invariants(rep.delta, rep.sigma, (1,))
+
+
 # ----------------------------------------------------------------------
 # verification of tables
 
@@ -247,6 +257,15 @@ def test_collapse_hopf_plus():
     assert ct == CollapsedTable({(1, 2): 1, (-1, 0): 2, (-3, -2): 1})
     assert ct.rank(-1, 0) == 2
     assert "s=1  d=1/2  rank=1" in ct.table_str()
+
+
+def test_collapsed_table_guards_and_repr():
+    with pytest.raises(ValueError, match="ranks must be nonnegative"):
+        CollapsedTable({(1, 2): -1})
+    ct = CollapsedTable({(1, 2): 1})
+    assert repr(ct) == "CollapsedTable({(1, 2): 1})"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(ct)
 
 
 def test_collapse_is_identity_on_knot_tables():

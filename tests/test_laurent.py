@@ -242,3 +242,25 @@ def test_euler_of_cancelling_cells_is_clean(n, data):
         ranks[(d + 1, h2)] = ranks.get((d + 1, h2), 0) + cells[(d, h2)]
     chi = MultiGradedVS(n, (0,) * n, ranks).euler()
     assert_clean(chi, n)
+
+
+def test_polynomials_compare_only_with_polynomials():
+    assert one(1) != 1 and not (one(1) == 1)
+    assert one(1).__eq__(1) is NotImplemented
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(one(1))
+    assert repr(L(2, {(1, 1): 2, (-1, -1): -1})) == "MultiLaurent(2, 2*T1^1/2*T2^1/2 - T1^-1/2*T2^-1/2)"
+
+
+def test_argument_guards():
+    with pytest.raises(ValueError, match="shift vector has wrong length"):
+        one(2).shift((2,))
+    with pytest.raises(ValueError, match=r"odd lattice offset"):
+        symmetric_normalize(L(1, {(1,): 1, (0,): 1}))
+    for i in (0, 2):
+        with pytest.raises(ValueError, match="variable index out of range"):
+            series_quotient(one(1), i, 3)
+    with pytest.raises(ValueError, match="depth must be nonnegative"):
+        series_quotient(one(1), 1, -1)
+    with pytest.raises(ValueError, match="need at least one variable"):
+        spin_product(-1)

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -7,6 +8,8 @@ from hfl.alexander import goeritz_determinant
 from hfl.linkdiag import (
     CORPUS_NAMES,
     LinkDiagram,
+    LinkingData,
+    _continued_fraction,
     _positional,
     braid_closure,
     classify,
@@ -123,6 +126,7 @@ def test_reverse_involution():
     assert linking_matrix(reverse(d, 1)).total[0] == -2
     with pytest.raises(ValueError):
         reverse(d, 2)
+    assert reverse(corpus("unknot"), 0) == corpus("unknot")
 
 
 def test_keep_component():
@@ -133,6 +137,9 @@ def test_keep_component():
     assert len(keep_component(d, 0).crossings) == 3
     assert keep_component(d, 0).writhe() == -3  # left-handed
     assert len(keep_component(d, 1).crossings) == 0
+    with pytest.raises(ValueError, match="^no component 2$"):
+        keep_component(d, 2)
+    assert keep_component(corpus("unknot"), 0) == corpus("unknot")
 
 
 def test_braid_closure_basic():
@@ -189,18 +196,16 @@ def test_connected_sum_counts():
     assert th.n_components == 2
     assert len(th.crossings) == 5
     assert th.is_alternating()
+    with pytest.raises(ValueError, match="^no component 1 in first diagram$"):
+        connected_sum(t, t, 1, 0)
+    with pytest.raises(ValueError, match="^no component -1 in second diagram$"):
+        connected_sum(t, t, 0, -1)
 
 
 def test_connected_sum_with_unknot():
     t = corpus("trefoil_left")
     assert connected_sum(t, corpus("unknot")) == t
     assert connected_sum(corpus("unknot"), t) == t
-
-
-def test_json_round_trip():
-    for name in ("hopf_plus", "L7n2"):
-        d = corpus(name)
-        assert LinkDiagram.from_json_dict(d.to_json_dict()) == d
 
 
 def test_components_sorted_by_min_edge():
@@ -254,3 +259,45 @@ def test_positional_solver_recovers_turned_crossings(spec, rng):
     assert r.is_alternating() == d.is_alternating()
     assert goeritz_determinant(r) == goeritz_determinant(d)
     assert _abs_linking(r) == _abs_linking(d)
+
+
+def test_constructor_refuses_malformed_crossings():
+    with pytest.raises(ValueError, match=r"crossing \(1, 2, 1\) does not have four edges"):
+        LinkDiagram([(1, 2, 1)])
+    with pytest.raises(ValueError, match="edge labels must be positive"):
+        parse_pd("PD[X[0,2,0,2]]")
+
+
+def test_linking_matrix_refuses_an_odd_crossing_count():
+    # two circles crossing three times, which no planar code allows, beside
+    # a trefoil: a split projection, so no face count refuses the code
+    d = parse_pd("PD[X[3,6,1,4],X[4,1,5,2],X[2,5,3,6],"
+                 "X[8,10,9,7],X[10,12,11,9],X[12,8,7,11]]")
+    assert not d.connected
+    with pytest.raises(ValueError, match="odd crossing count between components 0,1"):
+        linking_matrix(d)
+    assert linking_matrix(corpus("hopf_plus")) == LinkingData(((0, 1), (1, 0)), (1, 1))
+
+
+def test_diagram_repr_is_its_pd_code():
+    assert repr(corpus("hopf_plus")) == "LinkDiagram(PD[X[2,4,3,1],X[4,2,1,3]])"
+    assert repr(corpus("unknot")) == "LinkDiagram(U)"
+
+
+def test_corpus_refuses_a_malformed_name():
+    with pytest.raises(ValueError, match="unknown corpus name 'two_bridge\\(8,3'"):
+        corpus("two_bridge(8,3")
+
+
+def test_continued_fraction_has_odd_length():
+    # the last Euclid quotient of a coprime 0 < q < p is at least 2, so
+    # an even-length expansion always ends in a digit that can be split
+    for p in range(2, 200):
+        for q in range(1, p):
+            if gcd(p, q) == 1:
+                digits = _continued_fraction(p, q)
+                assert len(digits) % 2 == 1 and min(digits) >= 1, (p, q)
+                value = Fraction(digits[-1])
+                for a in reversed(digits[:-1]):
+                    value = a + 1 / value
+                assert value == Fraction(p, q), (p, q)
