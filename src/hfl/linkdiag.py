@@ -101,9 +101,11 @@ class LinkDiagram:
         if not xs:
             self.components = [[]]
 
-        self.connected = _connected(len(xs), occ)
-        # a non-planar code fails the face count here
-        self.faces = _faces(xs, occ) if self.connected else None
+        pieces = _pieces(len(xs), occ)
+        self.connected = pieces <= 1
+        # a non-planar code fails the face count here, split or not
+        faces = _faces(xs, occ, pieces)
+        self.faces = faces if self.connected else None
 
     # ------------------------------------------------------------------
     # basic queries
@@ -185,30 +187,36 @@ def _orient(crossings, occ, dirs, seeds):
         stack.append(((place[0], (place[1] + 2) % 4), 1 - d))
 
 
-def _connected(n, occ):
-    """Whether the n crossings are connected by the edges of ``occ``."""
-    if n <= 1:
-        return True
+def _pieces(n, occ):
+    """Number of connected pieces of the projection of n crossings."""
     adj = [[] for _ in range(n)]
     for (a, _), (b, _) in occ.values():
         adj[a].append(b)
         adj[b].append(a)
-    seen = {0}
-    stack = [0]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return len(seen) == n
+    seen = set()
+    pieces = 0
+    for start in range(n):
+        if start in seen:
+            continue
+        pieces += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for nb in adj[stack.pop()]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+    return pieces
 
 
-def _faces(crossings, occ):
-    """Complementary regions of a connected projection, as corner lists.
+def _faces(crossings, occ, pieces):
+    """Complementary regions of each piece of the projection, as corner lists.
 
-    The face count is checked against Euler's formula, which fails
-    loudly if the counterclockwise slot convention was violated
-    somewhere.
+    A piece with n_i crossings is planar exactly when its corners trace
+    n_i + 2 faces (Euler's formula on the sphere; a piece of genus g
+    traces 2g fewer), so the whole projection must trace crossings +
+    2 * pieces.  The count fails loudly if the counterclockwise slot
+    convention was violated somewhere, in a split projection too.
     """
     if not crossings:
         return [[], []]
@@ -225,10 +233,10 @@ def _faces(crossings, occ):
                 face.append(cur)
                 cur = _across(crossings, occ, (cur[0], (cur[1] + 1) % 4))
             faces.append(face)
-    if len(faces) != len(crossings) + 2:
+    if len(faces) != len(crossings) + 2 * pieces:
         raise ValueError(
-            "face count %d != crossings + 2; the counterclockwise slot "
-            "convention is violated" % len(faces)
+            "face count %d != crossings + 2 per connected piece; the "
+            "counterclockwise slot convention is violated" % len(faces)
         )
     return faces
 
@@ -291,10 +299,8 @@ def linking_matrix(d):
         if i != j:
             lk2[i][j] += d.signs[ci]
             lk2[j][i] += d.signs[ci]
-    for i in range(l):
-        for j in range(l):
-            if lk2[i][j] % 2:
-                raise ValueError("odd crossing count between components %d,%d" % (i, j))
+    # two closed curves in the plane cross an even number of times, and
+    # the constructor refuses a projection that is not planar
     lk = tuple(tuple(v // 2 for v in row) for row in lk2)
     return LinkingData(lk, tuple(map(sum, lk)))
 

@@ -5,9 +5,10 @@ import re
 from collections import Counter
 from itertools import product
 
+from hfl.alexander import _fox_rows, _packed_det
 from hfl.filtered import FilteredComplex
-from hfl.laurent import MultiLaurent
-from hfl.linkdiag import braid_closure, corpus
+from hfl.laurent import MultiLaurent, symmetric_normalize
+from hfl.linkdiag import LinkDiagram, braid_closure, corpus
 from hfl.summands import Summand
 
 
@@ -19,6 +20,32 @@ def golden_diagram(name):
         return corpus(name)
     word = [int(x) for x in m.group(1).split(",")]
     return braid_closure(word * int(m.group(2)), max(map(abs, word)) + 1)
+
+
+def relabelled(d, rng):
+    """``d`` under a random bijection of its edge labels and a shuffled
+    crossing order, and that bijection."""
+    labels = sorted(d._occ)
+    new = dict(zip(labels, rng.sample(range(1, len(labels) + 1), len(labels))))
+    crossings = [tuple(new[e] for e in x) for x in d.crossings]
+    rng.shuffle(crossings)
+    return LinkDiagram(crossings), new
+
+
+def fox_minor_delta(d, row, col):
+    """Delta of ``d`` from the Fox matrix of ``_fox_rows`` with ``row`` and
+    arc column ``col`` deleted, divided by T_i - 1 for the column's
+    component i (a knot's minor is Delta itself), normalized as
+    ``multivariable_alexander`` normalizes."""
+    arc_component, rows = _fox_rows(d)
+    mat = [{g - (g > col): p for g, p in r.items() if g != col}
+           for k, r in enumerate(rows) if k != row]
+    nvars = d.n_components
+    unit = (0,) * nvars
+    i = arc_component[col]
+    divisor = {unit[:i] + (2,) + unit[i + 1:]: 1, unit: -1} if nvars >= 2 else None
+    det = _packed_det(mat, nvars, divisor)
+    return symmetric_normalize(det) if det else det
 
 
 def substitute_one(p, i):

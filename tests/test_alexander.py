@@ -1,4 +1,5 @@
 import json
+import random
 from itertools import permutations
 from math import gcd, prod
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import golden_diagram
+from helpers import fox_minor_delta, golden_diagram, relabelled
 from hfl import alexander
 from hfl.alexander import (
     _checkerboard,
@@ -216,11 +217,7 @@ RELABEL_SOURCES = (
 @given(st.sampled_from(RELABEL_SOURCES), st.randoms(use_true_random=False))
 def test_relabelling_keeps_sigma_and_delta(name, rng):
     d = golden_diagram(name)
-    labels = sorted(d._occ)
-    new = dict(zip(labels, rng.sample(range(1, len(labels) + 1), len(labels))))
-    crossings = [tuple(new[e] for e in x) for x in d.crossings]
-    rng.shuffle(crossings)
-    r = LinkDiagram(crossings)
+    r, new = relabelled(d, rng)
     assert signature(r) == signature(d)
     # components are numbered by smallest label: component i of d is
     # component moved[i] of r, and T_i becomes T_moved[i]
@@ -234,6 +231,50 @@ def test_relabelling_keeps_sigma_and_delta(name, rng):
     want = poly(d.n_components, want)
     got = multivariable_alexander(r).delta
     assert got == want or got == -want
+
+
+# ----------------------------------------------------------------------
+# the deleted row and column: any choice gives Delta, and the structural
+# choice keeps the elimination small under any labelling
+
+@pytest.mark.parametrize("name", [n for n in CORPUS_NAMES if n != "unknot"]
+                         + [f"closure(1,-2)^{k}" for k in range(1, 7)])
+def test_every_deletion_gives_delta(name):
+    d = golden_diagram(name)
+    want = multivariable_alexander(d).delta
+    arc_component, _ = _fox_rows(d)
+    assert len(set(arc_component)) == d.n_components
+    for row in range(len(d.crossings)):
+        for col in range(len(arc_component)):
+            got = fox_minor_delta(d, row, col)
+            assert got == want or got == -want, (name, row, col)
+
+
+def entry_products(d, monkeypatch):
+    """Term products of the Bareiss entry updates of Delta of ``d``."""
+    total = 0
+    entry = alexander._entry
+
+    def counting(p, a, left, top, down, bases):
+        nonlocal total
+        total += len(p) * len(a or ()) + len(left) * len(top)
+        return entry(p, a, left, top, down, bases)
+
+    with monkeypatch.context() as m:
+        m.setattr(alexander, "_entry", counting)
+        multivariable_alexander(d)
+    return total
+
+
+def test_fox_cost_stays_small_under_relabelling(monkeypatch):
+    # 21415 term products on the canonical labels and at most 45622 under
+    # these relabellings; deleting the first arc of component 0 and
+    # eliminating in label order took 192692, and up to 516243
+    d = golden_diagram("closure(1,-2)^12")
+    assert entry_products(d, monkeypatch) <= 40000
+    for seed in range(20):
+        r, _ = relabelled(d, random.Random(seed))
+        assert entry_products(r, monkeypatch) <= 150000, seed
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +420,7 @@ def test_packed_det_permutes_with_the_sign_through_int_products(case):
 @pytest.mark.parametrize("name", ["closure(1,-2)^9", "closure(1,-2)^12"])
 def test_large_golden_entries_take_int_products(name, monkeypatch):
     # at the shipped crossover the last Bareiss step of these closures,
-    # 33906 and 177280 term products, is formed as big-integer products
+    # 5256 and 17196 term products, is formed as big-integer products
     taken = []
 
     def counting(pairs, bases):

@@ -338,6 +338,15 @@ def test_non_planar_code_refused(capsys, tmp_path):
     assert code == 1 and out == "" and "face count" in err
 
 
+def test_split_non_planar_code_refused_by_its_face_count(capsys, tmp_path):
+    # a non-planar piece beside a trefoil: refused when parsed, before any
+    # command can ask for a connected projection
+    path = tmp_path / "split_nonplanar.pd"
+    path.write_text("PD[X[3,6,1,4],X[4,1,5,2],X[2,5,3,6],X[8,10,9,7],X[10,12,11,9],X[12,8,7,11]]")
+    code, out, err = run(capsys, "alexander", str(path))
+    assert code == 1 and out == "" and "face count" in err and "connected projection" not in err
+
+
 def test_heegaard_oracle_table_equals_pipeline(capsys):
     code, out, _ = run(capsys, "heegaard", "8", "3", "--emit-complex")
     assert code == 0

@@ -97,6 +97,7 @@ def test_writhe_and_signs():
 
 
 def test_linking_numbers():
+    assert linking_matrix(corpus("hopf_plus")) == LinkingData(((0, 1), (1, 0)), (1, 1))
     assert linking_matrix(corpus("hopf_plus")).total[0] == 1
     assert linking_matrix(corpus("hopf_minus")).total[0] == -1
     for n in (2, 3, 4):
@@ -268,15 +269,15 @@ def test_constructor_refuses_malformed_crossings():
         parse_pd("PD[X[0,2,0,2]]")
 
 
-def test_linking_matrix_refuses_an_odd_crossing_count():
+def test_constructor_refuses_a_split_non_planar_code():
     # two circles crossing three times, which no planar code allows, beside
-    # a trefoil: a split projection, so no face count refuses the code
-    d = parse_pd("PD[X[3,6,1,4],X[4,1,5,2],X[2,5,3,6],"
+    # a trefoil: the face count runs on every piece of a split projection
+    with pytest.raises(ValueError, match="face count 8 != crossings \\+ 2 per connected piece"):
+        parse_pd("PD[X[3,6,1,4],X[4,1,5,2],X[2,5,3,6],"
                  "X[8,10,9,7],X[10,12,11,9],X[12,8,7,11]]")
-    assert not d.connected
-    with pytest.raises(ValueError, match="odd crossing count between components 0,1"):
-        linking_matrix(d)
-    assert linking_matrix(corpus("hopf_plus")) == LinkingData(((0, 1), (1, 0)), (1, 1))
+    # a planar split projection keeps no faces
+    d = parse_pd("PD[X[1,2,2,1],X[3,4,4,3]]")
+    assert not d.connected and d.faces is None
 
 
 def test_diagram_repr_is_its_pd_code():
