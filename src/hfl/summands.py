@@ -32,8 +32,9 @@ a top vertex, latest start first, then those starting at a bottom
 vertex, earliest start first.  The result is checked against the
 summed invariants of the model summands (cells, total homology, and
 per coordinate the e-decomposition of the component homology).  Each
-shape's homology is known in closed form, so only the input complex is
-cancelled.
+shape's homology is known in closed form, and nothing is cancelled:
+per coordinate, the input's bars are read off one boundary-matrix
+reduction, which also gives the total homology.
 """
 
 from __future__ import annotations
@@ -43,13 +44,7 @@ from dataclasses import dataclass
 from functools import cache
 from operator import add
 
-from .filtered import (
-    FilteredComplex,
-    component_homology,
-    echelon,
-    require_valid,
-    total_homology,
-)
+from .filtered import FilteredComplex, echelon, require_valid
 from .laurent import fmt_half
 
 __all__ = [
@@ -186,33 +181,46 @@ def e_decomposition(cx: FilteredComplex):
     Returns (pairs, frees): ``pairs`` counts triples (lparam, maslov of
     the arrow source, doubled filtration of the source); ``frees``
     counts (maslov, doubled filtration) of the unpaired generators.
-    The pairing is the standard boundary-matrix reduction over the
-    filtration order, whose output multiset is basis-independent.
+    These are the complex's persistence bars, read by ``_bars``; a pair
+    with lparam 0 joins two generators of one filtration level.
     """
     if cx.nvars != 1:
         raise ValueError("e_decomposition expects a one-coordinate complex")
     require_valid(cx)
-    order = sorted(cx.gen_ids, key=lambda g: (cx.filt2(g)[0], g))
+    return _bars(cx, 0)
+
+
+def _bars(cx: FilteredComplex, axis: int):
+    """Persistence bars of a valid complex filtered by coordinate ``axis``.
+
+    The standard boundary-matrix reduction: generators ordered by
+    (level on ``axis``, Maslov, id), which puts every arrow's target
+    before its source, each boundary reduced by ``echelon`` against the
+    earlier ones.  A boundary left with a leading bit pairs its source
+    with that generator.  Returns (pairs, frees) as ``e_decomposition``
+    does, with every level read on ``axis``.  The counts of bars of
+    length greater than zero and of unpaired generators per (Maslov,
+    level) are filtered homotopy invariants; the unpaired generators
+    per Maslov grading span the total homology.
+    """
+    level = {g: cx.filt2(g)[axis] for g in cx.gen_ids}
+    order = sorted(cx.gen_ids, key=lambda g: (level[g], cx.maslov(g), g))
     index = {g: i for i, g in enumerate(order)}
-    out: dict[str, set[str]] = {g: set() for g in cx.gen_ids}
+    column = dict.fromkeys(cx.gen_ids, 0)
     for a, b in cx.arrows:
-        out[a].add(b)
+        column[a] |= 1 << index[b]
     piv: dict[int, int] = {}
     pairs: Counter = Counter()
     paired: set[str] = set()
     for g in order:
         rank = len(piv)
-        echelon([sum(1 << index[t] for t in out[g])], piv)
+        echelon([column[g]], piv)
         if len(piv) > rank:
             bottom = order[next(reversed(piv))]  # leading bit of g's reduced column
-            lam = (cx.filt2(g)[0] - cx.filt2(bottom)[0]) // 2
-            pairs[(lam, cx.maslov(g), cx.filt2(g)[0])] += 1
+            pairs[((level[g] - level[bottom]) // 2, cx.maslov(g), level[g])] += 1
             paired.add(g)
             paired.add(bottom)
-    frees: Counter = Counter()
-    for g in cx.gen_ids:
-        if g not in paired:
-            frees[(cx.maslov(g), cx.filt2(g)[0])] += 1
+    frees = Counter((cx.maslov(g), level[g]) for g in cx.gen_ids if g not in paired)
     return pairs, frees
 
 
@@ -234,17 +242,35 @@ def _image(columns: list[int], v: int) -> int:
     return img
 
 
+_AXIS = {(2, 0): 0, (0, 2): 1}
+
+
 def _module(cx: FilteredComplex) -> dict[tuple, tuple[list[int], list[int]]]:
     """Per class (Maslov level and filtration), the x- and y-images of
-    its ids, in sorted order, as bitmasks over the ids of the target."""
+    its ids, in sorted order, as bitmasks over the ids of the target.
+
+    Refuses a complex with an arrow that drops neither coordinate alone
+    by one step, naming the smallest such arrow.
+    """
     classes: dict[tuple, list[str]] = {}
     for g in sorted(cx.gen_ids):
         classes.setdefault((cx.maslov(g), cx.filt2(g)), []).append(g)
     local = {g: i for ids in classes.values() for i, g in enumerate(ids)}
     maps = {c: ([0] * len(ids), [0] * len(ids)) for c, ids in classes.items()}
+    long_arrows = []
     for a, b in cx.arrows:
-        axis = 0 if cx.filt2(a)[0] - cx.filt2(b)[0] == 2 else 1
-        maps[(cx.maslov(a), cx.filt2(a))][axis][local[a]] |= 1 << local[b]
+        ha, hb = cx.filt2(a), cx.filt2(b)
+        drop = (ha[0] - hb[0], ha[1] - hb[1])
+        if drop in _AXIS:
+            maps[(cx.maslov(a), ha)][_AXIS[drop]][local[a]] |= 1 << local[b]
+        else:
+            long_arrows.append((a, b, drop))
+    if long_arrows:
+        a, b, (dx, dy) = min(long_arrows)
+        raise ValueError(
+            f"complex is not E₂-collapsed: arrow {a}->{b} moves the filtration "
+            f"by ({dx}/2, {dy}/2)"
+        )
     return maps
 
 
@@ -399,13 +425,6 @@ def decompose(cx: FilteredComplex) -> list[Summand]:
     if cx.nvars != 2:
         raise ValueError("decompose handles two-coordinate complexes")
     require_valid(cx)
-    for a, b in sorted(cx.arrows):
-        drop = tuple(p - q for p, q in zip(cx.filt2(a), cx.filt2(b)))
-        if drop not in ((2, 0), (0, 2)):
-            raise ValueError(
-                f"complex is not E₂-collapsed: arrow {a}->{b} moves the filtration "
-                f"by ({drop[0]}/2, {drop[1]}/2)"
-            )
     maps = _module(cx)
     rad2 = _rad2(maps)
     squares = [Summand("B", m, 0, h2) for (m, h2), basis in rad2.items() for _ in basis]
@@ -458,18 +477,28 @@ def _verify_rebuild(cx: FilteredComplex, summands) -> None:
 
     Generator counts, total homology and, per coordinate, the
     e-decomposition of the component homology are compared with the
-    closed forms of the model summands; only the input is cancelled.
-    The e-decomposition fixes the component homology's counts: every
-    generator is a pair end or a free generator, and a pair's bottom
-    sits one grading and 2λ levels below its top.
+    closed forms of the model summands, and nothing is cancelled.  For
+    coordinate i, the bars of ``cx`` filtered by the other coordinate
+    are read off one reduction: cancelling the arrows that keep the
+    other coordinate is a filtered homotopy equivalence onto
+    ``component_homology(cx, i)``, so the bars of positive length and
+    the unpaired generators are that complex's e-decomposition.  The
+    unpaired generators, counted by Maslov grading, are the total
+    homology.  The e-decomposition fixes the component homology's
+    counts: every generator is a pair end or a free generator, and a
+    pair's bottom sits one grading and 2λ levels below its top.
     """
     if cx.counts().ranks != sum_cells(summands):
         raise AssertionError("decomposition does not match the generator counts")
     total, per_coordinate = sum_invariants(summands)
-    if total_homology(cx) != total:
+    bars = [_bars(cx, 2 - i) for i in (1, 2)]
+    homology: Counter = Counter()
+    for (m, _), n in bars[0][1].items():
+        homology[m] += n
+    if homology != total:
         raise AssertionError("decomposition does not match total homology")
-    for i, expected in zip((1, 2), per_coordinate):
-        if e_decomposition(component_homology(cx, i)) != expected:
+    for i, (pairs, frees), expected in zip((1, 2), bars, per_coordinate):
+        if (Counter({key: n for key, n in pairs.items() if key[0]}), frees) != expected:
             raise AssertionError(
                 f"decomposition does not match the coordinate-{i} homology"
             )

@@ -1,6 +1,7 @@
 import json
 import random
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -39,6 +40,8 @@ from hfl.linkdiag import (
     keep_component,
     linking_matrix,
     parse_pd,
+    reverse,
+    two_bridge,
 )
 from hfl.summands import Summand, build_sum, decompose, e_decomposition
 
@@ -180,6 +183,78 @@ def test_table_from_invariants_refuses_totals_of_the_wrong_parity():
         table_from_invariants(rep.delta, rep.sigma, (0, 0))
     with pytest.raises(ValueError, match="need one linking total per variable"):
         table_from_invariants(rep.delta, rep.sigma, (1,))
+
+
+# ----------------------------------------------------------------------
+# orientation: the ranks do not depend on it, the gradings do
+
+def reversed_ranks(d, i):
+    """The table of ``reverse(d, i)`` predicted from d's: the rank at
+    (m, h) moves to (m - h_i + lam, h with h_i negated), h_i being the
+    doubled coordinate and lam the sum of lk(K_i, K_j) over j != i,
+    taken before the reversal."""
+    lam = sum(x for j, x in enumerate(linking_matrix(d).lk[i]) if j != i)
+    return {
+        (m - h2[i] + lam, h2[:i] + (-h2[i],) + h2[i + 1:]): r
+        for (m, h2), r in hfl_alternating(d).table.ranks.items()
+    }
+
+
+def assert_orientation_rule(diagrams):
+    """Check the rule on every component of every diagram; return the
+    number of reversals checked."""
+    n = 0
+    for d in diagrams:
+        for i in range(d.n_components):
+            assert hfl_alternating(reverse(d, i)).table.ranks == reversed_ranks(d, i), (d, i)
+            n += 1
+    return n
+
+
+def seeded_alternating_closures(seed, draws):
+    """Closures of braid words on 2-5 strands, up to 16 letters, in which
+    sigma_k carries the sign (-1)^(k+1) and every generator appears; the
+    ones with more than one component."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(draws):
+        strands = rng.randint(2, 5)
+        word = list(range(1, strands))
+        word += [rng.randint(1, strands - 1) for _ in range(rng.randint(0, 17 - strands))]
+        rng.shuffle(word)
+        d = braid_closure([k if k % 2 else -k for k in word], strands)
+        if d.n_components > 1:
+            out.append(d)
+    return out
+
+
+def test_orientation_rule_on_the_corpus():
+    links = [corpus(name) for name in CORPUS_NAMES]
+    links = [d for d in links if d.n_components > 1 and d.is_alternating()]
+    assert assert_orientation_rule(links) == 12
+
+
+def test_orientation_rule_on_two_bridge_links():
+    links = [two_bridge(p, q) for p in range(2, 41, 2) for q in range(1, p) if gcd(p, q) == 1]
+    assert assert_orientation_rule(links) == 2 * len(links) == 346
+
+
+def test_orientation_rule_on_alternating_closures():
+    links = seeded_alternating_closures(11, 200)
+    assert len({d.n_components for d in links}) == 4  # 2 to 5 components
+    assert assert_orientation_rule(links) > 300
+
+
+def test_orientation_moves_gradings_not_ranks():
+    # reversing one component of the positive Hopf link gives the
+    # negative one: each of the four generators moves up one grading
+    plus = {(0, (1, 1)): 1, (-1, (1, -1)): 1, (-1, (-1, 1)): 1, (-2, (-1, -1)): 1}
+    minus = {(m + 1, h2): r for (m, h2), r in plus.items()}
+    d = corpus("hopf_plus")
+    assert hfl_alternating(d).table.ranks == plus
+    assert hfl_alternating(reverse(d, 1)).table.ranks == minus
+    assert hfl_alternating(corpus("hopf_minus")).table.ranks == minus
+    assert reversed_ranks(d, 1) == minus
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,7 @@
+import json
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from hfl.filtered import (
 from hfl.fixtures import FIXTURE_NAMES, fixture_complex
 from hfl.summands import (
     Summand,
+    _bars,
     _verify_rebuild,
     build_sum,
     build_summand,
@@ -210,6 +214,26 @@ def test_decompose_refuses_long_arrows():
         decompose(cx)
 
 
+def test_decompose_names_the_smallest_long_arrow():
+    # eight arrows that drop both coordinates among eight that drop one:
+    # whatever order the arrow set iterates in, the refusal names the
+    # smallest long arrow
+    rng = random.Random(26)
+    for _ in range(20):
+        names = rng.sample([f"g{k}" for k in range(100)], 24)
+        tops, bottoms, shorts = names[:8], names[8:16], names[16:]
+        gens = ([(g, 1, (2, 2)) for g in tops] + [(g, 0, (0, 0)) for g in bottoms]
+                + [(g, 1, (2, 0)) for g in shorts])
+        long_arrows = list(zip(tops, bottoms))
+        cx = FilteredComplex(2, (0, 0), gens, long_arrows + list(zip(shorts, bottoms)))
+        a, b = sorted(long_arrows)[0]
+        with pytest.raises(ValueError) as info:
+            decompose(cx)
+        assert str(info.value) == (
+            f"complex is not E₂-collapsed: arrow {a}->{b} moves the filtration by (2/2, 2/2)"
+        )
+
+
 @pytest.mark.parametrize("entry", ["spectral_pages", "component_homology", "e_decomposition", "decompose"])
 def test_public_entry_points_refuse_illegal_complex(entry):
     from hfl.filtered import FilteredComplex
@@ -344,6 +368,59 @@ def test_summed_invariants_match_brute_force(ss):
         assert expected == e_decomposition(component_homology(cx, i)), i
     for s in ss:
         assert sum_cells([s]) == build_summand(s).counts().ranks
+
+
+def assert_bars_are_the_cancelled_invariants(cx):
+    """The bars of ``cx`` filtered by the coordinate other than i, less
+    the zero-length pairs, are the e-decomposition of the component
+    homology that cancels coordinate i; the unpaired generators, counted
+    by Maslov grading, are the total homology."""
+    for i in (1, 2):
+        pairs, frees = _bars(cx, 2 - i)
+        positive = Counter({key: n for key, n in pairs.items() if key[0] > 0})
+        assert all(key[0] >= 0 for key in pairs), i
+        assert (positive, frees) == e_decomposition(component_homology(cx, i)), i
+        by_maslov = Counter()
+        for (m, _), n in frees.items():
+            by_maslov[m] += n
+        assert by_maslov == Counter(total_homology(cx)), i
+
+
+def test_bars_of_the_golden_complexes():
+    golden = json.loads((Path(__file__).parent / "data" / "complex_golden.json").read_text())
+    complexes = [FilteredComplex.from_json_dict(entry["complex"])
+                 for entry in golden["complexes"].values()]
+    complexes = [cx for cx in complexes if cx.nvars == 2]
+    assert len(complexes) == 23
+    # the random legal complexes have arrows that keep a coordinate's level
+    assert any(cx.filt2(a)[axis] == cx.filt2(b)[axis]
+               for cx in complexes for a, b in cx.arrows for axis in (0, 1))
+    for cx in complexes:
+        assert_bars_are_the_cancelled_invariants(cx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(summand_lists(), st.booleans(), st.randoms(use_true_random=False))
+def test_bars_of_scrambled_summand_lists(ss, same_class, rng):
+    assert_bars_are_the_cancelled_invariants(scramble(build_sum(ss), rng, same_class))
+
+
+def test_bars_of_dense_scrambles():
+    # shaped like the benchmark's sums: every kind, wide shapes, many
+    # summands sharing classes
+    rng = random.Random(26)
+    for _ in range(50):
+        ss = random_summand_sum(rng, max_summands=14, kinds="BVHXY", max_lam=4)
+        assert_bars_are_the_cancelled_invariants(scramble(build_sum(ss), rng))
+
+
+def test_bars_of_a_staircase_keep_its_flat_arrow():
+    # V^1 at the origin: t (0, (0, 0)) -> u (-1, (-2, 0)).  Filtered by
+    # coordinate 1 the arrow is a bar of length one; filtered by
+    # coordinate 2 it keeps the level, a pair of length zero
+    cx = build_summand(Summand("V", 0, 1, (0, 0)))
+    assert _bars(cx, 0) == (Counter({(1, 0, 0): 1}), Counter())
+    assert _bars(cx, 1) == (Counter({(0, 0, 0): 1}), Counter())
 
 
 SQUARE = Summand("B", -1, 0, (-2, -2))
