@@ -9,15 +9,12 @@ Two quantities are computed here, both in exact arithmetic:
   a checkerboard surface.
 
 The Fox determinant is a fraction-free Bareiss elimination on sparse
-rows of packed polynomials.  An entry update of at least 1000 term
-products, and 6 times its factor terms plus box cells (the measured
-crossover), is formed as big-integer products on a dense exponent box
-(Kronecker substitution): per variable from least to greatest exponent
-in gcd steps, a slot of whole bytes per cell for a sign bit and the
-bound sum min(|x|, |y|) * max|x| * max|y| (``_entry``).  On an
-alternating projection every crossing has the same checkerboard type,
-the Goeritz form is definite, and the signature is a count of white
-faces; only other projections run an elimination for it.
+rows of packed polynomials, every entry update formed term by term
+(``_entry``), with rows and columns ordered by a breadth-first walk of
+the diagram.  On an alternating projection every crossing has the same
+checkerboard type, the Goeritz form is definite, and the signature is
+a count of white faces; only other projections run an elimination for
+it.
 
 Both are diagram invariants of the underlying oriented link, which the
 test suite exercises by computing them from independently constructed
@@ -29,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, prod
 
 from .laurent import MultiLaurent, one, symmetric_normalize
 from .linkdiag import LinkDiagram
@@ -44,11 +40,6 @@ __all__ = [
 
 # ----------------------------------------------------------------------
 # Fox calculus
-
-# the measured crossover of ``_entry``'s big-integer numerator: term
-# products, and their ratio to factor terms plus box cells
-INT_PRODUCTS = 1000
-INT_COST_RATIO = 6
 
 @dataclass
 class AlexanderResult:
@@ -75,13 +66,13 @@ def multivariable_alexander(d: LinkDiagram) -> AlexanderResult:
     incidence graph orders rows and arcs by their distance from it.
     Row 0 and the last arc the walk reaches are deleted, and the
     division is by T_i - 1 for that arc's component i.  The other rows
-    and columns go to ``_packed_det`` in reverse walk order (reverse
-    Cuthill-McKee), so the fewest-terms pivot breaks its ties by
-    structural position, not by PD label: the elimination starts at the
-    far side of the diagram and closes in on the deleted crossing.  On
-    the (s1 s2^-1)^12 closure this takes the Bareiss entry updates from
-    192692 term products to 21415, and their worst over 20 seeded
-    relabellings from 516243 to 45622.  The determinant is computed
+    go to ``_packed_det`` in reverse walk order (reverse Cuthill-McKee)
+    and the other columns in walk order, so the fewest-terms pivot
+    breaks its ties by structural position, not by PD label: first the
+    row farthest from the deleted crossing, then the arc nearest to it.
+    The elimination starts at the far side of the diagram and closes in
+    on the deleted crossing, so its cost follows the shape of the
+    diagram rather than its labels.  The determinant is computed
     fraction-free and the division is performed exactly; a nonzero
     remainder is an internal error, not a possible outcome.  The result
     is normalized to its bar-symmetric representative with positive
@@ -93,7 +84,7 @@ def multivariable_alexander(d: LinkDiagram) -> AlexanderResult:
     arc_component, rows = _fox_rows(d)
     row_order, arc_order = _walk(rows)
     del_col = arc_order.pop()
-    column = {g: j for j, g in enumerate(reversed(arc_order))}
+    column = {g: j for j, g in enumerate(arc_order)}
     mat = [{column[g]: p for g, p in rows[r].items() if g != del_col}
            for r in reversed(row_order[1:])]
     unit = (0,) * nvars
@@ -202,11 +193,6 @@ def _packed_det(rows, nvars, divisor=None):
     lexicographic order.  Polynomials are dicts from key to nonzero
     coefficient, unpacked to a MultiLaurent once at the end.  An
     inexact division is an internal error and raises ArithmeticError.
-    ``_entry`` splits keys into digits by ``bases`` to lay a numerator
-    at or above the measured crossover out on a dense box of its own,
-    per variable from least to greatest exponent in gcd steps, with a
-    slot per cell of the coefficient bound's bit length plus a sign bit,
-    rounded up to bytes.
     """
     n = len(rows)
     exps = [e for row in rows for p in row.values() for e in p]
@@ -225,7 +211,7 @@ def _packed_det(rows, nvars, divisor=None):
                 for e, c in terms.items()}
 
     a = [{j: pack(p, lo) for j, p in row.items() if p} for row in rows]
-    det = _bareiss(a, bases)
+    det = _bareiss(a)
     if det:
         det = _packed_divide(det, pack(dterms, dlo))
     out = {}
@@ -238,7 +224,7 @@ def _packed_det(rows, nvars, divisor=None):
     return MultiLaurent._trusted(nvars, out)
 
 
-def _bareiss(a, bases):
+def _bareiss(a):
     """Determinant of a square sparse matrix of packed polynomials (modified in place).
 
     Row i is the dict ``a[i]`` from column to nonzero entry.  Rows are
@@ -262,11 +248,6 @@ def _bareiss(a, bases):
     a missing factor counting as zero.  The division is exact because
     the result is a (k+2)-minor, and both products multiply two minors
     of size at most n, so no packed digit carries (see ``_packed_det``).
-    ``_entry`` forms the numerator term by term, or, once the term
-    products number at least INT_PRODUCTS and INT_COST_RATIO times the
-    factor terms plus the cells of the numerator's dense box, as two
-    big-integer products on that box, for which ``bases`` unpack the
-    keys.  Only the largest entries get there.
     Step k brings each row below the pivot row whose pivot column is
     not empty to level k + 1, visiting only the columns stored in it or
     in the pivot row and deleting an entry that becomes zero.  A pivot
@@ -309,7 +290,7 @@ def _bareiss(a, bases):
         if level[k] < k:
             up, down = divisor[k].items(), divisor[level[k]]
             for j, p in pivot_row.items():
-                pivot_row[j] = _entry(up, p, (), (), down, bases)
+                pivot_row[j] = _entry(up, p, (), (), down)
         divisor.append(pivot_row[pj])
         piv = pivot_row[pj].items()
         tops = [(j, top.items()) for j, top in pivot_row.items() if j != pj]
@@ -322,10 +303,10 @@ def _bareiss(a, bases):
             down = divisor[level[i]]
             for j, cur in row.items():
                 if j not in pivot_row:
-                    row[j] = _entry(piv, cur, (), (), down, bases)
+                    row[j] = _entry(piv, cur, (), (), down)
             for j, top in tops:
                 cur = row.get(j)
-                new = _entry(piv, cur, left, top, down, bases)
+                new = _entry(piv, cur, left, top, down)
                 if new:
                     row[j] = new
                 elif cur:
@@ -335,130 +316,25 @@ def _bareiss(a, bases):
     return det if sign == 1 else {key: -c for key, c in det.items()}
 
 
-def _entry(p, a, left, top, down, bases):
+def _entry(p, a, left, top, down):
     """The Bareiss entry (p*a - left*top) / down of packed polynomials:
     ``a`` a dict, the others item views, a missing factor counting as 0.
 
-    The numerator is formed term by term, or by Kronecker substitution
-    (``_int_numerator``): the keys are split into digits by ``bases``,
-    and a dense box runs per variable from the least to the greatest
-    digit of either product, in steps of the gcd of every digit's offset
-    from its factor's least digit and of each product's least digit's
-    offset from the box's.  Cells are numbered in mixed radix, T1 most
-    significant, so exponent addition is cell-number addition.  A factor
-    becomes one int with a B-bit slot per cell from its own least
-    corner, written through ``bytes``; each product of two such ints,
-    shifted to its least corner, holds its coefficients slot by slot.
-    None exceeds M = sum of min(|x|, |y|) * max|x| * max|y| over the
-    products (|x| the term count, max|x| the largest coefficient), and B
-    is the bit length of M plus a sign bit, rounded up to whole bytes.
-    Adding 2^(B-1) to every slot of the difference makes each slot
-    nonnegative, so its bytes are the slots and no slot borrows.
-
-    Timed on the entries of 500 or more term products in the Fox
-    determinants of the (s1 s2^-1)^k (k <= 12) and (s1 s2^-1 s3)^k
-    (k <= 9) closures, T(2, 2n) (n <= 22) and ten two-bridge links
-    (CPython 3.11, one core of a shared host), the dict path costs
-    0.15-0.27 us per term product, the big-integer path 35-55 us plus
-    0.7-1.4 us per factor term and per box cell.  So the latter runs
-    when the term products number at least INT_PRODUCTS = 1000 and
-    INT_COST_RATIO = 6 times the factor terms plus the box cells.  Before
-    any key is split, necessary conditions are tested: a product has
-    more than 6 terms in both factors, and the products number at least
-    6 times the terms plus |x| + |y| - 1 for the widest product (x*y has
-    that many exponents at least).  Under the deletion and order of
-    ``multivariable_alexander``, seven of those entries qualify, from
-    5256 term products up, five of them in the (s1 s2^-1 s3)^8 closure;
-    the last step of the (s1 s2^-1)^12 closure, 17196 term products over
-    810 cells, takes 0.7 ms, not 2.4.
+    The numerator is formed term by term, one dict update per term
+    product; packed keys add as exponents do (see ``_packed_det``).  It
+    may keep the zero coefficients its terms cancel to, which
+    ``_packed_divide`` drops.
     """
     a = a.items() if a else ()
-    pairs = ((p, a, 1), (left, top, -1))
-    # sum |x||y| >= INT_COST_RATIO * sum (|x| + |y|) needs a product
-    # whose factors both have more than INT_COST_RATIO terms
-    if ((len(p) > INT_COST_RATIO and len(a) > INT_COST_RATIO
-            or len(left) > INT_COST_RATIO and len(top) > INT_COST_RATIO)
-            and len(p) * len(a) + len(left) * len(top) >= INT_PRODUCTS):
-        num = _int_numerator(pairs, bases)
-        if num is not None:
-            return _packed_divide(num, down)
     num = {}
     get = num.get
-    for x, y, sign in pairs:
+    for x, y, sign in ((p, a, 1), (left, top, -1)):
         for k1, c1 in x:
             c1 *= sign
             for k2, c2 in y:
                 key = k1 + k2
                 num[key] = get(key, 0) + c1 * c2
     return _packed_divide(num, down)
-
-
-def _int_numerator(pairs, bases):
-    """Sum of sign*x*y over ``pairs`` as big-integer products on the box
-    ``_entry`` describes, or None where the cost ratio favours the dict
-    product."""
-    pairs = [(x, y, sign) for x, y, sign in pairs if y]
-    products = sum(len(x) * len(y) for x, y, _ in pairs)
-    terms = sum(len(x) + len(y) for x, y, _ in pairs)
-    # the box holds every exponent of x*y, at least |x| + |y| - 1 of them
-    widest = max(len(x) + len(y) for x, y, _ in pairs)
-    if products < INT_COST_RATIO * (terms + widest - 1):
-        return None
-    nvars = len(bases)
-    weights = [prod(bases[v + 1:]) for v in range(nvars)]
-
-    def split(f):
-        keys, coeffs = zip(*f)
-        cols = [[key // w % b for key in keys] for w, b in zip(weights, bases)]
-        return cols, coeffs, [min(col) for col in cols]
-
-    split_pairs = [(split(x), split(y), sign) for x, y, sign in pairs]
-    origins = [[a + b for a, b in zip(fx[2], fy[2])] for fx, fy, _ in split_pairs]
-    lo = [min(col) for col in zip(*origins)]
-    hi = [max(max(fx[0][v]) + max(fy[0][v]) for fx, fy, _ in split_pairs) for v in range(nvars)]
-    step = []
-    for v in range(nvars):
-        g = gcd(*(o[v] - lo[v] for o in origins))
-        for fx, fy, _ in split_pairs:
-            for cols, _, low in (fx, fy):
-                g = gcd(g, *(e - low[v] for e in set(cols[v])))
-        step.append(g or 1)
-    dims = [(h - l) // s + 1 for h, l, s in zip(hi, lo, step)]
-    cells = prod(dims)
-    if products < INT_COST_RATIO * (terms + cells):
-        return None
-    stride = [prod(dims[v + 1:]) for v in range(nvars)]
-    bound = sum(min(len(fx[1]), len(fy[1])) * max(map(abs, fx[1])) * max(map(abs, fy[1]))
-                for fx, fy, _ in split_pairs)
-    width = (bound.bit_length() + 8) // 8
-    bits = 8 * width
-    empty = bytes(width)
-
-    def encode(cols, coeffs, low):
-        index = [0] * len(coeffs)
-        for col, m, s, t in zip(cols, low, step, stride):
-            index = [i + (e - m) // s * t for i, e in zip(index, col)]
-        pos = [empty] * (max(index) + 1)
-        neg = pos[:]
-        for i, c in zip(index, coeffs):
-            if c > 0:
-                pos[i] = c.to_bytes(width, "little")
-            else:
-                neg[i] = (-c).to_bytes(width, "little")
-        return int.from_bytes(b"".join(pos), "little") - int.from_bytes(b"".join(neg), "little")
-
-    total = 0
-    for (fx, fy, sign), o in zip(split_pairs, origins):
-        shift = sum((a - b) // s * t for a, b, s, t in zip(o, lo, step, stride))
-        total += sign * (encode(*fx) * encode(*fy) << bits * shift)
-    zero = bytes(width - 1) + b"\x80"
-    data = (total + int.from_bytes(zero * cells, "little")).to_bytes(cells * width, "little")
-    keys = [sum(l * w for l, w in zip(lo, weights))]
-    for n, s, w in zip(dims, step, weights):
-        keys = [k + j * s * w for k in keys for j in range(n)]
-    half = 1 << bits - 1
-    chunks = [data[i:i + width] for i in range(0, len(data), width)]
-    return {k: int.from_bytes(c, "little") - half for k, c in zip(keys, chunks) if c != zero}
 
 
 def _packed_divide(p, q):

@@ -487,6 +487,12 @@ def _verify_rebuild(cx: FilteredComplex, summands) -> None:
     homology.  The e-decomposition fixes the component homology's
     counts: every generator is a pair end or a free generator, and a
     pair's bottom sits one grading and 2λ levels below its top.
+
+    The check is blind to how zigzag ends pair up.  Each coordinate sees
+    only one end of an X or Y, so two lists of zigzags with the same
+    cells and the same ends in each coordinate, matched up differently,
+    pass alike: Y^1(-1)[0,0] + Y^2(-1)[1,-2] against
+    Y^0(-1)[1,0] + Y^3(-1)[0,-2], for one.
     """
     if cx.counts().ranks != sum_cells(summands):
         raise AssertionError("decomposition does not match the generator counts")

@@ -472,3 +472,12 @@ def test_rebuild_check_of_nothing():
     with pytest.raises(AssertionError, match="generator counts"):
         _verify_rebuild(build_sum([SQUARE]), [])
     assert decompose(FilteredComplex(2, (0, 1), [], [])) == []
+
+
+def test_rebuild_check_cannot_tell_zigzag_ends_apart():
+    # each coordinate sees one end of a Y, so these two lists share every
+    # invariant the check compares; a stronger check must flip this
+    ys = [Summand("Y", -1, 1, (0, 0)), Summand("Y", -1, 2, (2, -4))]
+    rematched = [Summand("Y", -1, 0, (2, 0)), Summand("Y", -1, 3, (0, -4))]
+    _verify_rebuild(build_sum(ys), rematched)
+    assert (sum_cells(ys), sum_invariants(ys)) == (sum_cells(rematched), sum_invariants(rematched))
