@@ -30,7 +30,11 @@ products of ranks, or homology dimensions, which ``_graded_homology``
 refuses to let go negative.  So they hand the dicts over unchecked,
 through ``MultiGradedVS._trusted``.  ``MultiGradedVS.euler`` keys its
 terms by those checked levels and drops the coefficients that cancel,
-so it hands them to ``MultiLaurent._trusted`` the same way.
+so it hands them to ``MultiLaurent._trusted`` the same way.  The
+public ``FilteredComplex`` constructor checks every generator and
+arrow it is given; ``summands.build_sum`` places the cells of checked
+summands, tests only each summand's coordinate count and parity, and
+hands the complex over through ``FilteredComplex._trusted``.
 """
 
 from __future__ import annotations
@@ -248,6 +252,26 @@ class FilteredComplex:
         self._filt = filt
         self._arrows = frozenset(arrs)
         self._report = None  # set by validate(); the instance never changes
+
+    @classmethod
+    def _trusted(
+        cls, nvars: int, parity: tuple[int, ...], maslov: dict, filt: dict, arrows: frozenset
+    ) -> "FilteredComplex":
+        """Wrap generator and arrow data built from checked values, without
+        re-checking it.
+
+        The data must already be what the public constructor would keep:
+        ``maslov`` and ``filt`` map the same str ids, in generator order,
+        to ints and to int tuples of length ``nvars`` on the ``parity``
+        coset, and ``arrows`` holds (source, target) pairs of those ids.
+        ``summands.build_sum`` builds it from checked summands and tests
+        each summand's coordinate count and parity itself.
+        """
+        cx = cls.__new__(cls)
+        cx.nvars, cx.parity, cx._maslov, cx._filt, cx._arrows = nvars, parity, maslov, filt, arrows
+        cx._order = tuple(maslov)
+        cx._report = None
+        return cx
 
     # ---- accessors ----
 

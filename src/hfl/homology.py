@@ -14,11 +14,12 @@ components, in one pass.  The staircase summands and their placements
 are forced by the component knot data.  The central zigzag pair is
 forced too, width included: it alone carries free generators, and the
 component knots put those at gradings 0 and -1.  The leftover
-generators must tile exactly into acyclic squares.  The summands this
-gives are checked against the rank table, the total homology and both
-component homologies, all read off closed forms of the model summands,
-so nothing is validated or cancelled to check them.  An input that
-fails any stage is refused with that stage named.
+generators must tile exactly into acyclic squares.  The direct sum of
+the summands this gives is built once, and its generator counts are
+checked against the rank table.  Its total homology and both component
+homologies are checked too, read off closed forms of the model
+summands, so nothing is cancelled to check them.  An input that fails
+any stage is refused with that stage named.
 """
 
 from __future__ import annotations
@@ -436,10 +437,11 @@ def two_component_cfl(
     central pair is the only summand carrying free generators.  Its top
     therefore sits at grading 0, which leaves width |lf|.  All
     remaining table entries must tile exactly into acyclic squares.
-    The sum is then checked against the rank table, the total homology
-    and both component homologies from the summands' closed forms,
-    without building or cancelling anything.  Inputs that fail any
-    stage are refused with the stage named.
+    The sum is then built, and the generator counts of the complex to
+    be returned are checked against the rank table.  The total homology
+    and both component homologies are checked from the summands' closed
+    forms, without cancelling anything.  Inputs that fail any stage are
+    refused with the stage named.
     """
     if delta.nvars != 2:
         raise ValueError("need a two-variable Alexander polynomial")
@@ -470,10 +472,11 @@ def two_component_cfl(
     _take_cells(rest, central, f"the central {family}-pair at width {k} does not fit")
 
     summands = sorted(forced + central + _tile_squares(+rest))
-    failed = _failed_check(summands, target, comps, n)
+    cx = build_sum(summands)
+    failed = _failed_check(cx, summands, target, comps, n)
     if failed:
         raise ValueError(f"constraints unsatisfiable: {failed}")
-    return build_sum(summands), summands
+    return cx, summands
 
 
 def _cell(d: int, h2) -> str:
@@ -514,26 +517,28 @@ def _central_pair(family: str, k: int, tau1: int, tau2: int, n: int):
 def _tile_squares(cells: Counter) -> list[Summand]:
     """Tile a cell multiset exactly by acyclic squares, or refuse.
 
-    In any exact tiling the lexicographically smallest remaining
-    position must be the low corner of its square, so the greedy
-    choice is forced and the tiling, when it exists, is unique.  The
-    refusal names that low corner and the missing corner of its square.
+    In any exact tiling the smallest remaining cell, by (level, Maslov),
+    must be the low corner of its square, so the greedy choice is forced
+    and the tiling, when it exists, is unique.  The square's other three
+    corners sort after its low corner, so one pass over the cells in
+    that order meets each cell only once every smaller one is used up.
+    The refusal names that low corner and the missing corner of its
+    square.
     """
     rest = Counter(cells)
     out = []
-    while rest:
-        d0, (x, y) = min(rest, key=lambda cell: (cell[1], cell[0]))
-        square = Summand("B", d0, 0, (x, y))
-        for cell in sum_cells([square]):
-            if rest.get(cell, 0) <= 0:
-                raise ValueError(
-                    "constraints unsatisfiable: the squares cannot tile the cell at "
-                    f"{_cell(d0, (x, y))} (its square lacks {_cell(*cell)})"
-                )
-            rest[cell] -= 1
-            if not rest[cell]:
-                del rest[cell]
-        out.append(square)
+    for low in sorted(rest, key=lambda cell: (cell[1], cell[0])):
+        d0, (x, y) = low
+        corners = ((d0 + 1, (x + 2, y)), (d0 + 1, (x, y + 2)), (d0 + 2, (x + 2, y + 2)))
+        for _ in range(rest[low]):
+            for cell in corners:
+                if rest[cell] <= 0:
+                    raise ValueError(
+                        "constraints unsatisfiable: the squares cannot tile the cell at "
+                        f"{_cell(*low)} (its square lacks {_cell(*cell)})"
+                    )
+                rest[cell] -= 1
+            out.append(Summand("B", d0, 0, (x, y)))
     return out
 
 
@@ -554,14 +559,18 @@ def _tensor_two_step(data: ComponentData, n: int):
     return pairs, Counter({(0, free2): 1, (-1, free2): 1})
 
 
-def _failed_check(summands, target: MultiGradedVS, comps, n: int) -> str | None:
-    """Name the first output check the summands' direct sum fails, or None.
+def _failed_check(
+    cx: FilteredComplex, summands, target: MultiGradedVS, comps, n: int
+) -> str | None:
+    """Name the first output check that ``cx``, the summands' direct sum,
+    fails, or None.
 
     Every model arrow drops a coordinate, so the associated graded
-    homology of the sum is its cell count; its total and component
-    homologies are the closed forms of ``sum_invariants``.
+    homology of ``cx`` is its generator count, read off ``cx`` itself.
+    Its total and component homologies are the closed forms of
+    ``sum_invariants``, and nothing is cancelled.
     """
-    if sum_cells(summands) != Counter(target.ranks):
+    if cx.counts().ranks != target.ranks:
         return "the associated graded homology differs from the rank table"
     th, per_coordinate = sum_invariants(summands)
     if sorted(th.values()) != [1, 1] or max(th) - min(th) != 1:

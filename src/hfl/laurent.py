@@ -19,6 +19,7 @@ coefficients that cancel, so they hand them over unchecked, through
 
 from __future__ import annotations
 
+from functools import cache
 from operator import add, neg
 from typing import Iterable, Mapping
 
@@ -199,11 +200,14 @@ def monomial(nvars: int, e2: Iterable[int], c: int = 1) -> MultiLaurent:
     return MultiLaurent(nvars, {tuple(int(x) for x in e2): c})
 
 
+@cache
 def spin_product(nvars: int) -> MultiLaurent:
     """Return prod_i (T_i^{1/2} - T_i^{-1/2}) in ``nvars`` variables.
 
     The product has 2^nvars terms with coefficients +-1 and half-integer
     exponents throughout.  Like every polynomial, it needs ``nvars >= 1``.
+    It is a constant of ``nvars``, built once per count and shared: no
+    operation here changes a polynomial in place.
     """
     out = one(nvars)
     for i in range(nvars):

@@ -68,7 +68,8 @@ class Summand:
     width for X/Y) and is meaningless for B, where it is pinned to 0.
     A width-zero X is a single cell, the same complex as a width-zero
     Y, and is normalized to the Y spelling so equal summands compare
-    equal.
+    equal.  ``d``, ``lparam`` and the shift are stored as ints; a value
+    that is not integral is refused, naming its field.
     """
 
     kind: str
@@ -79,7 +80,16 @@ class Summand:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown summand kind {self.kind!r}")
-        object.__setattr__(self, "shift2", tuple(int(x) for x in self.shift2))
+        shift2 = tuple(map(int, self.shift2))
+        if type(self.d) is not int or type(self.lparam) is not int or shift2 != self.shift2:
+            # field by field only when some value is not already an int
+            given = (self.d, self.lparam, tuple(self.shift2))
+            ints = (int(self.d), int(self.lparam), shift2)
+            for name, value, n in zip(("d", "lparam", "shift2"), given, ints):
+                if n != value:
+                    raise ValueError(f"summand {name} {value!r} is not integral")
+                object.__setattr__(self, name, n)
+        object.__setattr__(self, "shift2", shift2)
         nv = 1 if self.kind == "E" else 2
         if len(self.shift2) != nv:
             raise ValueError(f"kind {self.kind} needs a {nv}-coordinate shift")
@@ -160,16 +170,32 @@ def build_summand(s: Summand) -> FilteredComplex:
 
 def build_sum(summands) -> FilteredComplex:
     """The direct sum of the summands, with the ids of summand k prefixed
-    by ``s{k}.`` as in ``direct_sum``.  All must share one parity."""
+    by ``s{k}.`` as in ``direct_sum``.  All must share one parity.
+
+    Summands are checked when made, so the sum is built without the
+    public constructor's checks, apart from the ones a list of summands
+    can fail: each summand's coordinate count and parity.  Standard
+    positions are even, so a summand's cells all have its shift's parity.
+    """
     if not summands:
         raise ValueError("empty direct sum")
-    gens, arrows = [], []
+    parity = tuple(x % 2 for x in summands[0].shift2)
+    maslov: dict[str, int] = {}
+    filt: dict[str, tuple[int, ...]] = {}
+    arrows = []
     for k, s in enumerate(summands):
         cells, arrs = _placed(s)
-        gens += [(f"s{k}.{gid}", m, h2) for gid, m, h2 in cells]
-        arrows += [(f"s{k}.{a}", f"s{k}.{b}") for a, b in arrs]
-    shift2 = summands[0].shift2
-    return FilteredComplex(len(shift2), [x % 2 for x in shift2], gens, arrows)
+        prefix = f"s{k}."
+        first = prefix + cells[0][0]
+        if len(s.shift2) != len(parity):
+            raise ValueError(f"generator {first!r} has a filtration of wrong length")
+        if tuple(x % 2 for x in s.shift2) != parity:
+            raise ValueError(f"generator {first!r} violates parity {parity}")
+        for gid, m, h2 in cells:
+            maslov[prefix + gid] = m
+            filt[prefix + gid] = h2
+        arrows += [(prefix + a, prefix + b) for a, b in arrs]
+    return FilteredComplex._trusted(len(parity), parity, maslov, filt, frozenset(arrows))
 
 
 # ----------------------------------------------------------------------

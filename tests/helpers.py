@@ -9,7 +9,7 @@ from hfl.alexander import _fox_rows, _packed_det
 from hfl.filtered import FilteredComplex
 from hfl.laurent import MultiLaurent, symmetric_normalize
 from hfl.linkdiag import LinkDiagram, braid_closure, corpus
-from hfl.summands import Summand
+from hfl.summands import Summand, sum_cells
 
 
 def golden_diagram(name):
@@ -111,7 +111,7 @@ def random_summand(rng, parity, kinds="BVHXY", max_lam=3, max_d=3):
     d = rng.randrange(-max_d, max_d + 1)
     if kind == "B":
         lam = 0
-    elif kind in ("V", "H"):
+    elif kind in ("V", "H", "E"):
         lam = rng.randrange(1, max_lam + 1)
     else:
         lam = rng.randrange(0, max_lam + 1)
@@ -119,10 +119,32 @@ def random_summand(rng, parity, kinds="BVHXY", max_lam=3, max_d=3):
     return Summand(kind, d, lam, shift2)
 
 
-def random_summand_sum(rng, max_summands=20, **shape):
-    parity = (rng.randrange(2), rng.randrange(2))
+def random_summand_sum(rng, max_summands=20, nvars=2, **shape):
+    parity = tuple(rng.randrange(2) for _ in range(nvars))
     n = rng.randrange(1, max_summands + 1)
     return sorted(random_summand(rng, parity, **shape) for _ in range(n))
+
+
+def tile_squares_by_min_scan(cells):
+    """Tile a cell multiset by acyclic squares, or refuse, as
+    ``homology._tile_squares`` does: the reference that scans every
+    remaining cell for the smallest, by (level, Maslov), once per square."""
+    rest = Counter(cells)
+    out = []
+    while rest:
+        d0, (x, y) = min(rest, key=lambda cell: (cell[1], cell[0]))
+        square = Summand("B", d0, 0, (x, y))
+        for cell in sum_cells([square]):
+            if rest.get(cell, 0) <= 0:
+                raise ValueError(
+                    "constraints unsatisfiable: the squares cannot tile the cell at "
+                    f"d={d0}, h2={(x, y)} (its square lacks d={cell[0]}, h2={cell[1]})"
+                )
+            rest[cell] -= 1
+            if not rest[cell]:
+                del rest[cell]
+        out.append(square)
+    return out
 
 
 def random_filtered_complex(rng, nvars, max_gens=40):

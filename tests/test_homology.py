@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from helpers import scramble
+from helpers import scramble, tile_squares_by_min_scan
 from hfl import homology
 from hfl.alexander import goeritz_determinant, multivariable_alexander, signature
 from hfl.filtered import (
@@ -43,7 +43,7 @@ from hfl.linkdiag import (
     reverse,
     two_bridge,
 )
-from hfl.summands import Summand, build_sum, decompose, e_decomposition
+from hfl.summands import Summand, _placed, build_sum, decompose, e_decomposition, sum_cells
 
 
 def nonalt_knot():
@@ -509,6 +509,57 @@ def test_solver_names_the_tiling_stage():
         "constraints unsatisfiable: the squares cannot tile the cell at "
         "d=-7, h2=(-7, -5) (its square lacks d=-6, h2=(-5, -5))"
     )
+
+
+def tiling_outcome(tile, cells):
+    try:
+        return tile(cells)
+    except ValueError as e:
+        return str(e)
+
+
+def test_tiling_matches_the_min_scan():
+    # unions of random squares (overlaps give cells of rank above one), and
+    # the same unions with one cell added or removed, which cannot tile
+    rng = random.Random(28)
+    refused = 0
+    for _ in range(300):
+        cells = Counter()
+        for _ in range(rng.randrange(1, 9)):
+            shift = (rng.randrange(-4, 5), rng.randrange(-4, 5))
+            cells += sum_cells([Summand("B", rng.randrange(-2, 3), 0, shift)])
+        extra = rng.choice(list(cells))
+        added = cells + Counter({(extra[0] + rng.randrange(-1, 2), extra[1]): 1})
+        removed = cells - Counter({rng.choice(list(cells)): 1})
+        for multiset in (cells, added, removed):
+            want = tiling_outcome(tile_squares_by_min_scan, multiset)
+            assert tiling_outcome(homology._tile_squares, multiset) == want
+            refused += isinstance(want, str)
+    assert refused >= 600
+
+
+def test_solver_places_each_summand_at_most_twice(monkeypatch):
+    # once to take its cells from the table (squares are read off the
+    # table without placing them) and once to build the sum
+    placed = []
+
+    def counted(s, _real=_placed):
+        placed.append(s)
+        return _real(s)
+
+    monkeypatch.setattr("hfl.summands._placed", counted)
+    links = [two_bridge(36, 11), connected_sum(corpus("trefoil_right"), corpus("hopf_plus"), 0, 0)]
+    links += [corpus(name) for name in CORPUS_NAMES if corpus(name).n_components == 2]
+    solved = 0
+    for d in links:
+        placed.clear()
+        try:
+            _cx, ss = two_component_cfl_from_diagram(d)
+        except ValueError:
+            continue
+        assert len(placed) <= 2 * len(ss)
+        solved += 1
+    assert solved == len(links) - 2  # L7n1 and L7n2 are not alternating
 
 
 def test_solver_names_the_failed_output_check(monkeypatch):

@@ -105,19 +105,59 @@ def test_shift_is_position_of_base_cell():
         ), s
 
 
+def public_sum(ss):
+    """``build_sum(ss)`` through the public constructor: the same ids,
+    levels and arrows, each one checked."""
+    gens, arrows = [], []
+    for k, s in enumerate(ss):
+        part = build_summand(s)
+        gens += [(f"s{k}.{g}", m, h2) for g, m, h2 in part.gens()]
+        arrows += [(f"s{k}.{a}", f"s{k}.{b}") for a, b in part.arrows]
+    return FilteredComplex(len(ss[0].shift2), [x % 2 for x in ss[0].shift2], gens, arrows)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_build_sum_is_the_direct_sum_of_its_summands(rng):
-    ss = random_summand_sum(rng)
-    parts = [build_summand(s) for s in ss]
-    assert build_sum(ss).to_json_dict() == direct_sum(parts).to_json_dict()
+    # two-coordinate lists of B, V, H, X and Y, and one-coordinate lists of E
+    for ss in (random_summand_sum(rng), random_summand_sum(rng, nvars=1, kinds="E")):
+        cx = build_sum(ss)
+        parts = [build_summand(s) for s in ss]
+        assert cx.to_json_dict() == direct_sum(parts).to_json_dict()
+        # the trusted build keeps what the public constructor keeps
+        public = public_sum(ss)
+        assert cx == public
+        assert cx.gen_ids == public.gen_ids
+        assert cx.gens() == public.gens()
+        assert cx.to_json_dict() == public.to_json_dict()
+        assert cx.counts() == public.counts()
 
 
 def test_build_sum_refuses_empty_and_mixed_parity():
     with pytest.raises(ValueError, match="empty direct sum"):
         build_sum([])
-    with pytest.raises(ValueError, match="violates parity"):
+    with pytest.raises(ValueError) as err:
         build_sum([Summand("B", 0, 0, (0, 0)), Summand("B", 0, 0, (1, 0))])
+    assert str(err.value) == "generator 's1.c00' violates parity (0, 0)"
+    with pytest.raises(ValueError) as err:
+        build_sum([Summand("B", 0, 0, (0, 0)), Summand("E", 0, 1, (0,))])
+    assert str(err.value) == "generator 's1.t' has a filtration of wrong length"
+
+
+def test_summand_stores_integers():
+    s = Summand("Y", 1.0, 2.0, [0.0, 2])
+    assert (s.d, s.lparam, s.shift2) == (1, 2, (0, 2))
+    assert {type(x) for x in (s.d, s.lparam, *s.shift2)} == {int}
+    assert build_sum([s]).to_json_dict() == build_sum([Summand("Y", 1, 2, (0, 2))]).to_json_dict()
+    for args, message in (
+        (("Y", 1.5, 0, (0, 0)), "summand d 1.5 is not integral"),
+        (("Y", 0, 0.5, (0, 0)), "summand lparam 0.5 is not integral"),
+        (("Y", 0, 0, (0.5, 0)), "summand shift2 (0.5, 0) is not integral"),
+        (("B", "0", 0, (0, 0)), "summand d '0' is not integral"),
+    ):
+        with pytest.raises(ValueError) as err:
+            Summand(*args)
+        assert str(err.value) == message
 
 
 def test_e_decomposition_pairs_and_frees():
