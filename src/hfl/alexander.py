@@ -11,10 +11,12 @@ Two quantities are computed here, both in exact arithmetic:
 The Fox determinant is a fraction-free Bareiss elimination on sparse
 rows of packed polynomials, every entry update formed term by term
 (``_entry``), with rows and columns ordered by a breadth-first walk of
-the diagram.  On an alternating projection every crossing has the same
-checkerboard type, the Goeritz form is definite, and the signature is
-a count of white faces; only other projections run an elimination for
-it.
+the diagram.  The Fox matrix is built packed, in one box: every doubled
+exponent of a Fox entry is 0 or 2, so for a minor with n rows each
+variable is a digit in base B = 4n + 3, T1 the most significant.  On
+an alternating projection every crossing has the same checkerboard
+type, the Goeritz form is definite, and the signature is a count of
+white faces; only other projections run an elimination for it.
 
 Both are diagram invariants of the underlying oriented link, which the
 test suite exercises by computing them from independently constructed
@@ -72,8 +74,10 @@ def multivariable_alexander(d: LinkDiagram) -> AlexanderResult:
     row farthest from the deleted crossing, then the arc nearest to it.
     The elimination starts at the far side of the diagram and closes in
     on the deleted crossing, so its cost follows the shape of the
-    diagram rather than its labels.  The determinant is computed
-    fraction-free and the division is performed exactly; a nonzero
+    diagram rather than its labels.  The rows come packed, every doubled
+    exponent 0 or 2, in base B = 4n + 3 for a minor with n rows, wide
+    enough that no key of the elimination carries.  The determinant is
+    computed fraction-free and the division is performed exactly; a nonzero
     remainder is an internal error, not a possible outcome.  The result
     is normalized to its bar-symmetric representative with positive
     leading coefficient.
@@ -81,21 +85,21 @@ def multivariable_alexander(d: LinkDiagram) -> AlexanderResult:
     if not d.crossings:
         return AlexanderResult(one(1))
     nvars = d.n_components
-    arc_component, rows = _fox_rows(d)
+    arc_component, rows, base = _fox_rows(d)
     row_order, arc_order = _walk(rows)
     del_col = arc_order.pop()
     column = {g: j for j, g in enumerate(arc_order)}
-    mat = [{column[g]: p for g, p in rows[r].items() if g != del_col}
+    mat = [{column[g]: p for g, p in rows[r].items() if p and g != del_col}
            for r in reversed(row_order[1:])]
-    unit = (0,) * nvars
     i = arc_component[del_col]
-    torres = {unit[:i] + (2,) + unit[i + 1:]: 1, unit: -1} if nvars >= 2 else None
-    det = _packed_det(mat, nvars, torres)
+    torres = {2 * base ** (nvars - 1 - i): 1, 0: -1} if nvars >= 2 else None
+    det = _packed_det(mat, nvars, base, torres)
     return AlexanderResult(symmetric_normalize(det) if det else det)
 
 
 def _fox_rows(d: LinkDiagram):
-    """The arcs' components and the abelianized Fox matrix, one row per crossing.
+    """The arcs' components, the packed abelianized Fox matrix, one row per
+    crossing, and the base of its packed keys.
 
     Arcs are maximal over-strands: each starts at the outgoing
     under-edge of a crossing and runs on across every crossing where it
@@ -106,8 +110,15 @@ def _fox_rows(d: LinkDiagram):
     its Fox row is {a: T_o, b: 1 - T_u, c: -1} or, scaled by the unit
     T_o, {a: 1, b: T_u - 1, c: -T_o}, where T_o and T_u are the
     variables of the over- and under-strand.  Each row maps an arc to a
-    dict from doubled exponent vector to nonzero coefficient; coinciding
-    arcs add up.
+    dict from packed key to nonzero coefficient; coinciding arcs add up,
+    and an entry that adds up to zero stays in its row as an empty dict
+    (the walk still sees the arc) for the minor to leave out.
+
+    The box: every doubled exponent is 0 or 2, and a minor of the c
+    crossings has n = c - 1 rows, so the base is B = 4n + 3 for every
+    variable, the bound 2*n*span + dspan + 1 of ``_packed_det`` with
+    span = 2 and dspan = 2 (the Torres divisor T_i - 1).  Of l
+    variables, T_(i+1) is the key 2*B^(l-1-i) and the unit the key 0.
     """
     if not d.connected:
         raise ValueError("Wirtinger presentation needs a connected projection")
@@ -121,17 +132,17 @@ def _fox_rows(d: LinkDiagram):
                 arc_component.append(i)
             arc[e] = len(arc_component) - 1
     nvars = d.n_components
-    unit = (0,) * nvars
-    var = [unit[:i] + (2,) + unit[i + 1:] for i in range(nvars)]
+    base = 4 * len(d.crossings) - 1
+    var = [2 * base ** (nvars - 1 - i) for i in range(nvars)]
     rows = []
     for x, sign in zip(d.crossings, d.signs):
         a, b, c = arc[x[0]], arc[x[1]], arc[x[2]]
         assert arc_component[a] == arc_component[c], "relator does not abelianize to the identity"
         t_o, t_u = var[arc_component[b]], var[arc_component[a]]
         if sign == 1:
-            cells = {t_o: 1}, {unit: 1, t_u: -1}, {unit: -1}
+            cells = {t_o: 1}, {0: 1, t_u: -1}, {0: -1}
         else:
-            cells = {unit: 1}, {t_u: 1, unit: -1}, {t_o: -1}
+            cells = {0: 1}, {t_u: 1, 0: -1}, {t_o: -1}
         row = {}
         for g, cell in zip((a, b, c), cells):
             total = row.setdefault(g, cell)
@@ -141,7 +152,7 @@ def _fox_rows(d: LinkDiagram):
                     if coeff:
                         total[e] = coeff
         rows.append(row)
-    return arc_component, rows
+    return arc_component, rows, base
 
 
 def _walk(rows):
@@ -171,55 +182,35 @@ def _walk(rows):
     return row_order, arc_order
 
 
-def _packed_det(rows, nvars, divisor=None):
-    """Determinant of a square sparse polynomial matrix, divided exactly by ``divisor``.
+def _packed_det(rows, nvars, base, divisor=None):
+    """Determinant of a square sparse matrix of packed polynomials, divided
+    exactly by ``divisor`` and unpacked to a MultiLaurent.
 
     Row i of the n x n matrix is ``rows[i]``, a dict from column
-    (0..n-1) to entry; columns it lacks, and entries that are empty,
-    are zero, and only the other entries are packed.  Entries and the
-    divisor are dicts from doubled exponent vector to nonzero
-    coefficient.  Fraction-free Bareiss elimination with the
-    fewest-terms pivot, run on packed exponent keys.  Each variable's
-    exponents are shifted by their minimum over the matrix (the divisor
-    by its own minimum), so they run over 0..span_v, span_v being their
-    spread over the whole matrix.  An exponent vector is packed into one
-    int, T1 the most significant digit and variable v in base
-    2*n*span_v + dspan_v + 1 (dspan_v the divisor's spread).  A k-minor
-    spreads at most k*span_v.  Every numerator of the lazy elimination
-    in ``_bareiss`` is p*a - left*top, each product one of two minors
-    of size at most n.  The final quotient times the divisor stays below
-    n*span_v + dspan_v.  So no digit of any key ever carries: packing is
-    injective, exponent addition is int addition and int order is
-    lexicographic order.  Polynomials are dicts from key to nonzero
-    coefficient, unpacked to a MultiLaurent once at the end.  An
-    inexact division is an internal error and raises ArithmeticError.
+    (0..n-1) to nonzero entry, consumed by the elimination; columns it
+    lacks are zero.  Entries and the divisor are dicts from packed key
+    to nonzero coefficient: an exponent vector of nonnegative digits in
+    base ``base``, T1 the most significant.  Fraction-free Bareiss
+    elimination (``_bareiss``) with the fewest-terms pivot.  If the
+    entries' digits run over 0..span and the divisor's over 0..dspan, a
+    k-minor's digits stay below k*span + 1.  Every numerator of the lazy
+    elimination is p*a - left*top, each product one of two minors of
+    size at most n, and the final quotient times the divisor stays below
+    n*span + dspan + 1.  So with a base of at least 2*n*span + dspan + 1
+    no digit of any key ever carries: packing is injective, exponent
+    addition is int addition and int order is lexicographic order.  The
+    Fox minor's box (``_fox_rows``) has span = 2 and dspan <= 2, base
+    4n + 3.  An inexact division is an internal error and raises
+    ArithmeticError.
     """
-    n = len(rows)
-    exps = [e for row in rows for p in row.values() for e in p]
-    lo = [min((e[v] for e in exps), default=0) for v in range(nvars)]
-    span = [max((e[v] for e in exps), default=0) - lo[v] for v in range(nvars)]
-    dterms = divisor if divisor is not None else {(0,) * nvars: 1}
-    dlo = [min(e[v] for e in dterms) for v in range(nvars)]
-    bases = [2 * n * s + max(e[v] for e in dterms) - d + 1
-             for v, (s, d) in enumerate(zip(span, dlo))]
-    weights = [1] * nvars
-    for v in range(nvars - 2, -1, -1):
-        weights[v] = weights[v + 1] * bases[v + 1]
-
-    def pack(terms, shift):
-        return {sum((x - s) * w for x, s, w in zip(e, shift, weights)): c
-                for e, c in terms.items()}
-
-    a = [{j: pack(p, lo) for j, p in row.items() if p} for row in rows]
-    det = _bareiss(a)
-    if det:
-        det = _packed_divide(det, pack(dterms, dlo))
+    det = _bareiss(rows)
+    if det and divisor is not None:
+        det = _packed_divide(det, divisor)
     out = {}
     for key, c in det.items():
         e = [0] * nvars
         for v in range(nvars - 1, -1, -1):
-            key, digit = divmod(key, bases[v])
-            e[v] = digit + n * lo[v] - dlo[v]
+            key, e[v] = divmod(key, base)
         out[tuple(e)] = c
     return MultiLaurent._trusted(nvars, out)
 

@@ -64,12 +64,20 @@ class LinkDiagram:
     """
 
     def __init__(self, crossings):
-        self.crossings = xs = [tuple(int(e) for e in x) for x in crossings]
-        for x in xs:
+        self.crossings = xs = []
+        for given in crossings:
+            x = tuple(map(int, given))
             if len(x) != 4:
                 raise ValueError("crossing %r does not have four edges" % (x,))
+            if x != given:
+                # label by label only when the crossing is not a tuple of ints
+                for e in given:
+                    if e != int(e):
+                        raise ValueError("crossing %r has edge label %r, which is not an integer"
+                                         % (tuple(given), e))
             if any(e < 1 for e in x):
                 raise ValueError("edge labels must be positive")
+            xs.append(x)
         self._occ = occ = _incidences(xs)
 
         dirs = {}
@@ -284,7 +292,12 @@ def parse_pd(text):
         parts = xm.group(1).split(",")
         if len(parts) != 4:
             raise ValueError("crossing X[%s] does not have four edges" % xm.group(1))
-        crossings.append(tuple(int(p) for p in parts))
+        try:
+            crossings.append(tuple(map(int, parts)))
+        except ValueError:
+            bad = next(p for p in parts if not re.fullmatch(r"[+-]?\d+", p))
+            raise ValueError("crossing X[%s] has edge label %r, which is not an integer"
+                             % (xm.group(1), bad)) from None
     leftover = re.sub(r"X\[[^\]]*\]", "", body).replace(",", "")
     if leftover or not crossings:
         raise ValueError("malformed PD body: %r" % body)

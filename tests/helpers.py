@@ -37,15 +37,90 @@ def fox_minor_delta(d, row, col):
     arc column ``col`` deleted, divided by T_i - 1 for the column's
     component i (a knot's minor is Delta itself), normalized as
     ``multivariable_alexander`` normalizes."""
-    arc_component, rows = _fox_rows(d)
-    mat = [{g - (g > col): p for g, p in r.items() if g != col}
+    arc_component, rows, base = _fox_rows(d)
+    mat = [{g - (g > col): p for g, p in r.items() if p and g != col}
            for k, r in enumerate(rows) if k != row]
     nvars = d.n_components
-    unit = (0,) * nvars
     i = arc_component[col]
-    divisor = {unit[:i] + (2,) + unit[i + 1:]: 1, unit: -1} if nvars >= 2 else None
-    det = _packed_det(mat, nvars, divisor)
+    divisor = {2 * base ** (nvars - 1 - i): 1, 0: -1} if nvars >= 2 else None
+    det = _packed_det(mat, nvars, base, divisor)
     return symmetric_normalize(det) if det else det
+
+
+def tuple_fox_rows(d):
+    """The abelianized Fox matrix of ``d`` with doubled exponent vectors as
+    keys: the reference for the packed rows of ``alexander._fox_rows``,
+    whose arcs, signs and merging it repeats."""
+    starts = {x[2] for x in d.crossings}
+    arc, arc_component = {}, []
+    for i, cycle in enumerate(d.components):
+        k = next(k for k, e in enumerate(cycle) if e in starts)
+        for e in cycle[k:] + cycle[:k]:
+            if e in starts:
+                arc_component.append(i)
+            arc[e] = len(arc_component) - 1
+    unit = (0,) * d.n_components
+    var = [unit[:i] + (2,) + unit[i + 1:] for i in range(d.n_components)]
+    rows = []
+    for x, sign in zip(d.crossings, d.signs):
+        a, b, c = arc[x[0]], arc[x[1]], arc[x[2]]
+        t_o, t_u = var[arc_component[b]], var[arc_component[a]]
+        if sign == 1:
+            cells = {t_o: 1}, {unit: 1, t_u: -1}, {unit: -1}
+        else:
+            cells = {unit: 1}, {t_u: 1, unit: -1}, {t_o: -1}
+        row = {}
+        for g, cell in zip((a, b, c), cells):
+            total = row.setdefault(g, cell)
+            if total is not cell:
+                for e, coeff in cell.items():
+                    coeff += total.pop(e, 0)
+                    if coeff:
+                        total[e] = coeff
+        rows.append(row)
+    return arc_component, rows
+
+
+def unpack_key(key, nvars, base):
+    """The digits of a packed key in ``base``, T1 the most significant."""
+    e = [0] * nvars
+    for v in range(nvars - 1, -1, -1):
+        key, e[v] = divmod(key, base)
+    return tuple(e)
+
+
+def tuple_packed_det(rows, nvars, divisor=None):
+    """``alexander._packed_det`` on a matrix of dicts from exponent vector
+    (any integers) to coefficient, with a divisor of the same kind.
+
+    Each variable's exponents are shifted by their minimum over the
+    matrix (the divisor by its own), so they run over 0..span_v; the
+    base is the largest of 2*n*span_v + dspan_v + 1, the same for every
+    variable; the result is shifted back.  Empty entries are left out.
+    """
+    n = len(rows)
+    exps = [e for row in rows for p in row.values() for e in p]
+    lo = [min((e[v] for e in exps), default=0) for v in range(nvars)]
+    span = [max((e[v] for e in exps), default=0) - lo[v] for v in range(nvars)]
+    dterms = divisor if divisor is not None else {(0,) * nvars: 1}
+    dlo = [min(e[v] for e in dterms) for v in range(nvars)]
+    base = max(2 * n * span[v] + max(e[v] for e in dterms) - dlo[v] + 1
+               for v in range(nvars))
+
+    def pack(terms, shift):
+        out = {}
+        for e, c in terms.items():
+            key = 0
+            for x, s in zip(e, shift):
+                key = key * base + x - s
+            out[key] = c
+        return out
+
+    a = [{j: pack(p, lo) for j, p in row.items() if p} for row in rows]
+    det = _packed_det(a, nvars, base, pack(dterms, dlo) if divisor is not None else None)
+    shift = [n * lo[v] - dlo[v] for v in range(nvars)]
+    return MultiLaurent(nvars, {tuple(x + s for x, s in zip(e, shift)): c
+                                for e, c in det.terms.items()})
 
 
 def substitute_one(p, i):

@@ -7,7 +7,15 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import fox_minor_delta, golden_diagram, relabelled
+import helpers
+from helpers import (
+    fox_minor_delta,
+    golden_diagram,
+    relabelled,
+    tuple_fox_rows,
+    tuple_packed_det,
+    unpack_key,
+)
 from hfl import alexander
 from hfl.alexander import (
     _checkerboard,
@@ -47,7 +55,7 @@ CLASP = poly(2, {(1, 1): 1, (1, -1): -1, (-1, 1): -1, (-1, -1): 1})
 def test_wirtinger_generator_count():
     for name in ("trefoil_right", "figure8", "L7n1", "two_bridge(8,3)"):
         d = corpus(name)
-        arc_component, rows = _fox_rows(d)
+        arc_component, rows, _ = _fox_rows(d)
         assert len(arc_component) == len(d.crossings)
         assert len(rows) == len(d.crossings)
 
@@ -241,7 +249,7 @@ def test_relabelling_keeps_sigma_and_delta(name, rng):
 def test_every_deletion_gives_delta(name):
     d = golden_diagram(name)
     want = multivariable_alexander(d).delta
-    arc_component, _ = _fox_rows(d)
+    arc_component, _, _ = _fox_rows(d)
     assert len(set(arc_component)) == d.n_components
     for row in range(len(d.crossings)):
         for col in range(len(arc_component)):
@@ -278,6 +286,87 @@ def test_fox_cost_stays_small_under_relabelling(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# the packed Fox box: rows born packed, base B = 4n + 3, no digit carries
+
+def test_packed_fox_rows_decode_to_the_reference():
+    d12 = golden_diagram("closure(1,-2)^12")
+    diagrams = [corpus(name) for name in CORPUS_NAMES if name != "unknot"]
+    diagrams += [d12] + [relabelled(d12, random.Random(seed))[0] for seed in range(20)]
+    for d in diagrams:
+        arc_component, rows, base = _fox_rows(d)
+        assert base == 4 * (len(d.crossings) - 1) + 3
+        want_component, want_rows = tuple_fox_rows(d)
+        decoded = [{g: {unpack_key(key, d.n_components, base): c for key, c in p.items()}
+                    for g, p in row.items()} for row in rows]
+        assert (arc_component, decoded) == (want_component, want_rows), d
+
+
+def fox_box_diagrams():
+    """Every corpus diagram and the (s1 s2^-1)^k and (s1 s2^-1 s3)^k closures
+    of the alt_tables ladder, each with 5 relabellings."""
+    names = [n for n in CORPUS_NAMES if n != "unknot"]
+    names += [f"closure(1,-2)^{k}" for k in range(2, 13)]
+    names += [f"closure(1,-2,3)^{k}" for k in (1, 2, 3, 4, 5, 6, 7, 9)]
+    for name in names:
+        d = golden_diagram(name)
+        yield d
+        for seed in range(5):
+            yield relabelled(d, random.Random(seed))[0]
+
+
+def test_fox_box_is_carry_free(monkeypatch):
+    # The production base B must be the bound 2*n*span + dspan + 1 of
+    # _packed_det for the rows and the Torres divisor (span = dspan = 2).
+    # Then every Fox elimination is re-run in a box 8B wide: every
+    # numerator, divisor and quotient passes through _packed_divide, and
+    # each of their digits, and of the determinant, must stay below B.
+    fox_rows, divide, packed_det = alexander._fox_rows, alexander._packed_divide, _packed_det
+    box = {}
+
+    def wide_fox_rows(d):
+        arc_component, rows, base = fox_rows(d)
+        nvars, n = d.n_components, len(rows) - 1
+        span = max(x for row in rows for p in row.values() for key in p
+                   for x in unpack_key(key, nvars, base))
+        assert base >= 2 * n * span + 2 + 1
+        box.update(nvars=nvars, base=base, wide=8 * base)
+
+        def widen(key):
+            out = 0
+            for x in unpack_key(key, nvars, base):
+                out = out * box["wide"] + x
+            return out
+
+        wide_rows = [{g: {widen(key): c for key, c in p.items()} for g, p in row.items()}
+                     for row in rows]
+        return arc_component, wide_rows, box["wide"]
+
+    def checked_divide(p, q):
+        out = divide(p, q)
+        for key in (*p, *q, *out):
+            assert 0 <= key < box["wide"] ** box["nvars"]
+            assert max(unpack_key(key, box["nvars"], box["wide"])) < box["base"]
+        return out
+
+    def checked_det(rows, nvars, base, divisor=None):
+        det = packed_det(rows, nvars, base, divisor)
+        assert all(max(e) < box["base"] for e in det.terms)
+        return det
+
+    for module in (alexander, helpers):
+        monkeypatch.setattr(module, "_fox_rows", wide_fox_rows)
+        monkeypatch.setattr(module, "_packed_det", checked_det)
+    monkeypatch.setattr(alexander, "_packed_divide", checked_divide)
+    for d in fox_box_diagrams():
+        multivariable_alexander(d)
+    for name in CORPUS_NAMES:
+        d = corpus(name)
+        for row in range(len(d.crossings)):
+            for col in range(len(d.crossings)):
+                fox_minor_delta(d, row, col)
+
+
+# ----------------------------------------------------------------------
 # the packed determinant kernel against the Leibniz expansion
 
 def perm_sign(perm):
@@ -286,7 +375,7 @@ def perm_sign(perm):
 
 
 def sparse(mat):
-    """The rows ``_packed_det`` takes: {column: terms}, zero entries left out."""
+    """The rows ``tuple_packed_det`` takes: {column: terms}, zero entries left out."""
     return [{j: p.terms for j, p in enumerate(row) if p} for row in mat]
 
 
@@ -349,11 +438,11 @@ def fox_shaped(draw, max_n=6):
 def assert_packed_det_matches_leibniz(case):
     nvars, mat, divisor = case
     want = leibniz_det(mat, nvars)
-    assert _packed_det(sparse(mat), nvars) == want
+    assert tuple_packed_det(sparse(mat), nvars) == want
     if mat:
         # scaling one row by the divisor scales the determinant by it too
         scaled = [[divisor * p for p in mat[0]]] + mat[1:]
-        assert _packed_det(sparse(scaled), nvars, divisor.terms) == want
+        assert tuple_packed_det(sparse(scaled), nvars, divisor.terms) == want
 
 
 @settings(max_examples=500, deadline=None)
@@ -373,9 +462,9 @@ def assert_packed_det_permutes_with_the_sign(case):
     # the pivots move through the row list and the column positions
     # (pos/col_at); the determinant may change only by the sign
     nvars, mat, rows, cols = case
-    want = _packed_det(sparse(mat), nvars)
+    want = tuple_packed_det(sparse(mat), nvars)
     permuted = [[mat[i][j] for j in cols] for i in rows]
-    got = _packed_det(sparse(permuted), nvars)
+    got = tuple_packed_det(sparse(permuted), nvars)
     assert got == (want if perm_sign(rows) == perm_sign(cols) else -want)
 
 
@@ -388,9 +477,9 @@ def test_packed_det_permutes_with_the_sign(case):
 def test_packed_det_refuses_inexact_division():
     t2_plus_1 = {(4,): 1, (0,): 1}
     with pytest.raises(ArithmeticError):
-        _packed_det([{0: t2_plus_1}], 1, {(2,): 1, (0,): -1})
+        tuple_packed_det([{0: t2_plus_1}], 1, {(2,): 1, (0,): -1})
     with pytest.raises(ArithmeticError):
-        _packed_det([{0: t2_plus_1}], 1, {(0,): 2})
+        tuple_packed_det([{0: t2_plus_1}], 1, {(0,): 2})
 
 
 # ----------------------------------------------------------------------

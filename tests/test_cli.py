@@ -324,6 +324,13 @@ def test_unknown_subcommand_exits_2(capsys):
     assert info.value.code == 2
 
 
+def test_non_integral_label_refused(capsys, tmp_path):
+    path = tmp_path / "half.pd"
+    path.write_text("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3.5]]")
+    code, out, err = run(capsys, "alexander", str(path))
+    assert code == 1 and out == "" and "edge label '3.5'" in err
+
+
 def test_split_projection_reported(capsys, tmp_path):
     path = tmp_path / "split.pd"
     path.write_text("PD[X[1,2,2,1],X[3,4,4,3]]")

@@ -269,6 +269,18 @@ def test_constructor_refuses_malformed_crossings():
         parse_pd("PD[X[0,2,0,2]]")
 
 
+def test_constructor_refuses_non_integral_labels():
+    # the trefoil with one label 3.5: once truncated to 3 and traced
+    with pytest.raises(ValueError, match=r"crossing \(5, 2, 6, 3\.5\) has edge label 3\.5"):
+        LinkDiagram([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3.5)])
+    with pytest.raises(ValueError, match=r"crossing X\[5,2,6,3\.5\] has edge label '3\.5'"):
+        parse_pd("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3.5]]")
+    # integral values of other types, and lists, are stored as int tuples
+    d = LinkDiagram([[1, 4, 2, 5], (3.0, 6, 4, 1), (5, 2, Fraction(6), 3)])
+    assert d.crossings == [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
+    assert all(type(e) is int for x in d.crossings for e in x)
+
+
 def test_constructor_refuses_a_split_non_planar_code():
     # two circles crossing three times, which no planar code allows, beside
     # a trefoil: the face count runs on every piece of a split projection
