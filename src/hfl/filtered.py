@@ -17,8 +17,12 @@ Generator sets are small (tens, not thousands), so GF(2) linear algebra
 is done on bitmask integers without any sparse-matrix machinery: every
 elimination in the package, here and in :mod:`hfl.summands`, goes
 through :func:`echelon`.  Spectral pages and component homology share
-one Gaussian-cancellation engine, ``_cancel_all``.  A complex's
-validation report is computed once and kept on the instance.
+one Gaussian-cancellation engine, ``_cancel_all``.  It works on integer
+positions, not ids: ``_adjacency`` numbers the generators once per call
+by their rank in sorted id order, so the smallest arrow by position is
+the smallest by id.  The d² check and total homology use the same
+numbering.  A complex's validation report is computed once and kept on
+the instance.
 
 Validation happens where data enters: the public ``MultiGradedVS``
 constructor checks every entry it is given (JSON, the CLI, callers).
@@ -32,9 +36,14 @@ through ``MultiGradedVS._trusted``.  ``MultiGradedVS.euler`` keys its
 terms by those checked levels and drops the coefficients that cancel,
 so it hands them to ``MultiLaurent._trusted`` the same way.  The
 public ``FilteredComplex`` constructor checks every generator and
-arrow it is given; ``summands.build_sum`` places the cells of checked
-summands, tests only each summand's coordinate count and parity, and
-hands the complex over through ``FilteredComplex._trusted``.
+arrow it is given.  It, the ``MultiGradedVS`` constructor and ``shift``
+refuse a value that is not integral, naming it, rather than truncate
+it.  Two builders hand complexes over through
+``FilteredComplex._trusted``: ``summands.build_sum`` places the cells
+of checked summands and tests only each summand's coordinate count and
+parity, and ``component_homology`` keeps the ids, gradings and
+projected levels of the surviving generators of a valid complex, with
+the arrows the cancellation leaves between them.
 """
 
 from __future__ import annotations
@@ -100,20 +109,30 @@ class AlexGrading:
         return "(" + ",".join(map(fmt_half, self.doubled)) + ")"
 
 
+def _refuse_fractions(what: str, values) -> None:
+    """Refuse the first value that is not integral, as ``what`` has it."""
+    for x in values:
+        if int(x) != x:
+            raise ValueError(f"{what} {x!r}, not an integer")
+
+
 class MultiGradedVS:
     """Ranks of a vector space graded by (Maslov, filtration level).
 
     ``ranks`` maps pairs (d, doubled level) to positive integers, or is
     an iterable of (d, doubled level, rank) triples with duplicates
     aggregated.  The parity vector applies to every level that occurs.
-    Values compare by their ranks and are unhashable.
+    A value that is not integral is refused, naming its field.  Values
+    compare by their ranks and are unhashable.
     """
 
     __slots__ = ("nvars", "parity", "ranks")
 
     def __init__(self, nvars: int, parity: Sequence[int], ranks=()):
+        _refuse_fractions("rank table has coordinate count", (nvars,))
+        _refuse_fractions("rank table has parity entry", parity)
         self.nvars = int(nvars)
-        self.parity = tuple(int(p) for p in parity)
+        self.parity = tuple(map(int, parity))
         if len(self.parity) != self.nvars:
             raise ValueError("parity vector has wrong length")
         if isinstance(ranks, Mapping):
@@ -122,16 +141,22 @@ class MultiGradedVS:
             entries = list(ranks)
         clean: dict[tuple[int, tuple[int, ...]], int] = {}
         for d, h2, r in entries:
-            h2 = tuple(int(x) for x in h2)
-            if len(h2) != self.nvars:
+            level = tuple(map(int, h2))
+            if level != h2 or type(d) is not int or type(r) is not int:
+                # value by value only when some value is not already an int
+                _refuse_fractions("rank table has Maslov grading", (d,))
+                _refuse_fractions("rank table has grading coordinate", h2)
+                _refuse_fractions(f"cell {(int(d), level)} has rank", (r,))
+                d, r = int(d), int(r)
+            if len(level) != self.nvars:
                 raise ValueError("grading vector has wrong length")
-            for x, p in zip(h2, self.parity):
+            for x, p in zip(level, self.parity):
                 if x % 2 != p:
-                    raise ValueError(f"grading {h2} violates parity {self.parity}")
+                    raise ValueError(f"grading {level} violates parity {self.parity}")
             if r < 0:
                 raise ValueError("ranks must be nonnegative")
             if r:
-                clean[(int(d), h2)] = clean.get((int(d), h2), 0) + int(r)
+                clean[(d, level)] = clean.get((d, level), 0) + r
         self.ranks = clean
 
     @classmethod
@@ -206,10 +231,11 @@ class FilteredComplex:
     ``gens`` is a sequence of (id, maslov, doubled filtration) triples
     with distinct string ids; ``arrows`` a collection of (source, target)
     id pairs.  The constructor checks structural well-formedness (unique
-    ids, parity, arrow endpoints); the chain conditions are checked
-    separately by :func:`validate` so that deliberately broken complexes
-    can still be built and reported on.  Complexes compare by value and
-    are unhashable.
+    ids, parity, arrow endpoints) and refuses a Maslov grading or level
+    that is not integral, naming the generator; the chain conditions are
+    checked separately by :func:`validate` so that deliberately broken
+    complexes can still be built and reported on.  Complexes compare by
+    value and are unhashable.
     """
 
     __slots__ = ("nvars", "parity", "_order", "_maslov", "_filt", "_arrows", "_report")
@@ -221,10 +247,12 @@ class FilteredComplex:
         gens: Iterable[tuple],
         arrows: Iterable[tuple] = (),
     ):
+        _refuse_fractions("complex has coordinate count", (nvars,))
         self.nvars = int(nvars)
-        self.parity = tuple(int(p) for p in parity)
-        if len(self.parity) != self.nvars or any(p not in (0, 1) for p in self.parity):
+        parity = tuple(parity)
+        if len(parity) != self.nvars or any(p not in (0, 1) for p in parity):
             raise ValueError("bad parity vector")
+        self.parity = parity = tuple(map(int, parity))
         order: list[str] = []
         maslov: dict[str, int] = {}
         filt: dict[str, tuple[int, ...]] = {}
@@ -232,15 +260,20 @@ class FilteredComplex:
             gid = str(gid)
             if gid in maslov:
                 raise ValueError(f"duplicate generator id {gid!r}")
-            h2 = tuple(int(x) for x in h2)
-            if len(h2) != self.nvars:
+            level = tuple(map(int, h2))
+            if level != h2 or type(d) is not int:
+                # value by value only when some value is not already an int
+                _refuse_fractions(f"generator {gid!r} has Maslov grading", (d,))
+                _refuse_fractions(f"generator {gid!r} has filtration coordinate", h2)
+                d = int(d)
+            if len(level) != self.nvars:
                 raise ValueError(f"generator {gid!r} has a filtration of wrong length")
-            for x, p in zip(h2, self.parity):
+            for x, p in zip(level, parity):
                 if x % 2 != p:
-                    raise ValueError(f"generator {gid!r} violates parity {self.parity}")
+                    raise ValueError(f"generator {gid!r} violates parity {parity}")
             order.append(gid)
-            maslov[gid] = int(d)
-            filt[gid] = h2
+            maslov[gid] = d
+            filt[gid] = level
         arrs = set()
         for a, b in arrows:
             a, b = str(a), str(b)
@@ -265,7 +298,9 @@ class FilteredComplex:
         to ints and to int tuples of length ``nvars`` on the ``parity``
         coset, and ``arrows`` holds (source, target) pairs of those ids.
         ``summands.build_sum`` builds it from checked summands and tests
-        each summand's coordinate count and parity itself.
+        each summand's coordinate count and parity itself;
+        ``component_homology`` builds it from the surviving generators of
+        a valid complex, in sorted id order.
         """
         cx = cls.__new__(cls)
         cx.nvars, cx.parity, cx._maslov, cx._filt, cx._arrows = nvars, parity, maslov, filt, arrows
@@ -391,14 +426,16 @@ def _chain_report(cx: FilteredComplex) -> ValidationReport:
                     "filtration",
                     f"arrow {a}->{b} raises coordinate {i + 1} by {Fraction(xb - xa, 2)}",
                 )
-    out, _ = _adjacency(cx)
-    for g in sorted(cx.gen_ids):
-        square: set[str] = set()
-        for m in out[g]:
+    ids, out, _ = _adjacency(cx)
+    for p, row in enumerate(out):
+        square: set[int] = set()
+        for m in row:
             square ^= out[m]
         if square:
             return ValidationReport(
-                False, "d_squared", f"d^2 of {g} hits {sorted(square)[0]} an odd number of times"
+                False,
+                "d_squared",
+                f"d^2 of {ids[p]} hits {ids[min(square)]} an odd number of times",
             )
     return ValidationReport(True)
 
@@ -427,24 +464,21 @@ def echelon(vectors: Iterable[int], piv: dict[int, int] | None = None) -> dict[i
     return piv
 
 
-def _graded_homology(
-    cells: list[tuple[str, int]], out: Mapping[str, set[str]]
-) -> dict[int, int]:
+def _graded_homology(maslovs: list[int], out: Sequence[Iterable[int]]) -> dict[int, int]:
     """Homology ranks by Maslov degree of a complex given by arrow sets.
 
-    ``cells`` lists (id, maslov); ``out`` gives the arrow targets of
-    each id, assumed to drop maslov by one.
+    Generator p has Maslov grading ``maslovs[p]``, and ``out[p]`` holds
+    the positions its arrows point to, assumed to drop maslov by one.
     """
-    index = {g: i for i, (g, _) in enumerate(cells)}
     dim: dict[int, int] = {}
-    for _, d in cells:
+    for d in maslovs:
         dim[d] = dim.get(d, 0) + 1
     bnd_rank: dict[int, int] = {}
     by_deg: dict[int, list[int]] = {}
-    for g, d in cells:
+    for d, targets in zip(maslovs, out):
         row = 0
-        for t in out.get(g, ()):  # matrix row of the differential from degree d
-            row |= 1 << index[t]
+        for t in targets:  # matrix row of the differential from degree d
+            row |= 1 << t
         if row:
             by_deg.setdefault(d, []).append(row)
     for d, rows in by_deg.items():
@@ -464,17 +498,21 @@ def _graded_homology(
 
 def assoc_graded_homology(cx: FilteredComplex) -> MultiGradedVS:
     """Homology of the filtration-preserving part, one level at a time."""
-    by_level: dict[tuple[int, ...], list[tuple[str, int]]] = {}
-    for g in cx.gen_ids:
-        by_level.setdefault(cx.filt2(g), []).append((g, cx.maslov(g)))
-    level_out: dict[tuple[int, ...], dict[str, set[str]]] = {h: {} for h in by_level}
+    # per level, the Maslov gradings and arrow targets by position there
+    by_level: dict[tuple[int, ...], tuple[list[int], list[list[int]]]] = {}
+    position: dict[str, int] = {}
+    for g, d, h2 in cx.gens():
+        maslovs, out = by_level.setdefault(h2, ([], []))
+        position[g] = len(maslovs)
+        maslovs.append(d)
+        out.append([])
     for a, b in cx.arrows:
-        ha, hb = cx.filt2(a), cx.filt2(b)
-        if ha == hb:
-            level_out[ha].setdefault(a, set()).add(b)
+        ha = cx._filt[a]
+        if ha == cx._filt[b]:
+            by_level[ha][1][position[a]].append(position[b])
     ranks: dict = {}
-    for h2, cells in by_level.items():
-        for d, r in _graded_homology(cells, level_out[h2]).items():
+    for h2, (maslovs, out) in by_level.items():
+        for d, r in _graded_homology(maslovs, out).items():
             ranks[(d, h2)] = r
     return MultiGradedVS._trusted(cx.nvars, cx.parity, ranks)
 
@@ -493,67 +531,87 @@ def asymmetric_cell(ranks: Mapping) -> tuple | None:
 
 def total_homology(cx: FilteredComplex) -> dict[int, int]:
     """Homology ranks by Maslov degree, filtration forgotten."""
-    return _graded_homology([(g, cx.maslov(g)) for g in cx.gen_ids], _adjacency(cx)[0])
+    ids, out, _ = _adjacency(cx)
+    hom = _graded_homology([cx._maslov[g] for g in ids], out)
+    # degrees in the order they first occur among the generators
+    return {d: hom[d] for d in dict.fromkeys(cx._maslov.values()) if d in hom}
 
 
 def _cancel_arrow(
-    out: dict[str, set[str]], inc: dict[str, set[str]], x: str, y: str
-) -> list[tuple[str, str]]:
+    out: list[set[int] | None], inc: list[set[int] | None], x: int, y: int
+) -> list[tuple[int, int]]:
     """Gaussian cancellation of the arrow x->y, rerouting around it.
 
     Every pair (a -> y, x -> b) with a != x, b != y gains a toggled
-    arrow a -> b.  Both adjacency maps are updated and x, y removed.
-    Returns the arrows the toggling switched on.
+    arrow a -> b.  Both adjacency lists are updated, and x and y are
+    removed: their entries become None.  Returns the arrows the toggling
+    switched on.
     """
     sources = [a for a in inc[y] if a != x]
     targets = [b for b in out[x] if b != y]
     added = []
     for a in sources:
+        row = out[a]
         for b in targets:
-            if b in out[a]:
-                out[a].discard(b)
+            if b in row:
+                row.discard(b)
                 inc[b].discard(a)
             else:
-                out[a].add(b)
+                row.add(b)
                 inc[b].add(a)
                 added.append((a, b))
-    for b in out.pop(x):
+    for b in out[x]:
         inc[b].discard(x)
-    for a in inc.pop(y):
+    for a in inc[y]:
         out[a].discard(y)
-    for b in out.pop(y, set()):
+    for b in out[y]:
         inc[b].discard(y)
-    for a in inc.pop(x, set()):
+    for a in inc[x]:
         out[a].discard(x)
+    out[x] = out[y] = inc[x] = inc[y] = None
     return added
 
 
-def _cancel_all(out: dict[str, set[str]], inc: dict[str, set[str]], eligible) -> None:
+def _cancel_all(out: list[set[int] | None], inc: list[set[int] | None], eligible) -> None:
     """Cancel eligible arrows until none is left, smallest (source, target) first.
 
+    ``out`` and ``inc`` are ``_adjacency``'s lists, indexed by position;
     ``eligible(a, b)`` must depend only on the two endpoints.  Arrows
-    wait in a min-heap; one that has since been toggled off or lost an
-    endpoint is skipped when it comes up, and every arrow a cancellation
-    switches on is pushed if eligible, so each pick is the smallest
-    eligible arrow present.  The order decides which generators survive.
+    wait in a min-heap of position pairs; one that has since been toggled
+    off or lost an endpoint is skipped when it comes up, and every arrow
+    a cancellation switches on is pushed if eligible, so each pick is the
+    smallest eligible arrow present.  A position is the rank of an id in
+    sorted order, so that is the smallest pair of ids.  The order decides
+    which generators survive.
     """
-    heap = [(a, b) for a in out for b in out[a] if eligible(a, b)]
+    heap = [(a, b) for a, row in enumerate(out) if row for b in row if eligible(a, b)]
     heapify(heap)
     while heap:
         a, b = heappop(heap)
-        if a in out and b in out[a]:
+        row = out[a]
+        if row is not None and b in row:
             for arrow in _cancel_arrow(out, inc, a, b):
                 if eligible(*arrow):
                     heappush(heap, arrow)
 
 
 def _adjacency(cx: FilteredComplex):
-    out: dict[str, set[str]] = {g: set() for g in cx.gen_ids}
-    inc: dict[str, set[str]] = {g: set() for g in cx.gen_ids}
-    for a, b in cx.arrows:
-        out[a].add(b)
-        inc[b].add(a)
-    return out, inc
+    """The sorted ids, and the arrows as out- and in-sets by position.
+
+    Generator ``ids[p]`` has position p, its rank in sorted order;
+    ``out[p]`` holds the positions its arrows point to and ``inc[p]`` the
+    positions of the arrows pointing to it.  Cancellation, the d² check
+    and total homology all work on these positions.
+    """
+    ids = sorted(cx._order)
+    position = {g: p for p, g in enumerate(ids)}
+    out: list[set[int] | None] = [set() for _ in ids]
+    inc: list[set[int] | None] = [set() for _ in ids]
+    for a, b in cx._arrows:
+        p, q = position[a], position[b]
+        out[p].add(q)
+        inc[q].add(p)
+    return ids, out, inc
 
 
 def spectral_pages(cx: FilteredComplex) -> list[MultiGradedVS]:
@@ -567,18 +625,21 @@ def spectral_pages(cx: FilteredComplex) -> list[MultiGradedVS]:
     homology; the last page, recorded once no arrows remain, is stable.
     """
     require_valid(cx)
-    out, inc = _adjacency(cx)
-    level = {g: sum(cx.filt2(g)) for g in cx.gen_ids}
+    ids, out, inc = _adjacency(cx)
+    level = [sum(cx._filt[g]) for g in ids]
+    position = {g: p for p, g in enumerate(ids)}
+    # each generator's position and cell, in generator order
+    cells = [(position[g], (cx._maslov[g], cx._filt[g])) for g in cx._order]
     pages: list[MultiGradedVS] = []
     r = 0
     while True:
         _cancel_all(out, inc, lambda a, b: level[a] - level[b] == 2 * r)
         ranks: dict = {}
-        for g in out:
-            key = (cx.maslov(g), cx.filt2(g))
-            ranks[key] = ranks.get(key, 0) + 1
+        for p, key in cells:
+            if out[p] is not None:
+                ranks[key] = ranks.get(key, 0) + 1
         pages.append(MultiGradedVS._trusted(cx.nvars, cx.parity, ranks))
-        if not any(out[a] for a in out):
+        if not any(out):
             break
         r += 1
     return pages
@@ -595,24 +656,31 @@ def component_homology(cx: FilteredComplex, i: int) -> FilteredComplex:
     if not 1 <= i <= cx.nvars:
         raise ValueError("coordinate index out of range")
     require_valid(cx)
-    out, inc = _adjacency(cx)
-    keep = [j for j in range(cx.nvars) if j != i - 1]
+    ids, out, inc = _adjacency(cx)
     # the level with coordinate i projected away
-    proj = {g: h2[: i - 1] + h2[i:] for g, h2 in cx._filt.items()}
+    proj = [cx._filt[g][: i - 1] + cx._filt[g][i:] for g in ids]
     _cancel_all(out, inc, lambda a, b: proj[a] == proj[b])
-    gens = [(g, cx.maslov(g), proj[g]) for g in sorted(out)]
+    maslov: dict[str, int] = {}
+    filt: dict[str, tuple[int, ...]] = {}
+    for p, row in enumerate(out):
+        if row is not None:
+            maslov[ids[p]] = cx._maslov[ids[p]]
+            filt[ids[p]] = proj[p]
     # cx is valid, so no arrow raises a level; nor does a rerouted a -> b
     # through a cancelled x -> y, since proj[a] >= proj[y] = proj[x] >= proj[b]
-    arrows = [(a, b) for a in out for b in out[a]]
-    return FilteredComplex(cx.nvars - 1, [cx.parity[j] for j in keep], gens, arrows)
+    arrows = frozenset((ids[a], ids[b]) for a, row in enumerate(out) if row for b in row)
+    parity = cx.parity[: i - 1] + cx.parity[i:]
+    return FilteredComplex._trusted(cx.nvars - 1, parity, maslov, filt, arrows)
 
 
 # ----------------------------------------------------------------------
 # Shifts, sums, tensor products
 
 def shift(cx: FilteredComplex, h2: Sequence[int]) -> FilteredComplex:
-    """Translate every filtration level by the doubled vector ``h2``."""
-    h2 = tuple(int(x) for x in h2)
+    """Translate every filtration level by the doubled vector ``h2``, whose
+    entries must be integers."""
+    _refuse_fractions("shift vector has coordinate", h2)
+    h2 = tuple(map(int, h2))
     if len(h2) != cx.nvars:
         raise ValueError("shift vector has wrong length")
     parity = tuple((p + x) % 2 for p, x in zip(cx.parity, h2))

@@ -221,32 +221,32 @@ def _bars(cx: FilteredComplex, axis: int):
 
     The standard boundary-matrix reduction: generators ordered by
     (level on ``axis``, Maslov, id), which puts every arrow's target
-    before its source, each boundary reduced by ``echelon`` against the
-    earlier ones.  A boundary left with a leading bit pairs its source
+    before its source, and each boundary column, kept in a list by
+    position in that order, reduced by ``echelon`` against the earlier
+    ones.  A boundary left with a leading bit pairs its source
     with that generator.  Returns (pairs, frees) as ``e_decomposition``
     does, with every level read on ``axis``.  The counts of bars of
     length greater than zero and of unpaired generators per (Maslov,
     level) are filtered homotopy invariants; the unpaired generators
     per Maslov grading span the total homology.
     """
-    level = {g: cx.filt2(g)[axis] for g in cx.gen_ids}
-    order = sorted(cx.gen_ids, key=lambda g: (level[g], cx.maslov(g), g))
-    index = {g: i for i, g in enumerate(order)}
-    column = dict.fromkeys(cx.gen_ids, 0)
+    gens = cx.gens()
+    order = sorted([(h2[axis], d, g) for g, d, h2 in gens])
+    index = {g: i for i, (_, _, g) in enumerate(order)}
+    columns = [0] * len(order)
     for a, b in cx.arrows:
-        column[a] |= 1 << index[b]
+        columns[index[a]] |= 1 << index[b]
     piv: dict[int, int] = {}
     pairs: Counter = Counter()
-    paired: set[str] = set()
-    for g in order:
+    paired = [False] * len(order)
+    for i, (level, d, _) in enumerate(order):
         rank = len(piv)
-        echelon([column[g]], piv)
+        echelon([columns[i]], piv)
         if len(piv) > rank:
-            bottom = order[next(reversed(piv))]  # leading bit of g's reduced column
-            pairs[((level[g] - level[bottom]) // 2, cx.maslov(g), level[g])] += 1
-            paired.add(g)
-            paired.add(bottom)
-    frees = Counter((cx.maslov(g), level[g]) for g in cx.gen_ids if g not in paired)
+            bottom = next(reversed(piv))  # leading bit of the reduced column
+            pairs[((level - order[bottom][0]) // 2, d, level)] += 1
+            paired[i] = paired[bottom] = True
+    frees = Counter((d, h2[axis]) for g, d, h2 in gens if not paired[index[g]])
     return pairs, frees
 
 
@@ -278,19 +278,24 @@ def _module(cx: FilteredComplex) -> dict[tuple, tuple[list[int], list[int]]]:
     Refuses a complex with an arrow that drops neither coordinate alone
     by one step, naming the smallest such arrow.
     """
-    classes: dict[tuple, list[str]] = {}
-    for g in sorted(cx.gen_ids):
-        classes.setdefault((cx.maslov(g), cx.filt2(g)), []).append(g)
-    local = {g: i for ids in classes.values() for i, g in enumerate(ids)}
-    maps = {c: ([0] * len(ids), [0] * len(ids)) for c, ids in classes.items()}
+    size: dict[tuple, int] = {}
+    local: dict[str, tuple[tuple, int]] = {}  # id -> (class, index in the class)
+    for g, d, h2 in sorted(cx.gens()):
+        c = (d, h2)
+        n = size.get(c, 0)
+        local[g] = (c, n)
+        size[c] = n + 1
+    maps = {c: ([0] * n, [0] * n) for c, n in size.items()}
     long_arrows = []
     for a, b in cx.arrows:
-        ha, hb = cx.filt2(a), cx.filt2(b)
-        drop = (ha[0] - hb[0], ha[1] - hb[1])
-        if drop in _AXIS:
-            maps[(cx.maslov(a), ha)][_AXIS[drop]][local[a]] |= 1 << local[b]
-        else:
+        (ca, i), (cb, j) = local[a], local[b]
+        (xa, ya), (xb, yb) = ca[1], cb[1]
+        drop = (xa - xb, ya - yb)
+        axis = _AXIS.get(drop)
+        if axis is None:
             long_arrows.append((a, b, drop))
+        else:
+            maps[ca][axis][i] |= 1 << j
     if long_arrows:
         a, b, (dx, dy) = min(long_arrows)
         raise ValueError(
@@ -325,8 +330,9 @@ class _Vertex:
     rad2: dict[int, int]
 
 
-def _string_decomposition(maps: dict, rad2: dict) -> list[Summand]:
-    """Phase two: interval decomposition of the zigzag of tops and bottoms."""
+def _string_decomposition(maps: dict, rad2: dict) -> list[tuple]:
+    """Phase two: interval decomposition of the zigzag of tops and bottoms,
+    as ``_interval_summand`` tuples."""
     incoming: dict[tuple, list[int]] = {c: [] for c in maps}
     for c, axes in maps.items():
         for axis, columns in enumerate(axes):
@@ -348,7 +354,7 @@ def _string_decomposition(maps: dict, rad2: dict) -> list[Summand]:
             key, pos = (m + 1, h2[0] + h2[1] + 2), h2[0] + 1
             paths.setdefault(key, {})[pos] = _Vertex(pos, False, c, bottom, deep)
 
-    out: list[Summand] = []
+    out: list[tuple] = []
     for (d_top, ssum), verts in paths.items():
         positions = sorted(verts)
         runs: list[list[_Vertex]] = []
@@ -362,7 +368,7 @@ def _string_decomposition(maps: dict, rad2: dict) -> list[Summand]:
     return out
 
 
-def _sweep(run, d_top, ssum, maps) -> list[Summand]:
+def _sweep(run, d_top, ssum, maps) -> list[tuple]:
     """Intervals of one run of consecutive vertices, read left to right.
 
     Each top vertex k maps to the bottoms k - 1 and k + 1, modulo rad²
@@ -421,20 +427,23 @@ def _sweep(run, d_top, ssum, maps) -> list[Summand]:
     return found
 
 
-def _interval_summand(run, l, r, d_top, ssum) -> Summand:
+def _interval_summand(run, l, r, d_top, ssum) -> tuple:
+    """The summand of the interval from vertex l to vertex r of a run, as
+    a plain (kind, d, lparam, shift) tuple, spelled as ``Summand`` spells
+    it: a width-zero X is a Y."""
     a, b = run[l], run[r]
     width = r - l
     if a.is_top and b.is_top:
         lam = width // 2
-        return Summand("Y", d_top, lam, (a.pos, ssum - a.pos - 2 * lam))
+        return ("Y", d_top, lam, (a.pos, ssum - a.pos - 2 * lam))
     if not a.is_top and not b.is_top:
         lam = width // 2
         first = a.pos - 1
-        return Summand("X", d_top - 1, lam, (first, ssum - 2 - first - 2 * lam))
+        return ("X" if lam else "Y", d_top - 1, lam, (first, ssum - 2 - first - 2 * lam))
     lam = (width + 1) // 2
     if a.is_top:
-        return Summand("H", d_top, lam, (a.pos, ssum - a.pos))
-    return Summand("V", d_top, lam, (b.pos, ssum - b.pos))
+        return ("H", d_top, lam, (a.pos, ssum - a.pos))
+    return ("V", d_top, lam, (b.pos, ssum - b.pos))
 
 
 def decompose(cx: FilteredComplex) -> list[Summand]:
@@ -453,11 +462,13 @@ def decompose(cx: FilteredComplex) -> list[Summand]:
     require_valid(cx)
     maps = _module(cx)
     rad2 = _rad2(maps)
-    squares = [Summand("B", m, 0, h2) for (m, h2), basis in rad2.items() for _ in basis]
+    # plain (kind, d, lparam, shift) tuples until the list is final: they
+    # count, subtract and sort as the Summands they spell
+    squares = [("B", m, 0, h2) for (m, h2), basis in rad2.items() for _ in basis]
     # each square also shows in the zigzag, as an X^1 one grading up
     strings = Counter(_string_decomposition(maps, rad2))
-    strings.subtract(Summand("X", s.d + 1, 1, s.shift2) for s in squares)
-    summands = sorted(squares + list(strings.elements()))
+    strings.subtract(("X", m + 1, 1, h2) for _, m, _, h2 in squares)
+    summands = [Summand(*t) for t in sorted(squares + list(strings.elements()))]
     _verify_rebuild(cx, summands)
     return summands
 

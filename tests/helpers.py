@@ -3,10 +3,11 @@
 import random
 import re
 from collections import Counter
+from heapq import heapify, heappop, heappush
 from itertools import product
 
 from hfl.alexander import _fox_rows, _packed_det
-from hfl.filtered import FilteredComplex
+from hfl.filtered import FilteredComplex, MultiGradedVS
 from hfl.laurent import MultiLaurent, symmetric_normalize
 from hfl.linkdiag import LinkDiagram, braid_closure, corpus
 from hfl.summands import Summand, sum_cells
@@ -254,6 +255,90 @@ def random_filtered_complex(rng, nvars, max_gens=40):
             used.add(j)
     cx = FilteredComplex(nvars, parity, gens, arrows)
     return change_basis(cx, random_moves(cx, rng, 2 * n, same_class=False))
+
+
+def shuffled_ids(cx, rng):
+    """``cx`` with its generators listed in a random order and renamed
+    ``g0``, ``g1``, ... in a second random order, so that insertion order,
+    numeric order and string order (``g10`` before ``g9``) all differ."""
+    ids = list(cx.gen_ids)
+    rng.shuffle(ids)
+    rename = dict(zip(ids, (f"g{i}" for i in rng.sample(range(len(ids)), len(ids)))))
+    gens = [(rename[g], cx.maslov(g), cx.filt2(g)) for g in ids]
+    arrows = [(rename[a], rename[b]) for a, b in cx.arrows]
+    return FilteredComplex(cx.nvars, cx.parity, gens, arrows)
+
+
+# The Gaussian cancellation on string ids, as ``hfl.filtered`` ran it
+# before it numbered the generators: the reference that pins the order
+# in which the position-keyed ``_cancel_all`` picks its arrows.
+
+def reference_cancel_arrow(out, inc, x, y):
+    sources = [a for a in inc[y] if a != x]
+    targets = [b for b in out[x] if b != y]
+    added = []
+    for a in sources:
+        for b in targets:
+            if b in out[a]:
+                out[a].discard(b)
+                inc[b].discard(a)
+            else:
+                out[a].add(b)
+                inc[b].add(a)
+                added.append((a, b))
+    for b in out.pop(x):
+        inc[b].discard(x)
+    for a in inc.pop(y):
+        out[a].discard(y)
+    for b in out.pop(y, set()):
+        inc[b].discard(y)
+    for a in inc.pop(x, set()):
+        out[a].discard(x)
+    return added
+
+
+def reference_cancel_all(out, inc, eligible):
+    """Cancel eligible arrows, smallest (source id, target id) first."""
+    heap = [(a, b) for a in out for b in out[a] if eligible(a, b)]
+    heapify(heap)
+    while heap:
+        a, b = heappop(heap)
+        if a in out and b in out[a]:
+            for arrow in reference_cancel_arrow(out, inc, a, b):
+                if eligible(*arrow):
+                    heappush(heap, arrow)
+
+
+def reference_adjacency(cx):
+    out = {g: set() for g in cx.gen_ids}
+    inc = {g: set() for g in cx.gen_ids}
+    for a, b in cx.arrows:
+        out[a].add(b)
+        inc[b].add(a)
+    return out, inc
+
+
+def reference_spectral_pages(cx):
+    out, inc = reference_adjacency(cx)
+    level = {g: sum(cx.filt2(g)) for g in cx.gen_ids}
+    pages = []
+    r = 0
+    while True:
+        reference_cancel_all(out, inc, lambda a, b: level[a] - level[b] == 2 * r)
+        ranks = Counter((cx.maslov(g), cx.filt2(g)) for g in out)
+        pages.append(MultiGradedVS(cx.nvars, cx.parity, ranks))
+        if not any(out[a] for a in out):
+            return pages
+        r += 1
+
+
+def reference_component_homology(cx, i):
+    out, inc = reference_adjacency(cx)
+    proj = {g: h2[: i - 1] + h2[i:] for g, h2 in cx._filt.items()}
+    reference_cancel_all(out, inc, lambda a, b: proj[a] == proj[b])
+    gens = [(g, cx.maslov(g), proj[g]) for g in sorted(out)]
+    arrows = [(a, b) for a in out for b in out[a]]
+    return FilteredComplex(cx.nvars - 1, cx.parity[: i - 1] + cx.parity[i:], gens, arrows)
 
 
 def solve(d, coeffs):

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hfl.filtered
-from helpers import euler_number, random_filtered_complex, scramble, substitute_one
+from helpers import (
+    euler_number,
+    random_filtered_complex,
+    random_summand_sum,
+    reference_component_homology,
+    reference_spectral_pages,
+    scramble,
+    shuffled_ids,
+    substitute_one,
+)
 from hfl.filtered import (
     AlexGrading,
     FilteredComplex,
@@ -23,6 +32,7 @@ from hfl.filtered import (
     validate,
 )
 from hfl.laurent import MultiLaurent
+from hfl.summands import build_sum
 
 
 def hopf_complex():
@@ -353,6 +363,69 @@ def test_scramble_keeps_pages():
     mixed = scramble(direct_sum([cx, cx]), rng, same_class=False)
     assert validate(mixed)
     assert total_homology(mixed) == {0: 2, -1: 2}
+
+
+def test_cancellation_matches_the_string_keyed_reference():
+    # positions are ranks in sorted id order, so every arrow picked, and
+    # so every surviving id, is the one the cancellation on string ids
+    # picks; ids are shuffled so that insertion, numeric and string
+    # order all differ
+    rng = random.Random(20261020)
+    complexes = [random_filtered_complex(rng, 1 + k % 3) for k in range(90)]
+    complexes += [
+        scramble(build_sum(random_summand_sum(rng, max_summands=14)), rng, same_class=False)
+        for _ in range(30)
+    ]
+    for cx in complexes:
+        cx = shuffled_ids(cx, rng)
+        got, want = spectral_pages(cx), reference_spectral_pages(cx)
+        assert [list(p.ranks.items()) for p in got] == [list(p.ranks.items()) for p in want]
+        for i in range(1, cx.nvars + 1):
+            part = component_homology(cx, i)
+            assert part.to_json_dict() == reference_component_homology(cx, i).to_json_dict()
+            assert part.gen_ids == tuple(sorted(part.gen_ids))
+
+
+def test_non_integral_values_are_refused():
+    with pytest.raises(ValueError, match=r"^generator 'a' has Maslov grading 0\.5, not an integer$"):
+        FilteredComplex(1, (0,), [("a", 0.5, (2.7,)), ("b", -1, (0,))], [("a", "b")])
+    with pytest.raises(
+        ValueError, match=r"^generator 'a' has filtration coordinate 2\.7, not an integer$"
+    ):
+        FilteredComplex(1, (0,), [("a", 0, [2.7]), ("b", -1, (0,))], [("a", "b")])
+    with pytest.raises(ValueError, match=r"^complex has coordinate count 1\.5, not an integer$"):
+        FilteredComplex(1.5, (0,), [])
+    with pytest.raises(ValueError, match="^bad parity vector$"):
+        FilteredComplex(1, (0.5,), [])
+    with pytest.raises(ValueError, match=r"^cell \(0, \(2,\)\) has rank 1\.5, not an integer$"):
+        MultiGradedVS(1, (0,), [(0, (2,), 1.5)])
+    with pytest.raises(ValueError, match=r"^rank table has Maslov grading 0\.5, not an integer$"):
+        MultiGradedVS(1, (0,), {(0.5, (2,)): 1})
+    with pytest.raises(
+        ValueError, match=r"^rank table has grading coordinate 2\.5, not an integer$"
+    ):
+        MultiGradedVS.from_json_dict({"l": 1, "parity": [0], "ranks": [{"d": 0, "h2": [2.5], "r": 1}]})
+    with pytest.raises(ValueError, match=r"^rank table has coordinate count 1\.5, not an integer$"):
+        MultiGradedVS(1.5, (0,))
+    with pytest.raises(ValueError, match=r"^rank table has parity entry 0\.5, not an integer$"):
+        MultiGradedVS(1, (0.5,))
+    cx = FilteredComplex(1, (0,), [("a", 0, (0,))])
+    with pytest.raises(ValueError, match=r"^shift vector has coordinate 2\.9, not an integer$"):
+        shift(cx, (2.9,))
+
+
+def test_integral_values_are_stored_as_ints():
+    cx = FilteredComplex(1.0, [0.0], [("a", 1.0, [Fraction(2)]), ("b", 0, (0,))], [("a", "b")])
+    moved = shift(cx, [2.0])
+    v = MultiGradedVS(1.0, [0.0], [(0.0, [Fraction(2)], 1.0)])
+    assert moved.gens() == [("a", 1, (4,)), ("b", 0, (2,))]
+    assert v.ranks == {(0, (2,)): 1}
+    values = [cx.nvars, *cx.parity, v.nvars, *v.parity, *v.ranks.values()]
+    for _, d, h2 in cx.gens() + moved.gens():
+        values += [d, *h2]
+    for d, h2 in v.ranks:
+        values += [d, *h2]
+    assert all(type(x) is int for x in values)
 
 
 @settings(max_examples=60, deadline=None)

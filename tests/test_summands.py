@@ -19,7 +19,9 @@ from hfl.filtered import (
 from hfl.fixtures import FIXTURE_NAMES, fixture_complex
 from hfl.summands import (
     Summand,
+    _Vertex,
     _bars,
+    _interval_summand,
     _verify_rebuild,
     build_sum,
     build_summand,
@@ -324,6 +326,33 @@ def test_decompose_dense_scrambled_round_trips():
         squares = [s for s in ss if s.kind == "B"]
         ss = sorted(ss + [Summand("X", s.d + 1, 1, s.shift2) for s in squares[::2]])
         assert decompose(scramble(build_sum(ss), rng, same_class=True)) == ss
+
+
+def test_decompose_returns_sorted_summands():
+    # decompose counts, subtracts and sorts plain tuples and builds each
+    # Summand at the end: every item must be a Summand, in Summand order,
+    # never spelled X^0
+    rng = random.Random(20261020)
+    draws = []
+    for i in range(120):
+        kinds = "BXY" if i % 2 else "BVHXY"
+        ss = random_summand_sum(rng, max_summands=14, kinds=kinds, max_lam=3, max_d=1)
+        draws.append((ss, scramble(build_sum(ss), rng, same_class=True)))
+    for ss, cx in draws:
+        got = decompose(cx)
+        assert all(type(s) is Summand for s in got)
+        assert got == sorted(got)
+        assert not any(s.kind == "X" and s.lparam == 0 for s in got)
+        assert got == ss
+
+
+def test_width_zero_x_interval_is_spelled_y():
+    # a bottom-to-bottom interval of width zero is X^0, which Summand
+    # spells Y^0; the tuple must be spelled so before it is counted
+    bottom = _Vertex(pos=1, is_top=False, cls=(0, (0, 2)), space=[1], rad2={})
+    t = _interval_summand([bottom], 0, 0, 1, 4)
+    assert t == ("Y", 0, 0, (0, 2))
+    assert Summand(*t) == Summand("X", 0, 0, (0, 2))
 
 
 @st.composite
