@@ -37,13 +37,14 @@ terms by those checked levels and drops the coefficients that cancel,
 so it hands them to ``MultiLaurent._trusted`` the same way.  The
 public ``FilteredComplex`` constructor checks every generator and
 arrow it is given.  It, the ``MultiGradedVS`` constructor and ``shift``
-refuse a value that is not integral, naming it, rather than truncate
-it.  Two builders hand complexes over through
-``FilteredComplex._trusted``: ``summands.build_sum`` places the cells
-of checked summands and tests only each summand's coordinate count and
-parity, and ``component_homology`` keeps the ids, gradings and
-projected levels of the surviving generators of a valid complex, with
-the arrows the cancellation leaves between them.
+pass every number through :func:`hfl.laurent.as_ints`, which stores a
+value equal to an int as that int and refuses any other, naming its
+field, rather than truncate it.  Two builders hand complexes over
+through ``FilteredComplex._trusted``: ``summands.build_sum`` places the
+cells of checked summands and tests only each summand's coordinate
+count and parity, and ``component_homology`` keeps the ids, gradings
+and projected levels of the surviving generators of a valid complex,
+with the arrows the cancellation leaves between them.
 """
 
 from __future__ import annotations
@@ -53,10 +54,9 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
-from .laurent import MultiLaurent, fmt_half
+from .laurent import MultiLaurent, as_ints, fmt_half
 
 __all__ = [
-    "AlexGrading",
     "FilteredComplex",
     "MultiGradedVS",
     "ValidationReport",
@@ -74,80 +74,34 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AlexGrading:
-    """A filtration level: doubled half-integer coordinates plus parity.
-
-    ``doubled[i]`` is twice the i-th coordinate and must agree with
-    ``parity[i]`` mod 2, so the level lies on the lattice coset fixed by
-    the parity vector; a parity entry other than 0 or 1 matches no
-    coordinate.
-    """
-
-    doubled: tuple[int, ...]
-    parity: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.doubled) != len(self.parity):
-            raise ValueError("doubled and parity vectors differ in length")
-        for x, p in zip(self.doubled, self.parity):
-            if x % 2 != p:
-                raise ValueError(f"coordinate {x}/2 violates parity {p}")
-
-    @property
-    def l(self) -> int:
-        return len(self.doubled)
-
-    def delta(self) -> Fraction:
-        """Sum of the coordinates (the total filtration level)."""
-        return Fraction(sum(self.doubled), 2)
-
-    def __neg__(self) -> "AlexGrading":
-        return AlexGrading(tuple(-x for x in self.doubled), self.parity)
-
-    def __str__(self) -> str:
-        return "(" + ",".join(map(fmt_half, self.doubled)) + ")"
-
-
-def _refuse_fractions(what: str, values) -> None:
-    """Refuse the first value that is not integral, as ``what`` has it."""
-    for x in values:
-        if int(x) != x:
-            raise ValueError(f"{what} {x!r}, not an integer")
-
-
 class MultiGradedVS:
     """Ranks of a vector space graded by (Maslov, filtration level).
 
     ``ranks`` maps pairs (d, doubled level) to positive integers, or is
     an iterable of (d, doubled level, rank) triples with duplicates
-    aggregated.  The parity vector applies to every level that occurs.
-    A value that is not integral is refused, naming its field.  Values
-    compare by their ranks and are unhashable.
+    aggregated.  The parity vector, of 0s and 1s, applies to every level
+    that occurs.  A value that is not an integer is refused, naming its
+    field.  Values compare by their ranks and are unhashable.
     """
 
     __slots__ = ("nvars", "parity", "ranks")
 
     def __init__(self, nvars: int, parity: Sequence[int], ranks=()):
-        _refuse_fractions("rank table has coordinate count", (nvars,))
-        _refuse_fractions("rank table has parity entry", parity)
-        self.nvars = int(nvars)
-        self.parity = tuple(map(int, parity))
+        (self.nvars,) = as_ints((nvars,), "rank table coordinate count")
+        self.parity = as_ints(parity, "rank table parity entry")
         if len(self.parity) != self.nvars:
             raise ValueError("parity vector has wrong length")
+        if any(p not in (0, 1) for p in self.parity):
+            raise ValueError("bad parity vector")
         if isinstance(ranks, Mapping):
             entries = [(d, h2, r) for (d, h2), r in ranks.items()]
         else:
             entries = list(ranks)
         clean: dict[tuple[int, tuple[int, ...]], int] = {}
         for d, h2, r in entries:
-            level = tuple(map(int, h2))
-            if level != h2 or type(d) is not int or type(r) is not int:
-                # value by value only when some value is not already an int
-                _refuse_fractions("rank table has Maslov grading", (d,))
-                _refuse_fractions("rank table has grading coordinate", h2)
-                _refuse_fractions(f"cell {(int(d), level)} has rank", (r,))
-                d, r = int(d), int(r)
+            (d,) = as_ints((d,), "rank table Maslov grading")
+            level = as_ints(h2, "rank table grading coordinate")
+            (r,) = as_ints((r,), "cell %r rank", (d, level))
             if len(level) != self.nvars:
                 raise ValueError("grading vector has wrong length")
             for x, p in zip(level, self.parity):
@@ -217,7 +171,7 @@ class MultiGradedVS:
         """Human-readable listing, one grading per line."""
         lines = []
         for (d, h2), r in sorted(self.ranks.items(), key=lambda kv: (kv[0][1], kv[0][0])):
-            level = AlexGrading(h2, self.parity)
+            level = "(" + ",".join(map(fmt_half, h2)) + ")"
             lines.append(f"h={level}  d={d}  rank={r}")
         return "\n".join(lines) if lines else "(zero)"
 
@@ -232,7 +186,7 @@ class FilteredComplex:
     with distinct string ids; ``arrows`` a collection of (source, target)
     id pairs.  The constructor checks structural well-formedness (unique
     ids, parity, arrow endpoints) and refuses a Maslov grading or level
-    that is not integral, naming the generator; the chain conditions are
+    that is not an integer, naming the generator; the chain conditions are
     checked separately by :func:`validate` so that deliberately broken
     complexes can still be built and reported on.  Complexes compare by
     value and are unhashable.
@@ -247,12 +201,10 @@ class FilteredComplex:
         gens: Iterable[tuple],
         arrows: Iterable[tuple] = (),
     ):
-        _refuse_fractions("complex has coordinate count", (nvars,))
-        self.nvars = int(nvars)
-        parity = tuple(parity)
+        (self.nvars,) = as_ints((nvars,), "complex coordinate count")
+        self.parity = parity = as_ints(parity, "complex parity entry")
         if len(parity) != self.nvars or any(p not in (0, 1) for p in parity):
             raise ValueError("bad parity vector")
-        self.parity = parity = tuple(map(int, parity))
         order: list[str] = []
         maslov: dict[str, int] = {}
         filt: dict[str, tuple[int, ...]] = {}
@@ -260,12 +212,8 @@ class FilteredComplex:
             gid = str(gid)
             if gid in maslov:
                 raise ValueError(f"duplicate generator id {gid!r}")
-            level = tuple(map(int, h2))
-            if level != h2 or type(d) is not int:
-                # value by value only when some value is not already an int
-                _refuse_fractions(f"generator {gid!r} has Maslov grading", (d,))
-                _refuse_fractions(f"generator {gid!r} has filtration coordinate", h2)
-                d = int(d)
+            (d,) = as_ints((d,), "generator %r Maslov grading", gid)
+            level = as_ints(h2, "generator %r filtration coordinate", gid)
             if len(level) != self.nvars:
                 raise ValueError(f"generator {gid!r} has a filtration of wrong length")
             for x, p in zip(level, parity):
@@ -679,8 +627,7 @@ def component_homology(cx: FilteredComplex, i: int) -> FilteredComplex:
 def shift(cx: FilteredComplex, h2: Sequence[int]) -> FilteredComplex:
     """Translate every filtration level by the doubled vector ``h2``, whose
     entries must be integers."""
-    _refuse_fractions("shift vector has coordinate", h2)
-    h2 = tuple(map(int, h2))
+    h2 = as_ints(h2, "shift vector coordinate")
     if len(h2) != cx.nvars:
         raise ValueError("shift vector has wrong length")
     parity = tuple((p + x) % 2 for p, x in zip(cx.parity, h2))

@@ -68,7 +68,6 @@ from itertools import accumulate, product
 from typing import NamedTuple
 
 from .filtered import (
-    AlexGrading,
     FilteredComplex,
     assoc_graded_homology,
     component_homology,
@@ -76,6 +75,7 @@ from .filtered import (
 )
 from . import linkdiag
 from .homology import hfl_alternating
+from .laurent import as_ints, fmt_half
 
 __all__ = [
     "SphereDiagram",
@@ -374,7 +374,7 @@ def two_bridge_diagram(p: int, q: int) -> SphereDiagram:
     wrong edge leaves ``_tree`` a disconnected complement, and a wrong
     corner breaks the lattice congruence of ``_relative_gradings``.
     """
-    p, q = int(p), int(q)
+    p, q = as_ints((p, q), "two-bridge parameter")
     if p == 1 and q == 1:
         return SphereDiagram(
             p=1, q=1, alpha=(), beta=(), sign={}, regions=("r0",), sides={},
@@ -616,7 +616,7 @@ class OracleReport:
         if self.cell is None:
             return f"tables differ for {link}"
         d, h2, mine, theirs = self.cell
-        level = AlexGrading(h2, tuple(x % 2 for x in h2))
+        level = "(" + ",".join(map(fmt_half, h2)) + ")"
         return (f"tables differ for {link} first at h={level} d={d}: "
                 f"bigon rank {mine}, alternating rank {theirs}")
 
@@ -630,6 +630,7 @@ def oracle_compare(p: int, q: int) -> OracleReport:
     linking number read off the component homology in coordinate 2 is
     checked against the one ``linking_matrix`` gives the link.
     """
+    p, q = as_ints((p, q), "two-bridge parameter")
     cx = filtered_complex_from_diagram(two_bridge_diagram(p, q))
     table = assoc_graded_homology(cx)
     lk = link_lk = None

@@ -32,6 +32,7 @@ from .alexander import multivariable_alexander, signature
 from .filtered import FilteredComplex, MultiGradedVS, asymmetric_cell
 from .laurent import (
     MultiLaurent,
+    as_ints,
     fmt_half,
     series_quotient,
     spin_product,
@@ -88,7 +89,8 @@ def _table_from_target(target: MultiLaurent, sigma: int, totals) -> MultiGradedV
     what refuses exponents off the coset the linking totals fix.
     """
     l = target.nvars
-    totals = tuple(int(t) for t in totals)
+    (sigma,) = as_ints((sigma,), "signature")
+    totals = as_ints(totals, "linking total")
     if len(totals) != l:
         raise ValueError("need one linking total per variable")
     parity = tuple(t % 2 for t in totals)
@@ -195,8 +197,9 @@ class CollapsedTable:
 
     Folding an l-variable table over the coordinate sum shifts the
     Maslov grading by (l - 1)/2, a half-integer for even l, so the
-    grading is stored doubled alongside the doubled filtration.  Tables
-    compare by their ranks and are unhashable.
+    grading is stored doubled alongside the doubled filtration.  A value
+    that is not an integer is refused, naming its field.  Tables compare
+    by their ranks and are unhashable.
     """
 
     __slots__ = ("ranks",)
@@ -204,18 +207,19 @@ class CollapsedTable:
     def __init__(self, ranks: Mapping | None = None):
         clean: dict[tuple[int, int], int] = {}
         for (d2, s2), r in (ranks or {}).items():
+            key = as_ints((d2, s2), "collapsed table grading")
+            (r,) = as_ints((r,), "cell %r rank", key)
             if r < 0:
                 raise ValueError("ranks must be nonnegative")
             if r:
-                key = (int(d2), int(s2))
-                clean[key] = clean.get(key, 0) + int(r)
+                clean[key] = clean.get(key, 0) + r
         self.ranks = clean
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CollapsedTable) and self.ranks == other.ranks
 
     def rank(self, d2: int, s2: int) -> int:
-        return self.ranks.get((int(d2), int(s2)), 0)
+        return self.ranks.get((d2, s2), 0)
 
     def total_rank(self) -> int:
         return sum(self.ranks.values())
@@ -369,7 +373,9 @@ class ComponentData:
     pairs: tuple = ()
 
     def __post_init__(self):
-        pairs = tuple(sorted((int(l), int(d), int(s2)) for l, d, s2 in self.pairs))
+        (tau,) = as_ints((self.tau,), "component tau")
+        pairs = tuple(sorted(as_ints(pair, "component pair entry") for pair in self.pairs))
+        object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "pairs", pairs)
         for lam, _d, s2 in pairs:
             if lam < 1:

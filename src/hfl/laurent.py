@@ -4,17 +4,22 @@ Exponents live in (1/2)Z per variable and are stored doubled, as plain
 integers, so every computation stays in exact integer arithmetic.
 Coefficients are arbitrary-precision integers.
 
-Validation happens where values enter: the public ``MultiLaurent``
-constructor turns every exponent into ints, checks its length, merges
-keys that become equal and drops zero coefficients, for JSON
-(``from_json_dict``), ``monomial``, CLI input and callers.  The ring
-operations ``+``, ``-``, ``*`` (by an int or a polynomial), negation,
-``bar``, ``shift`` and ``restrict`` build their term dicts from the
-keys and coefficients of values already checked, dropping the
-coefficients that cancel, so they hand them over unchecked, through
-``MultiLaurent._trusted``.  So do ``MultiGradedVS.euler`` in
-:mod:`hfl.filtered` and the Fox determinant's final unpacking in
-:mod:`hfl.alexander`.
+Validation happens where values enter.  Every public entry of the
+package, here and in the other modules, passes the numbers a caller
+gives it through :func:`as_ints`, the one integrality rule: a value
+equal to an int (``1.0``, ``Fraction(2)``, ``True``) is stored as that
+int, and any other (``2.5``, ``Fraction(1, 2)``, the string ``"3"``) is
+refused with a ``ValueError`` naming its field, never truncated.  The
+public ``MultiLaurent`` constructor applies it to the variable count,
+every exponent and every coefficient, checks each exponent's length and
+drops zero coefficients, for JSON (``from_json_dict``), ``monomial``,
+scalar operands, CLI input and callers.  The ring operations ``+``,
+``-``, ``*`` (by an int or a polynomial), negation, ``bar``, ``shift``
+and ``restrict`` build their term dicts from the keys and coefficients
+of values already checked, dropping the coefficients that cancel, so
+they hand them over unchecked, through ``MultiLaurent._trusted``.  So
+do ``MultiGradedVS.euler`` in :mod:`hfl.filtered` and the Fox
+determinant's final unpacking in :mod:`hfl.alexander`.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ from operator import add, neg
 from typing import Iterable, Mapping
 
 __all__ = [
+    "as_ints",
     "MultiLaurent",
     "monomial",
     "one",
@@ -37,6 +43,33 @@ __all__ = [
 Expo = tuple[int, ...]
 
 
+def as_ints(values: Iterable, what: str, *args) -> tuple[int, ...]:
+    """Return ``values`` as a tuple of ints, refusing any value not equal to one.
+
+    A value is integral when it equals its ``int()``; it is stored as
+    that int.  The first value that is not raises ``ValueError("<what %
+    args> <value!r> is not an integer")``.  A tuple of exact ints is
+    returned as it is, and no message is formatted unless one is raised.
+    """
+    if type(values) is tuple:
+        for x in values:
+            if type(x) is not int:
+                break
+        else:
+            return values
+    ints = []
+    for x in values:
+        try:
+            n = int(x)
+            integral = n == x
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValueError(f"{what % args} {x!r} is not an integer")
+        ints.append(n)
+    return tuple(ints)
+
+
 class MultiLaurent:
     """A Laurent polynomial in ``nvars`` variables T_1..T_n.
 
@@ -48,18 +81,18 @@ class MultiLaurent:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Expo, int] | None = None):
+        (nvars,) = as_ints((nvars,), "variable count")
         if nvars < 1:
             raise ValueError("need at least one variable")
         self.nvars = nvars
         clean: dict[Expo, int] = {}
         for e, c in (terms or {}).items():
-            e = tuple(int(x) for x in e)
+            e = as_ints(e, "exponent")
+            (c,) = as_ints((c,), "coefficient")
             if len(e) != nvars:
                 raise ValueError(f"exponent {e} has wrong length for {nvars} variables")
             if c:
-                clean[e] = clean.get(e, 0) + int(c)
-                if not clean[e]:
-                    del clean[e]
+                clean[e] = c
         self.terms = clean
 
     @classmethod
@@ -94,7 +127,6 @@ class MultiLaurent:
 
     def __mul__(self, other: "MultiLaurent | int") -> "MultiLaurent":
         if isinstance(other, int):
-            other = int(other)
             terms = {e: c * other for e, c in self.terms.items()} if other else {}
             return MultiLaurent._trusted(self.nvars, terms)
         other = self._coerce(other)
@@ -121,7 +153,7 @@ class MultiLaurent:
             if other.nvars != self.nvars:
                 raise ValueError("variable count mismatch")
             return other
-        return MultiLaurent(self.nvars, {(0,) * self.nvars: int(other)})
+        return MultiLaurent(self.nvars, {(0,) * self.nvars: other})
 
     # ---- involution and support ----
 
@@ -134,14 +166,14 @@ class MultiLaurent:
 
     def shift(self, e2: Iterable[int]) -> "MultiLaurent":
         """Multiply by the monomial with doubled exponent vector ``e2``."""
-        u = tuple(int(x) for x in e2)
+        u = as_ints(e2, "shift vector coordinate")
         if len(u) != self.nvars:
             raise ValueError("shift vector has wrong length")
         return MultiLaurent._trusted(self.nvars, {tuple(map(add, e, u)): c for e, c in self.terms.items()})
 
     def restrict(self, floor2: Iterable[int]) -> "MultiLaurent":
         """Drop terms with any doubled exponent below the given floor."""
-        f = tuple(int(x) for x in floor2)
+        f = as_ints(floor2, "floor coordinate")
         return MultiLaurent._trusted(
             self.nvars,
             {e: c for e, c in self.terms.items() if all(a >= b for a, b in zip(e, f))},
@@ -180,7 +212,7 @@ class MultiLaurent:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "MultiLaurent":
-        return cls(int(d["l"]), {tuple(t["e2"]): int(t["c"]) for t in d["terms"]})
+        return cls(d["l"], {tuple(t["e2"]): t["c"] for t in d["terms"]})
 
 
 def fmt_half(x2: int) -> str:
@@ -197,7 +229,7 @@ def one(nvars: int) -> MultiLaurent:
 
 
 def monomial(nvars: int, e2: Iterable[int], c: int = 1) -> MultiLaurent:
-    return MultiLaurent(nvars, {tuple(int(x) for x in e2): c})
+    return MultiLaurent(nvars, {tuple(e2): c})
 
 
 @cache

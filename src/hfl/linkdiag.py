@@ -15,13 +15,14 @@ import re
 from dataclasses import dataclass
 from math import gcd
 
+from .laurent import as_ints
+
 __all__ = [
     "LinkDiagram",
     "LinkingData",
     "SplitLinkError",
     "parse_pd",
     "linking_matrix",
-    "classify",
     "mirror",
     "reverse",
     "connected_sum",
@@ -50,6 +51,10 @@ class LinkingData:
 class LinkDiagram:
     """An oriented link diagram, traced and canonicalized on construction.
 
+    ``crossings`` lists four edge labels per crossing.  The labels go
+    through :func:`hfl.laurent.as_ints`: a label equal to an int is
+    stored as that int, and any other is refused, naming its crossing.
+
     Attributes after tracing:
       crossings   list of 4-tuples, slot 0 = incoming under-strand
       signs       list of +1/-1, one per crossing
@@ -66,15 +71,9 @@ class LinkDiagram:
     def __init__(self, crossings):
         self.crossings = xs = []
         for given in crossings:
-            x = tuple(map(int, given))
+            x = as_ints(given, "crossing %r edge label", given)
             if len(x) != 4:
                 raise ValueError("crossing %r does not have four edges" % (x,))
-            if x != given:
-                # label by label only when the crossing is not a tuple of ints
-                for e in given:
-                    if e != int(e):
-                        raise ValueError("crossing %r has edge label %r, which is not an integer"
-                                         % (tuple(given), e))
             if any(e < 1 for e in x):
                 raise ValueError("edge labels must be positive")
             xs.append(x)
@@ -292,12 +291,8 @@ def parse_pd(text):
         parts = xm.group(1).split(",")
         if len(parts) != 4:
             raise ValueError("crossing X[%s] does not have four edges" % xm.group(1))
-        try:
-            crossings.append(tuple(map(int, parts)))
-        except ValueError:
-            bad = next(p for p in parts if not re.fullmatch(r"[+-]?\d+", p))
-            raise ValueError("crossing X[%s] has edge label %r, which is not an integer"
-                             % (xm.group(1), bad)) from None
+        labels = [int(p) if re.fullmatch(r"[+-]?\d+", p) else p for p in parts]
+        crossings.append(as_ints(labels, "crossing X[%s] edge label", xm.group(1)))
     leftover = re.sub(r"X\[[^\]]*\]", "", body).replace(",", "")
     if leftover or not crossings:
         raise ValueError("malformed PD body: %r" % body)
@@ -316,15 +311,6 @@ def linking_matrix(d):
     # the constructor refuses a projection that is not planar
     lk = tuple(tuple(v // 2 for v in row) for row in lk2)
     return LinkingData(lk, tuple(map(sum, lk)))
-
-
-def classify(d):
-    return {
-        "component_count": d.n_components,
-        "connected_projection": d.connected,
-        "alternating_projection": d.is_alternating(),
-        "writhe": d.writhe(),
-    }
 
 
 def mirror(d):
@@ -432,6 +418,8 @@ def braid_closure(word, n_strands):
     Strands are oriented upward, so positive letters give positive
     crossings.
     """
+    word = as_ints(word, "braid letter")
+    (n_strands,) = as_ints((n_strands,), "strand count")
     cur = list(range(n_strands + 1))  # cur[k] = edge at position k
     counter = n_strands
     crossings = []
@@ -512,6 +500,7 @@ def two_bridge(p, q):
     edge, and the linking number is the sum of (-1)^floor(iq/p) over the
     odd i < p.
     """
+    p, q = as_ints((p, q), "two-bridge parameter")
     if p < 2 or not 0 < q < p or gcd(p, q) != 1:
         raise ValueError("need 0 < q < p with gcd(p,q)=1 and p >= 2")
     digits = _continued_fraction(p, q)

@@ -45,7 +45,7 @@ from functools import cache
 from operator import add
 
 from .filtered import FilteredComplex, echelon, require_valid
-from .laurent import fmt_half
+from .laurent import as_ints, fmt_half
 
 __all__ = [
     "Summand",
@@ -68,8 +68,9 @@ class Summand:
     width for X/Y) and is meaningless for B, where it is pinned to 0.
     A width-zero X is a single cell, the same complex as a width-zero
     Y, and is normalized to the Y spelling so equal summands compare
-    equal.  ``d``, ``lparam`` and the shift are stored as ints; a value
-    that is not integral is refused, naming its field.
+    equal.  ``d``, ``lparam`` and the shift go through
+    :func:`hfl.laurent.as_ints`: a value equal to an int is stored as that
+    int, and any other is refused, naming its field.
     """
 
     kind: str
@@ -80,16 +81,11 @@ class Summand:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown summand kind {self.kind!r}")
-        shift2 = tuple(map(int, self.shift2))
-        if type(self.d) is not int or type(self.lparam) is not int or shift2 != self.shift2:
-            # field by field only when some value is not already an int
-            given = (self.d, self.lparam, tuple(self.shift2))
-            ints = (int(self.d), int(self.lparam), shift2)
-            for name, value, n in zip(("d", "lparam", "shift2"), given, ints):
-                if n != value:
-                    raise ValueError(f"summand {name} {value!r} is not integral")
-                object.__setattr__(self, name, n)
-        object.__setattr__(self, "shift2", shift2)
+        (d,) = as_ints((self.d,), "summand d")
+        (lparam,) = as_ints((self.lparam,), "summand lparam")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "lparam", lparam)
+        object.__setattr__(self, "shift2", as_ints(self.shift2, "summand shift2"))
         nv = 1 if self.kind == "E" else 2
         if len(self.shift2) != nv:
             raise ValueError(f"kind {self.kind} needs a {nv}-coordinate shift")

@@ -331,6 +331,24 @@ def test_non_integral_label_refused(capsys, tmp_path):
     assert code == 1 and out == "" and "edge label '3.5'" in err
 
 
+def test_non_integral_label_refused_as_json(capsys, tmp_path):
+    path = tmp_path / "half.pd"
+    path.write_text("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,2.5]]")
+    code, out, _ = run(capsys, "alexander", str(path), "--json")
+    assert code == 1
+    assert json.loads(out) == {"error": "crossing X[5,2,6,2.5] edge label '2.5' is not an integer"}
+
+
+def test_non_integral_fixture_grading_refused_as_json(capsys, tmp_path, monkeypatch):
+    fixture = {"l": 1, "parity": [0], "gens": [{"id": "a", "d": 0.5, "h2": [0]}], "arrows": []}
+    (tmp_path / "half.json").write_text(json.dumps(fixture))
+    monkeypatch.setenv("HFL_CORPUS_DIR", str(tmp_path))
+    for argv in (["fixture", "half"], ["ss", "fixture:half"]):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 1, argv
+        assert json.loads(out) == {"error": "generator 'a' Maslov grading 0.5 is not an integer"}
+
+
 def test_split_projection_reported(capsys, tmp_path):
     path = tmp_path / "split.pd"
     path.write_text("PD[X[1,2,2,1],X[3,4,4,3]]")

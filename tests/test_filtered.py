@@ -17,7 +17,6 @@ from helpers import (
     substitute_one,
 )
 from hfl.filtered import (
-    AlexGrading,
     FilteredComplex,
     MultiGradedVS,
     assoc_graded_homology,
@@ -52,26 +51,17 @@ def square_complex():
     return FilteredComplex(2, (0, 0), gens, arrows)
 
 
-def test_alexgrading_halves():
-    g = AlexGrading((1, -1), (1, 1))
-    assert g.l == 2
-    assert g.delta() == 0
-    assert str(g) == "(1/2,-1/2)"
-    assert (-g).doubled == (-1, 1)
-
-
-def test_alexgrading_parity_mismatch():
-    with pytest.raises(ValueError):
-        AlexGrading((1, 2), (1, 1))
-    with pytest.raises(ValueError):
-        AlexGrading((2,), (0, 0))
-
-
 def test_vector_space_aggregation():
     v = MultiGradedVS(1, (0,), [(0, (0,), 1), (0, (0,), 2), (1, (2,), 1)])
     assert v.rank(0, (0,)) == 3
     assert v.total_rank() == 4
     assert v.by_maslov() == {0: 3, 1: 1}
+    # a parity entry other than 0 or 1 matches no level
+    for parity in ((2,), (-1,)):
+        with pytest.raises(ValueError, match="^bad parity vector$"):
+            MultiGradedVS(1, parity)
+        with pytest.raises(ValueError, match="^bad parity vector$"):
+            MultiGradedVS.from_json_dict({"l": 1, "parity": list(parity), "ranks": []})
 
 
 def test_vector_space_euler():
@@ -387,30 +377,30 @@ def test_cancellation_matches_the_string_keyed_reference():
 
 
 def test_non_integral_values_are_refused():
-    with pytest.raises(ValueError, match=r"^generator 'a' has Maslov grading 0\.5, not an integer$"):
+    with pytest.raises(ValueError, match=r"^generator 'a' Maslov grading 0\.5 is not an integer$"):
         FilteredComplex(1, (0,), [("a", 0.5, (2.7,)), ("b", -1, (0,))], [("a", "b")])
     with pytest.raises(
-        ValueError, match=r"^generator 'a' has filtration coordinate 2\.7, not an integer$"
+        ValueError, match=r"^generator 'a' filtration coordinate 2\.7 is not an integer$"
     ):
         FilteredComplex(1, (0,), [("a", 0, [2.7]), ("b", -1, (0,))], [("a", "b")])
-    with pytest.raises(ValueError, match=r"^complex has coordinate count 1\.5, not an integer$"):
+    with pytest.raises(ValueError, match=r"^complex coordinate count 1\.5 is not an integer$"):
         FilteredComplex(1.5, (0,), [])
-    with pytest.raises(ValueError, match="^bad parity vector$"):
+    with pytest.raises(ValueError, match=r"^complex parity entry 0\.5 is not an integer$"):
         FilteredComplex(1, (0.5,), [])
-    with pytest.raises(ValueError, match=r"^cell \(0, \(2,\)\) has rank 1\.5, not an integer$"):
+    with pytest.raises(ValueError, match=r"^cell \(0, \(2,\)\) rank 1\.5 is not an integer$"):
         MultiGradedVS(1, (0,), [(0, (2,), 1.5)])
-    with pytest.raises(ValueError, match=r"^rank table has Maslov grading 0\.5, not an integer$"):
+    with pytest.raises(ValueError, match=r"^rank table Maslov grading 0\.5 is not an integer$"):
         MultiGradedVS(1, (0,), {(0.5, (2,)): 1})
     with pytest.raises(
-        ValueError, match=r"^rank table has grading coordinate 2\.5, not an integer$"
+        ValueError, match=r"^rank table grading coordinate 2\.5 is not an integer$"
     ):
         MultiGradedVS.from_json_dict({"l": 1, "parity": [0], "ranks": [{"d": 0, "h2": [2.5], "r": 1}]})
-    with pytest.raises(ValueError, match=r"^rank table has coordinate count 1\.5, not an integer$"):
+    with pytest.raises(ValueError, match=r"^rank table coordinate count 1\.5 is not an integer$"):
         MultiGradedVS(1.5, (0,))
-    with pytest.raises(ValueError, match=r"^rank table has parity entry 0\.5, not an integer$"):
+    with pytest.raises(ValueError, match=r"^rank table parity entry 0\.5 is not an integer$"):
         MultiGradedVS(1, (0.5,))
     cx = FilteredComplex(1, (0,), [("a", 0, (0,))])
-    with pytest.raises(ValueError, match=r"^shift vector has coordinate 2\.9, not an integer$"):
+    with pytest.raises(ValueError, match=r"^shift vector coordinate 2\.9 is not an integer$"):
         shift(cx, (2.9,))
 
 
@@ -464,9 +454,6 @@ def test_entry_guards_name_the_fault():
         FilteredComplex.from_json_dict({"l": 1, "parity": [2], "gens": []})
     with pytest.raises(ValueError, match="generator 'a' has a filtration of wrong length"):
         FilteredComplex(2, (0, 0), [("a", 0, (0,))])
-    # a parity entry other than 0 or 1 matches no coordinate
-    with pytest.raises(ValueError, match="coordinate 2/2 violates parity 2"):
-        AlexGrading((2,), (2,))
     cx = FilteredComplex(1, (0,), [("a", 0, (0,))])
     with pytest.raises(ValueError, match="shift vector has wrong length"):
         shift(cx, (2, 0))

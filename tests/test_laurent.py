@@ -1,9 +1,12 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfl.filtered import MultiGradedVS
+from hfl.filtered import FilteredComplex, MultiGradedVS, shift
+from hfl.heegaard import oracle_compare, two_bridge_diagram
+from hfl.homology import CollapsedTable, ComponentData, table_from_invariants
 from hfl.laurent import (
     MultiLaurent,
     monomial,
@@ -13,6 +16,8 @@ from hfl.laurent import (
     symmetric_normalize,
     zero,
 )
+from hfl.linkdiag import LinkDiagram, braid_closure, parse_pd, two_bridge
+from hfl.summands import Summand
 
 
 def L(nvars, terms):
@@ -185,10 +190,12 @@ def test_constructor_checks_and_cleans_exponents():
         MultiLaurent.from_json_dict({"l": 2, "terms": [{"e2": [1, 0, 0], "c": 1}]})
     with pytest.raises(ValueError):
         monomial(3, (0, 0))
-    # exponents become ints, and keys that become equal merge
-    p = L(2, {("2", "0"): 3, (2, 0): 4, ("1", -1): 5, (1, "-1"): -5})
-    assert p.terms == {(2, 0): 7}
-    assert all(type(x) is int for e in p.terms for x in e)
+    # integral exponents and coefficients become ints; a string is refused
+    p = L(2, {(2.0, Fraction(0)): 3, (True, -1): Fraction(-5), (0, 0): 0.0})
+    assert p.terms == {(2, 0): 3, (1, -1): -5}
+    assert all(type(x) is int for e, c in p.terms.items() for x in (*e, c))
+    with pytest.raises(ValueError, match="^exponent '2' is not an integer$"):
+        L(2, {("2", "0"): 3})
 
 
 def assert_clean(r, nvars):
@@ -264,3 +271,101 @@ def test_argument_guards():
         series_quotient(one(1), 1, -1)
     with pytest.raises(ValueError, match="need at least one variable"):
         spin_product(-1)
+
+
+# Every public entry that takes a caller's number, as (build with value v,
+# a valid int for v, the field its refusal names, formatted with v)
+ENTRIES = {
+    "MultiLaurent nvars": (lambda v: MultiLaurent(v, {}), 1, "variable count"),
+    "MultiLaurent exponent": (lambda v: MultiLaurent(1, {(v,): 1}), 1, "exponent"),
+    "MultiLaurent coefficient": (lambda v: MultiLaurent(1, {(0,): v}), 1, "coefficient"),
+    "monomial": (lambda v: monomial(1, (v,)), 1, "exponent"),
+    "MultiLaurent.from_json_dict l": (
+        lambda v: MultiLaurent.from_json_dict({"l": v, "terms": []}), 1, "variable count"),
+    "MultiLaurent.from_json_dict c": (
+        lambda v: MultiLaurent.from_json_dict({"l": 1, "terms": [{"e2": [0], "c": v}]}),
+        1, "coefficient"),
+    "MultiLaurent.shift": (lambda v: one(1).shift((v,)), 1, "shift vector coordinate"),
+    "MultiLaurent.restrict": (
+        lambda v: L(1, {(0,): 1, (2,): 1}).restrict((v,)), 1, "floor coordinate"),
+    "p * v": (lambda v: L(1, {(1,): 3}) * v, 1, "coefficient"),
+    "p + v": (lambda v: L(1, {(1,): 3}) + v, 1, "coefficient"),
+    "p - v": (lambda v: L(1, {(1,): 3}) - v, 1, "coefficient"),
+    "FilteredComplex nvars": (lambda v: FilteredComplex(v, (0,), []), 1, "complex coordinate count"),
+    "FilteredComplex parity": (
+        lambda v: FilteredComplex(1, (v,), [("a", 0, (1,))]), 1, "complex parity entry"),
+    "FilteredComplex Maslov": (
+        lambda v: FilteredComplex(1, (0,), [("a", v, (0,))]), 1, "generator 'a' Maslov grading"),
+    "FilteredComplex level": (
+        lambda v: FilteredComplex(1, (0,), [("a", 0, (v,))]), 2,
+        "generator 'a' filtration coordinate"),
+    "FilteredComplex.from_json_dict d": (
+        lambda v: FilteredComplex.from_json_dict(
+            {"l": 1, "parity": [0], "gens": [{"id": "a", "d": v, "h2": [0]}]}),
+        1, "generator 'a' Maslov grading"),
+    "filtered.shift": (
+        lambda v: shift(FilteredComplex(1, (0,), [("a", 0, (0,))]), (v,)), 1,
+        "shift vector coordinate"),
+    "MultiGradedVS nvars": (lambda v: MultiGradedVS(v, (0,)), 1, "rank table coordinate count"),
+    "MultiGradedVS parity": (lambda v: MultiGradedVS(1, (v,)), 1, "rank table parity entry"),
+    "MultiGradedVS Maslov": (
+        lambda v: MultiGradedVS(1, (0,), [(v, (0,), 1)]), 1, "rank table Maslov grading"),
+    "MultiGradedVS level": (
+        lambda v: MultiGradedVS(1, (0,), [(0, (v,), 1)]), 2, "rank table grading coordinate"),
+    "MultiGradedVS rank": (
+        lambda v: MultiGradedVS(1, (0,), [(0, (0,), v)]), 1, "cell (0, (0,)) rank"),
+    "Summand d": (lambda v: Summand("Y", v, 0, (0, 0)), 1, "summand d"),
+    "Summand lparam": (lambda v: Summand("V", 0, v, (0, 0)), 1, "summand lparam"),
+    "Summand shift2": (lambda v: Summand("Y", 0, 0, (v, 0)), 1, "summand shift2"),
+    "LinkDiagram label": (
+        lambda v: LinkDiagram([(v, 4, 2, 5), (3, 6, 4, v), (5, 2, 6, 3)]), 1,
+        "crossing ({v!r}, 4, 2, 5) edge label"),
+    "linkdiag.two_bridge p": (lambda v: two_bridge(v, 1), 4, "two-bridge parameter"),
+    "linkdiag.two_bridge q": (lambda v: two_bridge(4, v), 1, "two-bridge parameter"),
+    "braid_closure letter": (lambda v: braid_closure([v, 1], 2), 1, "braid letter"),
+    "braid_closure strands": (lambda v: braid_closure([1, 1], v), 2, "strand count"),
+    "CollapsedTable grading": (lambda v: CollapsedTable({(v, 0): 1}), 1, "collapsed table grading"),
+    "CollapsedTable rank": (lambda v: CollapsedTable({(0, 0): v}), 1, "cell (0, 0) rank"),
+    "ComponentData tau": (lambda v: ComponentData(v), 1, "component tau"),
+    "ComponentData pair": (lambda v: ComponentData(0, ((v, 0, 2),)), 1, "component pair entry"),
+    "table_from_invariants totals": (
+        lambda v: table_from_invariants(one(1), 0, (v,)), 2, "linking total"),
+    "table_from_invariants sigma": (
+        lambda v: table_from_invariants(one(1), v, (0,)), 2, "signature"),
+    "two_bridge_diagram p": (lambda v: two_bridge_diagram(v, 1), 2, "two-bridge parameter"),
+    "two_bridge_diagram q": (lambda v: two_bridge_diagram(2, v), 1, "two-bridge parameter"),
+    "oracle_compare": (lambda v: oracle_compare(2, v), 1, "two-bridge parameter"),
+}
+
+
+def canon(obj) -> str:
+    """A spelling that tells 1 from 1.0 and True."""
+    if hasattr(obj, "to_json_dict"):
+        return json.dumps(obj.to_json_dict(), sort_keys=True)
+    return repr(obj)
+
+
+@pytest.mark.parametrize("bad", [2.5, Fraction(1, 2), "3"], ids=repr)
+@pytest.mark.parametrize("make,n,field", ENTRIES.values(), ids=ENTRIES.keys())
+def test_every_entry_refuses_a_non_integral_value(make, n, field, bad):
+    with pytest.raises(ValueError) as err:
+        make(bad)
+    assert str(err.value) == f"{field.format(v=bad)} {bad!r} is not an integer"
+
+
+@pytest.mark.parametrize("make,n,field", ENTRIES.values(), ids=ENTRIES.keys())
+def test_every_entry_takes_an_integral_value_as_an_int(make, n, field):
+    want = make(n)
+    for v in [float(n), Fraction(n)] + [True] * (n == 1):
+        got = make(v)
+        assert got == want and canon(got) == canon(want), v
+
+
+@pytest.mark.parametrize("label", ["2.5", "1/2", "3.0", "three"])
+def test_parse_pd_refuses_a_non_integral_label(label):
+    text = f"X[{label},4,2,5]"
+    with pytest.raises(ValueError) as err:
+        parse_pd(f"PD[{text},X[3,6,4,{label}],X[5,2,6,3]]")
+    assert str(err.value) == f"crossing {text} edge label {label!r} is not an integer"
+    assert parse_pd("PD[X[+1,4,2,5],X[3,6,4,1],X[5,2,6,3]]") == LinkDiagram(
+        [(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)])

@@ -12,7 +12,6 @@ from hfl.linkdiag import (
     _continued_fraction,
     _positional,
     braid_closure,
-    classify,
     connected_sum,
     corpus,
     keep_component,
@@ -71,21 +70,23 @@ def test_corpus_names_all_build():
 
 
 def test_classify_corpus():
+    # (components, alternating projection, writhe); every projection is connected
     rows = {
-        "unknot": (1, True),
-        "hopf_plus": (2, True),
-        "trefoil_left": (1, True),
-        "figure8": (1, True),
-        "torus_2_2n(3)": (2, True),
-        "two_bridge(8,3)": (2, True),
-        "L7n1": (2, False),
-        "L7n2": (2, False),
+        "unknot": (1, True, 0),
+        "hopf_plus": (2, True, 2),
+        "trefoil_left": (1, True, -3),
+        "figure8": (1, True, 0),
+        "torus_2_2n(3)": (2, True, 6),
+        "two_bridge(8,3)": (2, True, 1),
+        "L7n1": (2, False, 7),
+        "L7n2": (2, False, -3),
     }
-    for name, (ncomp, alt) in rows.items():
-        got = classify(corpus(name))
-        assert got["component_count"] == ncomp, name
-        assert got["alternating_projection"] == alt, name
-        assert got["connected_projection"] is True, name
+    for name, (ncomp, alt, writhe) in rows.items():
+        d = corpus(name)
+        assert d.n_components == ncomp, name
+        assert d.is_alternating() == alt, name
+        assert d.connected is True, name
+        assert d.writhe() == writhe, name
 
 
 def test_writhe_and_signs():
@@ -271,9 +272,13 @@ def test_constructor_refuses_malformed_crossings():
 
 def test_constructor_refuses_non_integral_labels():
     # the trefoil with one label 3.5: once truncated to 3 and traced
-    with pytest.raises(ValueError, match=r"crossing \(5, 2, 6, 3\.5\) has edge label 3\.5"):
+    with pytest.raises(
+        ValueError, match=r"^crossing \(5, 2, 6, 3\.5\) edge label 3\.5 is not an integer$"
+    ):
         LinkDiagram([(1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3.5)])
-    with pytest.raises(ValueError, match=r"crossing X\[5,2,6,3\.5\] has edge label '3\.5'"):
+    with pytest.raises(
+        ValueError, match=r"^crossing X\[5,2,6,3\.5\] edge label '3\.5' is not an integer$"
+    ):
         parse_pd("PD[X[1,4,2,5],X[3,6,4,1],X[5,2,6,3.5]]")
     # integral values of other types, and lists, are stored as int tuples
     d = LinkDiagram([[1, 4, 2, 5], (3.0, 6, 4, 1), (5, 2, Fraction(6), 3)])

@@ -152,10 +152,10 @@ def test_summand_stores_integers():
     assert {type(x) for x in (s.d, s.lparam, *s.shift2)} == {int}
     assert build_sum([s]).to_json_dict() == build_sum([Summand("Y", 1, 2, (0, 2))]).to_json_dict()
     for args, message in (
-        (("Y", 1.5, 0, (0, 0)), "summand d 1.5 is not integral"),
-        (("Y", 0, 0.5, (0, 0)), "summand lparam 0.5 is not integral"),
-        (("Y", 0, 0, (0.5, 0)), "summand shift2 (0.5, 0) is not integral"),
-        (("B", "0", 0, (0, 0)), "summand d '0' is not integral"),
+        (("Y", 1.5, 0, (0, 0)), "summand d 1.5 is not an integer"),
+        (("Y", 0, 0.5, (0, 0)), "summand lparam 0.5 is not an integer"),
+        (("Y", 0, 0, (0.5, 0)), "summand shift2 0.5 is not an integer"),
+        (("B", "0", 0, (0, 0)), "summand d '0' is not an integer"),
     ):
         with pytest.raises(ValueError) as err:
             Summand(*args)
