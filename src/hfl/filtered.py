@@ -665,7 +665,7 @@ def tensor_graded(
     order.  This is the rank-level Kunneth pattern for joining two links
     along the named components.
     """
-    i, j = splice
+    i, j = as_ints(splice, "splice index")
     if not 1 <= i <= v1.nvars or not 1 <= j <= v2.nvars:
         raise ValueError("splice indices out of range")
     i -= 1

@@ -44,12 +44,15 @@ integer, and the index is kept as four times its value.  A domain is
 packed into one integer with a slot of signed digits per region, so
 adding the integers adds the domains.  The connecting domains of all
 generators come at once, per diagram, from prefix sums along each curve
-of the packed solutions for single edges.  The candidate domains of a
-pair are the difference of two of them plus whole curves, and each is
-tested as a whole integer, so counting bigons needs no search and no
-loop over regions.  Only pairs with Maslov drop 1 and Alexander drops
-0 or 1 are counted: an embedded bigon has index 1, misses w1 and w2 and
-covers each z at most once, and the lattice congruence gives every
+of the packed solutions for single edges, and so do their indices, from
+the same sums of subtree weights in the tree pass.  A pair's candidates
+are the difference of two of them plus whole curves: one read of four
+slots gives their corner sums at g, and each, lowered by its least
+multiplicity, is tested as a whole integer, with a popcount of its
+corner slots at h, so counting needs no search and no loop over regions.
+Only pairs with Maslov drop 1 and Alexander drops 0 or 1 are looked up,
+by their grading keys: an embedded bigon has index 1, misses w1 and w2
+and covers each z at most once, and the lattice congruence gives every
 domain of a pair the pair's grading drops.
 
 The complex uses nothing from ``alexander`` or ``homology``; only
@@ -154,6 +157,9 @@ class SphereDiagram:
                 raise ValueError("the two basepoint pairs must sit in opposite sides")
             if self.periodic.get(bp["w1"]) or self.periodic.get(bp["w2"]):
                 raise ValueError("the periodic domain must vanish at every w")
+            for g, quads in self.corners.items():
+                if len(set(quads)) != 4:
+                    raise ValueError(f"the four corner regions at {g} must be distinct")
 
     # -- domains -------------------------------------------------------
 
@@ -184,7 +190,8 @@ class SphereDiagram:
 
     @cached_property
     def _domains(self) -> _Domains:
-        """The connecting and whole-curve domains, packed once per diagram.
+        """The connecting and whole-curve domains, and the per-point tables
+        of ``bigons`` and ``_relative_gradings``, built once per diagram.
 
         phi_g connects ``alpha[0]`` to g along the arcs of both curves
         that do not run over the edge closing the curve (from its last
@@ -193,12 +200,15 @@ class SphereDiagram:
 
         Multiplicities with given jumps across the edges, anchored at 0 on
         ``regions[0]``, follow down ``_tree``; they are linear in the jumps,
-        and a unit jump on a tree edge gives +-1 on the subtree below it.
-        Each unit solution carries its defect, its jumps across all edges
-        less the unit one, in slots above the regions'.  Prefix sums PA
-        and PB along the two curves give phi_g = PA[pos_a g] +
-        PB[pos_b alpha[0]] - PB[pos_b g], A = PA[n] and B = PB[n], and
-        each must have defect 0.
+        and a unit jump on a tree edge gives +-1 on the subtree below it,
+        so +-the subtree's weight 4 - (corner count) is its 4 e.  Each unit
+        solution carries its defect, its jumps across all edges less the
+        unit one, in slots above the regions'.  Prefix sums PA and PB along
+        the two curves give phi_g = PA[pos_a g] + PB[pos_b alpha[0]] -
+        PB[pos_b g], A = PA[n] and B = PB[n], each of defect 0, and the
+        same sums of weights give euler[g] = 4 e(phi_g).  ``bigons`` takes
+        one corner read of ``lifted[h]`` at g, less ``home[g]``, then a
+        popcount of the lowered candidate on ``cmask[h]``.
 
         Each of these, and each candidate of ``bigons``, solves a chain
         with coefficients -1, 0 or 1, so a multiplicity is at most its
@@ -215,45 +225,47 @@ class SphereDiagram:
         width = (2 * max(depth.values()) + 1).bit_length() + 1
         shift = {r: width * k for k, r in enumerate(regions)}
         edge_bit = {e: 1 << width * k for k, e in enumerate(self.edges, len(regions))}
-        # a region's indicator with its jumps across the edges, summed over subtrees
+        counts = Counter(r for quads in self.corners.values() for r in quads)
+        # a region's indicator with its edge jumps, and its weight, summed over subtrees
         sub = {r: 1 << s for r, s in shift.items()}
+        wsub = {r: 4 - counts[r] for r in regions}
         for e, (left, right) in self.edges.items():
             sub[left] += edge_bit[e]
             sub[right] -= edge_bit[e]
         unit = {e: -bit for e, bit in edge_bit.items()}
+        four_e = dict.fromkeys(edge_bit, 0)
         for r, parent, e, sgn in reversed(tree):
             unit[e] += sgn * sub[r]
+            four_e[e] = sgn * wsub[r]
             sub[parent] += sub[r]
+            wsub[parent] += wsub[r]
 
         n = len(self.alpha)
-        pa = [0, *accumulate(unit[("a", k)] for k in range(n))]
-        pb = [0, *accumulate(unit[("b", k)] for k in range(n))]
         pos_b = {g: k for k, g in enumerate(self.beta)}
-        unanchored = {g: pa[k] - pb[pos_b[g]] for k, g in enumerate(self.alpha)}
-        phi = {g: m - unanchored[self.alpha[0]] for g, m in unanchored.items()}
+        pa, pb, ea, eb = ([0, *accumulate(table[(c, k)] for k in range(n))]
+                          for table in (unit, four_e) for c in "ab")
+        anchor = pos_b[self.alpha[0]]
+        phi = {g: pa[k] - pb[pos_b[g]] + pb[anchor] for k, g in enumerate(self.alpha)}
+        euler = {g: ea[k] - eb[pos_b[g]] + eb[anchor] for k, g in enumerate(self.alpha)}
 
         ones = sum(1 << s for s in shift.values())
         offset = ones << width - 1
-        for m in (*phi.values(), pa[n], pb[n]):
-            # half a slot added to each region keeps the region slots from borrowing
-            if (m + offset) >> width * len(regions):
+        lifted = {g: m + offset for g, m in phi.items()}
+        whole = (pa[n] + offset, pb[n] + offset)
+        for m in (*lifted.values(), *whole):
+            if m >> width * len(regions):
                 raise ValueError("boundary data is not the boundary of a 2-chain")
-        counts = Counter(r for quads in self.corners.values() for r in quads)
+        corners = {g: tuple(shift[r] for r in quads) for g, quads in self.corners.items()}
         dom = _Domains(
-            width=width,
-            shift=shift,
-            ones=ones,
+            width=width, shift=shift, ones=ones,
             weight={shift[r]: 4 - counts[r] for r in regions if counts[r] != 4},
-            corners={g: tuple(shift[r] for r in quads) for g, quads in self.corners.items()},
-            pos_a={g: k for k, g in enumerate(self.alpha)},
-            pos_b=pos_b,
-            phi=phi,
-            whole_a=pa[n],
-            whole_b=pb[n],
-            whole_corners={},
-        )
-        return dom._replace(whole_corners={
-            g: (dom.corner_sum(pa[n], g), dom.corner_sum(pb[n], g)) for g in self.alpha})
+            corners=corners, pos_a={g: k for k, g in enumerate(self.alpha)}, pos_b=pos_b,
+            phi=phi, whole_a=pa[n], whole_b=pb[n], whole_corners={}, lifted=lifted, home={},
+            cmask={g: sum(1 << s for s in quad) for g, quad in corners.items()},
+            euler=euler, refuse={})
+        return dom._replace(
+            whole_corners={g: (dom.at(whole[0], g), dom.at(whole[1], g)) for g in self.alpha},
+            home={g: dom.at(y, g) for g, y in lifted.items()})
 
     # -- measures ------------------------------------------------------
 
@@ -272,33 +284,35 @@ class SphereDiagram:
         i one of i0, i0 - 1 and j one of j0, j0 - 1, where i0 (j0) is 1
         when the forward arc of alpha from g to h (of beta from h to g)
         runs over the edge that closes its curve, from the last point
-        back to the first.  Corner sums are linear in the domain, so they
-        are checked first, from those of phi_h - phi_g, A and B: a bigon
-        has corner sum 4 lo + 1 at g and at h, lo its least multiplicity.
-        A candidate lowered by lo is one integer x, and it is a bigon that
-        misses ``avoid`` exactly when x has no bit outside the lowest of
-        each region slot, which makes every multiplicity 0 or 1, and none
-        in an avoided slot.  Its corner sum 1 at g already makes some
-        multiplicity 0 and some 1.  Bounded by one arc of each curve on
-        the sphere, such a domain is a disk, of index 1.
+        back to the first.  A bigon has corner sum 4 lo + 1 at g and at
+        h, lo its least multiplicity.  Corner sums are linear: one read of
+        four slots of ``lifted[h]``, less ``home[g]``, gives those at g.
+        A candidate lowered by lo is one integer x, a bigon missing
+        ``avoid`` exactly when its only bits are the lowest of region
+        slots outside ``avoid`` (multiplicities 0 or 1) and one of them
+        lies on h's four corner slots, distinct by ``check`` (corner sum
+        1 at h).  Corner sum 1 at g makes some multiplicity 0 and some 1,
+        and bounded by one arc of each curve on the sphere, such a domain
+        is a disk, of index 1.
         """
         dom = self._domains
         i0 = int(dom.pos_a[g] > dom.pos_a[h])
         j0 = int(dom.pos_b[h] > dom.pos_b[g])
         diff = dom.phi[h] - dom.phi[g]
-        whole_a, whole_b, ones = dom.whole_a, dom.whole_b, dom.ones
-        skip = sum(1 << dom.shift[r] for r in avoid)
-        at_g, at_h = dom.corner_sum(diff, g), dom.corner_sum(diff, h)
-        (a_g, b_g), (a_h, b_h) = dom.whole_corners[g], dom.whole_corners[h]
+        whole_a, whole_b, ones, cmask = dom.whole_a, dom.whole_b, dom.ones, dom.cmask[h]
+        avoid = tuple(avoid)
+        refuse = dom.refuse.get(avoid)
+        if refuse is None:
+            refuse = dom.refuse[avoid] = ~ones | sum(1 << dom.shift[r] for r in avoid)
+        at_g = dom.at(dom.lifted[h], g) - dom.home[g]
+        a_g, b_g = dom.whole_corners[g]
         count = 0
-        for i, j in product((i0 - 1, i0), (j0 - 1, j0)):
+        for i, j in ((i0 - 1, j0 - 1), (i0 - 1, j0), (i0, j0 - 1), (i0, j0)):
             c = at_g + i * a_g + j * b_g
-            if c % 4 != 1 or c != at_h + i * a_h + j * b_h:
-                continue
-            x = diff + i * whole_a + j * whole_b - c // 4 * ones
-            if x & ~ones or x & skip:
-                continue
-            count += 1
+            if c % 4 == 1:
+                x = diff + i * whole_a + j * whole_b - c // 4 * ones
+                if not x & refuse and (x & cmask).bit_count() == 1:
+                    count += 1
         return count
 
 
@@ -323,6 +337,11 @@ class _Domains(NamedTuple):
     whole_a: int       # A, a domain bounded by all of alpha
     whole_b: int       # B, a domain bounded by all of beta
     whole_corners: dict  # point x -> (4 n_x(A), 4 n_x(B))
+    lifted: dict       # point g -> phi_g plus half a slot in every region, so no slot borrows
+    home: dict         # point g -> 4 n_g(phi_g)
+    cmask: dict        # point g -> the lowest bit of each of g's corner slots
+    euler: dict        # point g -> 4 e(phi_g)
+    refuse: dict       # avoided regions -> the bits no lowered bigon may hold, on first use
 
     def digits(self, m: int, shifts) -> list:
         """Multiplicities of the packed domain ``m`` in the slots at ``shifts``."""
@@ -338,14 +357,18 @@ class _Domains(NamedTuple):
             raise ValueError(f"a multiplicity does not fit a slot of {self.width} bits")
         return sum(v << self.shift[r] for r, v in m.items())
 
-    def corner_sum(self, m: int, x: str) -> int:
-        """4 n_x(D) of the packed domain ``m``: its multiplicities at the corners of x."""
-        return sum(self.digits(m, self.corners[x]))
+    def at(self, y: int, x: str) -> int:
+        """4 n_x(D) from four slots of ``y``, which is D plus half a slot per region."""
+        mask = (1 << self.width) - 1
+        s0, s1, s2, s3 = self.corners[x]
+        return ((y >> s0 & mask) + (y >> s1 & mask) + (y >> s2 & mask) + (y >> s3 & mask)
+                - (4 << self.width - 1))
 
     def four_index(self, m: int, g: str, h: str) -> int:
         """4 (e(D) + n_g(D) + n_h(D)) of the packed domain ``m``."""
+        y = m + (self.ones << self.width - 1)
         return (sum(w * v for w, v in zip(self.weight.values(), self.digits(m, self.weight)))
-                + self.corner_sum(m, g) + self.corner_sum(m, h))
+                + self.at(y, g) + self.at(y, h))
 
 
 def _face(p: int, q: int, x: int, y: int) -> tuple:
@@ -492,7 +515,8 @@ def _relative_gradings(d: SphereDiagram) -> dict:
     they are independent of the choice once each lattice generator has
     index 2(n_w1 + n_w2) (checked at every endpoint g, which the index
     reads only through the corner sum at g) and n_z = n_w per pair.  The
-    index is kept as four times its value, an integer.
+    index is kept as four times its value, that of phi_g read as
+    ``euler[g]`` + ``home[g]`` + one corner read at ``alpha[0]``.
     """
     dom = d._domains
     bp_shifts = [dom.shift[d.basepoints[k]] for k in ("w1", "z1", "w2", "z2")]
@@ -510,9 +534,8 @@ def _relative_gradings(d: SphereDiagram) -> dict:
         raise ValueError("relative gradings depend on the choice of connecting domain")
     rel = {}
     for g in d.alpha:
-        m = dom.phi[g]
-        w1, z1, w2, z2 = dom.digits(m, bp_shifts)
-        four_mas = dom.four_index(m, base, g) - 8 * (w1 + w2)
+        w1, z1, w2, z2 = dom.digits(dom.phi[g], bp_shifts)
+        four_mas = dom.euler[g] + dom.home[g] + dom.at(dom.lifted[g], base) - 8 * (w1 + w2)
         rel[g] = (-four_mas // 4, (w1 - z1, w2 - z2))
     return rel
 
@@ -523,25 +546,25 @@ def filtered_complex_from_diagram(d: SphereDiagram) -> FilteredComplex:
     Arrows count, modulo 2, the embedded bigons that miss w1 and w2; a
     bigon has index 1 and crosses each z at most once, so it drops the
     Maslov grading by 1 and each Alexander grading by 0 or 1.  Only the
-    pairs with those relative drops are counted.  The absolute Maslov grading
-    puts the total homology, which is that of the sphere with two
-    basepoints, in gradings 0 and -1; anything else is refused.  The
-    absolute Alexander grading centres the homology rank table so it is
-    symmetric under negation.
+    pairs with those relative drops are counted, looked up by their
+    grading keys.  The absolute Maslov grading puts the total homology,
+    which is that of the sphere with two basepoints, in gradings 0 and
+    -1; anything else is refused.  The absolute Alexander grading
+    centres the homology rank table so it is symmetric under negation.
     """
     if d.p == 1:
         return FilteredComplex(1, (0,), [("x0", 0, (0,))])
     rel = _relative_gradings(d)
     avoid = (d.basepoints["w1"], d.basepoints["w2"])
-    by_maslov = {}
-    for h in d.alpha:
-        by_maslov.setdefault(rel[h][0], []).append(h)
+    by_key = {}
+    for h, key in rel.items():
+        by_key.setdefault(key, []).append(h)
     arrows = []
-    for g, (mas, alex) in rel.items():
-        for h in by_maslov.get(mas - 1, ()):
-            if (all(a - b in (0, 1) for a, b in zip(alex, rel[h][1]))
-                    and d.bigons(g, h, avoid) % 2):
-                arrows.append((g, h))
+    for g, (mas, (a1, a2)) in rel.items():
+        for d1, d2 in product((0, 1), repeat=2):
+            for h in by_key.get((mas - 1, (a1 - d1, a2 - d2)), ()):
+                if d.bigons(g, h, avoid) % 2:
+                    arrows.append((g, h))
 
     provisional = FilteredComplex(
         2, (0, 0),

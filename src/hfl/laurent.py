@@ -174,6 +174,8 @@ class MultiLaurent:
     def restrict(self, floor2: Iterable[int]) -> "MultiLaurent":
         """Drop terms with any doubled exponent below the given floor."""
         f = as_ints(floor2, "floor coordinate")
+        if len(f) != self.nvars:
+            raise ValueError("floor vector has wrong length")
         return MultiLaurent._trusted(
             self.nvars,
             {e: c for e, c in self.terms.items() if all(a >= b for a, b in zip(e, f))},
@@ -212,7 +214,13 @@ class MultiLaurent:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "MultiLaurent":
-        return cls(d["l"], {tuple(t["e2"]): t["c"] for t in d["terms"]})
+        terms = {}
+        for t in d["terms"]:
+            e = tuple(t["e2"])
+            if e in terms:
+                raise ValueError(f"duplicate exponent {t['e2']!r}")
+            terms[e] = t["c"]
+        return cls(d["l"], terms)
 
 
 def fmt_half(x2: int) -> str:
@@ -285,6 +293,8 @@ def series_quotient(p: MultiLaurent, i: int, depth: int) -> MultiLaurent:
     trustworthy at doubled T_i-exponents strictly above
     max_i - 2*depth - 2, max_i taken over the support of ``p``.
     """
+    (i,) = as_ints((i,), "variable index")
+    (depth,) = as_ints((depth,), "series depth")
     if not 1 <= i <= p.nvars:
         raise ValueError("variable index out of range")
     if depth < 0:

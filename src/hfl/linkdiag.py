@@ -320,6 +320,7 @@ def mirror(d):
 
 def reverse(d, i):
     """Reverse the orientation of component i."""
+    (i,) = as_ints((i,), "component index")
     if not 0 <= i < d.n_components:
         raise ValueError("no component %d" % i)
     comp_edges = set(d.components[i])
@@ -340,6 +341,7 @@ def connected_sum(d1, d2, c1=0, c2=0):
     components keep their positions in the result, the merged component
     sits at index c1, and d2's remaining components follow in order.
     """
+    c1, c2 = as_ints((c1, c2), "component index")
     if not 0 <= c1 < d1.n_components:
         raise ValueError("no component %d in first diagram" % c1)
     if not 0 <= c2 < d2.n_components:
@@ -379,6 +381,7 @@ def keep_component(d, i):
     Crossings with another component are removed and the strand of
     component i is spliced straight through them.
     """
+    (i,) = as_ints((i,), "component index")
     if not 0 <= i < d.n_components:
         raise ValueError("no component %d" % i)
 

@@ -267,15 +267,36 @@ def test_pair_window_matches_the_all_pairs_count(p, q):
             assert n == 0, (g, h)
 
 
+GRADING_PAIRS = EVEN_PAIRS + [(98, 37), (98, 1)]
+
+
+@pytest.mark.parametrize("p,q", GRADING_PAIRS, ids=[f"b({p},{q})" for p, q in GRADING_PAIRS])
+def test_relative_gradings_match_the_list_reference(p, q):
+    # The index of phi_g read off the tree pass and one corner read at
+    # alpha[0] equals the list reference's four_index of phi_g, and the
+    # Alexander differences its w and z multiplicities; b(98,37) and
+    # b(98,1) need wider slots than any pair of EVEN_PAIRS
+    d = two_bridge_diagram(p, q)
+    ref = ListBigons(d)
+    w1, z1, w2, z2 = (ref.at[d.basepoints[k]] for k in ("w1", "z1", "w2", "z2"))
+    want = {}
+    for g, m in ref.phi.items():
+        four_mas = ref.four_index(m, d.alpha[0], g) - 8 * (m[w1] + m[w2])
+        want[g] = (-four_mas // 4, (m[w1] - m[z1], m[w2] - m[z2]))
+    assert heegaard._relative_gradings(d) == want
+
+
 @pytest.mark.parametrize("p,q", [(8, 3), (14, 5)])
 def test_packed_count_for_any_avoided_regions(p, q):
     # Avoiding nothing counts every embedded bigon; each one covers a
-    # basepoint region, so avoiding all four counts none.
+    # basepoint region, so avoiding all four counts none.  A list of
+    # regions counts as the tuple does.
     d = two_bridge_diagram(p, q)
     ref = ListBigons(d)
     for avoid in ((), tuple(d.basepoints[k] for k in ("w1", "z1", "w2", "z2"))):
         counts = {(g, h): ref.count(g, h, avoid) for g, h in permutations(d.alpha, 2)}
         assert counts == {(g, h): d.bigons(g, h, avoid) for g, h in counts}
+        assert counts == {(g, h): d.bigons(g, h, list(avoid)) for g, h in counts}
         assert (sum(counts.values()) > 0) == (avoid == ())
 
 
@@ -435,6 +456,7 @@ def corrupt(d, **fields):
             r for r in d.regions if r not in bp.values() and sides[r] != sides[bp["w2"]])}},
         "same side": {"sides": {**sides, bp["w2"]: sides[bp["w1"]], bp["z2"]: sides[bp["w1"]]}},
         "periodic at w": {"periodic": {**d.periodic, bp["w2"]: 1}},
+        "corner": {"corners": {**d.corners, "x5": d.corners["x5"][:3] + d.corners["x5"][:1]}},
     }
 
 
@@ -447,6 +469,7 @@ def corrupt(d, **fields):
     ("z2 across", "w2 and z2 must not be separated by either curve"),
     ("same side", "the two basepoint pairs must sit in opposite sides"),
     ("periodic at w", "the periodic domain must vanish at every w"),
+    ("corner", "the four corner regions at x5 must be distinct"),
 ])
 def test_check_names_each_fault(fault, message):
     d = two_bridge_diagram(8, 3)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfl.filtered import FilteredComplex, MultiGradedVS, shift
+from hfl.filtered import FilteredComplex, MultiGradedVS, shift, tensor_graded
 from hfl.heegaard import oracle_compare, two_bridge_diagram
 from hfl.homology import CollapsedTable, ComponentData, table_from_invariants
 from hfl.laurent import (
@@ -16,7 +16,15 @@ from hfl.laurent import (
     symmetric_normalize,
     zero,
 )
-from hfl.linkdiag import LinkDiagram, braid_closure, parse_pd, two_bridge
+from hfl.linkdiag import (
+    LinkDiagram,
+    braid_closure,
+    connected_sum,
+    keep_component,
+    parse_pd,
+    reverse,
+    two_bridge,
+)
 from hfl.summands import Summand
 
 
@@ -273,6 +281,26 @@ def test_argument_guards():
         spin_product(-1)
 
 
+def test_restrict_refuses_a_floor_of_the_wrong_length():
+    p = L(2, {(0, 0): 1, (0, -6): 1})
+    assert p.restrict((-2, -2)) == L(2, {(0, 0): 1})
+    for floor in ((-2,), (-2, -2, 99)):
+        with pytest.raises(ValueError, match="^floor vector has wrong length$"):
+            p.restrict(floor)
+
+
+def test_from_json_dict_refuses_a_repeated_exponent():
+    doc = {"l": 1, "terms": [{"e2": [0], "c": 1}, {"e2": [0], "c": 2}]}
+    with pytest.raises(ValueError, match=r"^duplicate exponent \[0\]$"):
+        MultiLaurent.from_json_dict(doc)
+    # an integral float names the same exponent
+    doc["terms"][1]["e2"] = [0.0]
+    with pytest.raises(ValueError, match="duplicate exponent"):
+        MultiLaurent.from_json_dict(doc)
+    doc["terms"][1]["e2"] = [2]
+    assert MultiLaurent.from_json_dict(doc) == L(1, {(0,): 1, (2,): 2})
+
+
 # Every public entry that takes a caller's number, as (build with value v,
 # a valid int for v, the field its refusal names, formatted with v)
 ENTRIES = {
@@ -335,6 +363,22 @@ ENTRIES = {
     "two_bridge_diagram p": (lambda v: two_bridge_diagram(v, 1), 2, "two-bridge parameter"),
     "two_bridge_diagram q": (lambda v: two_bridge_diagram(2, v), 1, "two-bridge parameter"),
     "oracle_compare": (lambda v: oracle_compare(2, v), 1, "two-bridge parameter"),
+    "linkdiag.reverse": (lambda v: reverse(two_bridge(4, 1), v), 1, "component index"),
+    "linkdiag.keep_component": (
+        lambda v: keep_component(two_bridge(4, 1), v), 1, "component index"),
+    "linkdiag.connected_sum c1": (
+        lambda v: connected_sum(two_bridge(4, 1), two_bridge(2, 1), v, 0), 1, "component index"),
+    "linkdiag.connected_sum c2": (
+        lambda v: connected_sum(two_bridge(4, 1), two_bridge(2, 1), 0, v), 1, "component index"),
+    "series_quotient i": (lambda v: series_quotient(one(2), v, 2), 1, "variable index"),
+    "series_quotient depth": (lambda v: series_quotient(one(1), 1, v), 2, "series depth"),
+    "tensor_graded splice i": (
+        lambda v: tensor_graded(MultiGradedVS(2, (1, 0), [(0, (1, 0), 1)]),
+                                MultiGradedVS(1, (0,), [(0, (2,), 1)]), (v, 1)), 1, "splice index"),
+    "tensor_graded splice j": (
+        lambda v: tensor_graded(MultiGradedVS(1, (0,), [(0, (2,), 1)]),
+                                MultiGradedVS(2, (0, 1), [(1, (0, 1), 1)]), (1, v)), 2,
+        "splice index"),
 }
 
 
