@@ -39,12 +39,14 @@ public ``FilteredComplex`` constructor checks every generator and
 arrow it is given.  It, the ``MultiGradedVS`` constructor and ``shift``
 pass every number through :func:`hfl.laurent.as_ints`, which stores a
 value equal to an int as that int and refuses any other, naming its
-field, rather than truncate it.  Two builders hand complexes over
+field, rather than truncate it.  Three builders hand complexes over
 through ``FilteredComplex._trusted``: ``summands.build_sum`` places the
 cells of checked summands and tests only each summand's coordinate
-count and parity, and ``component_homology`` keeps the ids, gradings
+count and parity, ``component_homology`` keeps the ids, gradings
 and projected levels of the surviving generators of a valid complex,
-with the arrows the cancellation leaves between them.
+with the arrows the cancellation leaves between them, and
+:mod:`hfl.heegaard` grades the intersection points of a diagram it
+built and counts the bigons between them.
 """
 
 from __future__ import annotations
@@ -248,7 +250,10 @@ class FilteredComplex:
         ``summands.build_sum`` builds it from checked summands and tests
         each summand's coordinate count and parity itself;
         ``component_homology`` builds it from the surviving generators of
-        a valid complex, in sorted id order.
+        a valid complex, in sorted id order; and
+        ``heegaard.filtered_complex_from_diagram`` and
+        ``complex_from_diagram`` build it from the str-named intersection
+        points of a diagram, their int gradings and their bigons.
         """
         cx = cls.__new__(cls)
         cx.nvars, cx.parity, cx._maslov, cx._filt, cx._arrows = nvars, parity, maslov, filt, arrows
@@ -665,7 +670,10 @@ def tensor_graded(
     order.  This is the rank-level Kunneth pattern for joining two links
     along the named components.
     """
-    i, j = as_ints(splice, "splice index")
+    pair = as_ints(splice, "splice index")
+    if len(pair) != 2:
+        raise ValueError(f"splice {pair!r} is not a pair (i, j)")
+    i, j = pair
     if not 1 <= i <= v1.nvars or not 1 <= j <= v2.nvars:
         raise ValueError("splice indices out of range")
     i -= 1

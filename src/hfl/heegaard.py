@@ -565,10 +565,14 @@ def filtered_complex_from_diagram(d: SphereDiagram) -> FilteredComplex:
             for h in by_key.get((mas - 1, (a1 - d1, a2 - d2)), ()):
                 if d.bigons(g, h, avoid) % 2:
                     arrows.append((g, h))
+    arrows = frozenset(arrows)
 
-    provisional = FilteredComplex(
+    # the ids, int gradings and even levels are made here, so the
+    # complexes are built without the constructor's checks
+    provisional = FilteredComplex._trusted(
         2, (0, 0),
-        [(g, mas, (2 * a1, 2 * a2)) for g, (mas, (a1, a2)) in rel.items()],
+        {g: mas for g, (mas, _) in rel.items()},
+        {g: (2 * a1, 2 * a2) for g, (_, (a1, a2)) in rel.items()},
         arrows,
     )
     total = total_homology(provisional)
@@ -580,13 +584,11 @@ def filtered_complex_from_diagram(d: SphereDiagram) -> FilteredComplex:
     size = sum(table.ranks.values())
     shift = [sum(r * h2[i] for (_, h2), r in table.ranks.items()) // size for i in (0, 1)]
 
-    return FilteredComplex(
+    return FilteredComplex._trusted(
         2,
         ((-shift[0]) % 2, (-shift[1]) % 2),
-        [
-            (g, mas + dshift, (2 * a1 - shift[0], 2 * a2 - shift[1]))
-            for g, (mas, (a1, a2)) in rel.items()
-        ],
+        {g: mas + dshift for g, (mas, _) in rel.items()},
+        {g: (2 * a1 - shift[0], 2 * a2 - shift[1]) for g, (_, (a1, a2)) in rel.items()},
         arrows,
     )
 
@@ -598,8 +600,8 @@ def complex_from_diagram(d: SphereDiagram) -> FilteredComplex:
     drop no Alexander grading.
     """
     cx = filtered_complex_from_diagram(d)
-    kept = [(a, b) for a, b in cx.arrows if cx.filt2(a) == cx.filt2(b)]
-    return FilteredComplex(cx.nvars, cx.parity, cx.gens(), kept)
+    kept = frozenset((a, b) for a, b in cx.arrows if cx.filt2(a) == cx.filt2(b))
+    return FilteredComplex._trusted(cx.nvars, cx.parity, cx._maslov, cx._filt, kept)
 
 
 @dataclass(frozen=True)

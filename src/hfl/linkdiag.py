@@ -3,15 +3,21 @@
 A diagram is a list of crossings X[a,b,c,d]: the four edge labels around
 the crossing, starting with the incoming under-strand and continuing
 counterclockwise.  Edge labels are positive integers, each used exactly
-twice in the whole diagram.  Orientations are recovered by propagating
-in/out assignments from the under-strand slots; the crossing sign is +1
-exactly when the over-strand runs from the fourth listed edge to the
-second.
+twice in the whole diagram.  The tracer numbers the places p = 4 *
+crossing + slot and pairs the two places of each edge; a strand is then
+walked from an incoming place p through p ^ 2, where it leaves the
+crossing, to the partner of that place, where it comes in again.  One
+walk per strand, each started at an unreached slot 0, orients the
+diagram; a strand that comes in at a slot 2 is refused, and so is a
+component no walk reaches, one that only passes over.  The crossing
+sign is +1 exactly when the over-strand runs from the fourth listed
+edge to the second.
 
 The zero-crossing unknot is written "U".
 """
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from math import gcd
 
@@ -32,9 +38,6 @@ __all__ = [
     "corpus",
     "CORPUS_NAMES",
 ]
-
-IN, OUT = 0, 1
-
 
 class SplitLinkError(ValueError):
     """Raised when an operation requires a connected projection."""
@@ -74,44 +77,46 @@ class LinkDiagram:
             x = as_ints(given, "crossing %r edge label", given)
             if len(x) != 4:
                 raise ValueError("crossing %r does not have four edges" % (x,))
-            if any(e < 1 for e in x):
+            if min(x) < 1:
                 raise ValueError("edge labels must be positive")
             xs.append(x)
-        self._occ = occ = _incidences(xs)
+        flat = [e for x in xs for e in x]
+        self._other = other = _partners(flat)[0]
 
-        dirs = {}
-        _orient(xs, occ, dirs, [((ci, 0), IN) for ci in range(len(xs))])
-        if len(dirs) != 4 * len(xs):
+        # one walk per strand, from its first slot 0, marks every place
+        # where an edge comes in; no strand may come in at a slot 2, and
+        # every place is reached when half of them are marked
+        came_in = bytearray(len(flat))
+        strands = []
+        for s in range(0, len(flat), 4):
+            if not came_in[s]:
+                strands.append(_strand(other, came_in, s))
+        if any(came_in[2::4]):
+            raise ValueError("inconsistent strand orientations (trace does not close)")
+        if 2 * came_in.count(1) != len(flat):
             raise ValueError(
                 "orientation of an all-over component is not determined; "
                 "give a diagram where every component passes under somewhere"
             )
-        # the (crossing, slot) where each edge comes in
-        self._head = head = {e: a if dirs[a] == IN else b for e, (a, b) in occ.items()}
+        # the place where each edge comes in
+        self._head = {flat[p]: p for ins in strands for p in ins}
         # sign +1 exactly when the over-strand enters at slot 3
-        self.signs = [1 if head[x[3]] == (ci, 3) else -1 for ci, x in enumerate(xs)]
+        self.signs = [1 if c else -1 for c in came_in[3::4]]
 
-        # tracing from the smallest unseen edge starts each cycle at its
-        # minimum, so the components come out in order
-        self.components = []
-        self.edge_comp = {}
-        for e in sorted(occ):
-            if e in self.edge_comp:
-                continue
-            cyc = []
-            while e not in self.edge_comp:
-                self.edge_comp[e] = len(self.components)
-                cyc.append(e)
-                ci, k = head[e]
-                e = xs[ci][(k + 2) % 4]
-            self.components.append(cyc)
-        if not xs:
-            self.components = [[]]
+        # each cycle rotated to start at its smallest edge, and the cycles
+        # numbered in the order of those edges
+        cycles = []
+        for ins in strands:
+            cyc = [flat[p] for p in ins]
+            k = cyc.index(min(cyc))
+            cycles.append(cyc[k:] + cyc[:k])
+        self.components = sorted(cycles) or [[]]
+        self.edge_comp = {e: i for i, cyc in enumerate(self.components) for e in cyc}
 
-        pieces = _pieces(len(xs), occ)
+        pieces = _pieces(xs, self.edge_comp, len(self.components))
         self.connected = pieces <= 1
         # a non-planar code fails the face count here, split or not
-        faces = _faces(xs, occ, pieces)
+        faces = _faces(other, pieces)
         self.faces = faces if self.connected else None
 
     # ------------------------------------------------------------------
@@ -132,7 +137,7 @@ class LinkDiagram:
     def is_alternating(self):
         """Whether over/under strictly alternate along every strand cycle."""
         for cyc in self.components:
-            passes = [self._head[e][1] == 0 for e in cyc]
+            passes = [self._head[e] & 3 == 0 for e in cyc]
             for i in range(len(passes)):
                 if passes[i] == passes[(i + 1) % len(passes)]:
                     return False
@@ -157,90 +162,82 @@ class LinkDiagram:
 # tracing
 
 
-def _incidences(crossings):
-    """Edge label -> its two (crossing, slot) places, in crossing order."""
-    occ = {}
-    for ci, x in enumerate(crossings):
-        for k, e in enumerate(x):
-            occ.setdefault(e, []).append((ci, k))
-    for e, places in occ.items():
-        if len(places) != 2:
-            raise ValueError("edge %d used %d times (need exactly 2)" % (e, len(places)))
-    return occ
+def _partners(flat):
+    """Pair the places of each edge; ``flat[p]`` is the label at place p.
 
-
-def _across(crossings, occ, place):
-    """The other place of the edge at ``place``."""
-    a, b = occ[crossings[place[0]][place[1]]]
-    return b if a == place else a
-
-
-def _orient(crossings, occ, dirs, seeds):
-    """Propagate IN/OUT directions from ``seeds``, (place, direction) pairs.
-
-    The two ends of an edge point opposite ways, and so do slots 0 and 2
-    and slots 1 and 3 of a crossing.  ``dirs`` maps each place reached
-    to its direction and is filled in place.
+    Returns ``other``, where ``other[p]`` is the other place of the edge
+    at place p, and the first place of each edge in label order.  A label
+    not used exactly twice is refused, the first such in place order.
     """
-    stack = list(seeds)
-    while stack:
-        place, d = stack.pop()
-        if place in dirs:
-            if dirs[place] != d:
-                raise ValueError("inconsistent strand orientations (trace does not close)")
-            continue
-        dirs[place] = d
-        stack.append((_across(crossings, occ, place), 1 - d))
-        stack.append(((place[0], (place[1] + 2) % 4), 1 - d))
+    labels = sorted(flat)
+    if labels[::2] != labels[1::2] or 2 * len(set(labels)) != len(flat):
+        for e, n in Counter(flat).items():
+            if n != 2:
+                raise ValueError("edge %d used %d times (need exactly 2)" % (e, n))
+    # a stable sort lists the two places of each edge together, in order
+    order = sorted(range(len(flat)), key=flat.__getitem__)
+    other = [0] * len(flat)
+    for p, q in zip(order[::2], order[1::2]):
+        other[p] = q
+        other[q] = p
+    return other, order[::2]
 
 
-def _pieces(n, occ):
-    """Number of connected pieces of the projection of n crossings."""
-    adj = [[] for _ in range(n)]
-    for (a, _), (b, _) in occ.values():
-        adj[a].append(b)
-        adj[b].append(a)
-    seen = set()
-    pieces = 0
-    for start in range(n):
-        if start in seen:
-            continue
-        pieces += 1
-        seen.add(start)
-        stack = [start]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-    return pieces
+def _strand(other, came_in, s):
+    """The places where the strand through place s comes in, from s on.
+
+    The strand comes in at s, leaves the crossing at s ^ 2 and comes in
+    again at the other place of that edge.  Each place walked is marked
+    in ``came_in``; the strand must be unmarked.
+    """
+    ins = []
+    p = s
+    while not came_in[p]:
+        came_in[p] = 1
+        ins.append(p)
+        p = other[p ^ 2]
+    return ins
 
 
-def _faces(crossings, occ, pieces):
+def _pieces(crossings, edge_comp, n_components):
+    """Number of connected pieces of the projection: its strands, each
+    through at least one crossing, joined where two of them cross."""
+    piece = list(range(n_components))
+    for x in crossings:
+        a, b = piece[edge_comp[x[0]]], piece[edge_comp[x[1]]]
+        if a != b:
+            piece = [a if v == b else v for v in piece]
+    return len(set(piece))
+
+
+def _faces(other, pieces):
     """Complementary regions of each piece of the projection, as corner lists.
 
     A piece with n_i crossings is planar exactly when its corners trace
     n_i + 2 faces (Euler's formula on the sphere; a piece of genus g
     traces 2g fewer), so the whole projection must trace crossings +
     2 * pieces.  The count fails loudly if the counterclockwise slot
-    convention was violated somewhere, in a split projection too.
+    convention was violated somewhere, in a split projection too.  The
+    corner at place p, the sector between slots k and k + 1 mod 4 of
+    crossing ci, is listed as (ci, k).
     """
-    if not crossings:
+    if not other:
         return [[], []]
+    # the face goes on across the edge at the next slot of the crossing
+    turn = other[1:] + other[:1]
+    turn[3::4] = other[::4]
     faces = []
-    seen = set()
-    for ci in range(len(crossings)):
-        for k in range(4):
-            cur = (ci, k)
-            if cur in seen:
-                continue
-            face = []
-            while cur not in seen:
-                seen.add(cur)
-                face.append(cur)
-                cur = _across(crossings, occ, (cur[0], (cur[1] + 1) % 4))
-            faces.append(face)
-    if len(faces) != len(crossings) + 2 * pieces:
+    seen = bytearray(len(other))
+    for p in range(len(other)):
+        if seen[p]:
+            continue
+        face = []
+        while not seen[p]:
+            seen[p] = 1
+            face.append((p >> 2, p & 3))
+            p = turn[p]
+        faces.append(face)
+    if len(faces) != len(other) // 4 + 2 * pieces:
         raise ValueError(
             "face count %d != crossings + 2 per connected piece; the "
             "counterclockwise slot convention is violated" % len(faces)
@@ -251,7 +248,7 @@ def _faces(crossings, occ, pieces):
 def _relabel_dense(crossings):
     labels = sorted({e for x in crossings for e in x})
     m = {e: i + 1 for i, e in enumerate(labels)}
-    return [tuple(m[e] for e in x) for x in crossings]
+    return [(m[a], m[b], m[c], m[d]) for a, b, c, d in crossings]
 
 
 def _positional(crossings):
@@ -263,12 +260,13 @@ def _positional(crossings):
     place of its own smallest edge, and each tuple is then turned by two
     slots where that makes slot 0 incoming.
     """
-    occ = _incidences(crossings)
-    dirs = {}
-    for e in sorted(occ):
-        if occ[e][0] not in dirs:
-            _orient(crossings, occ, dirs, [(occ[e][0], IN if dirs else OUT)])
-    out = [x if dirs[(ci, 0)] == IN else (x[2], x[3], x[0], x[1])
+    other, firsts = _partners([e for x in crossings for e in x])
+    came_in = bytearray(len(other))
+    for p in firsts:
+        if not came_in[p] and not came_in[p ^ 2]:
+            # the strand leaves at p exactly when it comes in at p ^ 2
+            _strand(other, came_in, p if any(came_in) else p ^ 2)
+    out = [x if came_in[4 * ci] else (x[2], x[3], x[0], x[1])
            for ci, x in enumerate(crossings)]
     return _relabel_dense(out)
 
@@ -353,8 +351,8 @@ def connected_sum(d1, d2, c1=0, c2=0):
     base = max(e for x in d1.crossings for e in x)
 
     def out_type(d, e):
-        tail = _across(d.crossings, d._occ, d._head[e])
-        return "U" if tail[1] == 2 else "O"
+        tail = d._other[d._head[e]]
+        return "U" if tail & 3 == 2 else "O"
 
     # cut both components at edges leaving the same pass type, so that
     # over/under alternation survives the join when both factors alternate
@@ -368,10 +366,10 @@ def connected_sum(d1, d2, c1=0, c2=0):
     xs2 = [[e + base for e in x] for x in d2.crossings]
     # cross-join: each cut edge keeps its outgoing end and inherits the
     # other diagram's label at its incoming end
-    ci, k = d1._head[e1]
-    xs1[ci][k] = e2
-    ci, k = d2._head[e2 - base]
-    xs2[ci][k] = e1
+    p = d1._head[e1]
+    xs1[p >> 2][p & 3] = e2
+    p = d2._head[e2 - base]
+    xs2[p >> 2][p & 3] = e1
     return LinkDiagram(_relabel_dense([tuple(x) for x in xs1 + xs2]))
 
 
@@ -385,14 +383,11 @@ def keep_component(d, i):
     if not 0 <= i < d.n_components:
         raise ValueError("no component %d" % i)
 
-    def kept(ci):
-        u, o = d.crossing_strands(ci)
-        return u == i and o == i
-
+    kept = [d.edge_comp[x[0]] == i == d.edge_comp[x[1]] for x in d.crossings]
     cyc = d.components[i]
     n = len(cyc)
     # runs of edges merge into one; they break exactly at kept crossings
-    breaks = [idx for idx in range(n) if kept(d._head[cyc[idx]][0])]
+    breaks = [idx for idx, e in enumerate(cyc) if kept[d._head[e] >> 2]]
     if not breaks:
         return LinkDiagram([])  # no self-crossings: an unknot
     label_of = {}
@@ -404,10 +399,7 @@ def keep_component(d, i):
             if idx == b:
                 break
             idx = (idx + 1) % n
-    out = []
-    for ci, x in enumerate(d.crossings):
-        if kept(ci):
-            out.append(tuple(label_of[e] for e in x))
+    out = [tuple(label_of[e] for e in x) for x, k in zip(d.crossings, kept) if k]
     return LinkDiagram(_relabel_dense(out))
 
 
@@ -468,11 +460,11 @@ def _plat_4(blocks):
             else:
                 crossings.append((v, u, x, y))
             cur[i], cur[i + 1] = x, y
-    # ``two_bridge``'s first block crosses positions 2 and 3, so each cap
-    # joins two different arcs and no circle closes up on its own
-    for a, b in ((1, 2), (3, 4)):
-        crossings = [tuple(cur[a] if e == cur[b] else e for e in x) for x in crossings]
-    return _positional(crossings)
+    # ``two_bridge``'s first block crosses positions 2 and 3, so the four
+    # end arcs are distinct: each cap joins two different arcs, no circle
+    # closes up on its own, and one substitution makes both caps
+    cap = {cur[2]: cur[1], cur[4]: cur[3]}
+    return _positional([tuple(map(cap.get, x, x)) for x in crossings])
 
 
 def _continued_fraction(p, q):

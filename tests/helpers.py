@@ -9,7 +9,7 @@ from itertools import product
 from hfl.alexander import _fox_rows, _packed_det
 from hfl.filtered import FilteredComplex, MultiGradedVS
 from hfl.laurent import MultiLaurent, symmetric_normalize
-from hfl.linkdiag import LinkDiagram, braid_closure, corpus
+from hfl.linkdiag import LinkDiagram, _relabel_dense, braid_closure, corpus
 from hfl.summands import Summand, sum_cells
 
 
@@ -26,7 +26,7 @@ def golden_diagram(name):
 def relabelled(d, rng):
     """``d`` under a random bijection of its edge labels and a shuffled
     crossing order, and that bijection."""
-    labels = sorted(d._occ)
+    labels = sorted({e for x in d.crossings for e in x})
     new = dict(zip(labels, rng.sample(range(1, len(labels) + 1), len(labels))))
     crossings = [tuple(new[e] for e in x) for x in d.crossings]
     rng.shuffle(crossings)
@@ -267,6 +267,129 @@ def shuffled_ids(cx, rng):
     gens = [(rename[g], cx.maslov(g), cx.filt2(g)) for g in ids]
     arrows = [(rename[a], rename[b]) for a, b in cx.arrows]
     return FilteredComplex(cx.nvars, cx.parity, gens, arrows)
+
+
+# The diagram tracer on (crossing, slot) tuples, as ``hfl.linkdiag`` ran it
+# before it numbered the places: the reference for the attributes, the
+# refusals and the positional orientation of the one walk per strand.
+
+_IN, _OUT = 0, 1
+
+
+def _tuple_across(crossings, occ, place):
+    """The other place of the edge at ``place``."""
+    a, b = occ[crossings[place[0]][place[1]]]
+    return b if a == place else a
+
+
+def _tuple_orient(crossings, occ, dirs, seeds):
+    """Propagate IN/OUT directions from ``seeds``, (place, direction) pairs."""
+    stack = list(seeds)
+    while stack:
+        place, d = stack.pop()
+        if place in dirs:
+            if dirs[place] != d:
+                raise ValueError("inconsistent strand orientations (trace does not close)")
+            continue
+        dirs[place] = d
+        stack.append((_tuple_across(crossings, occ, place), 1 - d))
+        stack.append(((place[0], (place[1] + 2) % 4), 1 - d))
+
+
+def _tuple_incidences(crossings):
+    occ = {}
+    for ci, x in enumerate(crossings):
+        for k, e in enumerate(x):
+            occ.setdefault(e, []).append((ci, k))
+    for e, places in occ.items():
+        if len(places) != 2:
+            raise ValueError("edge %d used %d times (need exactly 2)" % (e, len(places)))
+    return occ
+
+
+class TupleDiagram:
+    """The attributes ``LinkDiagram`` traces, from tuple places and an
+    IN/OUT stack search; takes crossings that are already int 4-tuples."""
+
+    def __init__(self, crossings):
+        xs = self.crossings = [tuple(x) for x in crossings]
+        if any(len(x) != 4 for x in xs):
+            raise ValueError("crossing does not have four edges")
+        if any(e < 1 for x in xs for e in x):
+            raise ValueError("edge labels must be positive")
+        occ = _tuple_incidences(xs)
+        dirs = {}
+        _tuple_orient(xs, occ, dirs, [((ci, 0), _IN) for ci in range(len(xs))])
+        if len(dirs) != 4 * len(xs):
+            raise ValueError(
+                "orientation of an all-over component is not determined; "
+                "give a diagram where every component passes under somewhere"
+            )
+        self.head = head = {e: a if dirs[a] == _IN else b for e, (a, b) in occ.items()}
+        self.signs = [1 if head[x[3]] == (ci, 3) else -1 for ci, x in enumerate(xs)]
+        self.components, self.edge_comp = [], {}
+        for e in sorted(occ):
+            if e in self.edge_comp:
+                continue
+            cyc = []
+            while e not in self.edge_comp:
+                self.edge_comp[e] = len(self.components)
+                cyc.append(e)
+                ci, k = head[e]
+                e = xs[ci][(k + 2) % 4]
+            self.components.append(cyc)
+        if not xs:
+            self.components = [[]]
+        adj = [[] for _ in xs]
+        for (a, _), (b, _) in occ.values():
+            adj[a].append(b)
+            adj[b].append(a)
+        seen, pieces = set(), 0
+        for start in range(len(xs)):
+            if start not in seen:
+                pieces += 1
+                seen.add(start)
+                stack = [start]
+                while stack:
+                    for nb in adj[stack.pop()]:
+                        if nb not in seen:
+                            seen.add(nb)
+                            stack.append(nb)
+        self.connected = pieces <= 1
+        faces, seen = [], set()
+        for ci in range(len(xs)):
+            for k in range(4):
+                cur, face = (ci, k), []
+                while cur not in seen:
+                    seen.add(cur)
+                    face.append(cur)
+                    cur = _tuple_across(xs, occ, (cur[0], (cur[1] + 1) % 4))
+                if face:
+                    faces.append(face)
+        if xs and len(faces) != len(xs) + 2 * pieces:
+            raise ValueError(
+                "face count %d != crossings + 2 per connected piece; the "
+                "counterclockwise slot convention is violated" % len(faces)
+            )
+        self.faces = (faces if xs else [[], []]) if self.connected else None
+
+    def is_alternating(self):
+        for cyc in self.components:
+            passes = [self.head[e][1] == 0 for e in cyc]
+            if any(passes[i] == passes[(i + 1) % len(passes)] for i in range(len(passes))):
+                return False
+        return True
+
+
+def tuple_positional(crossings):
+    """``linkdiag._positional`` on tuple places."""
+    occ = _tuple_incidences(crossings)
+    dirs = {}
+    for e in sorted(occ):
+        if occ[e][0] not in dirs:
+            _tuple_orient(crossings, occ, dirs, [(occ[e][0], _IN if dirs else _OUT)])
+    return _relabel_dense([x if dirs[(ci, 0)] == _IN else (x[2], x[3], x[0], x[1])
+                           for ci, x in enumerate(crossings)])
 
 
 # The Gaussian cancellation on string ids, as ``hfl.filtered`` ran it

@@ -292,6 +292,11 @@ def test_tensor_graded_splice_bounds():
         tensor_graded(v, v, splice=(0, 1))
     with pytest.raises(ValueError):
         tensor_graded(v, v, splice=(1, 3))
+    # a splice of the wrong length is named, not left to tuple unpacking
+    with pytest.raises(ValueError, match=r"^splice \(1,\) is not a pair \(i, j\)$"):
+        tensor_graded(v, v, (1,))
+    with pytest.raises(ValueError, match=r"^splice \(1, 1, 1\) is not a pair \(i, j\)$"):
+        tensor_graded(v, v, [1, 1, 1])
 
 
 def small_tables(nvars):

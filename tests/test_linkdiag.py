@@ -1,5 +1,7 @@
+import re
 from fractions import Fraction
 from math import gcd
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +23,7 @@ from hfl.linkdiag import (
     reverse,
     two_bridge,
 )
+from helpers import TupleDiagram, tuple_positional
 
 
 def test_parse_round_trip():
@@ -222,6 +225,15 @@ def test_all_over_component_rejected():
     # under-strand propagation alone, and such projections are split anyway
     with pytest.raises(ValueError):
         LinkDiagram([(1, 3, 2, 4), (2, 4, 1, 3)])
+    # a kink whose over-strand, edge 2, no walk from a slot 0 reaches
+    with pytest.raises(ValueError, match="^orientation of an all-over component is not determined"):
+        LinkDiagram([(1, 2, 1, 2)])
+
+
+def test_strand_entering_at_slot_two_rejected():
+    # the walk from crossing 0 comes in at crossing 1 through slot 2
+    with pytest.raises(ValueError, match=r"^inconsistent strand orientations \(trace does not close\)$"):
+        LinkDiagram([(1, 2, 3, 1), (4, 4, 3, 2)])
 
 
 # every coprime two-bridge pair with p < 40, and the (s1 s2^-1)^k and
@@ -319,3 +331,52 @@ def test_continued_fraction_has_odd_length():
                 for a in reversed(digits[:-1]):
                     value = a + 1 / value
                 assert value == Fraction(p, q), (p, q)
+
+
+def _traced(make, crossings):
+    """The traced attributes of ``make(crossings)``, or its refusal."""
+    try:
+        d = make(crossings)
+    except ValueError as exc:
+        return str(exc)
+    return (d.crossings, d.signs, d.components, d.edge_comp, d.connected, d.faces,
+            d.is_alternating())
+
+
+def assert_traced_as_tuples(crossings):
+    assert _traced(LinkDiagram, crossings) == _traced(TupleDiagram, crossings), crossings
+
+
+def test_place_tracer_matches_the_tuple_reference():
+    # every coprime two-bridge pair with p < 60, and seeded braid closures
+    rng = Random(60)
+    inputs = [two_bridge(p, q).crossings for p in range(2, 60) for q in range(1, p)
+              if gcd(p, q) == 1]
+    for _ in range(150):
+        strands = rng.randint(2, 5)
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(rng.randint(1, 16))]
+        try:
+            inputs.append(braid_closure(word, strands).crossings)
+        except ValueError:
+            pass  # a strand never crossed, or one that only passes over
+    assert len(inputs) > 1100
+    for crossings in inputs:
+        assert_traced_as_tuples(crossings)
+        # both strand-start rules of the positional solver, on tuples
+        # turned by two slots at random
+        turned = [x[2:] + x[:2] if rng.random() < 0.5 else x for x in crossings]
+        assert _positional(turned) == tuple_positional(turned)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pd_texts())
+def test_place_tracer_matches_the_tuple_reference_on_any_code(text):
+    crossings = [tuple(map(int, x)) for x in re.findall(r"X\[(\d+),(\d+),(\d+),(\d+)\]", text)]
+    assert_traced_as_tuples(crossings)
+
+
+def test_place_tracer_refuses_as_the_tuple_reference():
+    for crossings in ([(1, 2, 1, 2)], [(1, 2, 3, 1), (4, 4, 3, 2)], [(1, 3, 2, 4), (2, 4, 1, 3)],
+                      [(1, 1, 1, 2), (2, 3, 3, 4)], [(1, 2, 3, 4)], [(1, 1, 2, 2), (3, 3, 4, 4)]):
+        assert_traced_as_tuples(crossings)
