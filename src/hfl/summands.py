@@ -29,12 +29,19 @@ have no preimage and starts intervals on what is left over.  Each step
 is a change of basis of the module because a vector only ever absorbs
 the vectors of intervals earlier in one fixed order: those starting at
 a top vertex, latest start first, then those starting at a bottom
-vertex, earliest start first.  The result is checked against the
-summed invariants of the model summands (cells, total homology, and
-per coordinate the e-decomposition of the component homology).  Each
-shape's homology is known in closed form, and nothing is cancelled:
-per coordinate, the input's bars are read off one boundary-matrix
-reduction, which also gives the total homology.
+vertex, earliest start first.  Tops and bottoms alternate along a run,
+so the sweep keeps its live intervals in that order by construction:
+new intervals that start at a top go first, new ones that start at a
+bottom go last.  The result is checked against the summed invariants
+of the model summands (cells, total homology, and per coordinate the
+e-decomposition of the component homology).  Each shape's homology is
+known in closed form, and nothing is cancelled: per coordinate, the
+input's bars are read off one boundary-matrix reduction, which also
+gives the total homology.
+
+Each call numbers the generators once: one sort by id and one pass
+over the arrows give the positions that the module maps, the cell
+counts and both reductions of the check read.
 """
 
 from __future__ import annotations
@@ -97,6 +104,17 @@ class Summand:
             raise ValueError("negative lparam")
         if self.kind == "X" and self.lparam == 0:
             object.__setattr__(self, "kind", "Y")
+
+    @classmethod
+    def _trusted(cls, kind: str, d: int, lparam: int, shift2: tuple[int, ...]) -> "Summand":
+        """A summand from values that already are what the constructor
+        keeps, without re-checking them: a known kind, ints, an int tuple
+        of the kind's length, sizes in range, and a width-zero X spelled
+        Y.  ``decompose`` builds its list this way from the tuples it
+        computed."""
+        s = cls.__new__(cls)
+        s.__dict__.update(kind=kind, d=d, lparam=lparam, shift2=shift2)
+        return s
 
     def __str__(self) -> str:
         shift = ",".join(map(fmt_half, self.shift2))
@@ -203,57 +221,77 @@ def e_decomposition(cx: FilteredComplex):
     Returns (pairs, frees): ``pairs`` counts triples (lparam, maslov of
     the arrow source, doubled filtration of the source); ``frees``
     counts (maslov, doubled filtration) of the unpaired generators.
-    These are the complex's persistence bars, read by ``_bars``; a pair
-    with lparam 0 joins two generators of one filtration level.
+    These are the complex's persistence bars, read by ``_bars`` off the
+    complex's ``_index``; a pair with lparam 0 joins two generators of
+    one filtration level.
     """
     if cx.nvars != 1:
         raise ValueError("e_decomposition expects a one-coordinate complex")
     require_valid(cx)
-    return _bars(cx, 0)
+    return _bars(_index(cx), 0)
 
 
-def _bars(cx: FilteredComplex, axis: int):
-    """Persistence bars of a valid complex filtered by coordinate ``axis``.
+def _index(cx: FilteredComplex):
+    """The generators as (id, Maslov, doubled level) in sorted id order,
+    and the arrows as (source, target) pairs of positions in that order.
+
+    This is the one numbering of a call: ``_module`` and both ``_bars``
+    reductions of ``decompose`` read it, so the generators are sorted
+    and the arrows looked up once.
+    """
+    gens = sorted(cx.gens())
+    position = {g: p for p, (g, _, _) in enumerate(gens)}
+    return gens, [(position[a], position[b]) for a, b in cx.arrows]
+
+
+def _bars(index, axis: int):
+    """Persistence bars of a valid complex filtered by coordinate ``axis``,
+    from its ``_index``.
 
     The standard boundary-matrix reduction: generators ordered by
-    (level on ``axis``, Maslov, id), which puts every arrow's target
-    before its source, and each boundary column, kept in a list by
-    position in that order, reduced by ``echelon`` against the earlier
-    ones.  A boundary left with a leading bit pairs its source
-    with that generator.  Returns (pairs, frees) as ``e_decomposition``
-    does, with every level read on ``axis``.  The counts of bars of
-    length greater than zero and of unpaired generators per (Maslov,
-    level) are filtered homotopy invariants; the unpaired generators
-    per Maslov grading span the total homology.
+    (level on ``axis``, Maslov, position), which puts every arrow's
+    target before its source, and each boundary column, kept in a list
+    by rank in that order, reduced by ``echelon`` against the earlier
+    ones.  The order comes from grouping the positions by (level,
+    Maslov) and sorting the groups, not the generators.  A boundary
+    left with a leading bit pairs its source with that generator.
+    Returns (pairs, frees) as ``e_decomposition`` does, with every level
+    read on ``axis``; frees are counted in position order.  The counts
+    of bars of length greater than zero and of unpaired generators per
+    (Maslov, level) are filtered homotopy invariants; the unpaired
+    generators per Maslov grading span the total homology.
     """
-    gens = cx.gens()
-    order = sorted([(h2[axis], d, g) for g, d, h2 in gens])
-    index = {g: i for i, (_, _, g) in enumerate(order)}
-    columns = [0] * len(order)
-    for a, b in cx.arrows:
-        columns[index[a]] |= 1 << index[b]
+    gens, arrows = index
+    groups: dict[tuple, list[int]] = {}
+    for p, (_, d, h2) in enumerate(gens):
+        groups.setdefault((h2[axis], d), []).append(p)
+    rank = [0] * len(gens)
+    order: list[tuple] = []  # (level, Maslov) by rank
+    for key in sorted(groups):
+        for p in groups[key]:
+            rank[p] = len(order)
+            order.append(key)
+    columns = [0] * len(gens)
+    for p, q in arrows:
+        columns[rank[p]] |= 1 << rank[q]
     piv: dict[int, int] = {}
     pairs: Counter = Counter()
-    paired = [False] * len(order)
-    for i, (level, d, _) in enumerate(order):
-        rank = len(piv)
-        echelon([columns[i]], piv)
-        if len(piv) > rank:
-            bottom = next(reversed(piv))  # leading bit of the reduced column
-            pairs[((level - order[bottom][0]) // 2, d, level)] += 1
-            paired[i] = paired[bottom] = True
-    frees = Counter((d, h2[axis]) for g, d, h2 in gens if not paired[index[g]])
+    paired = [False] * len(gens)
+    for i, column in enumerate(columns):
+        if column:
+            n = len(piv)
+            echelon((column,), piv)
+            if len(piv) > n:
+                bottom = next(reversed(piv))  # leading bit of the reduced column
+                level, d = order[i]
+                pairs[((level - order[bottom][0]) // 2, d, level)] += 1
+                paired[i] = paired[bottom] = True
+    frees = Counter((d, h2[axis]) for p, (_, d, h2) in enumerate(gens) if not paired[rank[p]])
     return pairs, frees
 
 
 # ----------------------------------------------------------------------
 # Two-coordinate decomposition
-
-def _target(c: tuple, axis: int) -> tuple:
-    """The class that x (axis 0) or y (axis 1) maps class ``c`` into."""
-    m, (a, b) = c
-    return (m - 1, (a - 2, b) if axis == 0 else (a, b - 2))
-
 
 def _image(columns: list[int], v: int) -> int:
     img = 0
@@ -264,36 +302,37 @@ def _image(columns: list[int], v: int) -> int:
     return img
 
 
-_AXIS = {(2, 0): 0, (0, 2): 1}
-
-
-def _module(cx: FilteredComplex) -> dict[tuple, tuple[list[int], list[int]]]:
+def _module(index) -> dict[tuple, tuple[list[int], list[int]]]:
     """Per class (Maslov level and filtration), the x- and y-images of
-    its ids, in sorted order, as bitmasks over the ids of the target.
+    its generators, in position order, as bitmasks over the generators
+    of the target class, from the complex's ``_index``.  The length of a
+    class's lists is its generator count.
 
     Refuses a complex with an arrow that drops neither coordinate alone
     by one step, naming the smallest such arrow.
     """
-    size: dict[tuple, int] = {}
-    local: dict[str, tuple[tuple, int]] = {}  # id -> (class, index in the class)
-    for g, d, h2 in sorted(cx.gens()):
-        c = (d, h2)
-        n = size.get(c, 0)
-        local[g] = (c, n)
-        size[c] = n + 1
-    maps = {c: ([0] * n, [0] * n) for c, n in size.items()}
+    gens, arrows = index
+    maps: dict[tuple, tuple[list[int], list[int]]] = {}
+    where = []  # position -> (images of its class, index in the class, level)
+    for _, d, h2 in gens:
+        images = maps.get((d, h2))
+        if images is None:
+            images = maps[(d, h2)] = ([], [])
+        where.append((images, len(images[0]), h2))
+        images[0].append(0)
+        images[1].append(0)
     long_arrows = []
-    for a, b in cx.arrows:
-        (ca, i), (cb, j) = local[a], local[b]
-        (xa, ya), (xb, yb) = ca[1], cb[1]
-        drop = (xa - xb, ya - yb)
-        axis = _AXIS.get(drop)
-        if axis is None:
-            long_arrows.append((a, b, drop))
+    for p, q in arrows:
+        images, i, (xa, ya) = where[p]
+        _, j, (xb, yb) = where[q]
+        if ya == yb and xa - xb == 2:
+            images[0][i] |= 1 << j
+        elif xa == xb and ya - yb == 2:
+            images[1][i] |= 1 << j
         else:
-            maps[ca][axis][i] |= 1 << j
+            long_arrows.append((gens[p][0], gens[q][0], xa - xb, ya - yb))
     if long_arrows:
-        a, b, (dx, dy) = min(long_arrows)
+        a, b, dx, dy = min(long_arrows)
         raise ValueError(
             f"complex is not E₂-collapsed: arrow {a}->{b} moves the filtration "
             f"by ({dx}/2, {dy}/2)"
@@ -308,63 +347,58 @@ def _rad2(maps: dict) -> dict[tuple, dict[int, int]]:
     the rank of this basis is the number of squares ending in the class.
     """
     rad2 = {}
-    for c, (xs, _) in maps.items():
+    for (m, (x, y)), (xs, _) in maps.items():
         if any(xs):
-            ys = maps[_target(c, 0)][1]
+            ys = maps[(m - 1, (x - 2, y))][1]
             basis = echelon(_image(ys, v) for v in xs)
             if basis:
-                rad2[_target(_target(c, 0), 1)] = basis
+                rad2[(m - 2, (x - 2, y - 2))] = basis
     return rad2
-
-
-@dataclass
-class _Vertex:
-    pos: int
-    is_top: bool
-    cls: tuple
-    space: list[int]
-    rad2: dict[int, int]
 
 
 def _string_decomposition(maps: dict, rad2: dict) -> list[tuple]:
     """Phase two: interval decomposition of the zigzag of tops and bottoms,
-    as ``_interval_summand`` tuples."""
-    incoming: dict[tuple, list[int]] = {c: [] for c in maps}
-    for c, axes in maps.items():
-        for axis, columns in enumerate(axes):
-            if any(columns):
-                incoming[_target(c, axis)] += columns
+    as ``_interval_summand`` tuples.
 
-    paths: dict[tuple, dict[int, _Vertex]] = {}
-    for c, (xs, _) in maps.items():
-        (m, h2) = c
+    A vertex is a tuple (position, is_top, images, space, rad²): its
+    position along the anti-diagonal, whether it holds the tops of its
+    class or the bottoms, the class's x- and y-images from ``_module``,
+    a basis of the tops or of rad/rad², and an echelon basis of rad²
+    (None for tops).
+    """
+    paths: dict[tuple, dict[int, tuple]] = {}
+    for c, images in maps.items():
+        m, (x, y) = c
         # rad² first, so the new pivots span a complement of it in rad
         deep = rad2.get(c, {})
-        rad = echelon(incoming[c], dict(deep))
-        top = [1 << i for i in range(len(xs)) if i not in rad]
-        bottom = list(rad.values())[len(deep):]
-        if top:
-            key, pos = (m, h2[0] + h2[1]), h2[0]
-            paths.setdefault(key, {})[pos] = _Vertex(pos, True, c, top, {})
-        if bottom:
-            key, pos = (m + 1, h2[0] + h2[1] + 2), h2[0] + 1
-            paths.setdefault(key, {})[pos] = _Vertex(pos, False, c, bottom, deep)
+        rad = dict(deep)
+        source = maps.get((m + 1, (x + 2, y)))
+        if source:
+            echelon(source[0], rad)
+        source = maps.get((m + 1, (x, y + 2)))
+        if source:
+            echelon(source[1], rad)
+        n = len(images[0])
+        if len(rad) < n:
+            top = [1 << i for i in range(n) if i not in rad]
+            paths.setdefault((m, x + y), {})[x] = (x, True, images, top, None)
+        if len(rad) > len(deep):
+            bottom = list(rad.values())[len(deep):]
+            paths.setdefault((m + 1, x + y + 2), {})[x + 1] = (x + 1, False, images, bottom, deep)
 
     out: list[tuple] = []
     for (d_top, ssum), verts in paths.items():
-        positions = sorted(verts)
-        runs: list[list[_Vertex]] = []
-        for p in positions:
-            if runs and runs[-1][-1].pos == p - 1:
-                runs[-1].append(verts[p])
-            else:
-                runs.append([verts[p]])
-        for run in runs:
-            out.extend(_sweep(run, d_top, ssum, maps))
+        run: list[tuple] = []
+        for pos in sorted(verts):
+            if run and run[-1][0] != pos - 1:
+                out += _sweep(run, d_top, ssum)
+                run = []
+            run.append(verts[pos])
+        out += _sweep(run, d_top, ssum)
     return out
 
 
-def _sweep(run, d_top, ssum, maps) -> list[tuple]:
+def _sweep(run, d_top, ssum) -> list[tuple]:
     """Intervals of one run of consecutive vertices, read left to right.
 
     Each top vertex k maps to the bottoms k - 1 and k + 1, modulo rad²
@@ -375,49 +409,56 @@ def _sweep(run, d_top, ssum, maps) -> list[tuple]:
     is the identity here; on these zigzags that holds whenever j comes
     before i in the order: intervals starting at a top, latest start
     first, then intervals starting at a bottom, earliest start first.
-    So the live intervals are sorted into that order before each step,
-    and a vector only ever absorbs earlier ones.
+    ``live`` is kept in that order as intervals are made, so a vector
+    only ever absorbs earlier ones.  Vertices alternate top and bottom
+    within a run, so the intervals started at vertex k + 1 are the latest
+    of their kind: after a bottom they start at a top and go first, after
+    a top they start at a bottom and go last, and the survivors keep
+    their order between them.
     """
     found = []
-    live = [(0, v) for v in run[0].space]
+    live = [(0, v) for v in run[0][3]]
     for k in range(len(run) - 1):
-        live.sort(key=lambda iv: (0, -iv[0]) if run[iv[0]].is_top else (1, iv[0]))
-        nxt = []
-        if run[k].is_top:
+        _, is_top, images, _, rad2 = run[k]
+        _, _, next_images, space, next_rad2 = run[k + 1]
+        if is_top:
             # an image in the span of rad² and earlier images ends its
             # interval at k
-            ys = maps[run[k].cls][1]
-            piv = dict(run[k + 1].rad2)
+            ys = images[1]
+            piv = dict(next_rad2)
+            nxt = []
             for start, v in live:
-                rank = len(piv)
-                echelon([_image(ys, v)], piv)
-                if len(piv) > rank:
+                n = len(piv)
+                echelon((_image(ys, v),), piv)
+                if len(piv) > n:
                     nxt.append((start, piv[next(reversed(piv))]))
                 else:
                     found.append(_interval_summand(run, start, k, d_top, ssum))
-            rank = len(piv)
-            echelon(run[k + 1].space, piv)
-            nxt += [(k + 1, b) for b in list(piv.values())[rank:]]
+            n = len(piv)
+            echelon(space, piv)
+            # new intervals start at a bottom: they go last
+            nxt += [(k + 1, b) for b in list(piv.values())[n:]]
         else:
             # rows [rad² | 0 | 0], [live vector | live unit | 0] and
             # [left image of t | 0 | t]: a pivot leading in live
             # coordinate j carries interval j into the top at k + 1, one
             # leading in the top coordinates is a kernel vector and
             # starts an interval there
-            xs = maps[run[k + 1].cls][0]
-            width = max(t.bit_length() for t in run[k + 1].space)
+            xs = next_images[0]
+            width = len(xs)  # a top is a bitmask over its class
             n = len(live)
-            rows = [r << n + width for r in run[k].rad2.values()]
+            rows = [r << n + width for r in rad2.values()]
             rows += [(v << n | 1 << j) << width for j, (_, v) in enumerate(live)]
-            rows += [(_image(xs, t) << n + width) | t for t in run[k + 1].space]
+            rows += [(_image(xs, t) << n + width) | t for t in space]
             piv = echelon(rows)
+            # new intervals start at a top: they go first
+            nxt = [(k + 1, row) for lead, row in piv.items() if lead < width]
             for j, (start, _) in enumerate(live):
                 row = piv.get(width + j)
                 if row is None:
                     found.append(_interval_summand(run, start, k, d_top, ssum))
                 else:
                     nxt.append((start, row & ((1 << width) - 1)))
-            nxt += [(k + 1, row) for lead, row in piv.items() if lead < width]
         live = nxt
     found += [_interval_summand(run, start, len(run) - 1, d_top, ssum) for start, _ in live]
     return found
@@ -427,19 +468,20 @@ def _interval_summand(run, l, r, d_top, ssum) -> tuple:
     """The summand of the interval from vertex l to vertex r of a run, as
     a plain (kind, d, lparam, shift) tuple, spelled as ``Summand`` spells
     it: a width-zero X is a Y."""
-    a, b = run[l], run[r]
+    a, a_top = run[l][:2]
+    b, b_top = run[r][:2]
     width = r - l
-    if a.is_top and b.is_top:
+    if a_top and b_top:
         lam = width // 2
-        return ("Y", d_top, lam, (a.pos, ssum - a.pos - 2 * lam))
-    if not a.is_top and not b.is_top:
+        return ("Y", d_top, lam, (a, ssum - a - 2 * lam))
+    if not a_top and not b_top:
         lam = width // 2
-        first = a.pos - 1
+        first = a - 1
         return ("X" if lam else "Y", d_top - 1, lam, (first, ssum - 2 - first - 2 * lam))
     lam = (width + 1) // 2
-    if a.is_top:
-        return ("H", d_top, lam, (a.pos, ssum - a.pos))
-    return ("V", d_top, lam, (b.pos, ssum - b.pos))
+    if a_top:
+        return ("H", d_top, lam, (a, ssum - a))
+    return ("V", d_top, lam, (b, ssum - b))
 
 
 def decompose(cx: FilteredComplex) -> list[Summand]:
@@ -456,7 +498,8 @@ def decompose(cx: FilteredComplex) -> list[Summand]:
     if cx.nvars != 2:
         raise ValueError("decompose handles two-coordinate complexes")
     require_valid(cx)
-    maps = _module(cx)
+    index = _index(cx)
+    maps = _module(index)
     rad2 = _rad2(maps)
     # plain (kind, d, lparam, shift) tuples until the list is final: they
     # count, subtract and sort as the Summands they spell
@@ -464,15 +507,17 @@ def decompose(cx: FilteredComplex) -> list[Summand]:
     # each square also shows in the zigzag, as an X^1 one grading up
     strings = Counter(_string_decomposition(maps, rad2))
     strings.subtract(("X", m + 1, 1, h2) for _, m, _, h2 in squares)
-    summands = [Summand(*t) for t in sorted(squares + list(strings.elements()))]
-    _verify_rebuild(cx, summands)
+    summands = [Summand._trusted(*t) for t in sorted(squares + list(strings.elements()))]
+    _verify_rebuild(index, maps, summands)
     return summands
 
 
 def sum_cells(summands) -> Counter:
     """Generator counts of ``build_sum(summands)`` by (Maslov, doubled
-    level), without building it."""
-    return Counter((m, h2) for s in summands for _, m, h2 in _placed(s)[0])
+    level), without building it: each shape's cached standard model,
+    placed as ``_placed`` places it."""
+    return Counter((m + s.d, tuple(map(add, h2, s.shift2)))
+                   for s in summands for _, m, h2 in _standard_model(s.kind, s.lparam)[0])
 
 
 def sum_invariants(summands):
@@ -487,11 +532,14 @@ def sum_invariants(summands):
     generator of total homology at grading d, which survives as a free
     generator (d, y0) in coordinate 1 and (d, x0) in coordinate 2, each
     moved by 2k for Y.  All of it adds up over direct sums, since
-    cancellation never crosses summands.
+    cancellation never crosses summands.  A one-coordinate summand (E)
+    is refused, naming it.
     """
     total: Counter = Counter()
     per_coordinate = ((Counter(), Counter()), (Counter(), Counter()))
     for s in summands:
+        if s.kind == "E":
+            raise ValueError(f"sum_invariants takes two-coordinate summands, not {s}")
         d, (x0, y0) = s.d, s.shift2
         if s.kind == "V":
             per_coordinate[1][0][(s.lparam, d, x0)] += 1
@@ -505,14 +553,16 @@ def sum_invariants(summands):
     return total, per_coordinate
 
 
-def _verify_rebuild(cx: FilteredComplex, summands) -> None:
-    """Check the summands against invariants of the input complex.
+def _verify_rebuild(index, maps: dict, summands) -> None:
+    """Check the summands against invariants of the input complex, read
+    off its ``_index`` and the ``_module`` maps built from it.
 
     Generator counts, total homology and, per coordinate, the
     e-decomposition of the component homology are compared with the
-    closed forms of the model summands, and nothing is cancelled.  For
-    coordinate i, the bars of ``cx`` filtered by the other coordinate
-    are read off one reduction: cancelling the arrows that keep the
+    closed forms of the model summands, and nothing is cancelled.  The
+    generator counts are the class sizes of ``maps``.  For coordinate i,
+    the bars of the complex filtered by the other coordinate are read off
+    one reduction of the same index: cancelling the arrows that keep the
     other coordinate is a filtered homotopy equivalence onto
     ``component_homology(cx, i)``, so the bars of positive length and
     the unpaired generators are that complex's e-decomposition.  The
@@ -527,10 +577,10 @@ def _verify_rebuild(cx: FilteredComplex, summands) -> None:
     pass alike: Y^1(-1)[0,0] + Y^2(-1)[1,-2] against
     Y^0(-1)[1,0] + Y^3(-1)[0,-2], for one.
     """
-    if cx.counts().ranks != sum_cells(summands):
+    if sum_cells(summands) != {c: len(xs) for c, (xs, _) in maps.items()}:
         raise AssertionError("decomposition does not match the generator counts")
     total, per_coordinate = sum_invariants(summands)
-    bars = [_bars(cx, 2 - i) for i in (1, 2)]
+    bars = [_bars(index, 2 - i) for i in (1, 2)]
     homology: Counter = Counter()
     for (m, _), n in bars[0][1].items():
         homology[m] += n

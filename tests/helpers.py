@@ -3,14 +3,15 @@
 import random
 import re
 from collections import Counter
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import product
 
 from hfl.alexander import _fox_rows, _packed_det
-from hfl.filtered import FilteredComplex, MultiGradedVS
+from hfl.filtered import FilteredComplex, MultiGradedVS, echelon
 from hfl.laurent import MultiLaurent, symmetric_normalize
 from hfl.linkdiag import LinkDiagram, _relabel_dense, braid_closure, corpus
-from hfl.summands import Summand, sum_cells
+from hfl.summands import Summand, _image, _index, _module, _rad2, sum_cells
 
 
 def golden_diagram(name):
@@ -199,6 +200,36 @@ def random_summand_sum(rng, max_summands=20, nvars=2, **shape):
     parity = tuple(rng.randrange(2) for _ in range(nvars))
     n = rng.randrange(1, max_summands + 1)
     return sorted(random_summand(rng, parity, **shape) for _ in range(n))
+
+
+# The shapes of the benchmark's complex_algebra sums: 50 summands, 242
+# generators, on parity (0, 0)
+WORKLOAD_RECIPE = ([("B", 0)] * 16
+                   + [(k, lam) for k in "VHX" for lam in (1, 2, 3, 4)] * 2
+                   + [("Y", lam) for lam in range(5)] * 2)
+
+
+def workload_shaped_sum(rng):
+    """The summands of ``WORKLOAD_RECIPE``, each at a Maslov offset in
+    [-2, 2] and a shift with coordinates in {-6, -4, ..., 6}, as the
+    benchmark places them."""
+    return sorted(
+        Summand(kind, rng.randrange(-2, 3), lam, (2 * rng.randrange(-3, 4), 2 * rng.randrange(-3, 4)))
+        for kind, lam in WORKLOAD_RECIPE
+    )
+
+
+def class_scramble(cx, rng, moves):
+    """``cx`` after ``moves`` base changes g := g + h, each between two
+    generators of one class (equal Maslov grading and level) drawn as the
+    benchmark draws them: a class with two or more generators, then two
+    of its generators."""
+    classes = {}
+    for g, d, h2 in cx.gens():
+        classes.setdefault((d, h2), []).append(g)
+    mixable = [c for c in classes.values() if len(c) > 1]
+    picks = [tuple(rng.sample(rng.choice(mixable), 2)) for _ in range(moves if mixable else 0)]
+    return change_basis(cx, picks)
 
 
 def tile_squares_by_min_scan(cells):
@@ -462,6 +493,127 @@ def reference_component_homology(cx, i):
     gens = [(g, cx.maslov(g), proj[g]) for g in sorted(out)]
     arrows = [(a, b) for a in out for b in out[a]]
     return FilteredComplex(cx.nvars - 1, cx.parity[: i - 1] + cx.parity[i:], gens, arrows)
+
+
+# Phase two of ``hfl.summands.decompose`` as it ran before the sweep kept
+# its absorb order by construction: vertices as a dataclass, the incoming
+# images gathered per class, and the live intervals sorted into the absorb
+# order before every step.  The reference for ``_string_decomposition``.
+
+@dataclass
+class Vertex:
+    pos: int
+    is_top: bool
+    cls: tuple
+    space: list[int]
+    rad2: dict[int, int]
+
+
+def _reference_target(c, axis):
+    m, (a, b) = c
+    return (m - 1, (a - 2, b) if axis == 0 else (a, b - 2))
+
+
+def reference_string_decomposition(maps, rad2):
+    incoming = {c: [] for c in maps}
+    for c, axes in maps.items():
+        for axis, columns in enumerate(axes):
+            if any(columns):
+                incoming[_reference_target(c, axis)] += columns
+    paths = {}
+    for c, (xs, _) in maps.items():
+        (m, h2) = c
+        deep = rad2.get(c, {})
+        rad = echelon(incoming[c], dict(deep))
+        top = [1 << i for i in range(len(xs)) if i not in rad]
+        bottom = list(rad.values())[len(deep):]
+        if top:
+            key, pos = (m, h2[0] + h2[1]), h2[0]
+            paths.setdefault(key, {})[pos] = Vertex(pos, True, c, top, {})
+        if bottom:
+            key, pos = (m + 1, h2[0] + h2[1] + 2), h2[0] + 1
+            paths.setdefault(key, {})[pos] = Vertex(pos, False, c, bottom, deep)
+    out = []
+    for (d_top, ssum), verts in paths.items():
+        runs = []
+        for p in sorted(verts):
+            if runs and runs[-1][-1].pos == p - 1:
+                runs[-1].append(verts[p])
+            else:
+                runs.append([verts[p]])
+        for run in runs:
+            out.extend(_reference_sweep(run, d_top, ssum, maps))
+    return out
+
+
+def _reference_sweep(run, d_top, ssum, maps):
+    found = []
+    live = [(0, v) for v in run[0].space]
+    for k in range(len(run) - 1):
+        # intervals starting at a top, latest start first, then intervals
+        # starting at a bottom, earliest start first
+        live.sort(key=lambda iv: (0, -iv[0]) if run[iv[0]].is_top else (1, iv[0]))
+        nxt = []
+        if run[k].is_top:
+            ys = maps[run[k].cls][1]
+            piv = dict(run[k + 1].rad2)
+            for start, v in live:
+                rank = len(piv)
+                echelon([_image(ys, v)], piv)
+                if len(piv) > rank:
+                    nxt.append((start, piv[next(reversed(piv))]))
+                else:
+                    found.append(_reference_interval_summand(run, start, k, d_top, ssum))
+            rank = len(piv)
+            echelon(run[k + 1].space, piv)
+            nxt += [(k + 1, b) for b in list(piv.values())[rank:]]
+        else:
+            xs = maps[run[k + 1].cls][0]
+            width = max(t.bit_length() for t in run[k + 1].space)
+            n = len(live)
+            rows = [r << n + width for r in run[k].rad2.values()]
+            rows += [(v << n | 1 << j) << width for j, (_, v) in enumerate(live)]
+            rows += [(_image(xs, t) << n + width) | t for t in run[k + 1].space]
+            piv = echelon(rows)
+            for j, (start, _) in enumerate(live):
+                row = piv.get(width + j)
+                if row is None:
+                    found.append(_reference_interval_summand(run, start, k, d_top, ssum))
+                else:
+                    nxt.append((start, row & ((1 << width) - 1)))
+            nxt += [(k + 1, row) for lead, row in piv.items() if lead < width]
+        live = nxt
+    found += [_reference_interval_summand(run, start, len(run) - 1, d_top, ssum)
+              for start, _ in live]
+    return found
+
+
+def _reference_interval_summand(run, l, r, d_top, ssum):
+    a, b = run[l], run[r]
+    width = r - l
+    if a.is_top and b.is_top:
+        lam = width // 2
+        return ("Y", d_top, lam, (a.pos, ssum - a.pos - 2 * lam))
+    if not a.is_top and not b.is_top:
+        lam = width // 2
+        first = a.pos - 1
+        return ("X" if lam else "Y", d_top - 1, lam, (first, ssum - 2 - first - 2 * lam))
+    lam = (width + 1) // 2
+    if a.is_top:
+        return ("H", d_top, lam, (a.pos, ssum - a.pos))
+    return ("V", d_top, lam, (b.pos, ssum - b.pos))
+
+
+def reference_decompose(cx):
+    """``decompose`` with the reference phase two: the same index, module
+    maps and squares, the sorting sweep, and each summand built through
+    the public ``Summand`` constructor.  No self-check."""
+    maps = _module(_index(cx))
+    rad2 = _rad2(maps)
+    squares = [("B", m, 0, h2) for (m, h2), basis in rad2.items() for _ in basis]
+    strings = Counter(reference_string_decomposition(maps, rad2))
+    strings.subtract(("X", m + 1, 1, h2) for _, m, _, h2 in squares)
+    return [Summand(*t) for t in sorted(squares + list(strings.elements()))]
 
 
 def solve(d, coeffs):

@@ -24,7 +24,8 @@ from hfl.heegaard import (
     oracle_compare,
     two_bridge_diagram,
 )
-from hfl.homology import hfl_alternating
+from hfl.homology import hfl_alternating, two_component_cfl_from_diagram
+from hfl.summands import decompose
 
 from helpers import ListBigons, arc, connect
 
@@ -265,6 +266,31 @@ def test_pair_window_matches_the_all_pairs_count(p, q):
         drops = [a - b for a, b in zip(cx.filt2(g), cx.filt2(h))]
         if cx.maslov(g) - cx.maslov(h) != 1 or any(x not in (0, 2) for x in drops):
             assert n == 0, (g, h)
+
+
+# the benchmark's cfl2_two_bridge range: every pair with even p <= 36
+SOLVER_PAIRS = [(p, q) for p in range(2, 37, 2) for q in range(1, p) if math.gcd(p, q) == 1]
+SOLVER_REFUSES = ["b(34,13)", "b(34,21)"]
+
+
+def test_bigon_summands_equal_the_solvers():
+    # Two routes to the summand list of a two-bridge link: decompose the
+    # bigon complex, or solve from the Fox/Goeritz data of the projection.
+    # The solver refuses b(34,13) and b(34,21), where keep_component
+    # returns a non-alternating diagram; those two are skipped, and they
+    # must be the only pairs refused
+    assert len(SOLVER_PAIRS) == 139
+    refused = []
+    for p, q in SOLVER_PAIRS:
+        bigon = decompose(filtered_complex_from_diagram(two_bridge_diagram(p, q)))
+        try:
+            _, summands = two_component_cfl_from_diagram(linkdiag.two_bridge(p, q))
+        except ValueError as err:
+            assert str(err).startswith("the projection is not alternating"), (p, q)
+            refused.append(f"b({p},{q})")
+            continue
+        assert bigon == summands, (p, q)
+    assert refused == SOLVER_REFUSES
 
 
 GRADING_PAIRS = EVEN_PAIRS + [(98, 37), (98, 1)]
