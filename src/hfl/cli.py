@@ -7,6 +7,12 @@ switches every subcommand to machine-readable output with sorted keys
 and doubled integer gradings; human output renders half-integer
 gradings as fractions.  Set HFL_CORPUS_DIR to load fixture complexes
 from a directory of ``<name>.json`` files instead of the bundled data.
+
+Output has one rule: a subcommand returns its JSON object and its text,
+and ``main`` prints one of them.  ``heegaard --emit-complex`` always
+prints JSON, and ``check`` exits with its failure count.  A refused
+input exits 1 with ``error: ...`` on stderr, or ``{"error": ...}`` on
+stdout under ``--json``.
 """
 
 from __future__ import annotations
@@ -57,13 +63,13 @@ def _two_bridge_params(name: str):
     return None
 
 
-def _emit(args, obj) -> None:
+def _emit(obj) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
 def _fail(args, message: str) -> int:
-    if getattr(args, "json", False):
-        print(json.dumps({"error": message}, sort_keys=True, separators=(",", ":")))
+    if args.json:
+        _emit({"error": message})
     else:
         print(f"error: {message}", file=sys.stderr)
     return 1
@@ -93,14 +99,6 @@ def _load_complex(spec: str) -> FilteredComplex:
     return cx
 
 
-def _fixture_hint(spec: str) -> str | None:
-    if spec.startswith("corpus:"):
-        name = spec[len("corpus:"):]
-        if name.lower() in FIXTURE_NAMES:
-            return name
-    return None
-
-
 def _alternating_report(spec: str):
     """``hfl_alternating`` of an input; a refusal names any fixture of it."""
     diag = _load_diagram(spec)
@@ -109,9 +107,9 @@ def _alternating_report(spec: str):
     except ValueError as err:
         if "not alternating" in str(err):
             message = f"non-alternating: {err}"
-            hint = _fixture_hint(spec)
-            if hint:
-                message += f"; a transcribed table is available via `hfl fixture {hint}`"
+            name = spec.removeprefix("corpus:")
+            if name != spec and name.lower() in FIXTURE_NAMES:
+                message += f"; a transcribed table is available via `hfl fixture {name}`"
             raise ValueError(message) from err
         raise
 
@@ -119,116 +117,76 @@ def _alternating_report(spec: str):
 # -- subcommands -------------------------------------------------------
 
 
-def _cmd_alexander(args) -> int:
+def _cmd_alexander(args):
     delta = multivariable_alexander(_load_diagram(args.link)).delta
-    if args.json:
-        _emit(args, delta.to_json_dict())
-    else:
-        print(delta)
-    return 0
+    return delta.to_json_dict(), str(delta)
 
 
-def _cmd_signature(args) -> int:
+def _cmd_signature(args):
     sigma = signature(_load_diagram(args.link))
-    if args.json:
-        _emit(args, {"sigma": sigma})
-    else:
-        print(f"sigma = {sigma}")
-    return 0
+    return {"sigma": sigma}, f"sigma = {sigma}"
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args):
     report = _alternating_report(args.link)
-    if args.json:
-        out = report.to_json_dict()
-        if report.l == 1:
-            out = {key: out[key] for key in ("l", "sigma", "delta", "table")}
-        _emit(args, out)
-        return 0
-    print(report.table.table_str())
-    if report.l > 1:
-        print(f"sigma = {report.sigma}")
-        print(f"euler identity: {'ok' if report.euler_ok else 'FAIL'}")
-        print(f"symmetry: {'ok' if report.symmetry_ok else 'FAIL'}")
-    return 0
+    out, text = report.to_json_dict(), report.table.table_str()
+    if report.l == 1:
+        return {key: out[key] for key in ("l", "sigma", "delta", "table")}, text
+    return out, (f"{text}\nsigma = {report.sigma}\n"
+                 f"euler identity: {'ok' if report.euler_ok else 'FAIL'}\n"
+                 f"symmetry: {'ok' if report.symmetry_ok else 'FAIL'}")
 
 
-def _cmd_cfl2(args) -> int:
+def _cmd_cfl2(args):
     cx, summands = two_component_cfl_from_diagram(_load_diagram(args.link))
-    if args.json:
-        _emit(args, {
-            "complex": cx.to_json_dict(),
-            "summands": [
-                {"kind": s.kind, "d": s.d, "lam": s.lparam, "shift2": list(s.shift2)}
-                for s in summands
-            ],
-        })
-    else:
-        for s in summands:
-            print(s)
-        print(f"generators: {len(cx)}  arrows: {len(cx.arrows)}")
-    return 0
+    out = {
+        "complex": cx.to_json_dict(),
+        "summands": [
+            {"kind": s.kind, "d": s.d, "lam": s.lparam, "shift2": list(s.shift2)}
+            for s in summands
+        ],
+    }
+    lines = [*map(str, summands), f"generators: {len(cx)}  arrows: {len(cx.arrows)}"]
+    return out, "\n".join(lines)
 
 
-def _cmd_ss(args) -> int:
+def _cmd_ss(args):
     pages = spectral_pages(_load_complex(args.link))
-    if args.json:
-        _emit(args, {
-            "pages": [
-                {"r": i + 1, "total_rank": page.total_rank(), "table": page.to_json_dict()}
-                for i, page in enumerate(pages)
-            ],
-        })
-    else:
-        for i, page in enumerate(pages):
-            print(f"E{i + 1}: total rank {page.total_rank()}")
-        print(pages[-1].table_str())
-    return 0
+    out = {"pages": [
+        {"r": r, "total_rank": page.total_rank(), "table": page.to_json_dict()}
+        for r, page in enumerate(pages, 1)
+    ]}
+    lines = [f"E{r}: total rank {page.total_rank()}" for r, page in enumerate(pages, 1)]
+    return out, "\n".join([*lines, pages[-1].table_str()])
 
 
-def _cmd_collapse(args) -> int:
+def _cmd_collapse(args):
     collapsed = collapse_to_hfk(_alternating_report(args.link).table)
-    if args.json:
-        _emit(args, collapsed.to_json_dict())
-    else:
-        print(collapsed.table_str())
-    return 0
+    return collapsed.to_json_dict(), collapsed.table_str()
 
 
-def _cmd_kunneth(args) -> int:
+def _cmd_kunneth(args):
     first, second = (_alternating_report(spec).table for spec in (args.first, args.second))
     merged = tensor_graded(first, second, (1, 1))
-    if args.json:
-        _emit(args, merged.to_json_dict())
-    else:
-        print(merged.table_str())
-    return 0
+    return merged.to_json_dict(), merged.table_str()
 
 
-def _cmd_heegaard(args) -> int:
+def _cmd_heegaard(args):
     diagram = two_bridge_diagram(args.p, args.q)
     if args.emit_complex:
-        _emit(args, complex_from_diagram(diagram).to_json_dict())
-        return 0
+        return complex_from_diagram(diagram).to_json_dict(), None
     report = oracle_compare(args.p, args.q)
-    generators = max(len(diagram.alpha), 1)
-    if args.json:
-        _emit(args, {
-            "p": args.p,
-            "q": args.q,
-            "generators": generators,
-            "regions": len(diagram.regions),
-            "admissible": admissibility(diagram),
-            "oracle_match": bool(report),
-        })
-    else:
-        print(f"b({args.p},{args.q}): {generators} generators, "
-              f"{len(diagram.regions)} regions")
-        print(f"admissible: {admissibility(diagram)}")
-        print(f"oracle match: {bool(report)}")
-        if not report:
-            print(report)
-    return 0
+    out = {
+        "p": args.p,
+        "q": args.q,
+        "generators": max(len(diagram.alpha), 1),
+        "regions": len(diagram.regions),
+        "admissible": admissibility(diagram),
+        "oracle_match": bool(report),
+    }
+    text = (f"b({args.p},{args.q}): {out['generators']} generators, {out['regions']} regions\n"
+            f"admissible: {out['admissible']}\noracle match: {out['oracle_match']}")
+    return out, text if report else f"{text}\n{report}"
 
 
 # -- the check suite ---------------------------------------------------
@@ -322,72 +280,47 @@ def _check_rows(name: str) -> list:
     return rows
 
 
-def _cmd_check(args) -> int:
-    target = args.target
-    if target in ("corpus:all", "all"):
-        names = list(CORPUS_NAMES)
-    elif target.startswith("corpus:"):
-        names = [target[len("corpus:"):]]
+def _cmd_check(args):
+    if args.target in ("corpus:all", "all"):
+        names = CORPUS_NAMES
     else:
-        names = [target]
-    rows = []
-    for name in names:
-        rows.extend(_check_rows(name))
+        names = [args.target.removeprefix("corpus:")]
+    rows = [row for name in names for row in _check_rows(name)]
     failures = sum(1 for row in rows if not row["ok"])
-    if args.json:
-        _emit(args, {"failures": failures, "results": rows})
-    else:
-        for row in rows:
-            status = "ok" if row["ok"] else "FAIL"
-            line = f"{row['link']:18s} {row['check']:14s} {status}"
-            if not row["ok"] and row["detail"]:
-                line += f"  ({row['detail']})"
-            print(line)
-        print(f"failures: {failures}")
-    return failures
+    lines = []
+    for row in rows:
+        line = f"{row['link']:18s} {row['check']:14s} {'ok' if row['ok'] else 'FAIL'}"
+        if not row["ok"] and row["detail"]:
+            line += f"  ({row['detail']})"
+        lines.append(line)
+    lines.append(f"failures: {failures}")
+    return {"failures": failures, "results": rows}, "\n".join(lines), failures
 
 
-def _cmd_corpus(args) -> int:
+def _cmd_corpus(args):
     if args.name is None:
-        if args.json:
-            _emit(args, {"names": list(CORPUS_NAMES)})
-        else:
-            for name in CORPUS_NAMES:
-                print(name)
-        return 0
+        return {"names": list(CORPUS_NAMES)}, "\n".join(CORPUS_NAMES)
     diag = linkdiag.corpus(args.name)
-    lk = linkdiag.linking_matrix(diag)
-    if args.json:
-        _emit(args, {
-            "name": args.name,
-            "components": diag.n_components,
-            "crossings": len(diag.crossings),
-            "alternating": diag.is_alternating(),
-            "linking": [list(row) for row in lk.lk],
-            "pd": diag.to_pd_text(),
-        })
-    else:
-        print(diag.to_pd_text())
-        print(f"components: {diag.n_components}  crossings: {len(diag.crossings)}  "
-              f"alternating: {diag.is_alternating()}")
-    return 0
+    out = {
+        "name": args.name,
+        "components": diag.n_components,
+        "crossings": len(diag.crossings),
+        "alternating": diag.is_alternating(),
+        "linking": [list(row) for row in linkdiag.linking_matrix(diag).lk],
+        "pd": diag.to_pd_text(),
+    }
+    text = (f"{out['pd']}\ncomponents: {out['components']}  crossings: {out['crossings']}  "
+            f"alternating: {out['alternating']}")
+    return out, text
 
 
-def _cmd_fixture(args) -> int:
+def _cmd_fixture(args):
     if args.list_names or args.name is None:
-        if args.json:
-            _emit(args, {"names": list(FIXTURE_NAMES)})
-        else:
-            for name in FIXTURE_NAMES:
-                print(name)
-        return 0
+        return {"names": list(FIXTURE_NAMES)}, "\n".join(FIXTURE_NAMES)
     cx = _load_fixture(args.name)
-    if args.json:
-        _emit(args, cx.to_json_dict())
-    else:
-        print(f"{args.name.lower()}: {len(cx)} generators, {len(cx.arrows)} arrows")
-        print(assoc_graded_homology(cx).table_str())
-    return 0
+    text = (f"{args.name.lower()}: {len(cx)} generators, {len(cx.arrows)} arrows\n"
+            f"{assoc_graded_homology(cx).table_str()}")
+    return cx.to_json_dict(), text
 
 
 # -- entry point -------------------------------------------------------
@@ -400,60 +333,47 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def with_json(sp):
+    def command(name, run, help, *positionals):
+        sp = sub.add_parser(name, help=help)
         sp.add_argument("--json", action="store_true", help="machine-readable output")
+        for positional in positionals:
+            sp.add_argument(positional)
+        sp.set_defaults(run=run)
         return sp
 
-    sp = with_json(sub.add_parser("alexander", help="multivariable Alexander polynomial"))
-    sp.add_argument("link")
-    sp = with_json(sub.add_parser("signature", help="link signature"))
-    sp.add_argument("link")
-    sp = with_json(sub.add_parser("table", help="rank table of an alternating link"))
-    sp.add_argument("link")
-    sp = with_json(sub.add_parser("cfl2", help="filtered complex of a two-component alternating link"))
-    sp.add_argument("link")
-    sp = with_json(sub.add_parser("ss", help="spectral sequence pages of a filtered complex"))
-    sp.add_argument("link", help="corpus:<name>, fixture:<name>, or a PD file")
-    sp = with_json(sub.add_parser("collapse", help="single-variable collapse of a rank table"))
-    sp.add_argument("link")
-    sp = with_json(sub.add_parser("kunneth", help="rank table of a connected sum from its parts"))
-    sp.add_argument("first")
-    sp.add_argument("second")
-    sp = with_json(sub.add_parser("heegaard", help="two-bridge diagram oracle"))
+    command("alexander", _cmd_alexander, "multivariable Alexander polynomial", "link")
+    command("signature", _cmd_signature, "link signature", "link")
+    command("table", _cmd_table, "rank table of an alternating link", "link")
+    command("cfl2", _cmd_cfl2, "filtered complex of a two-component alternating link", "link")
+    command("ss", _cmd_ss, "spectral sequence pages of a filtered complex").add_argument(
+        "link", help="corpus:<name>, fixture:<name>, or a PD file")
+    command("collapse", _cmd_collapse, "single-variable collapse of a rank table", "link")
+    command("kunneth", _cmd_kunneth, "rank table of a connected sum from its parts",
+            "first", "second")
+    sp = command("heegaard", _cmd_heegaard, "two-bridge diagram oracle")
     sp.add_argument("p", type=int)
     sp.add_argument("q", type=int)
-    sp.add_argument("--emit-complex", action="store_true", dest="emit_complex")
-    sp = with_json(sub.add_parser("check", help="run the invariant suite over the corpus"))
-    sp.add_argument("target", nargs="?", default="corpus:all")
-    sp = with_json(sub.add_parser("corpus", help="list or show bundled projections"))
-    sp.add_argument("name", nargs="?")
-    sp = with_json(sub.add_parser("fixture", help="list or emit transcribed complexes"))
+    sp.add_argument("--emit-complex", action="store_true")
+    command("check", _cmd_check, "run the invariant suite over the corpus").add_argument(
+        "target", nargs="?", default="corpus:all")
+    command("corpus", _cmd_corpus, "list or show bundled projections").add_argument(
+        "name", nargs="?")
+    sp = command("fixture", _cmd_fixture, "list or emit transcribed complexes")
     sp.add_argument("name", nargs="?")
     sp.add_argument("--list", action="store_true", dest="list_names")
     return parser
 
 
-_HANDLERS = {
-    "alexander": _cmd_alexander,
-    "signature": _cmd_signature,
-    "table": _cmd_table,
-    "cfl2": _cmd_cfl2,
-    "ss": _cmd_ss,
-    "collapse": _cmd_collapse,
-    "kunneth": _cmd_kunneth,
-    "heegaard": _cmd_heegaard,
-    "check": _cmd_check,
-    "corpus": _cmd_corpus,
-    "fixture": _cmd_fixture,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        code = _HANDLERS[args.cmd](args)
+        out, text, *failures = args.run(args)
+        if args.json or text is None:
+            _emit(out)
+        else:
+            print(text)
         sys.stdout.flush()
-        return code
+        return failures[0] if failures else 0
     except BrokenPipeError:
         # the reader is gone; the flush of stdout at exit must not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -319,12 +319,36 @@ class FilteredComplex:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "FilteredComplex":
-        return cls(
-            data["l"],
-            data["parity"],
-            [(g["id"], g["d"], g["h2"]) for g in data["gens"]],
-            [tuple(p) for p in data.get("arrows", [])],
-        )
+        """The complex of a ``to_json_dict`` document, such as a fixture file.
+
+        A document that is not an object, lacks a field, or gives one the
+        wrong shape is refused with a ``ValueError`` naming the field; the
+        constructor then checks the values.
+        """
+        nvars = _field(data, "l", "complex")
+        parity = _field(data, "parity", "complex", list)
+        gens = []
+        for i, g in enumerate(_field(data, "gens", "complex", list)):
+            gid = _field(g, "id", f"generator {i}")
+            where = f"generator {gid!r}"
+            gens.append((gid, _field(g, "d", where), _field(g, "h2", where, list)))
+        arrows = data.get("arrows", [])
+        if not isinstance(arrows, list) or any(
+            not isinstance(p, list) or len(p) != 2 for p in arrows
+        ):
+            raise ValueError("complex field 'arrows' is not a list of [source, target] pairs")
+        return cls(nvars, parity, gens, [tuple(p) for p in arrows])
+
+
+def _field(obj, key: str, where: str, kind: type = object):
+    """``obj[key]`` of a JSON document, refusing a missing or ill-shaped field."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{where} is not a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r} field")
+    if not isinstance(obj[key], kind):
+        raise ValueError(f"{where} field {key!r} is not a {kind.__name__}")
+    return obj[key]
 
 
 # ----------------------------------------------------------------------

@@ -349,6 +349,20 @@ def test_non_integral_fixture_grading_refused_as_json(capsys, tmp_path, monkeypa
         assert json.loads(out) == {"error": "generator 'a' Maslov grading 0.5 is not an integer"}
 
 
+@pytest.mark.parametrize("document, message", [
+    ("{}", "complex has no 'l' field"),
+    ("[1, 2]", "complex is not a JSON object"),
+    ('{"l": 1, "parity": [0], "gens": [{"d": 0, "h2": [0]}]}', "generator 0 has no 'id' field"),
+])
+def test_malformed_fixture_file_refused(capsys, tmp_path, monkeypatch, document, message):
+    (tmp_path / "h3.json").write_text(document)
+    monkeypatch.setenv("HFL_CORPUS_DIR", str(tmp_path))
+    for argv in (["fixture", "h3"], ["ss", "fixture:h3"]):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, json.loads(out), err) == (1, {"error": message}, ""), argv
+
+
 def test_split_projection_reported(capsys, tmp_path):
     path = tmp_path / "split.pd"
     path.write_text("PD[X[1,2,2,1],X[3,4,4,3]]")
@@ -473,3 +487,23 @@ def test_check_row_names_a_disagreeing_first_page(monkeypatch):
     rows = failing_row(monkeypatch, "hopf_plus", "spectral_pages", lambda cx: [wrong])
     assert [(row["check"], row["detail"]) for row in rows] == [
         ("spectral", "first page disagrees with the rank table")]
+
+
+# ----------------------------------------------------------------------
+# every subcommand in both formats, --help, and the refusals
+
+CLI_MATRIX = json.loads((Path(__file__).parent / "data" / "cli_matrix_golden.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(CLI_MATRIX))
+def test_command_matches_recorded_streams_and_exit_code(capsys, monkeypatch, command):
+    """``data/cli_matrix_golden.json`` maps each command line to its exit
+    code, stdout and stderr, recorded with an 80-column terminal."""
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("HFL_CORPUS_DIR", raising=False)
+    try:
+        code = main(command.split())
+    except SystemExit as exc:  # --help
+        code = exc.code
+    captured = capsys.readouterr()
+    assert {"code": code, "out": captured.out, "err": captured.err} == CLI_MATRIX[command]

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -464,6 +465,31 @@ def test_entry_guards_name_the_fault():
         shift(cx, (2, 0))
     with pytest.raises(ValueError, match="empty direct sum"):
         direct_sum([])
+
+
+# complex documents that are not the layout of to_json_dict, each with the
+# field its refusal names
+MALFORMED_COMPLEXES = [
+    ({}, "complex has no 'l' field"),
+    ([1, 2], "complex is not a JSON object"),
+    ({"l": 1, "parity": 0, "gens": []}, "complex field 'parity' is not a list"),
+    ({"l": 1, "parity": [0]}, "complex has no 'gens' field"),
+    ({"l": 1, "parity": [0], "gens": ["a"]}, "generator 0 is not a JSON object"),
+    ({"l": 1, "parity": [0], "gens": [{"d": 0, "h2": [0]}]}, "generator 0 has no 'id' field"),
+    ({"l": 1, "parity": [0], "gens": [{"id": "a", "h2": [0]}]}, "generator 'a' has no 'd' field"),
+    ({"l": 1, "parity": [0], "gens": [{"id": "a", "d": 0, "h2": 0}]},
+     "generator 'a' field 'h2' is not a list"),
+    ({"l": 1, "parity": [0], "gens": [{"id": "a", "d": 0, "h2": [0]}], "arrows": [["a"]]},
+     "complex field 'arrows' is not a list of [source, target] pairs"),
+    ({"l": 1, "parity": [0], "gens": [], "arrows": "ab"},
+     "complex field 'arrows' is not a list of [source, target] pairs"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_COMPLEXES)
+def test_malformed_complex_document_is_refused(doc, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FilteredComplex.from_json_dict(doc)
 
 
 def test_tables_and_complexes_are_unhashable_values():
