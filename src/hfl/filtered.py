@@ -18,11 +18,12 @@ is done on bitmask integers without any sparse-matrix machinery: every
 elimination in the package, here and in :mod:`hfl.summands`, goes
 through :func:`echelon`.  Spectral pages and component homology share
 one Gaussian-cancellation engine, ``_cancel_all``.  It works on integer
-positions, not ids: ``_adjacency`` numbers the generators once per call
-by their rank in sorted id order, so the smallest arrow by position is
-the smallest by id.  The d² check and total homology use the same
-numbering.  A complex's validation report is computed once and kept on
-the instance.
+positions, not ids: ``_index`` numbers a complex's generators by their
+rank in sorted id order, so the smallest arrow by position is the
+smallest by id.  The numbering is computed once and kept on the
+instance, which never changes, as is its validation report; the
+checks, both homologies, cancellation and :func:`hfl.summands.decompose`
+all read it.
 
 Validation happens where data enters: the public ``MultiGradedVS``
 constructor checks every entry it is given (JSON, the CLI, callers).
@@ -51,12 +52,13 @@ built and counts the bigons between them.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping, Sequence
 
-from .laurent import MultiLaurent, as_ints, fmt_half
+from .laurent import MultiLaurent, _field, as_ints, fmt_half
 
 __all__ = [
     "FilteredComplex",
@@ -166,8 +168,17 @@ class MultiGradedVS:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MultiGradedVS":
-        entries = [(e["d"], tuple(e["h2"]), e["r"]) for e in data["ranks"]]
-        return cls(data["l"], tuple(data["parity"]), entries)
+        """The table of a ``to_json_dict`` document, refusing a malformed one
+        as ``FilteredComplex.from_json_dict`` does."""
+        nvars = _field(data, "l", "rank table")
+        parity = _field(data, "parity", "rank table", list)
+        entries = []
+        for i, e in enumerate(_field(data, "ranks", "rank table", list)):
+            where = f"rank entry {i}"
+            entries.append(
+                (_field(e, "d", where), _field(e, "h2", where, list), _field(e, "r", where))
+            )
+        return cls(nvars, parity, entries)
 
     def table_str(self) -> str:
         """Human-readable listing, one grading per line."""
@@ -194,7 +205,7 @@ class FilteredComplex:
     value and are unhashable.
     """
 
-    __slots__ = ("nvars", "parity", "_order", "_maslov", "_filt", "_arrows", "_report")
+    __slots__ = ("nvars", "parity", "_order", "_maslov", "_filt", "_arrows", "_report", "_index")
 
     def __init__(
         self,
@@ -234,7 +245,7 @@ class FilteredComplex:
         self._maslov = maslov
         self._filt = filt
         self._arrows = frozenset(arrs)
-        self._report = None  # set by validate(); the instance never changes
+        self._report = self._index = None  # set on first use; the instance never changes
 
     @classmethod
     def _trusted(
@@ -253,12 +264,14 @@ class FilteredComplex:
         a valid complex, in sorted id order; and
         ``heegaard.filtered_complex_from_diagram`` and
         ``complex_from_diagram`` build it from the str-named intersection
-        points of a diagram, their int gradings and their bigons.
+        points of a diagram, their int gradings and their bigons.  Like
+        the public constructor, it leaves the validation report and the
+        ``_index`` numbering unset, to be computed on first use.
         """
         cx = cls.__new__(cls)
         cx.nvars, cx.parity, cx._maslov, cx._filt, cx._arrows = nvars, parity, maslov, filt, arrows
         cx._order = tuple(maslov)
-        cx._report = None
+        cx._report = cx._index = None
         return cx
 
     # ---- accessors ----
@@ -340,15 +353,20 @@ class FilteredComplex:
         return cls(nvars, parity, gens, [tuple(p) for p in arrows])
 
 
-def _field(obj, key: str, where: str, kind: type = object):
-    """``obj[key]`` of a JSON document, refusing a missing or ill-shaped field."""
-    if not isinstance(obj, Mapping):
-        raise ValueError(f"{where} is not a JSON object")
-    if key not in obj:
-        raise ValueError(f"{where} has no {key!r} field")
-    if not isinstance(obj[key], kind):
-        raise ValueError(f"{where} field {key!r} is not a {kind.__name__}")
-    return obj[key]
+def _index(cx: FilteredComplex):
+    """The generators as (id, Maslov, doubled level) in sorted id order,
+    and the arrows as (source, target) pairs of positions in that order.
+
+    The one numbering of a complex, computed on the first call and kept
+    on it.  Position pairs sort as the id pairs they stand for.  The arrow
+    pairs come in the hash-seed-dependent order of the arrow set, so every
+    reader sorts them or gathers them into sets or bitmasks.
+    """
+    if cx._index is None:
+        gens = tuple(sorted(cx.gens()))
+        position = {g: p for p, (g, _, _) in enumerate(gens)}
+        cx._index = gens, tuple((position[a], position[b]) for a, b in cx._arrows)
+    return cx._index
 
 
 # ----------------------------------------------------------------------
@@ -390,20 +408,21 @@ def require_valid(cx: FilteredComplex) -> None:
 
 
 def _chain_report(cx: FilteredComplex) -> ValidationReport:
-    for a, b in sorted(cx.arrows):
-        da, db = cx.maslov(a), cx.maslov(b)
+    gens, arrows = _index(cx)
+    for p, q in sorted(arrows):
+        (a, da, ha), (b, db, hb) = gens[p], gens[q]
         if da - db != 1:
             return ValidationReport(
                 False, "arrow_grading", f"arrow {a}->{b} drops maslov by {da - db}, not 1"
             )
-        for i, (xa, xb) in enumerate(zip(cx.filt2(a), cx.filt2(b))):
+        for i, (xa, xb) in enumerate(zip(ha, hb)):
             if xb > xa:
                 return ValidationReport(
                     False,
                     "filtration",
                     f"arrow {a}->{b} raises coordinate {i + 1} by {Fraction(xb - xa, 2)}",
                 )
-    ids, out, _ = _adjacency(cx)
+    out, _ = _adjacency(len(gens), arrows)
     for p, row in enumerate(out):
         square: set[int] = set()
         for m in row:
@@ -412,7 +431,7 @@ def _chain_report(cx: FilteredComplex) -> ValidationReport:
             return ValidationReport(
                 False,
                 "d_squared",
-                f"d^2 of {ids[p]} hits {ids[min(square)]} an odd number of times",
+                f"d^2 of {gens[p][0]} hits {gens[min(square)][0]} an odd number of times",
             )
     return ValidationReport(True)
 
@@ -441,32 +460,29 @@ def echelon(vectors: Iterable[int], piv: dict[int, int] | None = None) -> dict[i
     return piv
 
 
-def _graded_homology(maslovs: list[int], out: Sequence[Iterable[int]]) -> dict[int, int]:
-    """Homology ranks by Maslov degree of a complex given by arrow sets.
+def _graded_homology(cells: list[tuple], arrows: Iterable[tuple[int, int]]) -> dict:
+    """Homology ranks by cell of a complex given by position pairs.
 
-    Generator p has Maslov grading ``maslovs[p]``, and ``out[p]`` holds
-    the positions its arrows point to, assumed to drop maslov by one.
+    Generator p lies in the cell ``cells[p]``, a (Maslov, level) pair,
+    and ``arrows`` holds (source, target) pairs of positions, assumed to
+    drop Maslov by one and to keep the level.  The boundary rank out of
+    a cell is the rank of its generators' rows, as bitmasks over all
+    positions.
     """
-    dim: dict[int, int] = {}
-    for d in maslovs:
-        dim[d] = dim.get(d, 0) + 1
-    bnd_rank: dict[int, int] = {}
-    by_deg: dict[int, list[int]] = {}
-    for d, targets in zip(maslovs, out):
-        row = 0
-        for t in targets:  # matrix row of the differential from degree d
-            row |= 1 << t
-        if row:
-            by_deg.setdefault(d, []).append(row)
-    for d, rows in by_deg.items():
-        bnd_rank[d] = len(echelon(rows))
-    hom: dict[int, int] = {}
-    for d, n in dim.items():
-        h = n - bnd_rank.get(d, 0) - bnd_rank.get(d + 1, 0)
+    rows: dict[int, int] = {}  # source position -> its row of the differential
+    for p, q in arrows:
+        rows[p] = rows.get(p, 0) | 1 << q
+    by_cell: dict[tuple, list[int]] = {}
+    for p, row in rows.items():
+        by_cell.setdefault(cells[p], []).append(row)
+    bnd_rank = {cell: len(echelon(rs)) for cell, rs in by_cell.items()}
+    hom: dict = {}
+    for (d, level), n in Counter(cells).items():
+        h = n - bnd_rank.get((d, level), 0) - bnd_rank.get((d + 1, level), 0)
         if h < 0:
             raise ValueError("not a legal filtered complex: a homology rank is negative")
         if h:
-            hom[d] = h
+            hom[(d, level)] = h
     return hom
 
 
@@ -475,23 +491,10 @@ def _graded_homology(maslovs: list[int], out: Sequence[Iterable[int]]) -> dict[i
 
 def assoc_graded_homology(cx: FilteredComplex) -> MultiGradedVS:
     """Homology of the filtration-preserving part, one level at a time."""
-    # per level, the Maslov gradings and arrow targets by position there
-    by_level: dict[tuple[int, ...], tuple[list[int], list[list[int]]]] = {}
-    position: dict[str, int] = {}
-    for g, d, h2 in cx.gens():
-        maslovs, out = by_level.setdefault(h2, ([], []))
-        position[g] = len(maslovs)
-        maslovs.append(d)
-        out.append([])
-    for a, b in cx.arrows:
-        ha = cx._filt[a]
-        if ha == cx._filt[b]:
-            by_level[ha][1][position[a]].append(position[b])
-    ranks: dict = {}
-    for h2, (maslovs, out) in by_level.items():
-        for d, r in _graded_homology(maslovs, out).items():
-            ranks[(d, h2)] = r
-    return MultiGradedVS._trusted(cx.nvars, cx.parity, ranks)
+    gens, arrows = _index(cx)
+    cells = [(d, h2) for _, d, h2 in gens]
+    kept = [(p, q) for p, q in arrows if gens[p][2] == gens[q][2]]
+    return MultiGradedVS._trusted(cx.nvars, cx.parity, _graded_homology(cells, kept))
 
 
 def asymmetric_cell(ranks: Mapping) -> tuple | None:
@@ -508,10 +511,10 @@ def asymmetric_cell(ranks: Mapping) -> tuple | None:
 
 def total_homology(cx: FilteredComplex) -> dict[int, int]:
     """Homology ranks by Maslov degree, filtration forgotten."""
-    ids, out, _ = _adjacency(cx)
-    hom = _graded_homology([cx._maslov[g] for g in ids], out)
+    gens, arrows = _index(cx)
+    hom = _graded_homology([(d, ()) for _, d, _ in gens], arrows)
     # degrees in the order they first occur among the generators
-    return {d: hom[d] for d in dict.fromkeys(cx._maslov.values()) if d in hom}
+    return {d: hom[(d, ())] for d in dict.fromkeys(cx._maslov.values()) if (d, ()) in hom}
 
 
 def _cancel_arrow(
@@ -572,23 +575,20 @@ def _cancel_all(out: list[set[int] | None], inc: list[set[int] | None], eligible
                     heappush(heap, arrow)
 
 
-def _adjacency(cx: FilteredComplex):
-    """The sorted ids, and the arrows as out- and in-sets by position.
+def _adjacency(n: int, arrows: Iterable[tuple[int, int]]):
+    """Out- and in-sets by position of ``n`` generators with the arrows
+    given as ``_index`` position pairs.
 
-    Generator ``ids[p]`` has position p, its rank in sorted order;
-    ``out[p]`` holds the positions its arrows point to and ``inc[p]`` the
-    positions of the arrows pointing to it.  Cancellation, the d² check
-    and total homology all work on these positions.
+    ``out[p]`` holds the positions p's arrows point to and ``inc[p]`` the
+    positions of the arrows pointing to it.  Cancellation and the d²
+    check work on these sets.
     """
-    ids = sorted(cx._order)
-    position = {g: p for p, g in enumerate(ids)}
-    out: list[set[int] | None] = [set() for _ in ids]
-    inc: list[set[int] | None] = [set() for _ in ids]
-    for a, b in cx._arrows:
-        p, q = position[a], position[b]
+    out: list[set[int] | None] = [set() for _ in range(n)]
+    inc: list[set[int] | None] = [set() for _ in range(n)]
+    for p, q in arrows:
         out[p].add(q)
         inc[q].add(p)
-    return ids, out, inc
+    return out, inc
 
 
 def spectral_pages(cx: FilteredComplex) -> list[MultiGradedVS]:
@@ -602,11 +602,12 @@ def spectral_pages(cx: FilteredComplex) -> list[MultiGradedVS]:
     homology; the last page, recorded once no arrows remain, is stable.
     """
     require_valid(cx)
-    ids, out, inc = _adjacency(cx)
-    level = [sum(cx._filt[g]) for g in ids]
-    position = {g: p for p, g in enumerate(ids)}
+    gens, arrows = _index(cx)
+    out, inc = _adjacency(len(gens), arrows)
+    level = [sum(h2) for _, _, h2 in gens]
+    position = {g: (p, (d, h2)) for p, (g, d, h2) in enumerate(gens)}
     # each generator's position and cell, in generator order
-    cells = [(position[g], (cx._maslov[g], cx._filt[g])) for g in cx._order]
+    cells = [position[g] for g in cx._order]
     pages: list[MultiGradedVS] = []
     r = 0
     while True:
@@ -633,21 +634,23 @@ def component_homology(cx: FilteredComplex, i: int) -> FilteredComplex:
     if not 1 <= i <= cx.nvars:
         raise ValueError("coordinate index out of range")
     require_valid(cx)
-    ids, out, inc = _adjacency(cx)
+    gens, arrows = _index(cx)
+    out, inc = _adjacency(len(gens), arrows)
     # the level with coordinate i projected away
-    proj = [cx._filt[g][: i - 1] + cx._filt[g][i:] for g in ids]
+    proj = [h2[: i - 1] + h2[i:] for _, _, h2 in gens]
     _cancel_all(out, inc, lambda a, b: proj[a] == proj[b])
     maslov: dict[str, int] = {}
     filt: dict[str, tuple[int, ...]] = {}
     for p, row in enumerate(out):
         if row is not None:
-            maslov[ids[p]] = cx._maslov[ids[p]]
-            filt[ids[p]] = proj[p]
+            g, d, _ = gens[p]
+            maslov[g] = d
+            filt[g] = proj[p]
     # cx is valid, so no arrow raises a level; nor does a rerouted a -> b
     # through a cancelled x -> y, since proj[a] >= proj[y] = proj[x] >= proj[b]
-    arrows = frozenset((ids[a], ids[b]) for a, row in enumerate(out) if row for b in row)
+    kept = frozenset((gens[a][0], gens[b][0]) for a, row in enumerate(out) if row for b in row)
     parity = cx.parity[: i - 1] + cx.parity[i:]
-    return FilteredComplex._trusted(cx.nvars - 1, parity, maslov, filt, arrows)
+    return FilteredComplex._trusted(cx.nvars - 1, parity, maslov, filt, kept)
 
 
 # ----------------------------------------------------------------------

@@ -70,6 +70,17 @@ def as_ints(values: Iterable, what: str, *args) -> tuple[int, ...]:
     return tuple(ints)
 
 
+def _field(obj, key: str, where: str, kind: type = object):
+    """``obj[key]`` of a JSON document, refusing a missing or ill-shaped field."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"{where} is not a JSON object")
+    if key not in obj:
+        raise ValueError(f"{where} has no {key!r} field")
+    if not isinstance(obj[key], kind):
+        raise ValueError(f"{where} field {key!r} is not a {kind.__name__}")
+    return obj[key]
+
+
 class MultiLaurent:
     """A Laurent polynomial in ``nvars`` variables T_1..T_n.
 
@@ -214,13 +225,16 @@ class MultiLaurent:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "MultiLaurent":
+        """The polynomial of a ``to_json_dict`` document.  A malformed one is
+        refused with a ``ValueError`` naming the field."""
+        nvars = _field(d, "l", "polynomial")
         terms = {}
-        for t in d["terms"]:
-            e = tuple(t["e2"])
-            if e in terms:
-                raise ValueError(f"duplicate exponent {t['e2']!r}")
-            terms[e] = t["c"]
-        return cls(d["l"], terms)
+        for i, t in enumerate(_field(d, "terms", "polynomial", list)):
+            e2 = _field(t, "e2", f"term {i}", list)
+            if tuple(e2) in terms:
+                raise ValueError(f"duplicate exponent {e2!r}")
+            terms[tuple(e2)] = _field(t, "c", f"term {i}")
+        return cls(nvars, terms)
 
 
 def fmt_half(x2: int) -> str:

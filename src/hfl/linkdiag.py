@@ -131,9 +131,6 @@ class LinkDiagram:
         x = self.crossings[ci]
         return self.edge_comp[x[0]], self.edge_comp[x[1]]
 
-    def writhe(self):
-        return sum(self.signs)
-
     def is_alternating(self):
         """Whether over/under strictly alternate along every strand cycle."""
         for cyc in self.components:

@@ -39,9 +39,9 @@ known in closed form, and nothing is cancelled: per coordinate, the
 input's bars are read off one boundary-matrix reduction, which also
 gives the total homology.
 
-Each call numbers the generators once: one sort by id and one pass
-over the arrows give the positions that the module maps, the cell
-counts and both reductions of the check read.
+The module maps, the cell counts and both reductions of the check read
+the one numbering of the complex, :func:`hfl.filtered._index`, which
+its validation has already computed and kept on it.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 from functools import cache
 from operator import add
 
-from .filtered import FilteredComplex, echelon, require_valid
+from .filtered import FilteredComplex, _index, echelon, require_valid
 from .laurent import as_ints, fmt_half
 
 __all__ = [
@@ -229,19 +229,6 @@ def e_decomposition(cx: FilteredComplex):
         raise ValueError("e_decomposition expects a one-coordinate complex")
     require_valid(cx)
     return _bars(_index(cx), 0)
-
-
-def _index(cx: FilteredComplex):
-    """The generators as (id, Maslov, doubled level) in sorted id order,
-    and the arrows as (source, target) pairs of positions in that order.
-
-    This is the one numbering of a call: ``_module`` and both ``_bars``
-    reductions of ``decompose`` read it, so the generators are sorted
-    and the arrows looked up once.
-    """
-    gens = sorted(cx.gens())
-    position = {g: p for p, (g, _, _) in enumerate(gens)}
-    return gens, [(position[a], position[b]) for a, b in cx.arrows]
 
 
 def _bars(index, axis: int):

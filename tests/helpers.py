@@ -4,14 +4,15 @@ import random
 import re
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
 
 from hfl.alexander import _fox_rows, _packed_det
-from hfl.filtered import FilteredComplex, MultiGradedVS, echelon
+from hfl.filtered import FilteredComplex, MultiGradedVS, _index, echelon
 from hfl.laurent import MultiLaurent, symmetric_normalize
 from hfl.linkdiag import LinkDiagram, _relabel_dense, braid_closure, corpus
-from hfl.summands import Summand, _image, _index, _module, _rad2, sum_cells
+from hfl.summands import Summand, _image, _module, _rad2, sum_cells
 
 
 def golden_diagram(name):
@@ -493,6 +494,89 @@ def reference_component_homology(cx, i):
     gens = [(g, cx.maslov(g), proj[g]) for g in sorted(out)]
     arrows = [(a, b) for a in out for b in out[a]]
     return FilteredComplex(cx.nvars - 1, cx.parity[: i - 1] + cx.parity[i:], gens, arrows)
+
+
+# The chain checks and both homologies as ``hfl.filtered`` ran them before
+# each complex kept one numbering: the checks on string ids, total homology
+# on a numbering of its own, and associated graded homology numbering the
+# generators of each level apart, all through the Maslov-only reduction.
+# The references for ``validate``, ``total_homology`` and
+# ``assoc_graded_homology``.
+
+def reference_chain_report(cx):
+    """(kind, detail) of the first chain-condition violation, or None."""
+    for a, b in sorted(cx.arrows):
+        da, db = cx.maslov(a), cx.maslov(b)
+        if da - db != 1:
+            return "arrow_grading", f"arrow {a}->{b} drops maslov by {da - db}, not 1"
+        for i, (xa, xb) in enumerate(zip(cx.filt2(a), cx.filt2(b))):
+            if xb > xa:
+                return "filtration", (
+                    f"arrow {a}->{b} raises coordinate {i + 1} by {Fraction(xb - xa, 2)}"
+                )
+    out, _ = reference_adjacency(cx)
+    for a in sorted(out):
+        square = set()
+        for m in out[a]:
+            square ^= out[m]
+        if square:
+            return "d_squared", f"d^2 of {a} hits {min(square)} an odd number of times"
+    return None
+
+
+def reference_graded_homology(maslovs, out):
+    """Homology ranks by Maslov degree; generator p has Maslov grading
+    ``maslovs[p]`` and arrows to the positions ``out[p]``."""
+    dim = Counter(maslovs)
+    bnd_rank = {}
+    by_deg = {}
+    for d, targets in zip(maslovs, out):
+        row = 0
+        for t in targets:
+            row |= 1 << t
+        if row:
+            by_deg.setdefault(d, []).append(row)
+    for d, rows in by_deg.items():
+        bnd_rank[d] = len(echelon(rows))
+    hom = {}
+    for d, n in dim.items():
+        h = n - bnd_rank.get(d, 0) - bnd_rank.get(d + 1, 0)
+        if h < 0:
+            raise ValueError("not a legal filtered complex: a homology rank is negative")
+        if h:
+            hom[d] = h
+    return hom
+
+
+def reference_assoc_graded_homology(cx):
+    by_level = {}
+    position = {}
+    for g, d, h2 in cx.gens():
+        maslovs, out = by_level.setdefault(h2, ([], []))
+        position[g] = len(maslovs)
+        maslovs.append(d)
+        out.append([])
+    for a, b in cx.arrows:
+        ha = cx.filt2(a)
+        if ha == cx.filt2(b):
+            by_level[ha][1][position[a]].append(position[b])
+    ranks = {}
+    for h2, (maslovs, out) in by_level.items():
+        for d, r in reference_graded_homology(maslovs, out).items():
+            ranks[(d, h2)] = r
+    return MultiGradedVS(cx.nvars, cx.parity, ranks)
+
+
+def reference_total_homology(cx):
+    ids = sorted(cx.gen_ids)
+    position = {g: p for p, g in enumerate(ids)}
+    out = [[] for _ in ids]
+    for a, b in cx.arrows:
+        out[position[a]].append(position[b])
+    hom = reference_graded_homology([cx.maslov(g) for g in ids], out)
+    # degrees in the order they first occur among the generators
+    degrees = dict.fromkeys(cx.maslov(g) for g in cx.gen_ids)
+    return {d: hom[d] for d in degrees if d in hom}
 
 
 # Phase two of ``hfl.summands.decompose`` as it ran before the sweep kept

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,11 +12,15 @@ from helpers import (
     euler_number,
     random_filtered_complex,
     random_summand_sum,
+    reference_assoc_graded_homology,
+    reference_chain_report,
     reference_component_homology,
     reference_spectral_pages,
+    reference_total_homology,
     scramble,
     shuffled_ids,
     substitute_one,
+    workload_shaped_sum,
 )
 from hfl.filtered import (
     FilteredComplex,
@@ -32,7 +37,7 @@ from hfl.filtered import (
     validate,
 )
 from hfl.laurent import MultiLaurent
-from hfl.summands import build_sum
+from hfl.summands import build_sum, decompose
 
 
 def hopf_complex():
@@ -382,6 +387,72 @@ def test_cancellation_matches_the_string_keyed_reference():
             assert part.gen_ids == tuple(sorted(part.gen_ids))
 
 
+def with_random_arrows(cx, rng):
+    """``cx`` with one to three more arrows, so that every check and the
+    homology ranks can fail: each joins any two generators, drops Maslov
+    by one, or is legal on its own and starts where an arrow ends."""
+    ids = list(cx.gen_ids)
+    ends = [b for _, b in cx.arrows] or ids
+    arrows = set(cx.arrows)
+    for _ in range(rng.randrange(1, 4)):
+        kind = rng.randrange(4)  # 0: any pair, 1: drops Maslov by one, 2-3: legal
+        a = rng.choice(ends if kind > 1 else ids)
+        below = [b for b in ids if cx.maslov(b) == cx.maslov(a) - 1]
+        if kind > 1:
+            below = [b for b in below if all(map(int.__le__, cx.filt2(b), cx.filt2(a)))]
+        arrows.add((a, rng.choice(below if kind and below else ids)))
+    return FilteredComplex(cx.nvars, cx.parity, cx.gens(), arrows)
+
+
+def test_checks_and_homologies_match_the_string_keyed_reference():
+    # the one numbering kept on a complex gives the reports, the ranks,
+    # the degree order and the refusals of the checks on string ids and of
+    # the homologies that numbered the generators of each level apart
+    rng = random.Random(20261022)
+    seen = Counter()
+    for k in range(1000):
+        cx = random_filtered_complex(rng, 1 + k % 3, max_gens=16)
+        if k % 2:
+            cx = with_random_arrows(cx, rng)
+        cx = shuffled_ids(cx, rng)
+        rep = validate(cx)
+        assert (rep.kind, rep.detail) == (reference_chain_report(cx) or (None, None))
+        seen[rep.kind] += 1
+        for run, reference in ((assoc_graded_homology, reference_assoc_graded_homology),
+                               (total_homology, reference_total_homology)):
+            try:
+                want = reference(cx)
+            except ValueError as refusal:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(refusal))}$"):
+                    run(cx)
+                seen[run.__name__] += 1
+            else:
+                got = run(cx)
+                assert got == want
+                if isinstance(got, dict):
+                    assert list(got) == list(want)
+    # every report kind, and a refusal from each homology, occurs
+    assert set(seen) == {None, "arrow_grading", "filtration", "d_squared",
+                         "assoc_graded_homology", "total_homology"}
+
+
+def test_a_complex_is_numbered_once(monkeypatch):
+    # validation, decompose, the spectral pages, both component homologies
+    # and both homologies all read the one numbering kept on the complex
+    cx = build_sum(workload_shaped_sum(random.Random(6)))
+    calls = []
+    gens = FilteredComplex.gens
+    monkeypatch.setattr(FilteredComplex, "gens", lambda cx: calls.append(1) or gens(cx))
+    validate(cx)
+    decompose(cx)
+    spectral_pages(cx)
+    component_homology(cx, 1)
+    component_homology(cx, 2)
+    assoc_graded_homology(cx)
+    total_homology(cx)
+    assert len(calls) == 1
+
+
 def test_non_integral_values_are_refused():
     with pytest.raises(ValueError, match=r"^generator 'a' Maslov grading 0\.5 is not an integer$"):
         FilteredComplex(1, (0,), [("a", 0.5, (2.7,)), ("b", -1, (0,))], [("a", "b")])
@@ -490,6 +561,25 @@ MALFORMED_COMPLEXES = [
 def test_malformed_complex_document_is_refused(doc, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         FilteredComplex.from_json_dict(doc)
+
+
+# rank table documents that are not the layout of to_json_dict, each with
+# the field its refusal names
+MALFORMED_TABLES = [
+    ({}, "rank table has no 'l' field"),
+    ([1], "rank table is not a JSON object"),
+    ({"l": 1, "parity": [0]}, "rank table has no 'ranks' field"),
+    ({"l": 1, "parity": 0, "ranks": []}, "rank table field 'parity' is not a list"),
+    ({"l": 1, "parity": [0], "ranks": [{"d": 0, "r": 1}]}, "rank entry 0 has no 'h2' field"),
+    ({"l": 1, "parity": [0], "ranks": [{"d": 0, "h2": [0], "r": 1}, 3]},
+     "rank entry 1 is not a JSON object"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MALFORMED_TABLES)
+def test_malformed_table_document_is_refused(doc, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MultiGradedVS.from_json_dict(doc)
 
 
 def test_tables_and_complexes_are_unhashable_values():

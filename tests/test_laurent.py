@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -299,6 +300,20 @@ def test_from_json_dict_refuses_a_repeated_exponent():
         MultiLaurent.from_json_dict(doc)
     doc["terms"][1]["e2"] = [2]
     assert MultiLaurent.from_json_dict(doc) == L(1, {(0,): 1, (2,): 2})
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1], "polynomial is not a JSON object"),
+    ({"terms": []}, "polynomial has no 'l' field"),
+    ({"l": 1}, "polynomial has no 'terms' field"),
+    ({"l": 1, "terms": {}}, "polynomial field 'terms' is not a list"),
+    ({"l": 1, "terms": [{"c": 1}]}, "term 0 has no 'e2' field"),
+    ({"l": 1, "terms": [{"e2": [0], "c": 1}, {"e2": [2]}]}, "term 1 has no 'c' field"),
+    ({"l": 1, "terms": [{"e2": 0, "c": 1}]}, "term 0 field 'e2' is not a list"),
+])
+def test_malformed_polynomial_document_is_refused(doc, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MultiLaurent.from_json_dict(doc)
 
 
 # Every public entry that takes a caller's number, as (build with value v,

@@ -17,6 +17,7 @@ from helpers import (
 )
 from hfl.filtered import (
     FilteredComplex,
+    _index,
     assoc_graded_homology,
     component_homology,
     direct_sum,
@@ -28,7 +29,6 @@ from hfl.fixtures import FIXTURE_NAMES, fixture_complex
 from hfl.summands import (
     Summand,
     _bars,
-    _index,
     _interval_summand,
     _module,
     _rad2,
