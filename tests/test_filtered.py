@@ -20,7 +20,6 @@ from helpers import (
     scramble,
     shuffled_ids,
     substitute_one,
-    workload_shaped_sum,
 )
 from hfl.filtered import (
     FilteredComplex,
@@ -37,7 +36,7 @@ from hfl.filtered import (
     validate,
 )
 from hfl.laurent import MultiLaurent
-from hfl.summands import build_sum, decompose
+from hfl.summands import build_sum
 
 
 def hopf_complex():
@@ -434,23 +433,6 @@ def test_checks_and_homologies_match_the_string_keyed_reference():
     # every report kind, and a refusal from each homology, occurs
     assert set(seen) == {None, "arrow_grading", "filtration", "d_squared",
                          "assoc_graded_homology", "total_homology"}
-
-
-def test_a_complex_is_numbered_once(monkeypatch):
-    # validation, decompose, the spectral pages, both component homologies
-    # and both homologies all read the one numbering kept on the complex
-    cx = build_sum(workload_shaped_sum(random.Random(6)))
-    calls = []
-    gens = FilteredComplex.gens
-    monkeypatch.setattr(FilteredComplex, "gens", lambda cx: calls.append(1) or gens(cx))
-    validate(cx)
-    decompose(cx)
-    spectral_pages(cx)
-    component_homology(cx, 1)
-    component_homology(cx, 2)
-    assoc_graded_homology(cx)
-    total_homology(cx)
-    assert len(calls) == 1
 
 
 def test_non_integral_values_are_refused():

@@ -385,15 +385,24 @@ def test_decompose_matches_the_sorting_reference_on_workload_shaped_sums():
         assert decompose(cx) == reference_decompose(cx) == ss
 
 
-def test_decompose_numbers_the_generators_once(monkeypatch):
-    # one sorted index feeds the module maps, both persistence reductions
-    # of the self-check and the generator counts
+def test_a_complex_is_numbered_once(monkeypatch):
+    # one sorted index, kept on the complex, feeds validation, the module
+    # maps, both persistence reductions of the self-check and the
+    # generator counts, the spectral pages, both component homologies and
+    # both homologies
     calls = []
     gens = FilteredComplex.gens
     monkeypatch.setattr(FilteredComplex, "gens", lambda cx: calls.append(1) or gens(cx))
     monkeypatch.setattr(FilteredComplex, "counts", None)
     ss = workload_shaped_sum(random.Random(5))
-    assert decompose(build_sum(ss)) == ss
+    cx = build_sum(ss)
+    assert validate(cx)
+    assert decompose(cx) == ss
+    spectral_pages(cx)
+    component_homology(cx, 1)
+    component_homology(cx, 2)
+    assoc_graded_homology(cx)
+    total_homology(cx)
     assert len(calls) == 1
 
 
