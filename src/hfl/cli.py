@@ -29,6 +29,7 @@ from .alexander import multivariable_alexander, signature
 from .filtered import (
     FilteredComplex,
     assoc_graded_homology,
+    first_difference,
     spectral_pages,
     tensor_graded,
     total_homology,
@@ -42,6 +43,7 @@ from .homology import (
     two_component_cfl_from_diagram,
     verify,
 )
+from .laurent import fmt_half
 from .linkdiag import CORPUS_NAMES, SplitLinkError
 
 
@@ -254,8 +256,9 @@ def _check_rows(name: str) -> list:
             state["cx"] = cx
             if not validate(cx):
                 return False, "complex fails validation"
-            if assoc_graded_homology(cx) != state["report"].table:
-                return False, "associated graded disagrees with the rank table"
+            graded = assoc_graded_homology(cx)
+            if graded != state["report"].table:
+                return False, _disagreement("associated graded", graded, state["report"].table)
             hom = total_homology(cx)
             return hom == {0: 1, -1: 1}, f"total homology {hom}"
 
@@ -264,7 +267,7 @@ def _check_rows(name: str) -> list:
         def c_spectral():
             pages = spectral_pages(state["cx"])
             if pages[0] != state["report"].table:
-                return False, "first page disagrees with the rank table"
+                return False, _disagreement("first page", pages[0], state["report"].table)
             return pages[-1].total_rank() == 2, f"last page rank {pages[-1].total_rank()}"
 
         add("spectral", c_spectral)
@@ -278,6 +281,17 @@ def _check_rows(name: str) -> list:
         add("heegaard", c_heegaard)
 
     return rows
+
+
+def _disagreement(what: str, mine, table) -> str:
+    """Failure detail of a table ``mine`` that is not the rank table,
+    naming the first cell where their ranks differ."""
+    detail = f"{what} disagrees with the rank table"
+    cell = first_difference(mine.ranks, table.ranks)
+    if cell:
+        d, h2, rank, want = cell
+        detail += f" first at h=({','.join(map(fmt_half, h2))}) d={d}: rank {rank}, not {want}"
+    return detail
 
 
 def _cmd_check(args):

@@ -69,6 +69,7 @@ __all__ = [
     "echelon",
     "assoc_graded_homology",
     "asymmetric_cell",
+    "first_difference",
     "total_homology",
     "spectral_pages",
     "component_homology",
@@ -374,11 +375,12 @@ def _index(cx: FilteredComplex):
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of the three chain-complex checks.
+    """Outcome of a pass/fail check, truthy when it passed; a failed one
+    names its ``kind`` and ``detail``, and a passed one may carry its kind.
 
-    ``kind`` of the first violation found is one of ``arrow_grading``
-    (an arrow not dropping Maslov by one), ``filtration`` (an arrow
-    raising a coordinate), or ``d_squared``.
+    ``validate``'s kinds are ``arrow_grading`` (an arrow not dropping
+    Maslov by one), ``filtration`` (an arrow raising a coordinate) and
+    ``d_squared``; ``homology.verify``'s are the names of its checks.
     """
 
     ok: bool
@@ -507,6 +509,17 @@ def asymmetric_cell(ranks: Mapping) -> tuple | None:
         if ranks[(d, h2)] != ranks.get(partner, 0):
             return (d, h2), partner
     return None
+
+
+def first_difference(a: Mapping, b: Mapping) -> tuple | None:
+    """The first (Maslov, doubled level) cell, in the order ``table_str``
+    lists them, where the rank dicts ``a`` and ``b`` differ, as
+    (d, h2, rank in a, rank in b); None if they agree."""
+    differ = [cell for cell in a.keys() | b.keys() if a.get(cell, 0) != b.get(cell, 0)]
+    if not differ:
+        return None
+    d, h2 = min(differ, key=lambda cell: (cell[1], cell[0]))
+    return d, h2, a.get((d, h2), 0), b.get((d, h2), 0)
 
 
 def total_homology(cx: FilteredComplex) -> dict[int, int]:

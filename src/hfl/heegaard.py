@@ -43,13 +43,15 @@ All geometry is integer arithmetic.  The pillowcase is scaled by
 integer, and the index is kept as four times its value.  A domain is
 packed into one integer with a slot of signed digits per region, so
 adding the integers adds the domains.  The connecting domains of all
-generators come at once, per diagram, from prefix sums along each curve
-of the packed solutions for single edges, and so do their indices, from
-the same sums of subtree weights in the tree pass.  A pair's candidates
-are the difference of two of them plus whole curves: one read of four
-slots gives their corner sums at g, and each, lowered by its least
-multiplicity, is tested as a whole integer, with a popcount of its
-corner slots at h, so counting needs no search and no loop over regions.
+generators and the two whole curves come at once, per diagram, from
+prefix sums along each curve of the packed solutions for single edges,
+and so do their Euler measures, from the same sums of subtree weights
+in the tree pass; the gradings and the lattice check read them there.
+A pair's candidates are the difference of two connecting domains plus
+whole curves: one read of four slots gives their corner sums at g, and
+each, lowered by its least multiplicity, is tested as a whole integer,
+with a popcount of its corner slots at h, so counting needs no search
+and no loop over regions.
 Only pairs with Maslov drop 1 and Alexander drops 0 or 1 are looked up,
 by their grading keys: an embedded bigon has index 1, misses w1 and w2
 and covers each z at most once, and the lattice congruence gives every
@@ -74,6 +76,7 @@ from .filtered import (
     FilteredComplex,
     assoc_graded_homology,
     component_homology,
+    first_difference,
     total_homology,
 )
 from . import linkdiag
@@ -89,15 +92,6 @@ __all__ = [
     "oracle_compare",
     "OracleReport",
 ]
-
-def _scale(p: int, q: int) -> int:
-    """Units per unit length: every coordinate the diagram uses is a multiple.
-
-    alpha lifts to the lines y = +-s/4 and beta to p*x - q*y = +-s/4; the
-    sample offsets are s/(8p), s/(8(q+1)) and s/8.
-    """
-    return 8 * p * (q + 1)
-
 
 @dataclass
 class SphereDiagram:
@@ -206,9 +200,10 @@ class SphereDiagram:
         unit one, in slots above the regions'.  Prefix sums PA and PB along
         the two curves give phi_g = PA[pos_a g] + PB[pos_b alpha[0]] -
         PB[pos_b g], A = PA[n] and B = PB[n], each of defect 0, and the
-        same sums of weights give euler[g] = 4 e(phi_g).  ``bigons`` takes
-        one corner read of ``lifted[h]`` at g, less ``home[g]``, then a
-        popcount of the lowered candidate on ``cmask[h]``.
+        same sums of weights give euler[g] = 4 e(phi_g) and whole_euler =
+        (4 e(A), 4 e(B)).  ``bigons`` takes one corner read of
+        ``lifted[h]`` at g, less ``home[g]``, then a popcount of the
+        lowered candidate on ``cmask[h]``.
 
         Each of these, and each candidate of ``bigons``, solves a chain
         with coefficients -1, 0 or 1, so a multiplicity is at most its
@@ -258,11 +253,10 @@ class SphereDiagram:
         corners = {g: tuple(shift[r] for r in quads) for g, quads in self.corners.items()}
         dom = _Domains(
             width=width, shift=shift, ones=ones,
-            weight={shift[r]: 4 - counts[r] for r in regions if counts[r] != 4},
             corners=corners, pos_a={g: k for k, g in enumerate(self.alpha)}, pos_b=pos_b,
             phi=phi, whole_a=pa[n], whole_b=pb[n], whole_corners={}, lifted=lifted, home={},
             cmask={g: sum(1 << s for s in quad) for g, quad in corners.items()},
-            euler=euler, refuse={})
+            euler=euler, whole_euler=(ea[n], eb[n]), refuse={})
         return dom._replace(
             whole_corners={g: (dom.at(whole[0], g), dom.at(whole[1], g)) for g in self.alpha},
             home={g: dom.at(y, g) for g, y in lifted.items()})
@@ -270,9 +264,13 @@ class SphereDiagram:
     # -- measures ------------------------------------------------------
 
     def index(self, m: dict, g: str, h: str) -> Fraction:
-        """Combinatorial Maslov index e(D) + n_g(D) + n_h(D) of the multiplicities ``m``."""
-        dom = self._domains
-        return Fraction(dom.four_index(dom.pack(m), g, h), 4)
+        """Combinatorial Maslov index e(D) + n_g(D) + n_h(D) of the multiplicities
+        ``m`` (0 where a region is missing), a region r having 4 e(r) = 4 -
+        (r's corner count); read off ``m`` itself, nothing packed."""
+        counts = Counter(r for quads in self.corners.values() for r in quads)
+        four = sum(v * (4 - counts[r]) for r, v in m.items())
+        four += sum(m.get(r, 0) for r in self.corners[g] + self.corners[h])
+        return Fraction(four, 4)
 
     def bigons(self, g: str, h: str, avoid) -> int:
         """Number of embedded bigons from g to h missing ``avoid`` regions.
@@ -293,7 +291,9 @@ class SphereDiagram:
         lies on h's four corner slots, distinct by ``check`` (corner sum
         1 at h).  Corner sum 1 at g makes some multiplicity 0 and some 1,
         and bounded by one arc of each curve on the sphere, such a domain
-        is a disk, of index 1.
+        is a disk, of index 1.  That no other positive index-1 domain
+        missing w1 and w2 exists, one with a multiplicity above 1, say, is
+        checked by enumeration for even p <= 20, not proved.
         """
         dom = self._domains
         i0 = int(dom.pos_a[g] > dom.pos_a[h])
@@ -317,19 +317,18 @@ class SphereDiagram:
 
 
 class _Domains(NamedTuple):
-    """Domains of a diagram, each packed into one integer.
+    """Domains of a diagram, each packed into one integer, and their Euler measures.
 
     A domain with multiplicity m_r in region r is the sum of
     m_r * 2^shift[r]: one slot of ``width`` bits per region, holding a
     signed digit.  The packing is linear, so adding or scaling the
     integers adds or scales the domains, and ``_domains`` bounds every
-    digit by 2^(width - 1) in absolute value.
+    digit of the domains it builds by 2^(width - 1) in absolute value.
     """
 
     width: int         # bits per slot
     shift: dict        # region -> bit offset of its slot
     ones: int          # 1 in every region slot: the whole sphere
-    weight: dict       # slot offset -> 4 - (corner count), 4 e(region), where not 0
     corners: dict      # point -> slot offsets of its four corner regions
     pos_a: dict        # point -> index along alpha
     pos_b: dict        # point -> index along beta
@@ -341,6 +340,7 @@ class _Domains(NamedTuple):
     home: dict         # point g -> 4 n_g(phi_g)
     cmask: dict        # point g -> the lowest bit of each of g's corner slots
     euler: dict        # point g -> 4 e(phi_g)
+    whole_euler: tuple  # (4 e(A), 4 e(B))
     refuse: dict       # avoided regions -> the bits no lowered bigon may hold, on first use
 
     def digits(self, m: int, shifts) -> list:
@@ -350,39 +350,12 @@ class _Domains(NamedTuple):
         y = m + half * self.ones
         return [(y >> s & 2 * half - 1) - half for s in shifts]
 
-    def pack(self, m: dict) -> int:
-        """The multiplicities ``m`` (region -> int) as one integer."""
-        half = 1 << self.width - 1
-        if any(abs(v) >= half for v in m.values()):
-            raise ValueError(f"a multiplicity does not fit a slot of {self.width} bits")
-        return sum(v << self.shift[r] for r, v in m.items())
-
     def at(self, y: int, x: str) -> int:
         """4 n_x(D) from four slots of ``y``, which is D plus half a slot per region."""
         mask = (1 << self.width) - 1
         s0, s1, s2, s3 = self.corners[x]
         return ((y >> s0 & mask) + (y >> s1 & mask) + (y >> s2 & mask) + (y >> s3 & mask)
                 - (4 << self.width - 1))
-
-    def four_index(self, m: int, g: str, h: str) -> int:
-        """4 (e(D) + n_g(D) + n_h(D)) of the packed domain ``m``."""
-        y = m + (self.ones << self.width - 1)
-        return (sum(w * v for w, v in zip(self.weight.values(), self.digits(m, self.weight)))
-                + self.at(y, g) + self.at(y, h))
-
-
-def _face(p: int, q: int, x: int, y: int) -> tuple:
-    """Torus face (side of alpha, side of beta, sheet) containing a point.
-
-    ``x`` and ``y`` are integers in units of 1/_scale(p, q), and the
-    point lies on neither curve.
-    """
-    s = _scale(p, q)
-    a = s // 4
-    yr = (y + a) % s - a
-    v = p * x - q * yr
-    vr = (v + a) % s - a
-    return (0 if yr < a else 1, 0 if vr < a else 1, (v - vr) // s % p)
 
 
 def two_bridge_diagram(p: int, q: int) -> SphereDiagram:
@@ -410,13 +383,19 @@ def two_bridge_diagram(p: int, q: int) -> SphereDiagram:
     if p % 2:
         raise ValueError("odd p gives a knot; this diagram needs a two-component link")
 
-    # Integer coordinates in units of 1/s: alpha lifts to y = +-a, beta to
-    # p*x - q*y = +-a, and the basepoints are the half-periods.
-    s = _scale(p, q)
+    # Integer coordinates in units of 1/s, s = 8p(q+1): alpha lifts to
+    # y = +-a, beta to p*x - q*y = +-a, the basepoints are the half-periods,
+    # and the sample offsets s/(8p), s/(8(q+1)) and s/8 are integers too.
+    s = 8 * p * (q + 1)
     a, half = s // 4, s // 2
 
     def face(x, y):
-        return _face(p, q, x, y)
+        """Torus face (side of alpha, side of beta, sheet) of a point on
+        neither curve."""
+        yr = (y + a) % s - a
+        v = p * x - q * yr
+        vr = (v + a) % s - a
+        return (0 if yr < a else 1, 0 if vr < a else 1, (v - vr) // s % p)
 
     # Intersection points in order along the alpha lift y = a; a point of
     # type t lies on the beta lift p*x - q*y = a (t = 0) or s - a (t = 1).
@@ -515,22 +494,23 @@ def _relative_gradings(d: SphereDiagram) -> dict:
     they are independent of the choice once each lattice generator has
     index 2(n_w1 + n_w2) (checked at every endpoint g, which the index
     reads only through the corner sum at g) and n_z = n_w per pair.  The
-    index is kept as four times its value, that of phi_g read as
-    ``euler[g]`` + ``home[g]`` + one corner read at ``alpha[0]``.
+    index is kept as four times its value: 4 e of a lattice generator is
+    ``whole_euler`` for A and B and 8 for the sphere, and that of phi_g
+    is ``euler[g]`` + ``home[g]`` + one corner read at ``alpha[0]``.
     """
     dom = d._domains
     bp_shifts = [dom.shift[d.basepoints[k]] for k in ("w1", "z1", "w2", "z2")]
     base = d.alpha[0]
     # corner sums at each point, in the order of alpha; the sphere's are all 4
     at_a, at_b = zip(*(dom.whole_corners[g] for g in d.alpha))
-    lattice = [(extra, dom.digits(extra, bp_shifts), at)
-               for extra, at in ((dom.whole_a, at_a), (dom.whole_b, at_b),
-                                 (dom.ones, (4,) * len(d.alpha)))]
-    for extra, (w1, _, w2, _), at in lattice:
-        rest = dom.four_index(extra, base, base) - at[0]
-        if any(rest + c != 8 * (w1 + w2) for c in at):
+    ea, eb = dom.whole_euler
+    lattice = [(dom.digits(extra, bp_shifts), four_e, at)
+               for extra, four_e, at in ((dom.whole_a, ea, at_a), (dom.whole_b, eb, at_b),
+                                         (dom.ones, 8, (4,) * len(d.alpha)))]
+    for (w1, _, w2, _), four_e, at in lattice:
+        if any(four_e + at[0] + c != 8 * (w1 + w2) for c in at):
             raise ValueError("the Maslov index congruence fails on the domain lattice")
-    if any(z1 != w1 or z2 != w2 for _, (w1, z1, w2, z2), _ in lattice):
+    if any(z1 != w1 or z2 != w2 for (w1, z1, w2, z2), _, _ in lattice):
         raise ValueError("relative gradings depend on the choice of connecting domain")
     rel = {}
     for g in d.alpha:
@@ -612,9 +592,7 @@ class OracleReport:
     equals the alternating-link table.  ``lk`` is the linking number
     read off the diagram and ``link_lk`` that of
     ``linkdiag.two_bridge(p, q)`` (both None for the unknot).  ``cell``
-    is the first grading, in the order ``table_str`` lists them, where
-    the ranks differ: (Maslov grading, doubled Alexander level, bigon
-    rank, alternating rank).
+    is ``filtered.first_difference`` of the bigon and alternating ranks.
     """
 
     p: int
@@ -668,10 +646,5 @@ def oracle_compare(p: int, q: int) -> OracleReport:
         link = linkdiag.two_bridge(p, q)
         link_lk = linkdiag.linking_matrix(link).lk[0][1]
     alt = hfl_alternating(link).table
-    differ = sorted((h2, d) for d, h2 in table.ranks.keys() | alt.ranks.keys()
-                    if table.rank(d, h2) != alt.rank(d, h2))
-    cell = None
-    if differ:
-        h2, d = differ[0]
-        cell = (d, h2, table.rank(d, h2), alt.rank(d, h2))
+    cell = first_difference(table.ranks, alt.ranks)
     return OracleReport(p, q, lk == link_lk and table == alt, lk, link_lk, cell)

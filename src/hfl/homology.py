@@ -29,7 +29,13 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .alexander import multivariable_alexander, signature
-from .filtered import FilteredComplex, MultiGradedVS, asymmetric_cell
+from .filtered import (
+    FilteredComplex,
+    MultiGradedVS,
+    ValidationReport,
+    asymmetric_cell,
+    first_difference,
+)
 from .laurent import (
     MultiLaurent,
     as_ints,
@@ -45,7 +51,6 @@ __all__ = [
     "ComponentData",
     "HFLReport",
     "CollapsedTable",
-    "VerifyReport",
     "table_from_invariants",
     "hfl_alternating",
     "hfk_alternating_knot",
@@ -262,20 +267,10 @@ def collapse_to_hfk(v: MultiGradedVS) -> CollapsedTable:
 # ----------------------------------------------------------------------
 # Consistency checks of a table against its Alexander polynomial
 
-@dataclass(frozen=True)
-class VerifyReport:
-    ok: bool
-    kind: str
-    detail: str | None = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
 EULER_MINUS_DEPTH = 6  # terms of the truncated series in the euler_minus check
 
 
-def verify(table: MultiGradedVS, delta: MultiLaurent, kind: str) -> VerifyReport:
+def verify(table: MultiGradedVS, delta: MultiLaurent, kind: str) -> ValidationReport:
     """Check a rank table against its Alexander polynomial.
 
     ``euler_hat``: the graded Euler characteristic must equal the
@@ -298,28 +293,28 @@ def verify(table: MultiGradedVS, delta: MultiLaurent, kind: str) -> VerifyReport
     raise ValueError(f"unknown check {kind!r}")
 
 
-def _verify_euler_hat(chi: MultiLaurent, target: MultiLaurent) -> VerifyReport:
+def _verify_euler_hat(chi: MultiLaurent, target: MultiLaurent) -> ValidationReport:
     """The ``euler_hat`` check of a table's Euler characteristic ``chi``
     against ``_euler_target(delta)``."""
     if chi == target or chi == -target:
-        return VerifyReport(True, "euler_hat")
+        return ValidationReport(True, "euler_hat")
     diff_m = chi - target
     diff_p = chi + target
     diff = diff_m if len(diff_m.terms) <= len(diff_p.terms) else diff_p
     e = min(diff.terms)
-    return VerifyReport(
+    return ValidationReport(
         False,
         "euler_hat",
         f"first mismatch at doubled exponent {e}: chi = {chi}, want ±({target})",
     )
 
 
-def _verify_symmetry(table: MultiGradedVS) -> VerifyReport:
+def _verify_symmetry(table: MultiGradedVS) -> ValidationReport:
     found = asymmetric_cell(table.ranks)
     if found is None:
-        return VerifyReport(True, "symmetry")
+        return ValidationReport(True, "symmetry")
     (d, h2), (d2, neg) = found
-    return VerifyReport(
+    return ValidationReport(
         False,
         "symmetry",
         f"rank {table.rank(d, h2)} at d={d}, h2={h2} "
@@ -327,7 +322,7 @@ def _verify_symmetry(table: MultiGradedVS) -> VerifyReport:
     )
 
 
-def _verify_euler_minus(table: MultiGradedVS, delta: MultiLaurent) -> VerifyReport:
+def _verify_euler_minus(table: MultiGradedVS, delta: MultiLaurent) -> ValidationReport:
     l = table.nvars
     chi = table.euler()
     lhs = chi
@@ -344,8 +339,8 @@ def _verify_euler_minus(table: MultiGradedVS, delta: MultiLaurent) -> VerifyRepo
     lw = lhs.restrict(floor2)
     tw = target.restrict(floor2)
     if lw == tw or lw == -tw:
-        return VerifyReport(True, "euler_minus")
-    return VerifyReport(
+        return ValidationReport(True, "euler_minus")
+    return ValidationReport(
         False,
         "euler_minus",
         f"series quotient disagrees above doubled floor {floor2}: "
@@ -576,8 +571,11 @@ def _failed_check(
     Its total and component homologies are the closed forms of
     ``sum_invariants``, and nothing is cancelled.
     """
-    if cx.counts().ranks != target.ranks:
-        return "the associated graded homology differs from the rank table"
+    cell = first_difference(cx.counts().ranks, target.ranks)
+    if cell:
+        d, h2, rank, want = cell
+        return (f"the associated graded homology differs from the rank table "
+                f"first at {_cell(d, h2)}: rank {rank}, not {want}")
     th, per_coordinate = sum_invariants(summands)
     if sorted(th.values()) != [1, 1] or max(th) - min(th) != 1:
         return f"the total homology {dict(th)} is not rank one in two adjacent gradings"

@@ -469,9 +469,12 @@ def test_check_row_names_an_invalid_cfl2_complex(monkeypatch, capsys):
 
 
 def wrong_table(name):
+    # the cell bumped here lists after the one dropped, which the failure names
     table = hfl_alternating(linkdiag.corpus(name)).table
     ranks = Counter(table.ranks)
-    ranks[next(iter(ranks))] += 1
+    cells = sorted(ranks, key=lambda cell: (cell[1], cell[0]))
+    ranks[cells[-1]] += 1
+    del ranks[cells[0]]
     return MultiGradedVS(table.nvars, table.parity, ranks)
 
 
@@ -479,14 +482,16 @@ def test_check_row_names_a_disagreeing_associated_graded(monkeypatch):
     wrong = wrong_table("hopf_plus")
     rows = failing_row(monkeypatch, "hopf_plus", "assoc_graded_homology", lambda cx: wrong)
     assert [(row["check"], row["detail"]) for row in rows] == [
-        ("cfl2", "associated graded disagrees with the rank table")]
+        ("cfl2", "associated graded disagrees with the rank table first at h=(-1/2,-1/2) d=-2: "
+                    "rank 0, not 1")]
 
 
 def test_check_row_names_a_disagreeing_first_page(monkeypatch):
     wrong = wrong_table("hopf_plus")
     rows = failing_row(monkeypatch, "hopf_plus", "spectral_pages", lambda cx: [wrong])
     assert [(row["check"], row["detail"]) for row in rows] == [
-        ("spectral", "first page disagrees with the rank table")]
+        ("spectral", "first page disagrees with the rank table first at h=(-1/2,-1/2) d=-2: "
+                    "rank 0, not 1")]
 
 
 # ----------------------------------------------------------------------

@@ -29,6 +29,7 @@ from hfl.filtered import (
     component_homology,
     direct_sum,
     echelon,
+    first_difference,
     shift,
     spectral_pages,
     tensor_graded,
@@ -278,6 +279,14 @@ def test_asymmetric_cell_names_the_first_broken_cell():
     broken = dict(table)
     broken[(4, (2, 0))] = 1
     assert asymmetric_cell(broken) == ((4, (2, 0)), (2, (-2, 0)))
+
+
+def test_first_difference_lists_cells_as_table_str_does():
+    # by level first, then Maslov grading: (2, (-1,)) comes before (0, (1,))
+    a = {(0, (1,)): 1, (2, (-1,)): 1, (1, (1,)): 3}
+    assert first_difference(a, dict(a)) is None
+    assert first_difference(a, {(0, (1,)): 2, (1, (1,)): 3}) == (2, (-1,), 1, 0)
+    assert first_difference(a, {**a, (0, (1,)): 2, (-5, (3,)): 1}) == (0, (1,), 1, 2)
 
 
 def test_tensor_graded_hopf_square():

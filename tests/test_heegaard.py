@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import random
 from collections import Counter
 from itertools import permutations, product
 from pathlib import Path
@@ -255,8 +256,9 @@ def test_pair_window_matches_the_all_pairs_count(p, q):
     # (Maslov drop 1, doubled Alexander drops 0 or 2) has none.
     d = two_bridge_diagram(p, q)
     ref, dom = ListBigons(d), d._domains
+    shifts = [dom.shift[r] for r in d.regions]
     for g in d.alpha:
-        assert dom.phi[g] == dom.pack(dict(zip(d.regions, ref.phi[g]))), g
+        assert dom.digits(dom.phi[g], shifts) == ref.phi[g], g
     avoid = (d.basepoints["w1"], d.basepoints["w2"])
     counts = {(g, h): ref.count(g, h, avoid) for g, h in permutations(d.alpha, 2)}
     assert counts == {(g, h): d.bigons(g, h, avoid) for g, h in counts}
@@ -513,12 +515,71 @@ def test_domains_refuse_a_disconnected_complement():
         bad.bigons("x0", "x1", ())
 
 
-def test_index_refuses_a_multiplicity_wider_than_a_slot():
-    d = two_bridge_diagram(8, 3)
-    width = d._domains.width
-    assert d.index({d.regions[1]: (1 << width - 1) - 1}, "x0", "x0") is not None
-    with pytest.raises(ValueError, match=f"a multiplicity does not fit a slot of {width} bits"):
-        d.index({d.regions[1]: 1 << width - 1}, "x0", "x0")
+@pytest.mark.parametrize("p,q", [(8, 3), (98, 37)])
+def test_index_matches_the_list_reference(p, q):
+    # index reads the multiplicities themselves, so no bound on them
+    # applies: seeded values up to 2^40 far exceed any slot of _domains,
+    # and a region left out of the dict counts as 0
+    d = two_bridge_diagram(p, q)
+    ref = ListBigons(d)
+    rng = random.Random(p * 1000 + q)
+    for _ in range(40):
+        m = [rng.randint(-(1 << 40), 1 << 40) for _ in d.regions]
+        g, h = rng.choice(d.alpha), rng.choice(d.alpha)
+        assert 4 * d.index(dict(zip(d.regions, m)), g, h) == ref.four_index(m, g, h)
+        kept = {r: v for r, v in zip(d.regions, m) if v % 3}
+        m = [kept.get(r, 0) for r in d.regions]
+        assert 4 * d.index(kept, g, h) == ref.four_index(m, g, h)
+
+
+@pytest.mark.parametrize("p,q", EVEN_PAIRS, ids=[f"b({p},{q})" for p, q in EVEN_PAIRS])
+def test_whole_curve_euler_measures_match_the_list_reference(p, q):
+    # The lattice check reads 4 e(A) and 4 e(B) off the tree pass; the
+    # reference weighs each region of its own A and B by 4 - (corner count)
+    d = two_bridge_diagram(p, q)
+    ref = ListBigons(d)
+    want = tuple(sum(v * w for v, w in zip(m, ref.weight)) for m in (ref.whole_a, ref.whole_b))
+    assert d._domains.whole_euler == want
+
+
+def test_positive_index_one_domains_are_the_embedded_bigons():
+    # A positive index-1 domain missing w1 and w2 with a multiplicity
+    # above 1 would be an arrow that bigons does not count; there is none
+    # for even p <= 20.  A domain from g to h is phi_h - phi_g + i A + j B
+    # + k S, S the sphere.  w1 and w2 lie on opposite sides of both
+    # curves, so given j the conditions n_w1 = n_w2 = 0 fix i and k, and
+    # every multiplicity moves with j by -1, 0 or 1: the positive domains
+    # are those of one window of j.
+    found = 0
+    for p, q in [(p, q) for p, q in EVEN_PAIRS if p <= 20]:
+        d = two_bridge_diagram(p, q)
+        ref = ListBigons(d)
+        w1, w2 = (ref.at[d.basepoints[k]] for k in ("w1", "w2"))
+        whole_a, whole_b = ref.whole_a, ref.whole_b
+        da, db = whole_a[w1] - whole_a[w2], whole_b[w1] - whole_b[w2]
+        assert abs(da) == abs(db) == 1
+
+        def domain(base, j):
+            i = -(base[w1] - base[w2] + j * db) * da
+            k = -(base[w1] + i * whole_a[w1] + j * whole_b[w1])
+            return [x + i * u + j * v + k for x, u, v in zip(base, whole_a, whole_b)]
+
+        avoid = (d.basepoints["w1"], d.basepoints["w2"])
+        for g, h in permutations(d.alpha, 2):
+            base = [y - x for x, y in zip(ref.phi[g], ref.phi[h])]
+            at0, at1 = domain(base, 0), domain(base, 1)
+            slopes = [y - x for x, y in zip(at0, at1)]
+            assert set(slopes) == {-1, 0, 1}
+            lo = max(-c for c, s in zip(at0, slopes) if s == 1)
+            hi = min(c for c, s in zip(at0, slopes) if s == -1)
+            fixed = min(c for c, s in zip(at0, slopes) if s == 0)
+            window = range(lo, hi + 1) if fixed >= 0 else range(0)
+            ones = [m for m in (domain(base, j) for j in window)
+                    if d.index(dict(zip(d.regions, m)), g, h) == 1]
+            assert len(ones) == ref.count(g, h, avoid), (p, q, g, h)
+            assert all(max(m) == 1 for m in ones), (p, q, g, h)
+            found += len(ones)
+    assert found == 2870
 
 
 def with_phi(d, h, r, extra):

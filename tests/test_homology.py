@@ -575,7 +575,8 @@ def test_solver_names_the_failed_output_check(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(homology, "_tile_squares", lambda cells: [Summand("B", -3, 0, (-3, -3))])
-        assert refusal() == "the associated graded homology differs from the rank table"
+        assert refusal() == ("the associated graded homology differs from the rank table "
+                             "first at d=-3, h2=(-3, -3): rank 1, not 0")
     with monkeypatch.context() as m:
         m.setattr(homology, "sum_invariants",
                   lambda ss: (Counter({0: 1, -2: 1}), sum_invariants(ss)[1]))
