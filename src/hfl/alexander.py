@@ -8,13 +8,16 @@ Two quantities are computed here, both in exact arithmetic:
 * the signature of the oriented link, via the Gordon-Litherland form of
   a checkerboard surface.
 
-The Fox determinant is a fraction-free Bareiss elimination on sparse
-rows of packed polynomials, every entry update formed term by term
-(``_entry``), with rows and columns ordered by a breadth-first walk of
-the diagram.  The Fox matrix is built packed, in one box: every doubled
-exponent of a Fox entry is 0 or 2, so for a minor with n rows each
-variable is a digit in base B = 4n + 3, T1 the most significant.  On
-an alternating projection every crossing has the same checkerboard
+The Fox determinant is one elimination on sparse rows of packed
+polynomials, with rows and columns ordered by a breadth-first walk of
+the diagram, in two stages: Gaussian steps while the fewest-terms pivot
+is a unit, +-1 times a monomial, and fraction-free Bareiss elimination
+on the trailing block from the first pivot that is not.  Every entry
+update is formed term by term.  The Fox matrix is built packed, in one
+box: every doubled exponent of a Fox entry is 0 or 2, so for a minor
+with n rows each variable is a signed digit in balanced base W = 8n + 1,
+T1 the most significant, and no key either stage forms leaves the box.
+On an alternating projection every crossing has the same checkerboard
 type, the Goeritz form is definite, and the signature is a count of
 white faces; only other projections run an elimination for it.
 
@@ -75,11 +78,12 @@ def multivariable_alexander(d: LinkDiagram) -> AlexanderResult:
     The elimination starts at the far side of the diagram and closes in
     on the deleted crossing, so its cost follows the shape of the
     diagram rather than its labels.  The rows come packed, every doubled
-    exponent 0 or 2, in base B = 4n + 3 for a minor with n rows, wide
-    enough that no key of the elimination carries.  The determinant is
-    computed fraction-free and the division is performed exactly; a nonzero
-    remainder is an internal error, not a possible outcome.  The result
-    is normalized to its bar-symmetric representative with positive
+    exponent 0 or 2, in balanced base W = 8n + 1 for a minor with n rows,
+    wide enough that no key of the elimination carries.  The determinant
+    takes Gaussian steps while the pivot is a unit and hands the first
+    block without one to fraction-free Bareiss elimination; the division
+    by T_i - 1 is performed exactly, and a nonzero remainder is an
+    internal error, not a possible outcome.  The result is normalized to its bar-symmetric representative with positive
     leading coefficient.
     """
     if not d.crossings:
@@ -115,10 +119,10 @@ def _fox_rows(d: LinkDiagram):
     (the walk still sees the arc) for the minor to leave out.
 
     The box: every doubled exponent is 0 or 2, and a minor of the c
-    crossings has n = c - 1 rows, so the base is B = 4n + 3 for every
-    variable, the bound 2*n*span + dspan + 1 of ``_packed_det`` with
-    span = 2 and dspan = 2 (the Torres divisor T_i - 1).  Of l
-    variables, T_(i+1) is the key 2*B^(l-1-i) and the unit the key 0.
+    crossings has n = c - 1 rows, so the balanced base is W = 8n + 1 for
+    every variable, the bound 4*n*span + 1 of ``_packed_det`` with
+    span = 2.  Of l variables, T_(i+1) is the key 2*W^(l-1-i) and the
+    unit the key 0.
     """
     if not d.connected:
         raise ValueError("Wirtinger presentation needs a connected projection")
@@ -132,7 +136,7 @@ def _fox_rows(d: LinkDiagram):
                 arc_component.append(i)
             arc[e] = len(arc_component) - 1
     nvars = d.n_components
-    base = 4 * len(d.crossings) - 1
+    base = 8 * len(d.crossings) - 7
     var = [2 * base ** (nvars - 1 - i) for i in range(nvars)]
     rows = []
     for x, sign in zip(d.crossings, d.signs):
@@ -187,129 +191,196 @@ def _packed_det(rows, nvars, base, divisor=None):
     exactly by ``divisor`` and unpacked to a MultiLaurent.
 
     Row i of the n x n matrix is ``rows[i]``, a dict from column
-    (0..n-1) to nonzero entry, consumed by the elimination; columns it
-    lacks are zero.  Entries and the divisor are dicts from packed key
-    to nonzero coefficient: an exponent vector of nonnegative digits in
-    base ``base``, T1 the most significant.  Fraction-free Bareiss
-    elimination (``_bareiss``) with the fewest-terms pivot.  If the
-    entries' digits run over 0..span and the divisor's over 0..dspan, a
-    k-minor's digits stay below k*span + 1.  Every numerator of the lazy
-    elimination is p*a - left*top, each product one of two minors of
-    size at most n, and the final quotient times the divisor stays below
-    n*span + dspan + 1.  So with a base of at least 2*n*span + dspan + 1
-    no digit of any key ever carries: packing is injective, exponent
-    addition is int addition and int order is lexicographic order.  The
-    Fox minor's box (``_fox_rows``) has span = 2 and dspan <= 2, base
-    4n + 3.  An inexact division is an internal error and raises
-    ArithmeticError.
+    (0..n-1) to nonzero entry; columns it lacks are zero.  The rows and
+    their entries are consumed by the elimination.  Entries and the
+    divisor are dicts from packed key to nonzero coefficient.  A key
+    packs an exponent vector in balanced base W = ``base`` (odd): the
+    sum of d_v W^(l-1-v), T1 the most significant, each digit
+    |d_v| <= (W - 1)/2.  While every digit stays in that range, key
+    addition is exponent addition and int order is lexicographic order.
+
+    One elimination in two stages, each step k taking its pivot by the
+    rule of ``_pivot``.  While the pivot is a unit u, +-1 times a
+    monomial, the step is Gaussian: each later row holding the pivot
+    column loses it and takes a_ij -= a_ik (a_kj / u) on the pivot row's
+    columns j (``_subtract``); u joins a running unit product.  The first
+    pivot that is not a unit hands the trailing block, the rows and
+    columns at positions k..n-1, to ``_bareiss``.  The determinant is the
+    unit product times that block's determinant, each with the sign of
+    its swaps.
+
+    The box.  Let the entries' digits run over 0..s in every variable,
+    and write K for the pivot rows and columns of the first k steps.
+    After k Gaussian steps the trailing entry in row i and column j is
+    the Schur complement det A[K+i, K+j] / det A[K, K], a (k+1)-minor
+    over a k-minor that is a monomial: digits in -ks..(k+1)s.  Likewise
+    a_kj / u is a (k+1)-minor over the monomial det A[K+k, K+k]: digits
+    in -(k+1)s..(k+1)s.  Only steps k <= n - 2 have later rows, so a term
+    product of the Gaussian stage has digits in -(2n-3)s..(2n-2)s.  Every
+    entry Bareiss forms on the block is a minor of the block, that is a
+    minor of A over det A[K, K], and each numerator multiplies two of
+    them, of sizes r1, r2 <= n - k: digits in -2ks..(2k + r1 + r2)s,
+    within -2ns..2ns.  The determinant is an n-minor of A, digits in
+    0..ns.  A divisor with digits from 0 that divides it exactly spans
+    no more than it, and the quotient's terms times the divisor's, which
+    are all the keys the division forms, stay within its range.  So
+    every key either stage forms has |digit| <= 2ns, and W >= 4ns + 1
+    keeps every digit in range: packing is injective and no digit
+    carries.  The Fox minor (``_fox_rows``) has s = 2 and W = 8n + 1.
+    An inexact division is an internal error and raises ArithmeticError,
+    as does a determinant with a negative digit, which no minor of such
+    entries can have.
     """
-    det = _bareiss(rows)
-    if det and divisor is not None:
-        det = _packed_divide(det, divisor)
-    out = {}
-    for key, c in det.items():
-        e = [0] * nvars
-        for v in range(nvars - 1, -1, -1):
-            key, e[v] = divmod(key, base)
-        out[tuple(e)] = c
-    return MultiLaurent._trusted(nvars, out)
-
-
-def _bareiss(a):
-    """Determinant of a square sparse matrix of packed polynomials (modified in place).
-
-    Row i is the dict ``a[i]`` from column to nonzero entry.  Rows are
-    swapped in the list; columns never move, but ``pos[j]`` is column
-    j's current position and ``col_at[k]`` the column at position k, so
-    a column swap is two writes to each.  Step k takes the pivot with
-    the fewest terms among the stored entries of the rows at positions
-    k..n-1, ties broken by row position and then by column position.
-    The rows below the pivot row store only columns at positions above
-    k once the step is done.
-
-    Fraction-free Bareiss elimination, lazy in the rows.  Write p_k for
-    the pivot of step k (p_-1 = 1) and a^(m) for the matrix after m
-    steps.  A step whose pivot column is empty in row i would only scale
-    that row by p_k / p_(k-1).  These factors telescope, so such a step
-    skips the row, which keeps its level m: it holds a^(m)[i].  Every
-    entry the kernel writes is the one update ``_entry`` computes:
-
-        a^(k+1)[i][j] = (p_k a^(m)[i][j] - a^(m)[i][k] a^(k)[k][j]) / p_(m-1),
-
-    a missing factor counting as zero.  The division is exact because
-    the result is a (k+2)-minor, and both products multiply two minors
-    of size at most n, so no packed digit carries (see ``_packed_det``).
-    Step k brings each row below the pivot row whose pivot column is
-    not empty to level k + 1, visiting only the columns stored in it or
-    in the pivot row and deleting an entry that becomes zero.  A pivot
-    row of level m < k is first brought to level k by the update of step
-    k - 1, in which its pivot column is empty, so the pivots, and with
-    them the determinant, are those of the eager elimination.  Scaling a
-    row empties no entry, so the stored entries have the zero pattern of
-    the eager ones; the fewest-terms rule reads the stored entries.
-    """
-    n = len(a)
-    sign = 1
-    # divisor[m] = p_(m-1), the divisor of a row of level m
-    divisor = [{0: 1}]
-    level = [0] * n
-    pos = list(range(n))
-    col_at = list(range(n))
+    n = len(rows)
+    pos, col_at = list(range(n)), list(range(n))
+    sign, unit, det = 1, 0, {0: 1}
     for k in range(n):
-        best = 0
-        for i in range(k, n):
-            for j, p in a[i].items():
-                size = len(p)
-                if not best or size < best or (size == best and i == pi and pos[j] < pos[pj]):
-                    best, pi, pj = size, i, j
-            if best == 1:
-                # no later row can hold a smaller entry or win a tie
-                break
-        if not best:
-            return {}
-        if pi != k:
-            a[k], a[pi] = a[pi], a[k]
-            level[k], level[pi] = level[pi], level[k]
-            sign = -sign
-        q = pos[pj]
-        if q != k:
-            other = col_at[k]
-            col_at[k], col_at[q] = pj, other
-            pos[pj], pos[other] = k, q
-            sign = -sign
-        pivot_row = a[k]
-        if level[k] < k:
-            up, down = divisor[k].items(), divisor[level[k]]
-            for j, p in pivot_row.items():
-                pivot_row[j] = _entry(up, p, (), (), down)
-        divisor.append(pivot_row[pj])
-        piv = pivot_row[pj].items()
-        tops = [(j, top.items()) for j, top in pivot_row.items() if j != pj]
+        pj, swaps = _pivot(rows, k, pos, col_at)
+        if pj is None:
+            det = {}
+            break
+        sign *= swaps
+        pivot_row = rows[k]
+        (uk, uc), *more = pivot_row[pj].items()
+        if more or uc not in (1, -1):
+            det = _bareiss(rows, k, pos, col_at)
+            break
+        sign *= uc
+        unit += uk
+        # a_kj / u, with 1/u = uc X^-uk
+        tops = [(j, [(key - uk, c * uc) for key, c in top.items()])
+                for j, top in pivot_row.items() if j != pj]
         for i in range(k + 1, n):
-            row = a[i]
+            row = rows[i]
             left = row.pop(pj, None)
             if left is None:
                 continue
             left = left.items()
-            down = divisor[level[i]]
-            for j, cur in row.items():
-                if j not in pivot_row:
-                    row[j] = _entry(piv, cur, (), (), down)
             for j, top in tops:
-                cur = row.get(j)
-                new = _entry(piv, cur, left, top, down)
+                new = _subtract(row.pop(j, None) or {}, left, top)
                 if new:
                     row[j] = new
-                elif cur:
-                    del row[j]
-            level[i] = k + 1
-    det = divisor[n]
-    return det if sign == 1 else {key: -c for key, c in det.items()}
+    det = {key + unit: c * sign for key, c in det.items()}
+    if det and divisor is not None:
+        det = _packed_divide(det, divisor)
+    half = base // 2
+    out = {}
+    for key, c in det.items():
+        e = [0] * nvars
+        for v in range(nvars - 1, -1, -1):
+            key, digit = divmod(key + half, base)
+            e[v] = digit - half
+        if key or min(e) < 0:
+            raise ArithmeticError("determinant outside the packed box (internal error)")
+        out[tuple(e)] = c
+    return MultiLaurent._trusted(nvars, out)
+
+
+def _pivot(a, k, pos, col_at):
+    """Column of the pivot of step k, moved with its row to position (k, k),
+    and the sign of the swaps; (None, 0) when rows k..n-1 are empty.
+
+    The pivot has the fewest terms among the stored entries of the rows
+    at positions k..n-1, ties broken by row position and then by column
+    position.  Rows are swapped in the list ``a``; columns never move,
+    but ``pos[j]`` is column j's position and ``col_at[k]`` the column
+    at position k, so a column swap is two writes to each.
+    """
+    best = 0
+    for i in range(k, len(a)):
+        for j, p in a[i].items():
+            size = len(p)
+            if not best or size < best or (size == best and i == pi and pos[j] < pos[pj]):
+                best, pi, pj = size, i, j
+        if best == 1:
+            # no later row can hold a smaller entry or win a tie
+            break
+    if not best:
+        return None, 0
+    sign = 1
+    if pi != k:
+        a[k], a[pi] = a[pi], a[k]
+        sign = -sign
+    q = pos[pj]
+    if q != k:
+        other = col_at[k]
+        col_at[k], col_at[q] = pj, other
+        pos[pj], pos[other] = k, q
+        sign = -sign
+    return pj, sign
+
+
+def _subtract(cur, left, top):
+    """``cur`` - left*top of packed polynomials, formed in place in the
+    dict ``cur`` (returned); ``left`` is an iterable and ``top`` a list
+    of (key, coefficient) terms.
+
+    One dict update per term product; packed keys add as exponents do
+    (see ``_packed_det``), and a coefficient that cancels to zero is
+    deleted.
+    """
+    get = cur.get
+    for k1, c1 in left:
+        for k2, c2 in top:
+            key = k1 + k2
+            c = get(key, 0) - c1 * c2
+            if c:
+                cur[key] = c
+            else:
+                del cur[key]
+    return cur
+
+
+def _bareiss(a, start, pos, col_at):
+    """Determinant of the trailing block of a square sparse matrix of
+    packed polynomials, the rows and columns at positions start..n-1,
+    with the sign of its swaps (modified in place).
+
+    Fraction-free Bareiss elimination (Math. Comp. 22, 1968), each step
+    k taking its pivot by the rule of ``_pivot``; at step ``start`` that
+    is the pivot ``_packed_det`` found, already in place.  Write p_k for
+    the pivot of step k, and p_(start-1) = 1.  Step k brings every row
+    below the pivot row to
+
+        a[i][j] = (p_k a[i][j] - a[i][k] a[k][j]) / p_(k-1)
+
+    on the columns stored in it or in the pivot row (``_entry``), a
+    missing entry counting as zero and an entry that becomes zero
+    deleted.  Each such entry is a (k - start + 2)-minor of the block,
+    so the division is exact, and the determinant is the last pivot.
+    """
+    n = len(a)
+    sign, down = 1, {0: 1}
+    for k in range(start, n):
+        pj, swaps = _pivot(a, k, pos, col_at)
+        if pj is None:
+            return {}
+        sign *= swaps
+        pivot_row = a[k]
+        p = pivot_row.pop(pj)
+        piv = p.items()
+        tops = [(j, top.items()) for j, top in pivot_row.items()]
+        for i in range(k + 1, n):
+            row = a[i]
+            left = row.pop(pj, None)
+            left = left.items() if left else ()
+            new = {j: _entry(piv, cur, (), (), down)
+                   for j, cur in row.items() if j not in pivot_row}
+            for j, top in tops:
+                cur = row.get(j)
+                if cur or left:
+                    entry = _entry(piv, cur, left, top, down)
+                    if entry:
+                        new[j] = entry
+            a[i] = new
+        down = p
+    return down if sign == 1 else {key: -c for key, c in down.items()}
 
 
 def _entry(p, a, left, top, down):
     """The Bareiss entry (p*a - left*top) / down of packed polynomials:
-    ``a`` a dict, the others item views, a missing factor counting as 0.
+    ``a`` and ``down`` dicts, the others item views, a missing factor
+    counting as 0.
 
     The numerator is formed term by term, one dict update per term
     product; packed keys add as exponents do (see ``_packed_det``).  It
@@ -331,33 +402,28 @@ def _entry(p, a, left, top, down):
 def _packed_divide(p, q):
     """Exact quotient of packed polynomials; ArithmeticError if inexact.
 
-    A monomial divisor shifts keys and divides coefficients.  A Bareiss
-    divisor is the pivot p_(m-1) of a row's level m, and 1 at level 0.
-    A Fox row holds monomials and binomials and the fewest-terms rule
-    picks a monomial wherever there is one, so nearly every Bareiss
-    divisor is a monomial.  The Torres divisor T_i - 1 never is.  The
-    unit 1, the divisor of every row at level 0, returns the terms of
-    ``p``: packed keys are nonnegative, so that division is always
-    exact.  Otherwise leading terms are cancelled in decreasing key
-    order, the remainder's keys held in a max-heap.  A quotient key
-    below zero lies outside the packed box, so the division cannot be
-    exact.  ``p`` may hold zero coefficients, as a numerator formed term
-    by term does; the quotient has none.
+    Keys are balanced (see ``_packed_det``), so a quotient may hold
+    negative keys.  A monomial divisor shifts keys and divides
+    coefficients, which must divide exactly.  Otherwise leading terms
+    are cancelled in decreasing key order, the remainder's keys held in
+    a max-heap.  An exact quotient has no key below min(p) - min(q), so
+    a quotient key below that means the division is not exact; this
+    floor also ends the cancellation of an inexact one.  ``p`` may hold
+    zero coefficients, as a numerator formed term by term does; the
+    quotient has none.
     """
-    if q == {0: 1}:
-        return {key: c for key, c in p.items() if c}
     if len(q) == 1:
         ((qk, qc),) = q.items()
         out = {}
         for key, c in p.items():
-            if not c:
-                continue
-            if key < qk or c % qc:
-                raise ArithmeticError("inexact polynomial division (internal error)")
-            out[key - qk] = c // qc
+            if c:
+                if c % qc:
+                    raise ArithmeticError("inexact polynomial division (internal error)")
+                out[key - qk] = c // qc
         return out
     lead = max(q)
     lc = q[lead]
+    floor = min(p, default=0) - min(q)
     tail = [(key - lead, c) for key, c in q.items() if key != lead]
     rem = dict(p)
     heap = [-key for key in rem]
@@ -368,7 +434,7 @@ def _packed_divide(p, q):
         c = rem.pop(key, 0)
         if not c:
             continue
-        if key < lead or c % lc:
+        if key - lead < floor or c % lc:
             raise ArithmeticError("inexact polynomial division (internal error)")
         c //= lc
         out[key - lead] = c

@@ -494,19 +494,23 @@ def _relative_gradings(d: SphereDiagram) -> dict:
     they are independent of the choice once each lattice generator has
     index 2(n_w1 + n_w2) (checked at every endpoint g, which the index
     reads only through the corner sum at g) and n_z = n_w per pair.  The
-    index is kept as four times its value: 4 e of a lattice generator is
-    ``whole_euler`` for A and B and 8 for the sphere, and that of phi_g
-    is ``euler[g]`` + ``home[g]`` + one corner read at ``alpha[0]``.
+    index is kept as four times its value: 4 e of A and B is
+    ``whole_euler``, and that of phi_g is ``euler[g]`` + ``home[g]`` +
+    one corner read at ``alpha[0]``.  Only A and B are checked.  The
+    sphere needs no check: on every diagram ``SphereDiagram.check``
+    accepts, its four corner regions at each point are distinct, so each
+    corner sum is 4, and the four basepoints sit in distinct regions of
+    multiplicity 1, so its condition reads 8 + 4 + 4 == 8 (1 + 1) and
+    z == w.
     """
     dom = d._domains
     bp_shifts = [dom.shift[d.basepoints[k]] for k in ("w1", "z1", "w2", "z2")]
     base = d.alpha[0]
-    # corner sums at each point, in the order of alpha; the sphere's are all 4
+    # corner sums at each point, in the order of alpha
     at_a, at_b = zip(*(dom.whole_corners[g] for g in d.alpha))
     ea, eb = dom.whole_euler
     lattice = [(dom.digits(extra, bp_shifts), four_e, at)
-               for extra, four_e, at in ((dom.whole_a, ea, at_a), (dom.whole_b, eb, at_b),
-                                         (dom.ones, 8, (4,) * len(d.alpha)))]
+               for extra, four_e, at in ((dom.whole_a, ea, at_a), (dom.whole_b, eb, at_b))]
     for (w1, _, w2, _), four_e, at in lattice:
         if any(four_e + at[0] + c != 8 * (w1 + w2) for c in at):
             raise ValueError("the Maslov index congruence fails on the domain lattice")

@@ -85,10 +85,13 @@ def tuple_fox_rows(d):
 
 
 def unpack_key(key, nvars, base):
-    """The digits of a packed key in ``base``, T1 the most significant."""
+    """The signed digits of a packed key in balanced ``base``, T1 the most
+    significant: each digit lies in -(base - 1)/2..(base - 1)/2."""
+    half = base // 2
     e = [0] * nvars
     for v in range(nvars - 1, -1, -1):
-        key, e[v] = divmod(key, base)
+        key, digit = divmod(key + half, base)
+        e[v] = digit - half
     return tuple(e)
 
 
@@ -98,8 +101,10 @@ def tuple_packed_det(rows, nvars, divisor=None):
 
     Each variable's exponents are shifted by their minimum over the
     matrix (the divisor by its own), so they run over 0..span_v; the
-    base is the largest of 2*n*span_v + dspan_v + 1, the same for every
-    variable; the result is shifted back.  Empty entries are left out.
+    base is the largest of 4*n*span_v + 1 and 2*dspan_v + 1, the bound
+    of ``_packed_det`` and room for the divisor's own digits, the same
+    for every variable; the result is shifted back.  Empty entries are
+    left out.
     """
     n = len(rows)
     exps = [e for row in rows for p in row.values() for e in p]
@@ -107,7 +112,7 @@ def tuple_packed_det(rows, nvars, divisor=None):
     span = [max((e[v] for e in exps), default=0) - lo[v] for v in range(nvars)]
     dterms = divisor if divisor is not None else {(0,) * nvars: 1}
     dlo = [min(e[v] for e in dterms) for v in range(nvars)]
-    base = max(2 * n * span[v] + max(e[v] for e in dterms) - dlo[v] + 1
+    base = max(max(4 * n * span[v], 2 * (max(e[v] for e in dterms) - dlo[v])) + 1
                for v in range(nvars))
 
     def pack(terms, shift):

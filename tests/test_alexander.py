@@ -258,26 +258,33 @@ def test_every_deletion_gives_delta(name):
 
 
 def entry_products(d, monkeypatch):
-    """Term products of the Bareiss entry updates of Delta of ``d``."""
+    """Term products of the entry updates of Delta of ``d``: the Gaussian
+    steps' (``_subtract``) and the Bareiss tail's (``_entry``)."""
     total = 0
-    entry = alexander._entry
+    entry, subtract = alexander._entry, alexander._subtract
 
-    def counting(p, a, left, top, down):
+    def counting_entry(p, a, left, top, down):
         nonlocal total
         total += len(p) * len(a or ()) + len(left) * len(top)
         return entry(p, a, left, top, down)
 
+    def counting_subtract(cur, left, top):
+        nonlocal total
+        total += len(left) * len(top)
+        return subtract(cur, left, top)
+
     with monkeypatch.context() as m:
-        m.setattr(alexander, "_entry", counting)
+        m.setattr(alexander, "_entry", counting_entry)
+        m.setattr(alexander, "_subtract", counting_subtract)
         multivariable_alexander(d)
     return total
 
 
 def test_fox_cost_stays_small_under_relabelling(monkeypatch):
     # term products on the canonical labels and their most under these 20
-    # relabellings: 9951 and 10480 on the 12-closure, and 310912 at most
+    # relabellings: 8919 and 9321 on the 12-closure, and 309568 at most
     # on the 4-component closure
-    for name, bound in (("closure(1,-2)^12", 12000), ("closure(1,-2,3)^8", 350000)):
+    for name, bound in (("closure(1,-2)^12", 10000), ("closure(1,-2,3)^8", 350000)):
         d = golden_diagram(name)
         assert entry_products(d, monkeypatch) <= bound, name
         for seed in range(20):
@@ -286,7 +293,8 @@ def test_fox_cost_stays_small_under_relabelling(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# the packed Fox box: rows born packed, base B = 4n + 3, no digit carries
+# the packed Fox box: rows born packed, balanced base W = 8n + 1, no
+# digit carries
 
 def test_packed_fox_rows_decode_to_the_reference():
     d12 = golden_diagram("closure(1,-2)^12")
@@ -294,7 +302,7 @@ def test_packed_fox_rows_decode_to_the_reference():
     diagrams += [d12] + [relabelled(d12, random.Random(seed))[0] for seed in range(20)]
     for d in diagrams:
         arc_component, rows, base = _fox_rows(d)
-        assert base == 4 * (len(d.crossings) - 1) + 3
+        assert base == 8 * (len(d.crossings) - 1) + 1
         want_component, want_rows = tuple_fox_rows(d)
         decoded = [{g: {unpack_key(key, d.n_components, base): c for key, c in p.items()}
                     for g, p in row.items()} for row in rows]
@@ -315,12 +323,14 @@ def fox_box_diagrams():
 
 
 def test_fox_box_is_carry_free(monkeypatch):
-    # The production base B must be the bound 2*n*span + dspan + 1 of
-    # _packed_det for the rows and the Torres divisor (span = dspan = 2).
-    # Then every Fox elimination is re-run in a box 8B wide: every
-    # numerator, divisor and quotient passes through _packed_divide, and
-    # each of their digits, and of the determinant, must stay below B.
-    fox_rows, divide, packed_det = alexander._fox_rows, alexander._packed_divide, _packed_det
+    # The production base W must be the bound 4*n*span + 1 of _packed_det
+    # for the rows (span = 2).  Then every Fox elimination is re-run in a
+    # box about 8W wide: every key that either stage forms (the operands,
+    # the term products and the result of each _subtract and _entry, and
+    # the numerator, divisor and quotient of each _packed_divide) and
+    # every digit of the determinant must stay within (W - 1)/2.
+    fox_rows, packed_det = alexander._fox_rows, _packed_det
+    subtract, entry, divide = alexander._subtract, alexander._entry, alexander._packed_divide
     box = {}
 
     def wide_fox_rows(d):
@@ -328,8 +338,8 @@ def test_fox_box_is_carry_free(monkeypatch):
         nvars, n = d.n_components, len(rows) - 1
         span = max(x for row in rows for p in row.values() for key in p
                    for x in unpack_key(key, nvars, base))
-        assert base >= 2 * n * span + 2 + 1
-        box.update(nvars=nvars, base=base, wide=8 * base)
+        assert base == 4 * n * span + 1
+        box.update(nvars=nvars, half=base // 2, wide=8 * base + 1)
 
         def widen(key):
             out = 0
@@ -341,21 +351,39 @@ def test_fox_box_is_carry_free(monkeypatch):
                      for row in rows]
         return arc_component, wide_rows, box["wide"]
 
+    def check(*keys):
+        for key in keys:
+            assert abs(key) <= box["wide"] ** box["nvars"] // 2
+            assert max(map(abs, unpack_key(key, box["nvars"], box["wide"]))) <= box["half"]
+
+    def checked_subtract(cur, left, top):
+        left, top = list(left), list(top)
+        check(*cur, *(k1 + k2 for k1, _ in left for k2, _ in top))
+        out = subtract(cur, left, top)
+        check(*out)
+        return out
+
+    def checked_entry(p, a, left, top, down):
+        p, left, top = list(p), list(left), list(top)
+        check(*down, *(k1 + k2 for k1, _ in p for k2 in a or ()),
+              *(k1 + k2 for k1, _ in left for k2, _ in top))
+        return entry(p, a, left, top, down)
+
     def checked_divide(p, q):
         out = divide(p, q)
-        for key in (*p, *q, *out):
-            assert 0 <= key < box["wide"] ** box["nvars"]
-            assert max(unpack_key(key, box["nvars"], box["wide"])) < box["base"]
+        check(*p, *q, *out)
         return out
 
     def checked_det(rows, nvars, base, divisor=None):
         det = packed_det(rows, nvars, base, divisor)
-        assert all(max(e) < box["base"] for e in det.terms)
+        assert all(max(e) <= box["half"] for e in det.terms)
         return det
 
     for module in (alexander, helpers):
         monkeypatch.setattr(module, "_fox_rows", wide_fox_rows)
         monkeypatch.setattr(module, "_packed_det", checked_det)
+    monkeypatch.setattr(alexander, "_subtract", checked_subtract)
+    monkeypatch.setattr(alexander, "_entry", checked_entry)
     monkeypatch.setattr(alexander, "_packed_divide", checked_divide)
     for d in fox_box_diagrams():
         multivariable_alexander(d)
@@ -412,21 +440,31 @@ def matrices(draw):
     return nvars, mat, divisor
 
 
+def units(nvars):
+    # +-1 times a monomial: the pivots of the Gaussian stage
+    expo = st.tuples(*([st.integers(-3, 3)] * nvars))
+    return st.builds(lambda e, c: MultiLaurent(nvars, {e: c}), expo, st.sampled_from((1, -1)))
+
+
 @st.composite
-def fox_shaped(draw, max_n=6):
+def fox_shaped(draw, max_n=6, mostly_units=False):
     """Square matrices with at most three nonzero entries per row, as in a Fox matrix.
 
     Row i meets column i, one column at or after i and one anywhere, so
     a row is empty in the columns before its first entry and stays
     behind for several pivot steps in a row.  Half the draws with n >= 2
     replace a row by a multiple of another: the matrix is singular.
+    With ``mostly_units`` three in four nonzero entries are units, as in
+    a Fox matrix, so the Gaussian stage runs several steps before it
+    hands the trailing block to Bareiss.
     """
     nvars = draw(st.integers(1, 3))
     n = draw(st.integers(1, max_n))
     mat = [[zero(nvars)] * n for _ in range(n)]
     for i in range(n):
         for j in {i, draw(st.integers(i, n - 1)), draw(st.integers(0, n - 1))}:
-            mat[i][j] = draw(entries(nvars).filter(bool))
+            unit = mostly_units and draw(st.integers(0, 3))
+            mat[i][j] = draw(units(nvars) if unit else entries(nvars).filter(bool))
     if n >= 2 and draw(st.booleans()):
         src, dst = draw(st.permutations(range(n)))[:2]
         factor = draw(entries(nvars))
@@ -446,14 +484,14 @@ def assert_packed_det_matches_leibniz(case):
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(matrices(), fox_shaped()))
+@given(st.one_of(matrices(), fox_shaped(), fox_shaped(mostly_units=True)))
 def test_packed_det_matches_leibniz(case):
     assert_packed_det_matches_leibniz(case)
 
 
 @st.composite
 def permuted_fox(draw):
-    nvars, mat, _ = draw(fox_shaped(max_n=9))
+    nvars, mat, _ = draw(fox_shaped(max_n=9, mostly_units=draw(st.booleans())))
     n = len(mat)
     return nvars, mat, draw(st.permutations(range(n))), draw(st.permutations(range(n)))
 
@@ -480,6 +518,71 @@ def test_packed_det_refuses_inexact_division():
         tuple_packed_det([{0: t2_plus_1}], 1, {(2,): 1, (0,): -1})
     with pytest.raises(ArithmeticError):
         tuple_packed_det([{0: t2_plus_1}], 1, {(0,): 2})
+
+
+def test_packed_det_refuses_a_key_outside_the_box():
+    # a determinant's digits are those of a minor of entries with
+    # nonnegative digits: a negative digit, or one above T1, is an error
+    for rows, nvars in (([{0: {-1: 1}}], 1), ([{0: {-8: 1}}], 2), ([{0: {81: 1}}], 2)):
+        with pytest.raises(ArithmeticError, match="packed box"):
+            _packed_det(rows, nvars, 9)
+
+
+# the hand-off from the Gaussian stage to the Bareiss tail, in T = x^2:
+# matrices whose first pivot that is not a unit comes at step 0, in the
+# middle and at the last step
+CELLS = {"0": {}, "1": {(0,): 1}, "-1": {(0,): -1}, "x": {(2,): 1}, "-x": {(2,): -1},
+         "2": {(0,): 2}, "1+x": {(0,): 1, (2,): 1}, "1-x": {(0,): 1, (2,): -1},
+         "x-2": {(2,): 1, (0,): -2}}
+HANDOFFS = [
+    # step 0 swaps rows for the pivot 2, step 1 swaps rows and columns
+    (0, ["1-x x-2 0",
+         "2 1+x 0",
+         "1-x 1+x 1-x"]),
+    # steps 0 and 1 are Gaussian, step 1 swaps columns; step 2 hands
+    # off after a row swap, and Bareiss's step 3 swaps rows and columns
+    (2, ["-1 0 0 1+x 0",
+         "0 0 1 1 0",
+         "1-x 0 -x x 0",
+         "0 2 0 0 0",
+         "2 0 1-x 0 1"]),
+    # steps 0 and 1 are Gaussian, step 0 swaps columns; the last pivot
+    # is not a unit
+    (2, ["0 1 1",
+         "-1 0 1+x",
+         "x-2 1+x -x"]),
+]
+
+
+@pytest.mark.parametrize("handoff, text", HANDOFFS)
+def test_packed_det_hands_the_tail_to_bareiss(handoff, text, monkeypatch):
+    mat = [[poly(1, CELLS[cell]) for cell in line.split()] for line in text]
+    pivot, bareiss = alexander._pivot, alexander._bareiss
+    starts, swapped = [], set()
+
+    def logged_pivot(a, k, pos, col_at):
+        row, col = a[k], col_at[k]
+        out = pivot(a, k, pos, col_at)
+        if a[k] is not row or col_at[k] != col:
+            swapped.add(k)
+        return out
+
+    def logged_bareiss(a, start, pos, col_at):
+        starts.append(start)
+        return bareiss(a, start, pos, col_at)
+
+    monkeypatch.setattr(alexander, "_pivot", logged_pivot)
+    monkeypatch.setattr(alexander, "_bareiss", logged_bareiss)
+    want = leibniz_det(mat, 1)
+    assert want and tuple_packed_det(sparse(mat), 1) == want
+    assert starts == [handoff]
+    # swaps on both sides of the hand-off, where the block leaves room
+    assert any(k < handoff for k in swapped) or handoff == 0
+    assert any(k > handoff for k in swapped) or handoff == len(mat) - 1
+    rng = random.Random(handoff)
+    for _ in range(6):
+        rows, cols = rng.sample(range(len(mat)), len(mat)), rng.sample(range(len(mat)), len(mat))
+        assert_packed_det_permutes_with_the_sign((1, mat, rows, cols))
 
 
 # ----------------------------------------------------------------------
@@ -644,3 +747,29 @@ def test_packed_divide_drops_zero_coefficients():
     assert _packed_divide({3: 0, 2: 1, 0: -1}, {1: 1, 0: 1}) == {1: 1, 0: -1}
     with pytest.raises(ArithmeticError):
         _packed_divide({5: 7, 1: 0}, {2: 3})
+
+
+def test_packed_divide_on_balanced_keys():
+    # two variables in balanced base 9: key(a, b) = 9a + b, digits -4..4
+    def key(a, b):
+        return 9 * a + b
+
+    # (T1 - 1)(T1^-1 T2^-2 - 3 T2): a numerator with negative digits
+    t1_minus_1 = {key(1, 0): 1, key(0, 0): -1}
+    want = {key(-1, -2): 1, key(0, 1): -3}
+    p = {}
+    for k1, c1 in t1_minus_1.items():
+        for k2, c2 in want.items():
+            p[k1 + k2] = p.get(k1 + k2, 0) + c1 * c2
+    assert min(p) < 0
+    assert _packed_divide(p, t1_minus_1) == want
+    assert _packed_divide({key(-2, -1): 4, key(0, 3): -6}, {key(-1, 1): 2}) == {
+        key(-1, -2): 2, key(1, 2): -3}
+    # (x + 1)(x - 1) x^-5 over x + 1: the exact quotient's keys are negative
+    assert _packed_divide({-3: 1, -5: -1}, {1: 1, 0: 1}) == {-4: 1, -5: -1}
+    # x^2 + 1 over x + 1, also shifted by x^-5: every coefficient divides
+    # by the leading 1, and the cancellation only ends when a quotient key
+    # falls below min(p) - min(q)
+    for shift in (0, -5):
+        with pytest.raises(ArithmeticError):
+            _packed_divide({2 + shift: 1, shift: 1}, {1: 1, 0: 1})
