@@ -298,12 +298,10 @@ class FilteredComplex:
         return [(g, self._maslov[g], self._filt[g]) for g in self._order]
 
     def counts(self) -> MultiGradedVS:
-        """Generator counts per (maslov, filtration level)."""
-        ranks: dict = {}
-        for g in self._order:
-            key = (self._maslov[g], self._filt[g])
-            ranks[key] = ranks.get(key, 0) + 1
-        return MultiGradedVS._trusted(self.nvars, self.parity, ranks)
+        """Generator counts per (maslov, filtration level), read off the
+        grading dicts, which hold the generators in one order."""
+        ranks = Counter(zip(self._maslov.values(), self._filt.values()))
+        return MultiGradedVS._trusted(self.nvars, self.parity, dict(ranks))
 
     def __eq__(self, other) -> bool:
         return (

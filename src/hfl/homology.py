@@ -10,22 +10,24 @@ and symmetry identities the table must satisfy.
 
 For two-component links it goes further and reconstructs the filtered
 chain homotopy type from the table together with knot data of the two
-components, in one pass.  The staircase summands and their placements
-are forced by the component knot data.  The central zigzag pair is
-forced too, width included: it alone carries free generators, and the
-component knots put those at gradings 0 and -1.  The leftover
-generators must tile exactly into acyclic squares.  The direct sum of
-the summands this gives is built once, and its generator counts are
-checked against the rank table.  Its total homology and both component
-homologies are checked too, read off closed forms of the model
-summands, so nothing is cancelled to check them.  An input that fails
-any stage is refused with that stage named.
+components, in one pass.  Its numbers are checked once, on entry, and
+each summand stays a plain tuple until the list is final.  The staircase
+summands and their placements are forced by the component knot data.
+The central zigzag pair is forced too, width included: it alone carries
+free generators, and the component knots put those at gradings 0 and
+-1.  The leftover generators must tile exactly into acyclic squares.
+The direct sum of the summands this gives is built once, and its
+generator counts are checked against the rank table.  Its total
+homology and both component homologies are checked too, read off closed
+forms of the model summands, so nothing is cancelled to check them.  An
+input that fails any stage is refused with that stage named.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping
 
 from .alexander import multivariable_alexander, signature
@@ -45,7 +47,7 @@ from .laurent import (
     symmetric_normalize,
 )
 from .linkdiag import LinkDiagram, SplitLinkError, keep_component, linking_matrix
-from .summands import Summand, build_sum, sum_cells, sum_invariants
+from .summands import Summand, _placed, build_sum, sum_invariants
 
 __all__ = [
     "ComponentData",
@@ -98,7 +100,7 @@ def _table_from_target(target: MultiLaurent, sigma: int, totals) -> MultiGradedV
     totals = as_ints(totals, "linking total")
     if len(totals) != l:
         raise ValueError("need one linking total per variable")
-    parity = tuple(t % 2 for t in totals)
+    parity = [t % 2 for t in totals]
     ranks: dict = {}
     for e2, a in target.terms.items():
         num = sum(e2) + sigma - l + 1
@@ -107,10 +109,10 @@ def _table_from_target(target: MultiLaurent, sigma: int, totals) -> MultiGradedV
                 f"signature {sigma} is incompatible with the grading lattice "
                 f"(odd total grading at {e2})"
             )
-        if any(x % 2 != p for x, p in zip(e2, parity)):
-            raise ValueError(f"grading {e2} violates parity {parity}")
+        if [x % 2 for x in e2] != parity:
+            raise ValueError(f"grading {e2} violates parity {tuple(parity)}")
         ranks[(num // 2, e2)] = abs(a)
-    return MultiGradedVS._trusted(l, parity, ranks)
+    return MultiGradedVS._trusted(l, tuple(parity), ranks)
 
 
 @dataclass
@@ -438,17 +440,24 @@ def two_component_cfl(
     central pair is the only summand carrying free generators.  Its top
     therefore sits at grading 0, which leaves width |lf|.  All
     remaining table entries must tile exactly into acyclic squares.
-    The sum is then built, and the generator counts of the complex to
-    be returned are checked against the rank table.  The total homology
-    and both component homologies are checked from the summands' closed
-    forms, without cancelling anything.  Inputs that fail any stage are
-    refused with the stage named.
+    The sum is built once; its generator counts are checked against the
+    rank table, and its total and both component homologies against the
+    summands' closed forms, with nothing cancelled.  Inputs that fail
+    any stage are refused with the stage named.
+
+    Numbers are checked once, on entry: ``sigma`` and ``n`` by
+    :func:`hfl.laurent.as_ints`, the knot data by ``ComponentData``.  Each
+    summand is then a plain (kind, d, lparam, shift2) tuple of ints, spelled
+    as ``Summand`` spells it, made a ``Summand`` once, unchecked, when the
+    sorted list is final.
     """
     if delta.nvars != 2:
         raise ValueError("need a two-variable Alexander polynomial")
     comps = tuple(comps)
     if len(comps) != 2 or not all(isinstance(x, ComponentData) for x in comps):
         raise ValueError("need ComponentData for exactly two components")
+    (sigma,) = as_ints((sigma,), "signature")
+    (n,) = as_ints((n,), "linking number")
     if delta:
         delta = symmetric_normalize(delta)
     try:
@@ -457,22 +466,27 @@ def two_component_cfl(
         raise ValueError(f"constraints unsatisfiable: {e}") from None
 
     c = (1 - sigma) // 2
-    forced: list[Summand] = []
+    forced = []
     for kind, data in zip("VH", comps):
         for lam, dk, s2 in data.pairs:
             for m in (dk, dk - 1):
                 # H is V mirrored: the same placement with the coordinates swapped
                 shift = (s2 + n, 2 * m - s2 - n + 2 * c)
-                forced.append(Summand(kind, m, lam, shift if kind == "V" else shift[::-1]))
-    rest = Counter(target.ranks)
+                forced.append((kind, m, lam, shift if kind == "V" else shift[::-1]))
+    rest = dict(target.ranks)
     _take_cells(rest, forced, "the component pairs do not fit")
 
     lf = comps[0].tau + comps[1].tau + n + (sigma - 1) // 2
     family, k = ("Y" if lf >= 0 else "X"), abs(lf)
-    central = _central_pair(family, k, comps[0].tau, comps[1].tau, n)
+    p2, q2 = 2 * comps[0].tau + n, 2 * comps[1].tau + n
+    if family == "Y":
+        p2, q2 = p2 - 2 * k, q2 - 2 * k
+        central = [("Y", 0, k, (p2, q2)), ("Y", -1, k + 1, (p2 - 2, q2 - 2))]
+    else:  # k >= 1, and a width-zero X is spelled Y
+        central = [("X", 0, k, (p2, q2)), ("X" if k > 1 else "Y", -1, k - 1, (p2, q2))]
     _take_cells(rest, central, f"the central {family}-pair at width {k} does not fit")
 
-    summands = sorted(forced + central + _tile_squares(+rest))
+    summands = [Summand._trusted(*t) for t in sorted(forced + central + _tile_squares(rest))]
     cx = build_sum(summands)
     failed = _failed_check(cx, summands, target, comps, n)
     if failed:
@@ -484,62 +498,49 @@ def _cell(d: int, h2) -> str:
     return f"d={d}, h2={h2}"
 
 
-def _take_cells(rest: Counter, summands, failure: str) -> None:
-    """Remove the cells of ``summands`` from ``rest``, or refuse.
-
-    The refusal names the first cell the summands need more often than
-    the rank table offers it.
-    """
-    rest.subtract(sum_cells(summands))
-    over = sorted(cell for cell, r in rest.items() if r < 0)
+def _take_cells(rest: dict, summands, failure: str) -> None:
+    """Take the cells of the summand tuples off the rank dict ``rest``, or
+    refuse, naming the first cell they need more often than it is offered."""
+    over = []
+    for t in summands:
+        for _, m, h2 in _placed(*t)[0]:
+            r = rest[m, h2] = rest.get((m, h2), 0) - 1
+            if r < 0:
+                over.append((m, h2))
     if over:
-        raise ValueError(
-            f"constraints unsatisfiable: {failure} the rank table "
-            f"(the table has too few generators at {_cell(*over[0])})"
-        )
+        raise ValueError(f"constraints unsatisfiable: {failure} the rank table (the table "
+                         f"has too few generators at {_cell(*min(over))})")
 
 
-def _central_pair(family: str, k: int, tau1: int, tau2: int, n: int):
-    if family == "Y":
-        p2 = 2 * tau1 + n - 2 * k
-        q2 = 2 * tau2 + n - 2 * k
-        return [
-            Summand("Y", 0, k, (p2, q2)),
-            Summand("Y", -1, k + 1, (p2 - 2, q2 - 2)),
-        ]
-    a2 = 2 * tau1 + n
-    b2 = 2 * tau2 + n
-    return [
-        Summand("X", 0, k, (a2, b2)),
-        Summand("X", -1, k - 1, (a2, b2)),
-    ]
-
-
-def _tile_squares(cells: Counter) -> list[Summand]:
-    """Tile a cell multiset exactly by acyclic squares, or refuse.
+def _tile_squares(cells: Mapping) -> list[tuple]:
+    """Tile a cell multiset exactly by acyclic squares, as tuples, or refuse.
 
     In any exact tiling the smallest remaining cell, by (level, Maslov),
     must be the low corner of its square, so the greedy choice is forced
     and the tiling, when it exists, is unique.  The square's other three
     corners sort after its low corner, so one pass over the cells in
-    that order meets each cell only once every smaller one is used up.
-    The refusal names that low corner and the missing corner of its
-    square.
+    that order meets each cell only once every smaller one is used up,
+    as the low corner of as many squares as its rank.  The refusal names
+    that low corner and the corner that runs out first when its squares
+    are laid one by one: the first of least rank.
     """
-    rest = Counter(cells)
+    rest = dict(cells)
     out = []
-    for low in sorted(rest, key=lambda cell: (cell[1], cell[0])):
+    for low in sorted(rest, key=itemgetter(1, 0)):
+        count = rest[low]
+        if not count:
+            continue
         d0, (x, y) = low
         corners = ((d0 + 1, (x + 2, y)), (d0 + 1, (x, y + 2)), (d0 + 2, (x + 2, y + 2)))
-        for _ in range(rest[low]):
-            for cell in corners:
-                if rest[cell] <= 0:
-                    raise ValueError(
-                        "constraints unsatisfiable: the squares cannot tile the cell at "
-                        f"{_cell(*low)} (its square lacks {_cell(*cell)})"
-                    )
-                rest[cell] -= 1
-            out.append(Summand("B", d0, 0, (x, y)))
+        have = [rest.get(cell, 0) for cell in corners]
+        if min(have) < count:
+            raise ValueError(
+                "constraints unsatisfiable: the squares cannot tile the cell at "
+                f"{_cell(*low)} (its square lacks {_cell(*corners[have.index(min(have))])})"
+            )
+        for cell in corners:
+            rest[cell] -= count
+        out += [("B", d0, 0, (x, y))] * count
     return out
 
 
@@ -560,9 +561,7 @@ def _tensor_two_step(data: ComponentData, n: int):
     return pairs, Counter({(0, free2): 1, (-1, free2): 1})
 
 
-def _failed_check(
-    cx: FilteredComplex, summands, target: MultiGradedVS, comps, n: int
-) -> str | None:
+def _failed_check(cx: FilteredComplex, summands, target: MultiGradedVS, comps, n) -> str | None:
     """Name the first output check that ``cx``, the summands' direct sum,
     fails, or None.
 

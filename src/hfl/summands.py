@@ -49,7 +49,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache
-from operator import add
 
 from .filtered import FilteredComplex, _index, echelon, require_valid
 from .laurent import as_ints, fmt_half
@@ -110,8 +109,8 @@ class Summand:
         """A summand from values that already are what the constructor
         keeps, without re-checking them: a known kind, ints, an int tuple
         of the kind's length, sizes in range, and a width-zero X spelled
-        Y.  ``decompose`` builds its list this way from the tuples it
-        computed."""
+        Y.  ``decompose`` and ``homology.two_component_cfl`` build their
+        lists this way from the tuples they computed."""
         s = cls.__new__(cls)
         s.__dict__.update(kind=kind, d=d, lparam=lparam, shift2=shift2)
         return s
@@ -170,16 +169,22 @@ def _standard_model(kind: str, lam: int):
     return tuple(cells), tuple(arrows)
 
 
-def _placed(s: Summand):
-    """Cells (id, Maslov, doubled level) and arrows of a summand: each cell
-    at standard position plus Maslov offset plus shift."""
-    cells, arrows = _standard_model(s.kind, s.lparam)
-    return [(gid, m + s.d, tuple(map(add, h2, s.shift2))) for gid, m, h2 in cells], arrows
+def _placed(kind: str, d: int, lam: int, shift2: tuple[int, ...]):
+    """Cells (id, Maslov, doubled level) and arrows of the summand with
+    these fields, a ``Summand`` or not yet: each cell of the shape's cached
+    standard model moved by ``d`` and ``shift2``."""
+    cells, arrows = _standard_model(kind, lam)
+    if len(shift2) == 2:
+        x, y = shift2
+        return [(gid, m + d, (a + x, b + y)) for gid, m, (a, b) in cells], arrows
+    (x,) = shift2
+    return [(gid, m + d, (a + x,)) for gid, m, (a,) in cells], arrows
 
 
 def build_summand(s: Summand) -> FilteredComplex:
     """Realize a summand as a complex, cells at standard position + shift."""
-    return FilteredComplex(len(s.shift2), [x % 2 for x in s.shift2], *_placed(s))
+    cells, arrows = _placed(s.kind, s.d, s.lparam, s.shift2)
+    return FilteredComplex(len(s.shift2), [x % 2 for x in s.shift2], cells, arrows)
 
 
 def build_sum(summands) -> FilteredComplex:
@@ -193,23 +198,23 @@ def build_sum(summands) -> FilteredComplex:
     """
     if not summands:
         raise ValueError("empty direct sum")
-    parity = tuple(x % 2 for x in summands[0].shift2)
+    parity = [x % 2 for x in summands[0].shift2]
     maslov: dict[str, int] = {}
     filt: dict[str, tuple[int, ...]] = {}
     arrows = []
     for k, s in enumerate(summands):
-        cells, arrs = _placed(s)
+        cells, arrs = _placed(s.kind, s.d, s.lparam, s.shift2)
         prefix = f"s{k}."
-        first = prefix + cells[0][0]
-        if len(s.shift2) != len(parity):
-            raise ValueError(f"generator {first!r} has a filtration of wrong length")
-        if tuple(x % 2 for x in s.shift2) != parity:
-            raise ValueError(f"generator {first!r} violates parity {parity}")
+        if [x % 2 for x in s.shift2] != parity:
+            fault = "has a filtration of wrong length" if len(s.shift2) != len(parity) \
+                else f"violates parity {tuple(parity)}"
+            raise ValueError(f"generator {prefix + cells[0][0]!r} {fault}")
         for gid, m, h2 in cells:
-            maslov[prefix + gid] = m
-            filt[prefix + gid] = h2
+            gid = prefix + gid
+            maslov[gid] = m
+            filt[gid] = h2
         arrows += [(prefix + a, prefix + b) for a, b in arrs]
-    return FilteredComplex._trusted(len(parity), parity, maslov, filt, frozenset(arrows))
+    return FilteredComplex._trusted(len(parity), tuple(parity), maslov, filt, frozenset(arrows))
 
 
 # ----------------------------------------------------------------------
@@ -501,10 +506,9 @@ def decompose(cx: FilteredComplex) -> list[Summand]:
 
 def sum_cells(summands) -> Counter:
     """Generator counts of ``build_sum(summands)`` by (Maslov, doubled
-    level), without building it: each shape's cached standard model,
-    placed as ``_placed`` places it."""
-    return Counter((m + s.d, tuple(map(add, h2, s.shift2)))
-                   for s in summands for _, m, h2 in _standard_model(s.kind, s.lparam)[0])
+    level), without building it: each summand placed by ``_placed``."""
+    return Counter((m, h2) for s in summands
+                   for _, m, h2 in _placed(s.kind, s.d, s.lparam, s.shift2)[0])
 
 
 def sum_invariants(summands):

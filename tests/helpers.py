@@ -8,11 +8,13 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import product
 
+from hfl import homology
 from hfl.alexander import _fox_rows, _packed_det
 from hfl.filtered import FilteredComplex, MultiGradedVS, _index, echelon
+from hfl.homology import ComponentData, table_from_invariants
 from hfl.laurent import MultiLaurent, symmetric_normalize
 from hfl.linkdiag import LinkDiagram, _relabel_dense, braid_closure, corpus
-from hfl.summands import Summand, _image, _module, _rad2, sum_cells
+from hfl.summands import Summand, _image, _module, _rad2, build_sum, sum_cells
 
 
 def golden_diagram(name):
@@ -703,6 +705,79 @@ def reference_decompose(cx):
     strings = Counter(reference_string_decomposition(maps, rad2))
     strings.subtract(("X", m + 1, 1, h2) for _, m, _, h2 in squares)
     return [Summand(*t) for t in sorted(squares + list(strings.elements()))]
+
+
+# ----------------------------------------------------------------------
+# The two-component solver as it ran before it carried plain tuples: every
+# summand made through the public ``Summand`` constructor, the cells taken
+# off a Counter of the table through ``sum_cells`` and the squares laid one
+# at a time.  The reference for ``homology.two_component_cfl``.
+
+def reference_two_component_cfl(delta, sigma, n, comps):
+    if delta.nvars != 2:
+        raise ValueError("need a two-variable Alexander polynomial")
+    comps = tuple(comps)
+    if len(comps) != 2 or not all(isinstance(x, ComponentData) for x in comps):
+        raise ValueError("need ComponentData for exactly two components")
+    if delta:
+        delta = symmetric_normalize(delta)
+    try:
+        target = table_from_invariants(delta, sigma, (n, n))
+    except ValueError as e:
+        raise ValueError(f"constraints unsatisfiable: {e}") from None
+    c = (1 - sigma) // 2
+    forced = []
+    for kind, data in zip("VH", comps):
+        for lam, dk, s2 in data.pairs:
+            for m in (dk, dk - 1):
+                shift = (s2 + n, 2 * m - s2 - n + 2 * c)
+                forced.append(Summand(kind, m, lam, shift if kind == "V" else shift[::-1]))
+    rest = Counter(target.ranks)
+    _reference_take_cells(rest, forced, "the component pairs do not fit")
+    lf = comps[0].tau + comps[1].tau + n + (sigma - 1) // 2
+    family, k = ("Y" if lf >= 0 else "X"), abs(lf)
+    p2, q2 = 2 * comps[0].tau + n, 2 * comps[1].tau + n
+    if family == "Y":
+        central = [Summand("Y", 0, k, (p2 - 2 * k, q2 - 2 * k)),
+                   Summand("Y", -1, k + 1, (p2 - 2 * k - 2, q2 - 2 * k - 2))]
+    else:
+        central = [Summand("X", 0, k, (p2, q2)), Summand("X", -1, k - 1, (p2, q2))]
+    _reference_take_cells(rest, central, f"the central {family}-pair at width {k} does not fit")
+    summands = sorted(forced + central + _reference_tile_squares(+rest))
+    cx = build_sum(summands)
+    failed = homology._failed_check(cx, summands, target, comps, n)
+    if failed:
+        raise ValueError(f"constraints unsatisfiable: {failed}")
+    return cx, summands
+
+
+def _reference_take_cells(rest, summands, failure):
+    rest.subtract(sum_cells(summands))
+    over = sorted(cell for cell, r in rest.items() if r < 0)
+    if over:
+        d, h2 = over[0]
+        raise ValueError(
+            f"constraints unsatisfiable: {failure} the rank table "
+            f"(the table has too few generators at d={d}, h2={h2})"
+        )
+
+
+def _reference_tile_squares(cells):
+    rest = Counter(cells)
+    out = []
+    for low in sorted(rest, key=lambda cell: (cell[1], cell[0])):
+        d0, (x, y) = low
+        corners = ((d0 + 1, (x + 2, y)), (d0 + 1, (x, y + 2)), (d0 + 2, (x + 2, y + 2)))
+        for _ in range(rest[low]):
+            for d, h2 in corners:
+                if rest[(d, h2)] <= 0:
+                    raise ValueError(
+                        "constraints unsatisfiable: the squares cannot tile the cell at "
+                        f"d={d0}, h2={(x, y)} (its square lacks d={d}, h2={h2})"
+                    )
+                rest[(d, h2)] -= 1
+            out.append(Summand("B", d0, 0, (x, y)))
+    return out
 
 
 def solve(d, coeffs):

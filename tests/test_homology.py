@@ -518,6 +518,11 @@ def tiling_outcome(tile, cells):
         return str(e)
 
 
+def tile_squares_as_summands(cells):
+    # the solver tiles with plain tuples and makes Summands of them later
+    return [Summand(*t) for t in homology._tile_squares(cells)]
+
+
 def test_tiling_matches_the_min_scan():
     # unions of random squares (overlaps give cells of rank above one), and
     # the same unions with one cell added or removed, which cannot tile
@@ -533,21 +538,23 @@ def test_tiling_matches_the_min_scan():
         removed = cells - Counter({rng.choice(list(cells)): 1})
         for multiset in (cells, added, removed):
             want = tiling_outcome(tile_squares_by_min_scan, multiset)
-            assert tiling_outcome(homology._tile_squares, multiset) == want
+            assert tiling_outcome(tile_squares_as_summands, multiset) == want
             refused += isinstance(want, str)
     assert refused >= 600
 
 
 def test_solver_places_each_summand_at_most_twice(monkeypatch):
     # once to take its cells from the table (squares are read off the
-    # table without placing them) and once to build the sum
+    # table without placing them) and once to build the sum, both times
+    # through the one placement helper, which homology imports by name
     placed = []
 
-    def counted(s, _real=_placed):
-        placed.append(s)
-        return _real(s)
+    def counted(*fields, _real=_placed):
+        placed.append(fields)
+        return _real(*fields)
 
     monkeypatch.setattr("hfl.summands._placed", counted)
+    monkeypatch.setattr("hfl.homology._placed", counted)
     links = [two_bridge(36, 11), connected_sum(corpus("trefoil_right"), corpus("hopf_plus"), 0, 0)]
     links += [corpus(name) for name in CORPUS_NAMES if corpus(name).n_components == 2]
     solved = 0
@@ -574,7 +581,7 @@ def test_solver_names_the_failed_output_check(monkeypatch):
         return str(err.value).removeprefix("constraints unsatisfiable: ")
 
     with monkeypatch.context() as m:
-        m.setattr(homology, "_tile_squares", lambda cells: [Summand("B", -3, 0, (-3, -3))])
+        m.setattr(homology, "_tile_squares", lambda cells: [("B", -3, 0, (-3, -3))])
         assert refusal() == ("the associated graded homology differs from the rank table "
                              "first at d=-3, h2=(-3, -3): rank 1, not 0")
     with monkeypatch.context() as m:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from hfl.filtered import FilteredComplex, MultiGradedVS, shift, tensor_graded
 from hfl.heegaard import oracle_compare, two_bridge_diagram
-from hfl.homology import CollapsedTable, ComponentData, table_from_invariants
+from hfl.homology import CollapsedTable, ComponentData, table_from_invariants, two_component_cfl
 from hfl.laurent import (
     MultiLaurent,
     monomial,
@@ -316,6 +316,8 @@ def test_malformed_polynomial_document_is_refused(doc, message):
         MultiLaurent.from_json_dict(doc)
 
 
+HOPF_DATA = (ComponentData(0), ComponentData(0))
+
 # Every public entry that takes a caller's number, as (build with value v,
 # a valid int for v, the field its refusal names, formatted with v)
 ENTRIES = {
@@ -375,6 +377,11 @@ ENTRIES = {
         lambda v: table_from_invariants(one(1), 0, (v,)), 2, "linking total"),
     "table_from_invariants sigma": (
         lambda v: table_from_invariants(one(1), v, (0,)), 2, "signature"),
+    "two_component_cfl sigma": (
+        lambda v: two_component_cfl(monomial(2, (0, 0)), v, 1, HOPF_DATA)[1], -1, "signature"),
+    "two_component_cfl n": (
+        lambda v: two_component_cfl(monomial(2, (0, 0)), -1, v, HOPF_DATA)[1], 1,
+        "linking number"),
     "two_bridge_diagram p": (lambda v: two_bridge_diagram(v, 1), 2, "two-bridge parameter"),
     "two_bridge_diagram q": (lambda v: two_bridge_diagram(2, v), 1, "two-bridge parameter"),
     "oracle_compare": (lambda v: oracle_compare(2, v), 1, "two-bridge parameter"),
