@@ -10,13 +10,13 @@ Two quantities are computed here, both in exact arithmetic:
 
 The Fox determinant is one elimination on sparse rows of packed
 polynomials, with rows and columns ordered by a breadth-first walk of
-the diagram, in two stages: Gaussian steps while the fewest-terms pivot
-is a unit, +-1 times a monomial, and fraction-free Bareiss elimination
-on the trailing block from the first pivot that is not.  Every entry
+the diagram, in one loop: its steps are Gaussian while the
+fewest-terms pivot is a unit, +-1 times a monomial, and become
+fraction-free (Bareiss) at the first pivot that is not.  Every entry
 update is formed term by term.  The Fox matrix is built packed, in one
 box: every doubled exponent of a Fox entry is 0 or 2, so for a minor
 with n rows each variable is a signed digit in balanced base W = 8n + 1,
-T1 the most significant, and no key either stage forms leaves the box.
+T1 the most significant, and no key a step forms leaves the box.
 On an alternating projection every crossing has the same checkerboard
 type, the Goeritz form is definite, and the signature is a count of
 white faces; only other projections run an elimination for it.
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .laurent import MultiLaurent, one, symmetric_normalize
+from .laurent import MultiLaurent, one, symmetric_normalize, zero
 from .linkdiag import LinkDiagram
 
 __all__ = [
@@ -79,12 +79,12 @@ def multivariable_alexander(d: LinkDiagram) -> AlexanderResult:
     on the deleted crossing, so its cost follows the shape of the
     diagram rather than its labels.  The rows come packed, every doubled
     exponent 0 or 2, in balanced base W = 8n + 1 for a minor with n rows,
-    wide enough that no key of the elimination carries.  The determinant
-    takes Gaussian steps while the pivot is a unit and hands the first
-    block without one to fraction-free Bareiss elimination; the division
-    by T_i - 1 is performed exactly, and a nonzero remainder is an
-    internal error, not a possible outcome.  The result is normalized to its bar-symmetric representative with positive
-    leading coefficient.
+    wide enough that no key of the elimination carries.  The elimination
+    takes Gaussian steps while the pivot is a unit and fraction-free
+    steps from the first pivot that is not; the division by T_i - 1 is
+    performed exactly, and a nonzero remainder is an internal error, not
+    a possible outcome.  The result is normalized to its bar-symmetric
+    representative with positive leading coefficient.
     """
     if not d.crossings:
         return AlexanderResult(one(1))
@@ -199,15 +199,24 @@ def _packed_det(rows, nvars, base, divisor=None):
     |d_v| <= (W - 1)/2.  While every digit stays in that range, key
     addition is exponent addition and int order is lexicographic order.
 
-    One elimination in two stages, each step k taking its pivot by the
-    rule of ``_pivot``.  While the pivot is a unit u, +-1 times a
-    monomial, the step is Gaussian: each later row holding the pivot
-    column loses it and takes a_ij -= a_ik (a_kj / u) on the pivot row's
-    columns j (``_subtract``); u joins a running unit product.  The first
-    pivot that is not a unit hands the trailing block, the rows and
-    columns at positions k..n-1, to ``_bareiss``.  The determinant is the
-    unit product times that block's determinant, each with the sign of
-    its swaps.
+    One elimination, each step k taking its pivot p_k by the rule of
+    ``_pivot`` and updating the rows below the pivot row.  While every
+    pivot so far is a unit u, +-1 times a monomial, the step is
+    Gaussian: each later row holding the pivot column loses it and takes
+    a_ij -= a_ik (a_kj / u) on the pivot row's columns j (``_subtract``);
+    u joins a running unit product.  From the first pivot that is not a
+    unit, at step h, every step is fraction-free (Bareiss, Math. Comp.
+    22, 1968): with p_(h-1) = 1, step k brings every row below the
+    pivot row to
+
+        a_ij = (p_k a_ij - a_ik a_kj) / p_(k-1)
+
+    on the columns stored in it or in the pivot row (``_entry``), a
+    missing entry counting as zero and an entry that becomes zero
+    deleted.  Each such entry is a (k - h + 2)-minor of the trailing
+    block at positions h..n-1, so the division is exact, and that
+    block's determinant is the last pivot.  The determinant is the unit
+    product times it, with the sign of every swap.
 
     The box.  Let the entries' digits run over 0..s in every variable,
     and write K for the pivot rows and columns of the first k steps.
@@ -216,52 +225,69 @@ def _packed_det(rows, nvars, base, divisor=None):
     over a k-minor that is a monomial: digits in -ks..(k+1)s.  Likewise
     a_kj / u is a (k+1)-minor over the monomial det A[K+k, K+k]: digits
     in -(k+1)s..(k+1)s.  Only steps k <= n - 2 have later rows, so a term
-    product of the Gaussian stage has digits in -(2n-3)s..(2n-2)s.  Every
-    entry Bareiss forms on the block is a minor of the block, that is a
-    minor of A over det A[K, K], and each numerator multiplies two of
-    them, of sizes r1, r2 <= n - k: digits in -2ks..(2k + r1 + r2)s,
-    within -2ns..2ns.  The determinant is an n-minor of A, digits in
-    0..ns.  A divisor with digits from 0 that divides it exactly spans
-    no more than it, and the quotient's terms times the divisor's, which
-    are all the keys the division forms, stay within its range.  So
-    every key either stage forms has |digit| <= 2ns, and W >= 4ns + 1
-    keeps every digit in range: packing is injective and no digit
-    carries.  The Fox minor (``_fox_rows``) has s = 2 and W = 8n + 1.
-    An inexact division is an internal error and raises ArithmeticError,
-    as does a determinant with a negative digit, which no minor of such
-    entries can have.
+    product of a Gaussian step has digits in -(2n-3)s..(2n-2)s.  Every
+    entry a fraction-free step forms is a minor of the trailing block,
+    that is a minor of A over det A[K, K] for the h Gaussian steps' K,
+    and each numerator multiplies two of them, of sizes r1, r2 <= n - h:
+    digits in -2hs..(2h + r1 + r2)s, within -2ns..2ns.  The determinant
+    is an n-minor of A, digits in 0..ns.  A divisor with digits from 0
+    that divides it exactly spans no more than it, and the quotient's
+    terms times the divisor's, which are all the keys the division
+    forms, stay within its range.  So every key a step forms has
+    |digit| <= 2ns, and W >= 4ns + 1 keeps every digit in range: packing
+    is injective and no digit carries.  The Fox minor (``_fox_rows``)
+    has s = 2 and W = 8n + 1.  An inexact division is an internal error
+    and raises ArithmeticError, as does a determinant with a negative
+    digit, which no minor of such entries can have.
     """
     n = len(rows)
     pos, col_at = list(range(n)), list(range(n))
-    sign, unit, det = 1, 0, {0: 1}
+    sign, unit, down = 1, 0, None
     for k in range(n):
         pj, swaps = _pivot(rows, k, pos, col_at)
         if pj is None:
-            det = {}
-            break
+            return zero(nvars)
         sign *= swaps
         pivot_row = rows[k]
-        (uk, uc), *more = pivot_row[pj].items()
-        if more or uc not in (1, -1):
-            det = _bareiss(rows, k, pos, col_at)
-            break
-        sign *= uc
-        unit += uk
-        # a_kj / u, with 1/u = uc X^-uk
-        tops = [(j, [(key - uk, c * uc) for key, c in top.items()])
-                for j, top in pivot_row.items() if j != pj]
+        p = pivot_row.pop(pj)
+        (uk, uc), *more = p.items()
+        if down is None and not more and uc in (1, -1):
+            sign *= uc
+            unit += uk
+            # a_kj / u, with 1/u = uc X^-uk
+            tops = [(j, [(key - uk, c * uc) for key, c in top.items()])
+                    for j, top in pivot_row.items()]
+            for i in range(k + 1, n):
+                row = rows[i]
+                left = row.pop(pj, None)
+                if left is None:
+                    continue
+                left = left.items()
+                for j, top in tops:
+                    new = _subtract(row.pop(j, None) or {}, left, top)
+                    if new:
+                        row[j] = new
+            continue
+        # fraction-free from the first pivot that is not a unit, p_(h-1) = 1
+        down = down or {0: 1}
+        piv = p.items()
+        tops = [(j, top.items()) for j, top in pivot_row.items()]
         for i in range(k + 1, n):
             row = rows[i]
             left = row.pop(pj, None)
-            if left is None:
-                continue
-            left = left.items()
+            left = left.items() if left else ()
+            new = {j: _entry(piv, cur, (), (), down)
+                   for j, cur in row.items() if j not in pivot_row}
             for j, top in tops:
-                new = _subtract(row.pop(j, None) or {}, left, top)
-                if new:
-                    row[j] = new
-    det = {key + unit: c * sign for key, c in det.items()}
-    if det and divisor is not None:
+                cur = row.get(j)
+                if cur or left:
+                    entry = _entry(piv, cur, left, top, down)
+                    if entry:
+                        new[j] = entry
+            rows[i] = new
+        down = p
+    det = {key + unit: c * sign for key, c in (down or {0: 1}).items()}
+    if divisor is not None:
         det = _packed_divide(det, divisor)
     half = base // 2
     out = {}
@@ -329,52 +355,6 @@ def _subtract(cur, left, top):
             else:
                 del cur[key]
     return cur
-
-
-def _bareiss(a, start, pos, col_at):
-    """Determinant of the trailing block of a square sparse matrix of
-    packed polynomials, the rows and columns at positions start..n-1,
-    with the sign of its swaps (modified in place).
-
-    Fraction-free Bareiss elimination (Math. Comp. 22, 1968), each step
-    k taking its pivot by the rule of ``_pivot``; at step ``start`` that
-    is the pivot ``_packed_det`` found, already in place.  Write p_k for
-    the pivot of step k, and p_(start-1) = 1.  Step k brings every row
-    below the pivot row to
-
-        a[i][j] = (p_k a[i][j] - a[i][k] a[k][j]) / p_(k-1)
-
-    on the columns stored in it or in the pivot row (``_entry``), a
-    missing entry counting as zero and an entry that becomes zero
-    deleted.  Each such entry is a (k - start + 2)-minor of the block,
-    so the division is exact, and the determinant is the last pivot.
-    """
-    n = len(a)
-    sign, down = 1, {0: 1}
-    for k in range(start, n):
-        pj, swaps = _pivot(a, k, pos, col_at)
-        if pj is None:
-            return {}
-        sign *= swaps
-        pivot_row = a[k]
-        p = pivot_row.pop(pj)
-        piv = p.items()
-        tops = [(j, top.items()) for j, top in pivot_row.items()]
-        for i in range(k + 1, n):
-            row = a[i]
-            left = row.pop(pj, None)
-            left = left.items() if left else ()
-            new = {j: _entry(piv, cur, (), (), down)
-                   for j, cur in row.items() if j not in pivot_row}
-            for j, top in tops:
-                cur = row.get(j)
-                if cur or left:
-                    entry = _entry(piv, cur, left, top, down)
-                    if entry:
-                        new[j] = entry
-            a[i] = new
-        down = p
-    return down if sign == 1 else {key: -c for key, c in down.items()}
 
 
 def _entry(p, a, left, top, down):
@@ -467,29 +447,19 @@ def _checkerboard(d: LinkDiagram):
 
     ``LinkDiagram`` refuses a connected code whose face count breaks
     Euler's formula, so the projection is planar and the coloring that
-    alternates across every edge exists; the search below finds it.
+    alternates across every edge exists.  A walk over the faces' corners
+    finds it: the edge at slot k + 1 of crossing ci parts the corners
+    (ci, k) and (ci, k + 1), so the face across it from the face that
+    holds (ci, k) is the face that holds (ci, k + 1).
     """
     faces = d.faces
-    face_at = {}
-    for fi, face in enumerate(faces):
-        for corner in face:
-            face_at[corner] = fi
-    edge_faces = {}
-    for fi, face in enumerate(faces):
-        for ci, k in face:
-            e = d.crossings[ci][(k + 1) % 4]
-            edge_faces.setdefault(e, []).append(fi)
+    face_at = {corner: fi for fi, face in enumerate(faces) for corner in face}
     color = {0: 0}
     queue = [0]
-    adj = {}
-    for e, pair in edge_faces.items():
-        assert len(pair) == 2
-        f, g = pair
-        adj.setdefault(f, []).append(g)
-        adj.setdefault(g, []).append(f)
     while queue:
         f = queue.pop()
-        for g in adj.get(f, ()):
+        for ci, k in faces[f]:
+            g = face_at[ci, (k + 1) % 4]
             if g not in color:
                 color[g] = 1 - color[f]
                 queue.append(g)

@@ -13,17 +13,17 @@ homology, the pages of the spectral sequence induced by the total drop
 in filtration, and the filtered homotopy type left after cancelling the
 part of the differential that moves only one chosen coordinate.
 
-Generator sets are small (tens, not thousands), so GF(2) linear algebra
-is done on bitmask integers without any sparse-matrix machinery: every
-elimination in the package, here and in :mod:`hfl.summands`, goes
-through :func:`echelon`.  Spectral pages and component homology share
-one Gaussian-cancellation engine, ``_cancel_all``.  It works on integer
-positions, not ids: ``_index`` numbers a complex's generators by their
-rank in sorted id order, so the smallest arrow by position is the
-smallest by id.  The numbering is computed once and kept on the
-instance, which never changes, as is its validation report; the
-checks, both homologies, cancellation and :func:`hfl.summands.decompose`
-all read it.
+GF(2) linear algebra is done on bitmask integers, one Python int per
+row; an int holds a row of any width, so no sparse-matrix machinery is
+needed: every elimination in the package, here and in
+:mod:`hfl.summands`, goes through :func:`echelon`.  Spectral pages and
+component homology share one Gaussian-cancellation engine,
+``_cancel_all``.  It works on integer positions, not ids: ``_index``
+numbers a complex's generators by their rank in sorted id order, so the
+smallest arrow by position is the smallest by id.  The numbering is
+computed once and kept on the instance, which never changes, as is its
+validation report; the checks, both homologies, cancellation and
+:func:`hfl.summands.decompose` all read it.
 
 Validation happens where data enters: the public ``MultiGradedVS``
 constructor checks every entry it is given (JSON, the CLI, callers).

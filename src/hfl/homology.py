@@ -158,11 +158,8 @@ def _alternating_invariants(diag: LinkDiagram, message: str) -> tuple[MultiLaure
     return multivariable_alexander(diag).delta, signature(diag)
 
 
-def _alternating_table(
-    diag: LinkDiagram,
-) -> tuple[MultiLaurent, int, tuple, MultiGradedVS, MultiLaurent]:
-    """Delta, sigma, the linking matrix, the rank table of ``diag`` and
-    the Euler target the table was read from."""
+def hfl_alternating(diag: LinkDiagram) -> HFLReport:
+    """Homology table of a connected alternating projection, l >= 1."""
     delta, sigma = _alternating_invariants(
         diag,
         "the projection is not alternating, so the rank table is not "
@@ -170,12 +167,7 @@ def _alternating_table(
     )
     lkd = linking_matrix(diag)
     target = _euler_target(delta)
-    return delta, sigma, lkd.lk, _table_from_target(target, sigma, lkd.total), target
-
-
-def hfl_alternating(diag: LinkDiagram) -> HFLReport:
-    """Homology table of a connected alternating projection, l >= 1."""
-    delta, sigma, linking, table, target = _alternating_table(diag)
+    table = _table_from_target(target, sigma, lkd.total)
     euler = table.euler()
     return HFLReport(
         table=table,
@@ -183,17 +175,17 @@ def hfl_alternating(diag: LinkDiagram) -> HFLReport:
         euler=euler,
         sigma=sigma,
         l=diag.n_components,
-        linking=linking,
+        linking=lkd.lk,
         euler_ok=bool(_verify_euler_hat(euler, target)),
         symmetry_ok=bool(verify(table, delta, "symmetry")),
     )
 
 
 def hfk_alternating_knot(diag: LinkDiagram) -> MultiGradedVS:
-    """The table ``hfl_alternating`` gives a knot, without its identity checks."""
+    """The table ``hfl_alternating`` gives a knot."""
     if diag.n_components != 1:
         raise ValueError("link input: use hfl_alternating")
-    return _alternating_table(diag)[3]
+    return hfl_alternating(diag).table
 
 
 # ----------------------------------------------------------------------

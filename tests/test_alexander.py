@@ -528,9 +528,9 @@ def test_packed_det_refuses_a_key_outside_the_box():
             _packed_det(rows, nvars, 9)
 
 
-# the hand-off from the Gaussian stage to the Bareiss tail, in T = x^2:
+# the hand-off from Gaussian steps to fraction-free ones, in T = x^2:
 # matrices whose first pivot that is not a unit comes at step 0, in the
-# middle and at the last step
+# middle and at the last step, and one with a unit pivot after it
 CELLS = {"0": {}, "1": {(0,): 1}, "-1": {(0,): -1}, "x": {(2,): 1}, "-x": {(2,): -1},
          "2": {(0,): 2}, "1+x": {(0,): 1, (2,): 1}, "1-x": {(0,): 1, (2,): -1},
          "x-2": {(2,): 1, (0,): -2}}
@@ -551,31 +551,41 @@ HANDOFFS = [
     (2, ["0 1 1",
          "-1 0 1+x",
          "x-2 1+x -x"]),
+    # step 0 hands off; step 1 swaps rows for the unit pivot 1 and still
+    # takes the fraction-free update
+    (0, ["2 1 0",
+         "0 1+x 1-x",
+         "1 1 x-2"]),
 ]
 
 
 @pytest.mark.parametrize("handoff, text", HANDOFFS)
 def test_packed_det_hands_the_tail_to_bareiss(handoff, text, monkeypatch):
     mat = [[poly(1, CELLS[cell]) for cell in line.split()] for line in text]
-    pivot, bareiss = alexander._pivot, alexander._bareiss
-    starts, swapped = [], set()
+    pivot, entry = alexander._pivot, alexander._entry
+    units, entry_steps, swapped = [], [], set()
 
     def logged_pivot(a, k, pos, col_at):
         row, col = a[k], col_at[k]
         out = pivot(a, k, pos, col_at)
         if a[k] is not row or col_at[k] != col:
             swapped.add(k)
+        c, *more = a[k][out[0]].values()
+        units.append(not more and c in (1, -1))
         return out
 
-    def logged_bareiss(a, start, pos, col_at):
-        starts.append(start)
-        return bareiss(a, start, pos, col_at)
+    def logged_entry(p, a, left, top, down):
+        entry_steps.append(len(units) - 1)
+        return entry(p, a, left, top, down)
 
     monkeypatch.setattr(alexander, "_pivot", logged_pivot)
-    monkeypatch.setattr(alexander, "_bareiss", logged_bareiss)
+    monkeypatch.setattr(alexander, "_entry", logged_entry)
     want = leibniz_det(mat, 1)
     assert want and tuple_packed_det(sparse(mat), 1) == want
-    assert starts == [handoff]
+    # the first pivot that is not a unit comes at the hand-off step, and
+    # from there on every step below the last makes fraction-free updates
+    assert units.index(False) == handoff
+    assert sorted(set(entry_steps)) == list(range(handoff, len(mat) - 1))
     # swaps on both sides of the hand-off, where the block leaves room
     assert any(k < handoff for k in swapped) or handoff == 0
     assert any(k > handoff for k in swapped) or handoff == len(mat) - 1
@@ -737,6 +747,24 @@ def test_non_alternating_sigma_takes_the_matrix_path():
             assert {eta for _, _, eta in edges} == {-1, 1}
         assert signature(d) == ldlt_signature(d) == sigma
         assert signature(mirror(d)) == -sigma
+
+
+def test_checkerboard_alternates_across_every_edge():
+    names = [name for family in ALTERNATING_FAMILIES.values() for name in family]
+    diagrams = [golden_diagram(name) for name in names + ["L7n1", "L7n2"]]
+    diagrams += [braid_closure(list(word), strands) for word, strands, _ in MIXED_SIGMA]
+    for d in diagrams:
+        faces, color, face_at = _checkerboard(d)
+        assert color[0] == 0
+        assert sorted(color) == list(range(len(faces)))
+        sides = {}
+        for fi, face in enumerate(faces):
+            for ci, k in face:
+                # the edge at slot k + 1 of crossing ci parts these two faces
+                assert color[face_at[ci, (k + 1) % 4]] == 1 - color[fi], (d.crossings, fi, ci, k)
+                sides.setdefault(d.crossings[ci][(k + 1) % 4], []).append(color[fi])
+        # the corners before an edge's two slots lie on its two sides
+        assert all(sorted(c) == [0, 1] for c in sides.values()), d.crossings
 
 
 def test_packed_divide_drops_zero_coefficients():
