@@ -16,10 +16,12 @@ fraction-free (Bareiss) at the first pivot that is not.  Every entry
 update is formed term by term.  The Fox matrix is built packed, in one
 box: every doubled exponent of a Fox entry is 0 or 2, so for a minor
 with n rows each variable is a signed digit in balanced base W = 8n + 1,
-T1 the most significant, and no key a step forms leaves the box.
-On an alternating projection every crossing has the same checkerboard
-type, the Goeritz form is definite, and the signature is a count of
-white faces; only other projections run an elimination for it.
+T1 the most significant, and no key a step forms leaves the box.  Delta
+is normalized on those packed keys, before it is unpacked, and the
+unpacking checks the box, reading each digit against the centring
+shift's.  On an alternating projection every crossing has the same
+checkerboard type, the Goeritz form is definite, and the signature is a
+count of white faces; only other projections run an elimination for it.
 
 Both are diagram invariants of the underlying oriented link, which the
 test suite exercises by computing them from independently constructed
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .laurent import MultiLaurent, one, symmetric_normalize, zero
+from .laurent import MultiLaurent, _normalize_packed, _unpack, one, zero
 from .linkdiag import LinkDiagram
 
 __all__ = [
@@ -84,7 +86,10 @@ def multivariable_alexander(d: LinkDiagram) -> AlexanderResult:
     steps from the first pivot that is not; the division by T_i - 1 is
     performed exactly, and a nonzero remainder is an internal error, not
     a possible outcome.  The result is normalized to its bar-symmetric
-    representative with positive leading coefficient.
+    representative with positive leading coefficient on the packed keys,
+    by the kernel of ``symmetric_normalize``, and then unpacked
+    (``_delta``); the box check reads each centred digit against the
+    centring shift's digit, the raw digit being their difference.
     """
     if not d.crossings:
         return AlexanderResult(one(1))
@@ -97,8 +102,8 @@ def multivariable_alexander(d: LinkDiagram) -> AlexanderResult:
            for r in reversed(row_order[1:])]
     i = arc_component[del_col]
     torres = {2 * base ** (nvars - 1 - i): 1, 0: -1} if nvars >= 2 else None
-    det = _packed_det(mat, nvars, base, torres)
-    return AlexanderResult(symmetric_normalize(det) if det else det)
+    det = _packed_det(mat, torres)
+    return AlexanderResult(_delta(det, nvars, base) if det else zero(nvars))
 
 
 def _fox_rows(d: LinkDiagram):
@@ -186,15 +191,15 @@ def _walk(rows):
     return row_order, arc_order
 
 
-def _packed_det(rows, nvars, base, divisor=None):
+def _packed_det(rows, divisor=None):
     """Determinant of a square sparse matrix of packed polynomials, divided
-    exactly by ``divisor`` and unpacked to a MultiLaurent.
+    exactly by ``divisor``, as a packed polynomial: {} when it is zero.
 
     Row i of the n x n matrix is ``rows[i]``, a dict from column
     (0..n-1) to nonzero entry; columns it lacks are zero.  The rows and
     their entries are consumed by the elimination.  Entries and the
     divisor are dicts from packed key to nonzero coefficient.  A key
-    packs an exponent vector in balanced base W = ``base`` (odd): the
+    packs an exponent vector in a balanced base W (odd): the
     sum of d_v W^(l-1-v), T1 the most significant, each digit
     |d_v| <= (W - 1)/2.  While every digit stays in that range, key
     addition is exponent addition and int order is lexicographic order.
@@ -237,8 +242,9 @@ def _packed_det(rows, nvars, base, divisor=None):
     |digit| <= 2ns, and W >= 4ns + 1 keeps every digit in range: packing
     is injective and no digit carries.  The Fox minor (``_fox_rows``)
     has s = 2 and W = 8n + 1.  An inexact division is an internal error
-    and raises ArithmeticError, as does a determinant with a negative
-    digit, which no minor of such entries can have.
+    and raises ArithmeticError; so does a determinant with a negative
+    digit, which no minor of such entries can have, when ``_delta``
+    unpacks it.
     """
     n = len(rows)
     pos, col_at = list(range(n)), list(range(n))
@@ -246,7 +252,7 @@ def _packed_det(rows, nvars, base, divisor=None):
     for k in range(n):
         pj, swaps = _pivot(rows, k, pos, col_at)
         if pj is None:
-            return zero(nvars)
+            return {}
         sign *= swaps
         pivot_row = rows[k]
         p = pivot_row.pop(pj)
@@ -287,19 +293,33 @@ def _packed_det(rows, nvars, base, divisor=None):
             rows[i] = new
         down = p
     det = {key + unit: c * sign for key, c in (down or {0: 1}).items()}
-    if divisor is not None:
-        det = _packed_divide(det, divisor)
+    return det if divisor is None else _packed_divide(det, divisor)
+
+
+def _delta(det, nvars, base):
+    """Delta from a nonzero packed Fox determinant: normalized on packed keys
+    by ``laurent._normalize_packed``, then unpacked by ``laurent._unpack``.
+
+    The determinant's digits run over 0..ns (see ``_packed_det``), so the
+    sum of its least and greatest key has digits in 0..2ns and every
+    centred key digits in -ns..ns, all within (W - 1)/2 for W >= 4ns + 1.
+    Unpacking checks the box: a raw digit is a centred digit less the
+    centring shift's, so a centred key past the box's edge (a carry past
+    T1), or a centred digit below the shift's digit or more than
+    (W - 1)/2 above it, is a determinant outside the box and raises
+    ArithmeticError.  So does a refusal of the kernel: a Fox Delta is
+    symmetric up to a unit, and the kernel reads order off the keys only
+    inside the box.
+    """
+    try:
+        g, shift = _normalize_packed(det, nvars, base)
+    except ValueError as refusal:
+        raise ArithmeticError("determinant outside the packed box (internal error)") from refusal
     half = base // 2
-    out = {}
-    for key, c in det.items():
-        e = [0] * nvars
-        for v in range(nvars - 1, -1, -1):
-            key, digit = divmod(key + half, base)
-            e[v] = digit - half
-        if key or min(e) < 0:
-            raise ArithmeticError("determinant outside the packed box (internal error)")
-        out[tuple(e)] = c
-    return MultiLaurent._trusted(nvars, out)
+    columns, high = _unpack(g, nvars, base)
+    if any(high) or any(min(col) < x or max(col) > x + half for col, x in zip(columns, shift)):
+        raise ArithmeticError("determinant outside the packed box (internal error)")
+    return MultiLaurent._trusted(nvars, dict(zip(zip(*columns), g.values())))
 
 
 def _pivot(a, k, pos, col_at):

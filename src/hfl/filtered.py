@@ -54,8 +54,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from operator import neg
 from typing import Iterable, Mapping, Sequence
 
 from .laurent import MultiLaurent, _field, as_ints, fmt_half
@@ -420,7 +420,7 @@ def _chain_report(cx: FilteredComplex) -> ValidationReport:
                 return ValidationReport(
                     False,
                     "filtration",
-                    f"arrow {a}->{b} raises coordinate {i + 1} by {Fraction(xb - xa, 2)}",
+                    f"arrow {a}->{b} raises coordinate {i + 1} by {fmt_half(xb - xa)}",
                 )
     out, _ = _adjacency(len(gens), arrows)
     for p, row in enumerate(out):
@@ -501,12 +501,19 @@ def asymmetric_cell(ranks: Mapping) -> tuple | None:
     """The first (Maslov, doubled level) cell, in sorted order, whose rank
     differs from its partner's, as (cell, partner); None if there is none.
     A link's homology has the same rank at (d, h) as at its partner
-    (d - 2*o(h), -h), o(h) being the coordinate sum of h."""
-    for d, h2 in sorted(ranks):
-        partner = (d - sum(h2), tuple(-x for x in h2))
-        if ranks[(d, h2)] != ranks.get(partner, 0):
-            return (d, h2), partner
-    return None
+    (d - 2*o(h), -h), o(h) being the coordinate sum of h.
+
+    The cells are scanned in dict order, one lookup of the partner per
+    cell, and the failing ones collected; only they are compared for the
+    first, so a symmetric table is never sorted.
+    """
+    get = ranks.get
+    failing = [(d, h2) for (d, h2), r in ranks.items()
+               if r != get((d - sum(h2), tuple(map(neg, h2))), 0)]
+    if not failing:
+        return None
+    d, h2 = min(failing)
+    return (d, h2), (d - sum(h2), tuple(map(neg, h2)))
 
 
 def first_difference(a: Mapping, b: Mapping) -> tuple | None:

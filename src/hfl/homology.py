@@ -68,7 +68,11 @@ __all__ = [
 # The rank table of an alternating link
 
 def _euler_target(delta: MultiLaurent) -> MultiLaurent:
-    """``delta`` times the spin product; ``delta`` itself in one variable."""
+    """``delta`` times the spin product; ``delta`` itself in one variable.
+
+    The product is ``MultiLaurent.__mul__``: two coordinate sums per
+    pair of terms in two variables, one add of packed keys in more.
+    """
     l = delta.nvars
     return spin_product(l) * delta if l > 1 else delta
 

@@ -18,13 +18,23 @@ scalar operands, CLI input and callers.  The ring operations ``+``,
 and ``restrict`` build their term dicts from the keys and coefficients
 of values already checked, dropping the coefficients that cancel, so
 they hand them over unchecked, through ``MultiLaurent._trusted``.  So
-do ``MultiGradedVS.euler`` in :mod:`hfl.filtered` and the Fox
-determinant's final unpacking in :mod:`hfl.alexander`.
+do ``symmetric_normalize``, ``MultiGradedVS.euler`` in
+:mod:`hfl.filtered` and the Fox determinant's final unpacking in
+:mod:`hfl.alexander`.
+
+Normalisation, and products in other than two variables, run on
+packed keys: an exponent vector is packed into one int, its doubled
+exponents the signed digits of a balanced base wide enough for every
+sum formed, so adding keys multiplies monomials and negating a key
+bars its monomial.  ``_pack`` and ``_unpack`` are the one packing and
+the one unpacking.  A product in two variables adds the two
+coordinates instead, which costs less than packing and unpacking.
 """
 
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain
 from operator import add, neg
 from typing import Iterable, Mapping
 
@@ -141,13 +151,31 @@ class MultiLaurent:
             terms = {e: c * other for e, c in self.terms.items()} if other else {}
             return MultiLaurent._trusted(self.nvars, terms)
         other = self._coerce(other)
-        out: dict[Expo, int] = {}
+        out: dict = {}
         get = out.get
+        if self.nvars == 2:
+            # two coordinate sums cost less than packing and unpacking
+            right = list(other.terms.items())
+            for (a, b), c1 in self.terms.items():
+                for (x, y), c2 in right:
+                    e = (a + x, b + y)
+                    out[e] = get(e, 0) + c1 * c2
+            return MultiLaurent._trusted(2, {e: c for e, c in out.items() if c})
+        if not self.terms or not other.terms:
+            return MultiLaurent._trusted(self.nvars, {})
+        # in balanced base 2m + 1, m the sum of the factors' largest
+        # |doubled exponent|, every product's digits stay in range, so
+        # adding packed keys multiplies monomials
+        base = 2 * (_reach(self.terms) + _reach(other.terms)) + 1
+        right = [(_pack(e, base), c) for e, c in other.terms.items()]
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = get(e, 0) + c1 * c2
-        return MultiLaurent._trusted(self.nvars, {e: c for e, c in out.items() if c})
+            k1 = _pack(e1, base)
+            for k2, c2 in right:
+                key = k1 + k2
+                out[key] = get(key, 0) + c1 * c2
+        out = {key: c for key, c in out.items() if c}
+        columns, _ = _unpack(out, self.nvars, base)
+        return MultiLaurent._trusted(self.nvars, dict(zip(zip(*columns), out.values())))
 
     __rmul__ = __mul__
 
@@ -277,23 +305,97 @@ def symmetric_normalize(p: MultiLaurent) -> MultiLaurent:
     Output g satisfies g.bar() == g or g.bar() == -g (torsion
     polynomials are one or the other once centered); among the two sign
     choices the one whose lexicographically leading term has positive
-    coefficient is returned.  Raises ValueError when no unit multiple
-    is symmetric either way.
+    coefficient is returned, its terms in the order of ``p``'s.  Raises
+    ValueError when no unit multiple is symmetric either way.
+
+    The exponents are packed in balanced base 4m + 1, m the largest
+    |doubled exponent|, which leaves room for the sums that
+    :func:`_normalize_packed` forms, and normalized there; the result's
+    exponents are ``p``'s moved by the centring shift the kernel returns,
+    and ``p``'s own when that shift is zero.
     """
     if not p:
         return p
-    # bar reverses the lexicographic order, so bar(p)'s least exponent is -max
-    v = tuple(-a - b for a, b in zip(min(p.terms), max(p.terms)))
+    l = p.nvars
+    base = 4 * _reach(p.terms) + 1
+    g, u = _normalize_packed({_pack(e, base): c for e, c in p.terms.items()}, l, base)
+    if any(u):
+        terms = {tuple(map(add, e, u)): c for e, c in zip(p.terms, g.values())}
+        return MultiLaurent._trusted(l, terms)
+    return MultiLaurent._trusted(l, dict(zip(p.terms, g.values())))
+
+
+def _pack(digits, base: int) -> int:
+    """The packed key of signed digits in balanced ``base``, T1 first."""
+    key = 0
+    for x in digits:
+        key = key * base + x
+    return key
+
+
+def _unpack(keys, nvars: int, base: int) -> tuple[list[list[int]], list[int]]:
+    """The digit columns of packed keys in balanced ``base``, T1's first,
+    and what each key holds above T1.
+
+    This is the one unpacking of packed keys, one variable at a time
+    over all keys: column v lists digit v of every key, in the order of
+    ``keys``.  A key lies in the box, every digit within (base - 1)/2,
+    exactly when nothing is left of it above T1.
+    """
+    half = base // 2
+    columns = []
+    for _ in range(nvars):
+        columns.append([(key + half) % base - half for key in keys])
+        keys = [(key + half) // base for key in keys]
+    columns.reverse()
+    return columns, keys
+
+
+def _reach(terms) -> int:
+    """The largest |doubled exponent| among the keys of a nonempty ``terms``."""
+    return max(map(abs, chain.from_iterable(terms)))
+
+
+def _normalize_packed(terms: dict, nvars: int, base: int) -> tuple[dict, list[int]]:
+    """``symmetric_normalize`` on packed keys: the centered unit multiple of
+    ``terms``, still packed and in the same term order, and the digits of
+    the centring shift.
+
+    ``terms`` maps packed keys to nonzero coefficients.  A key packs a
+    doubled exponent vector as the sum of d_v base^(l-1-v), T1 the most
+    significant, each signed digit |d_v| <= (base - 1)/2 for an odd
+    ``base``.  The caller picks the base so that the digits of every
+    key, of the sum of the least and greatest key, and of every centred
+    key stay in that range.  Then int order is lexicographic order,
+    adding keys multiplies monomials and negating a key bars its
+    monomial: centring is one int add per term, the bar-symmetry test
+    one lookup of -key per term, and the sign is read at the greatest
+    key.  Raises ValueError when no unit multiple is symmetric, and
+    ArithmeticError when the sum of the least and greatest key carries
+    past T1, outside the box the base must leave room for.
+    """
+    lo, hi = min(terms), max(terms)
+    # bar reverses the order, so the centred keys run from -top to top
+    shift = -lo - hi
+    columns, (high,) = _unpack((shift,), nvars, base)
+    if high:
+        raise ArithmeticError("keys outside the packed box (internal error)")
+    (v,) = zip(*columns)
     if any(x % 2 for x in v):
         raise ValueError("no symmetric unit multiple exists (odd lattice offset)")
-    u = tuple(x // 2 for x in v)
-    g = p.shift(u)
-    gbar = g.bar()
-    if gbar != g and gbar != -g:
-        raise ValueError("no symmetric unit multiple exists")
-    if g.terms[max(g.terms)] < 0:
-        g = -g
-    return g
+    u = [x // 2 for x in v]
+    shift //= 2
+    if terms[hi] > 0:
+        g = {key + shift: c for key, c in terms.items()}
+    else:
+        g = {key + shift: -c for key, c in terms.items()}
+    get = g.get
+    top = hi + shift
+    bar_sign = 1 if get(-top) == g[top] else -1
+    for key, c in g.items():
+        if get(-key) != bar_sign * c:
+            raise ValueError("no symmetric unit multiple exists")
+    return g, u
 
 
 def series_quotient(p: MultiLaurent, i: int, depth: int) -> MultiLaurent:

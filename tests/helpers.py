@@ -9,10 +9,10 @@ from heapq import heapify, heappop, heappush
 from itertools import product
 
 from hfl import homology
-from hfl.alexander import _fox_rows, _packed_det
+from hfl.alexander import _delta, _fox_rows, _packed_det
 from hfl.filtered import FilteredComplex, MultiGradedVS, _index, echelon
 from hfl.homology import ComponentData, table_from_invariants
-from hfl.laurent import MultiLaurent, symmetric_normalize
+from hfl.laurent import MultiLaurent, _pack, symmetric_normalize
 from hfl.linkdiag import LinkDiagram, _relabel_dense, braid_closure, corpus
 from hfl.summands import Summand, _image, _module, _rad2, build_sum, sum_cells
 
@@ -48,8 +48,8 @@ def fox_minor_delta(d, row, col):
     nvars = d.n_components
     i = arc_component[col]
     divisor = {2 * base ** (nvars - 1 - i): 1, 0: -1} if nvars >= 2 else None
-    det = _packed_det(mat, nvars, base, divisor)
-    return symmetric_normalize(det) if det else det
+    det = _packed_det(mat, divisor)
+    return _delta(det, nvars, base) if det else MultiLaurent(nvars)
 
 
 def tuple_fox_rows(d):
@@ -127,10 +127,63 @@ def tuple_packed_det(rows, nvars, divisor=None):
         return out
 
     a = [{j: pack(p, lo) for j, p in row.items() if p} for row in rows]
-    det = _packed_det(a, nvars, base, pack(dterms, dlo) if divisor is not None else None)
+    det = raw_det(_packed_det(a, pack(dterms, dlo) if divisor is not None else None),
+                  nvars, base)
     shift = [n * lo[v] - dlo[v] for v in range(nvars)]
     return MultiLaurent(nvars, {tuple(x + s for x, s in zip(e, shift)): c
                                 for e, c in det.terms.items()})
+
+
+def raw_det(det, nvars, base):
+    """The packed determinant ``det`` of ``alexander._packed_det`` as it
+    stands, unpacked unnormalized: every digit of a minor of entries with
+    digits from 0 lies in 0..(base - 1)/2, and a key outside that box
+    raises ArithmeticError."""
+    out = {}
+    for key, c in det.items():
+        e = unpack_key(key, nvars, base)
+        if min(e) < 0 or key != _pack(e, base):
+            raise ArithmeticError("determinant outside the packed box")
+        out[e] = c
+    return MultiLaurent(nvars, out)
+
+
+def reference_symmetric_normalize(p):
+    """``laurent.symmetric_normalize`` on tuple keys, as it ran before it
+    packed them: the reference for ``laurent._normalize_packed``."""
+    if not p:
+        return p
+    v = tuple(-a - b for a, b in zip(min(p.terms), max(p.terms)))
+    if any(x % 2 for x in v):
+        raise ValueError("no symmetric unit multiple exists (odd lattice offset)")
+    g = p.shift(tuple(x // 2 for x in v))
+    gbar = g.bar()
+    if gbar != g and gbar != -g:
+        raise ValueError("no symmetric unit multiple exists")
+    if g.terms[max(g.terms)] < 0:
+        g = -g
+    return g
+
+
+def reference_product(p, q):
+    """``p * q`` on tuple keys, as ``MultiLaurent.__mul__`` ran before it
+    packed them: the reference for the packed product, its terms in the
+    order of first appearance over p's terms, then q's."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, 0) + c1 * c2
+    return MultiLaurent(p.nvars, out)
+
+
+def reference_spin_product(nvars):
+    """prod_i (T_i^{1/2} - T_i^{-1/2}) by ``reference_product``."""
+    out = MultiLaurent(nvars, {(0,) * nvars: 1})
+    for i in range(nvars):
+        step = tuple(int(j == i) for j in range(nvars))
+        out = reference_product(out, MultiLaurent(nvars, {step: 1, tuple(-x for x in step): -1}))
+    return out
 
 
 def substitute_one(p, i):

@@ -5,12 +5,14 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import helpers
 from helpers import (
     fox_minor_delta,
     golden_diagram,
+    raw_det,
+    reference_symmetric_normalize,
     relabelled,
     tuple_fox_rows,
     tuple_packed_det,
@@ -22,6 +24,7 @@ from hfl.alexander import (
     _fox_rows,
     _goeritz_data,
     _goeritz_matrix,
+    _delta,
     _ldlt,
     _packed_det,
     _packed_divide,
@@ -29,7 +32,7 @@ from hfl.alexander import (
     multivariable_alexander,
     signature,
 )
-from hfl.laurent import MultiLaurent, one, zero
+from hfl.laurent import MultiLaurent, _pack, one, zero
 from hfl.linkdiag import (
     CORPUS_NAMES,
     LinkDiagram,
@@ -327,10 +330,13 @@ def test_fox_box_is_carry_free(monkeypatch):
     # for the rows (span = 2).  Then every Fox elimination is re-run in a
     # box about 8W wide: every key that either stage forms (the operands,
     # the term products and the result of each _subtract and _entry, and
-    # the numerator, divisor and quotient of each _packed_divide) and
-    # every digit of the determinant must stay within (W - 1)/2.
+    # the numerator, divisor and quotient of each _packed_divide, the
+    # determinant, and the sum of its least and greatest key and the
+    # centred keys that _normalize_packed forms) must stay within
+    # (W - 1)/2.
     fox_rows, packed_det = alexander._fox_rows, _packed_det
     subtract, entry, divide = alexander._subtract, alexander._entry, alexander._packed_divide
+    normalize = alexander._normalize_packed
     box = {}
 
     def wide_fox_rows(d):
@@ -374,10 +380,16 @@ def test_fox_box_is_carry_free(monkeypatch):
         check(*p, *q, *out)
         return out
 
-    def checked_det(rows, nvars, base, divisor=None):
-        det = packed_det(rows, nvars, base, divisor)
-        assert all(max(e) <= box["half"] for e in det.terms)
+    def checked_det(rows, divisor=None):
+        det = packed_det(rows, divisor)
+        check(*det)
         return det
+
+    def checked_normalize(terms, nvars, base):
+        # the sum of the least and greatest key and every centred key
+        g, shift = normalize(terms, nvars, base)
+        check(min(terms) + max(terms), *g)
+        return g, shift
 
     for module in (alexander, helpers):
         monkeypatch.setattr(module, "_fox_rows", wide_fox_rows)
@@ -385,6 +397,7 @@ def test_fox_box_is_carry_free(monkeypatch):
     monkeypatch.setattr(alexander, "_subtract", checked_subtract)
     monkeypatch.setattr(alexander, "_entry", checked_entry)
     monkeypatch.setattr(alexander, "_packed_divide", checked_divide)
+    monkeypatch.setattr(alexander, "_normalize_packed", checked_normalize)
     for d in fox_box_diagrams():
         multivariable_alexander(d)
     for name in CORPUS_NAMES:
@@ -522,10 +535,57 @@ def test_packed_det_refuses_inexact_division():
 
 def test_packed_det_refuses_a_key_outside_the_box():
     # a determinant's digits are those of a minor of entries with
-    # nonnegative digits: a negative digit, or one above T1, is an error
-    for rows, nvars in (([{0: {-1: 1}}], 1), ([{0: {-8: 1}}], 2), ([{0: {81: 1}}], 2)):
+    # nonnegative digits: a negative digit, or one above T1, is an error,
+    # in the raw determinant and in the centred one that _delta unpacks;
+    # outside the box, the kernel's refusals (no symmetric multiple, an
+    # odd offset) are internal errors too
+    cases = (({-1: 1}, 1), ({-8: 1}, 2), ({81: 1}, 2), ({-1: 1, 1: 1}, 1), ({9: 1, -9: 1}, 1),
+             ({-1: 1, 3: 2}, 1), ({-1: 1, 2: 1}, 1))
+    for entry, nvars in cases:
+        det = _packed_det([{0: dict(entry)}])
+        assert det == entry
         with pytest.raises(ArithmeticError, match="packed box"):
-            _packed_det(rows, nvars, 9)
+            raw_det(det, nvars, 9)
+        with pytest.raises(ArithmeticError, match="packed box"):
+            _delta(det, nvars, 9)
+
+
+@st.composite
+def boxed_dets(draw):
+    """A packed determinant, bar-symmetric up to a unit, with digits in
+    0..m in balanced base 4m + 1 as the Fox box has them, and the same
+    shifted so that some term has the digit -1 in one variable."""
+    nvars, m = draw(st.integers(1, 3)), 2 * draw(st.integers(1, 2))
+    base = 4 * m + 1
+    digits = st.tuples(*[st.integers(0, m // 2)] * nvars)
+    half = draw(st.dictionaries(digits, st.integers(-3, 3).filter(bool), min_size=1, max_size=4))
+    mirror = draw(st.sampled_from((1, -1)))
+    terms = {}
+    for e, c in half.items():
+        for f, sign in ((e, 1), (tuple(m - x for x in e), mirror)):
+            terms[f] = terms.get(f, 0) + sign * c
+    terms = {e: c for e, c in terms.items() if c}
+    assume(terms)
+    det = {_pack(e, base): c for e, c in terms.items()}
+    v = draw(st.integers(0, nvars - 1))
+    low = min(e[v] for e in terms)
+    out = {key - (low + 1) * base ** (nvars - 1 - v): c for key, c in det.items()}
+    return nvars, base, det, out
+
+
+@settings(max_examples=300, deadline=None)
+@given(boxed_dets())
+def test_delta_reads_the_box_off_the_centred_digits(case):
+    # a determinant inside the box unpacks to its normalized Delta; one
+    # with a negative raw digit is refused, though its centred keys are
+    # the same
+    nvars, base, det, out = case
+    assert _delta(dict(det), nvars, base) == reference_symmetric_normalize(
+        raw_det(det, nvars, base))
+    with pytest.raises(ArithmeticError, match="packed box"):
+        raw_det(out, nvars, base)
+    with pytest.raises(ArithmeticError, match="packed box"):
+        _delta(out, nvars, base)
 
 
 # the hand-off from Gaussian steps to fraction-free ones, in T = x^2:

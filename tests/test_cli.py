@@ -15,7 +15,6 @@ from hfl.cli import _two_bridge_params, main
 from hfl.filtered import FilteredComplex, MultiGradedVS, assoc_graded_homology
 from hfl.heegaard import complex_from_diagram, two_bridge_diagram
 from hfl.homology import hfl_alternating
-from hfl.laurent import MultiLaurent
 
 
 def run(capsys, *argv):
@@ -114,33 +113,29 @@ TABLE_GOLDEN = json.loads((Path(__file__).parent / "data" / "table_golden.json")
 
 @pytest.mark.parametrize("name", list(TABLE_GOLDEN))
 def test_table_multiplies_by_the_spin_product_once(capsys, monkeypatch, tmp_path, name):
-    spins, products = [], Counter()
+    # Delta times the spin product, the Euler target, is built once per
+    # table, for the table and its euler_hat check alike
+    targets = []
 
-    def built(nvars, _real=homology.spin_product):
-        spins.append(_real(nvars))
-        return spins[-1]
+    def built(delta, _real=homology._euler_target):
+        targets.append(_real(delta))
+        return targets[-1]
 
-    def mul(self, other, _real=MultiLaurent.__mul__):
-        products[any(x is s for s in spins for x in (self, other))] += 1
-        return _real(self, other)
-
-    monkeypatch.setattr(homology, "spin_product", built)
-    monkeypatch.setattr(MultiLaurent, "__mul__", mul)
+    monkeypatch.setattr(homology, "_euler_target", built)
     d = golden_diagram(name)
-    once = 1 if d.n_components > 1 else 0
     rep = hfl_alternating(d)
-    assert len(spins) == products[True] == once
+    assert len(targets) == 1
     want = TABLE_GOLDEN[name]
     assert rep.delta.to_json_dict() == want["delta"]
     assert rep.table.to_json_dict() == want["table"]
     assert rep.euler_ok and rep.symmetry_ok
-    if once:
+    if d.n_components > 1:
         assert rep.euler.to_json_dict() == want["euler"]
     path = tmp_path / "link.pd"
     path.write_text(d.to_pd_text())
     code, out, _ = run(capsys, "table", str(path), "--json")
     assert code == 0 and json.loads(out) == want
-    assert len(spins) == products[True] == 2 * once
+    assert len(targets) == 2
 
 
 def test_knot_table_json_keys(capsys):

@@ -119,7 +119,14 @@ def test_validate_flags_filtration_raise():
     )
     rep = validate(cx)
     assert rep.kind == "filtration"
-    assert "1" in rep.detail
+    assert rep.detail == "arrow a->b raises coordinate 1 by 1"
+    cx = FilteredComplex(2, (1, 0), [("a", 1, (1, 0)), ("b", 0, (-1, 4))], [("a", "b")])
+    assert validate(cx).detail == "arrow a->b raises coordinate 2 by 2"
+    # the constructor's parity check makes every rise whole; a half shows
+    # only on levels that skipped it
+    cx = FilteredComplex._trusted(1, (0,), {"a": 1, "b": 0}, {"a": (0,), "b": (1,)},
+                                  frozenset({("a", "b")}))
+    assert validate(cx).detail == "arrow a->b raises coordinate 1 by 1/2"
 
 
 def test_validate_flags_d_squared():
@@ -279,6 +286,42 @@ def test_asymmetric_cell_names_the_first_broken_cell():
     broken = dict(table)
     broken[(4, (2, 0))] = 1
     assert asymmetric_cell(broken) == ((4, (2, 0)), (2, (-2, 0)))
+
+
+def sorted_scan(ranks):
+    """``asymmetric_cell`` as it ran before it scanned in dict order: every
+    cell in sorted order, the first one whose partner's rank differs."""
+    for d, h2 in sorted(ranks):
+        partner = (d - sum(h2), tuple(-x for x in h2))
+        if ranks[(d, h2)] != ranks.get(partner, 0):
+            return (d, h2), partner
+    return None
+
+
+@st.composite
+def planted_tables(draw):
+    """A symmetric rank table in 1-3 coordinates, and the same with up to two
+    cells off the centre given more rank."""
+    nvars = draw(st.integers(1, 3))
+    cell = st.tuples(st.integers(-4, 4), st.tuples(*[st.integers(-3, 3)] * nvars))
+    ranks = {}
+    for (d, h2), r in draw(st.dictionaries(cell, st.integers(1, 3), max_size=8)).items():
+        ranks[d, h2] = ranks[d - sum(h2), tuple(-x for x in h2)] = r
+    planted = draw(st.lists(cell.filter(lambda c: any(c[1])), max_size=2, unique=True))
+    broken = dict(ranks)
+    for d, h2 in planted:
+        broken[d, h2] = broken.get((d, h2), 0) + draw(st.integers(1, 2))
+    return ranks, broken, planted
+
+
+@settings(max_examples=400, deadline=None)
+@given(planted_tables())
+def test_asymmetric_cell_matches_a_sorted_scan(case):
+    ranks, broken, planted = case
+    assert asymmetric_cell(ranks) is None
+    assert asymmetric_cell(broken) == sorted_scan(broken)
+    if len(planted) == 1:
+        assert asymmetric_cell(broken) is not None
 
 
 def test_first_difference_lists_cells_as_table_str_does():

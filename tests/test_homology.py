@@ -2,11 +2,13 @@ import json
 import random
 from collections import Counter
 from math import gcd
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import scramble, tile_squares_by_min_scan
-from hfl import homology
+from helpers import reference_product, reference_spin_product, scramble, tile_squares_by_min_scan
+from hfl import alexander, homology, laurent
 from hfl.alexander import goeritz_determinant, multivariable_alexander, signature
 from hfl.filtered import (
     MultiGradedVS,
@@ -264,6 +266,39 @@ def test_verify_euler_hat_and_symmetry_pass():
     rep = hfl_alternating(corpus("two_bridge(8,3)"))
     assert verify(rep.table, rep.delta, "euler_hat")
     assert verify(rep.table, rep.delta, "symmetry")
+
+
+def golden(name):
+    return json.loads((Path(__file__).parent / "data" / f"{name}.json").read_text())
+
+
+# every Delta the golden files hold
+GOLDEN_DELTAS = [MultiLaurent.from_json_dict(doc) for doc in golden("alexander_golden").values()]
+GOLDEN_DELTAS += [MultiLaurent.from_json_dict(doc["delta"]) for doc in golden("table_golden").values()]
+
+
+def spin_times(delta):
+    """The Euler target by the tuple-keyed reference product, as a list of
+    terms in order."""
+    l = delta.nvars
+    target = reference_product(reference_spin_product(l), delta) if l > 1 else delta
+    return list(target.terms.items())
+
+
+def test_euler_target_is_delta_times_the_spin_product_on_golden_deltas():
+    assert {d.nvars for d in GOLDEN_DELTAS} == {1, 2, 3, 4}
+    for delta in GOLDEN_DELTAS:
+        assert list(homology._euler_target(delta).terms.items()) == spin_times(delta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.dictionaries(
+    st.tuples(*[st.integers(-5, 5)] * n), st.integers(-4, 4), max_size=8).map(
+    lambda t: MultiLaurent(n, t))))
+def test_euler_target_is_delta_times_the_spin_product(delta):
+    # the packed product drops every coefficient that cancels
+    target = homology._euler_target(delta)
+    assert list(target.terms.items()) == spin_times(delta) and all(target.terms.values())
 
 
 def test_verify_symmetry_pairs_opposite_levels():
@@ -606,6 +641,45 @@ def test_solver_names_the_failed_output_check(monkeypatch):
             )
     cx, summands = two_component_cfl(*HOPF, comps)
     assert cx == build_sum(summands)
+
+
+def test_normalization_kernel_runs_once_per_determinant_and_again_at_two_component_cfl(
+        monkeypatch):
+    # the normalization kernel runs once per nonzero determinant, the
+    # link's and each component's, and once more where two_component_cfl
+    # takes its caller's Delta: the diagram path enters the solver there
+    # too, so it normalizes the link's Delta twice
+    dets, kernel = [], []
+
+    def counted_det(rows, divisor=None, _real=alexander._packed_det):
+        dets.append(_real(rows, divisor))
+        return dets[-1]
+
+    def counted_kernel(terms, nvars, base, _real=laurent._normalize_packed):
+        kernel.append(nvars)
+        return _real(terms, nvars, base)
+
+    monkeypatch.setattr(alexander, "_packed_det", counted_det)
+    for module in (alexander, laurent):
+        monkeypatch.setattr(module, "_normalize_packed", counted_kernel)
+    knotted = connected_sum(corpus("trefoil_right"), corpus("hopf_plus"), 0, 0)
+    for d in (corpus("hopf_plus"), two_bridge(20, 7), knotted):
+        dets.clear()
+        kernel.clear()
+        cx, summands = two_component_cfl_from_diagram(d)
+        # a component drawn without crossings takes no determinant
+        assert all(dets) and len(kernel) == len(dets) + 1
+        assert kernel[0] == kernel[-1] == 2
+        knots = kernel[1:-1]
+        kernel.clear()
+        delta, sigma = multivariable_alexander(d).delta, signature(d)
+        comps = tuple(component_data_from_diagram(keep_component(d, i)) for i in range(2))
+        assert kernel == [2] + knots
+        kernel.clear()
+        n = linking_matrix(d).lk[0][1]
+        assert two_component_cfl(delta, sigma, n, comps) == (cx, summands)
+        assert kernel == [2]
+    assert knots == [1]
 
 
 def test_solver_argument_checks():

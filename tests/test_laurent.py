@@ -3,8 +3,9 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from helpers import reference_product, reference_spin_product, reference_symmetric_normalize
 from hfl.filtered import FilteredComplex, MultiGradedVS, shift, tensor_graded
 from hfl.heegaard import oracle_compare, two_bridge_diagram
 from hfl.homology import CollapsedTable, ComponentData, table_from_invariants, two_component_cfl
@@ -79,6 +80,27 @@ def test_ring_axioms(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+    polys(n), polys(n), st.sampled_from((1, 4, 40)))))
+def test_product_matches_the_tuple_reference(case):
+    # the packed product keeps the tuple-keyed one: the same terms in the
+    # same order, none of them zero, at any exponent size
+    p, q, scale = case
+    p = L(p.nvars, {tuple(scale * x for x in e): c for e, c in p.terms.items()})
+    for a, b in ((p, q), (q, p), (p, p), (p, one(p.nvars)), (p, zero(p.nvars))):
+        got = a * b
+        assert list(got.terms.items()) == list(reference_product(a, b).terms.items())
+        assert all(got.terms.values())
+
+
+def test_spin_product_matches_the_tuple_reference():
+    for n in range(1, 6):
+        got = spin_product(n)
+        assert list(got.terms.items()) == list(reference_spin_product(n).terms.items())
+        assert len(got.terms) == 2**n
+
+
 @given(polys(2))
 def test_additive_inverse(p):
     assert p + (-p) == zero(2)
@@ -150,6 +172,50 @@ def test_symmetric_normalize_is_unit_multiple(p):
     lo_s = sym.support()[0]
     shifted = sym.shift(tuple(a - b for a, b in zip(lo_g, lo_s)))
     assert g == shifted or g == -shifted
+
+
+def normalize_outcome(normalize, p):
+    """The terms, in order, that ``normalize`` gives ``p``, or its refusal."""
+    try:
+        g = normalize(p)
+    except ValueError as refusal:
+        return "refused", str(refusal)
+    return g.nvars, list(g.terms.items())
+
+
+@st.composite
+def normalize_inputs(draw):
+    """Polynomials in 1-4 variables: symmetric or antisymmetric ones moved by
+    a unit, and arbitrary ones, which mostly have no symmetric multiple."""
+    n = draw(st.integers(1, 4))
+    p = draw(polys(n))
+    kind = draw(st.sampled_from(("bar", "-bar", "none")))
+    if kind != "none":
+        p = p + p.bar() if kind == "bar" else p - p.bar()
+    vec = st.tuples(*([st.integers(-5, 5)] * n))
+    return p.shift(draw(vec)) * draw(st.sampled_from((1, -1)))
+
+
+@settings(max_examples=500, deadline=None)
+@example(L(1, {(3,): 1, (1,): 1, (0,): 2}))
+@example(L(1, {(2,): 1, (0,): 5, (-2,): 3}))
+@example(L(4, {(3, 1, -2, 0): 2, (-3, -1, 2, 0): -2, (1, 1, 1, 1): 1, (-1, -1, -1, -1): -1}))
+@given(normalize_inputs())
+def test_symmetric_normalize_matches_the_tuple_reference(p):
+    # packed normalization keeps the tuple-keyed rule: the same terms in
+    # the same order, or the same refusal
+    assert normalize_outcome(symmetric_normalize, p) == normalize_outcome(
+        reference_symmetric_normalize, p)
+
+
+def test_symmetric_normalize_refusals_match_the_reference():
+    for p, phrase in ((L(1, {(3,): 1, (1,): 1, (0,): 2}), "odd lattice offset"),
+                      (L(1, {(2,): 1, (0,): 5, (-2,): 3}), "no symmetric unit multiple exists"),
+                      (L(3, {(4, 0, 2): 1, (0, 1, 0): 1}), "odd lattice offset"),
+                      (L(2, {(2, 2): 1, (0, 0): 3, (-2, -2): -1}), "exists$")):
+        got = normalize_outcome(symmetric_normalize, p)
+        assert got[0] == "refused" and re.search(phrase, got[1])
+        assert got == normalize_outcome(reference_symmetric_normalize, p)
 
 
 def test_series_quotient_geometric():
