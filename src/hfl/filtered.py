@@ -18,12 +18,15 @@ row; an int holds a row of any width, so no sparse-matrix machinery is
 needed: every elimination in the package, here and in
 :mod:`hfl.summands`, goes through :func:`echelon`.  Spectral pages and
 component homology share one Gaussian-cancellation engine,
-``_cancel_all``.  It works on integer positions, not ids: ``_index``
-numbers a complex's generators by their rank in sorted id order, so the
-smallest arrow by position is the smallest by id.  The numbering is
-computed once and kept on the instance, which never changes, as is its
-validation report; the checks, both homologies, cancellation and
-:func:`hfl.summands.decompose` all read it.
+``_cancel_all``.  It cancels the arrows a -> b with
+``key[a] - key[b] == gap``, smallest (a, b) first, from a heap of packed
+ints ``a * n + b``, toggling the rerouted rows in place.  It works on
+integer positions, not ids: ``_index`` numbers a complex's generators
+by their rank in sorted id order, so the smallest arrow by position is
+the smallest by id.  The numbering is computed once and kept on the
+instance, which never changes, as is its validation report; the checks,
+both homologies, cancellation and :func:`hfl.summands.decompose` all
+read it.
 
 Validation happens where data enters: the public ``MultiGradedVS``
 constructor checks every entry it is given (JSON, the CLI, callers).
@@ -535,62 +538,53 @@ def total_homology(cx: FilteredComplex) -> dict[int, int]:
     return {d: hom[(d, ())] for d in dict.fromkeys(cx._maslov.values()) if (d, ()) in hom}
 
 
-def _cancel_arrow(
-    out: list[set[int] | None], inc: list[set[int] | None], x: int, y: int
-) -> list[tuple[int, int]]:
-    """Gaussian cancellation of the arrow x->y, rerouting around it.
+def _cancel_all(
+    out: list[set[int] | None], inc: list[set[int] | None], key: Sequence[int], gap: int
+) -> None:
+    """Cancel every arrow a -> b with ``key[a] - key[b] == gap`` until none
+    is left, smallest (a, b) first.
 
-    Every pair (a -> y, x -> b) with a != x, b != y gains a toggled
-    arrow a -> b.  Both adjacency lists are updated, and x and y are
-    removed: their entries become None.  Returns the arrows the toggling
-    switched on.
+    ``out`` and ``inc`` are ``_adjacency``'s lists and ``key`` an int
+    list, all indexed by position.  Arrows wait in a min-heap as packed
+    ints ``a * n + b``, n = len(out), which sort as the pairs (a, b)
+    since 0 <= b < n.  Cancelling x -> y toggles x's other targets into
+    the row of every other source of y, in place, keeping ``inc`` in
+    step, and pushes each arrow switched on whose key difference is
+    ``gap``; x and y are then detached, their entries set to None.  An
+    entry since toggled off or left without an endpoint is skipped, so
+    each pick is the smallest eligible arrow present, which is the
+    smallest pair of ids.  The order decides which generators survive.
     """
-    sources = [a for a in inc[y] if a != x]
-    targets = [b for b in out[x] if b != y]
-    added = []
-    for a in sources:
-        row = out[a]
-        for b in targets:
-            if b in row:
-                row.discard(b)
-                inc[b].discard(a)
-            else:
-                row.add(b)
-                inc[b].add(a)
-                added.append((a, b))
-    for b in out[x]:
-        inc[b].discard(x)
-    for a in inc[y]:
-        out[a].discard(y)
-    for b in out[y]:
-        inc[b].discard(y)
-    for a in inc[x]:
-        out[a].discard(x)
-    out[x] = out[y] = inc[x] = inc[y] = None
-    return added
-
-
-def _cancel_all(out: list[set[int] | None], inc: list[set[int] | None], eligible) -> None:
-    """Cancel eligible arrows until none is left, smallest (source, target) first.
-
-    ``out`` and ``inc`` are ``_adjacency``'s lists, indexed by position;
-    ``eligible(a, b)`` must depend only on the two endpoints.  Arrows
-    wait in a min-heap of position pairs; one that has since been toggled
-    off or lost an endpoint is skipped when it comes up, and every arrow
-    a cancellation switches on is pushed if eligible, so each pick is the
-    smallest eligible arrow present.  A position is the rank of an id in
-    sorted order, so that is the smallest pair of ids.  The order decides
-    which generators survive.
-    """
-    heap = [(a, b) for a, row in enumerate(out) if row for b in row if eligible(a, b)]
+    n = len(out)
+    heap = [a * n + b for a, row in enumerate(out) if row for b in row if key[a] - key[b] == gap]
     heapify(heap)
     while heap:
-        a, b = heappop(heap)
-        row = out[a]
-        if row is not None and b in row:
-            for arrow in _cancel_arrow(out, inc, a, b):
-                if eligible(*arrow):
-                    heappush(heap, arrow)
+        x, y = divmod(heappop(heap), n)
+        targets = out[x]
+        if targets is None or y not in targets:
+            continue
+        targets.discard(y)
+        sources = inc[y]
+        sources.discard(x)
+        for a in sources:
+            row = out[a]
+            row.discard(y)
+            row ^= targets
+            want = key[a] - gap
+            for b in targets:
+                if b in row:
+                    inc[b].add(a)
+                    if key[b] == want:
+                        heappush(heap, a * n + b)
+                else:
+                    inc[b].discard(a)
+        for b in targets:
+            inc[b].discard(x)
+        for b in out[y]:
+            inc[b].discard(y)
+        for a in inc[x]:
+            out[a].discard(x)
+        out[x] = out[y] = inc[x] = inc[y] = None
 
 
 def _adjacency(n: int, arrows: Iterable[tuple[int, int]]):
@@ -618,6 +612,8 @@ def spectral_pages(cx: FilteredComplex) -> list[MultiGradedVS]:
     rerouted arrow never drops less than the arrow being cancelled, so
     rounds are exhaustive.  The first page is the associated graded
     homology; the last page, recorded once no arrows remain, is stable.
+    Round r is one ``_cancel_all`` with the doubled coordinate sums as
+    keys and gap 2r; each page counts the live cells in generator order.
     """
     require_valid(cx)
     gens, arrows = _index(cx)
@@ -629,12 +625,9 @@ def spectral_pages(cx: FilteredComplex) -> list[MultiGradedVS]:
     pages: list[MultiGradedVS] = []
     r = 0
     while True:
-        _cancel_all(out, inc, lambda a, b: level[a] - level[b] == 2 * r)
-        ranks: dict = {}
-        for p, key in cells:
-            if out[p] is not None:
-                ranks[key] = ranks.get(key, 0) + 1
-        pages.append(MultiGradedVS._trusted(cx.nvars, cx.parity, ranks))
+        _cancel_all(out, inc, level, 2 * r)
+        ranks = Counter(cell for p, cell in cells if out[p] is not None)
+        pages.append(MultiGradedVS._trusted(cx.nvars, cx.parity, dict(ranks)))
         if not any(out):
             break
         r += 1
@@ -647,8 +640,11 @@ def component_homology(cx: FilteredComplex, i: int) -> FilteredComplex:
     The result is a complex filtered by the remaining coordinates whose
     generators form the homology with respect to the coordinate-``i``
     part of the differential, carrying the induced differential.  For a
-    two-coordinate complex, ``i = 2`` keeps the first coordinate.
+    two-coordinate complex, ``i = 2`` keeps the first coordinate.  The
+    cancellation is one ``_cancel_all`` with gap 0, keyed by the distinct
+    projected levels numbered in position order.
     """
+    (i,) = as_ints((i,), "coordinate index")
     if not 1 <= i <= cx.nvars:
         raise ValueError("coordinate index out of range")
     require_valid(cx)
@@ -656,7 +652,8 @@ def component_homology(cx: FilteredComplex, i: int) -> FilteredComplex:
     out, inc = _adjacency(len(gens), arrows)
     # the level with coordinate i projected away
     proj = [h2[: i - 1] + h2[i:] for _, _, h2 in gens]
-    _cancel_all(out, inc, lambda a, b: proj[a] == proj[b])
+    ids: dict[tuple[int, ...], int] = {}
+    _cancel_all(out, inc, [ids.setdefault(h, len(ids)) for h in proj], 0)
     maslov: dict[str, int] = {}
     filt: dict[str, tuple[int, ...]] = {}
     for p, row in enumerate(out):

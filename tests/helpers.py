@@ -512,16 +512,28 @@ def reference_cancel_arrow(out, inc, x, y):
     return added
 
 
-def reference_cancel_all(out, inc, eligible):
-    """Cancel eligible arrows, smallest (source id, target id) first."""
+def reference_cancel_all(out, inc, eligible, log=None):
+    """Cancel eligible arrows, smallest (source id, target id) first.
+
+    ``log``, a list when given, gets (a, b, overtakes) for each pick a -> b:
+    ``overtakes`` counts the eligible arrows the pick switches on that
+    sort before a live arrow already waiting, so that a first-in
+    first-out queue would take them in another order than the heap.
+    """
     heap = [(a, b) for a in out for b in out[a] if eligible(a, b)]
     heapify(heap)
     while heap:
         a, b = heappop(heap)
         if a in out and b in out[a]:
+            overtakes = 0
             for arrow in reference_cancel_arrow(out, inc, a, b):
                 if eligible(*arrow):
+                    if log is not None:
+                        overtakes += any(arrow < w and w[0] in out and w[1] in out[w[0]]
+                                         for w in heap)
                     heappush(heap, arrow)
+            if log is not None:
+                log.append((a, b, overtakes))
 
 
 def reference_adjacency(cx):
@@ -533,13 +545,13 @@ def reference_adjacency(cx):
     return out, inc
 
 
-def reference_spectral_pages(cx):
+def reference_spectral_pages(cx, log=None):
     out, inc = reference_adjacency(cx)
     level = {g: sum(cx.filt2(g)) for g in cx.gen_ids}
     pages = []
     r = 0
     while True:
-        reference_cancel_all(out, inc, lambda a, b: level[a] - level[b] == 2 * r)
+        reference_cancel_all(out, inc, lambda a, b: level[a] - level[b] == 2 * r, log)
         ranks = Counter((cx.maslov(g), cx.filt2(g)) for g in out)
         pages.append(MultiGradedVS(cx.nvars, cx.parity, ranks))
         if not any(out[a] for a in out):
@@ -547,10 +559,10 @@ def reference_spectral_pages(cx):
         r += 1
 
 
-def reference_component_homology(cx, i):
+def reference_component_homology(cx, i, log=None):
     out, inc = reference_adjacency(cx)
     proj = {g: h2[: i - 1] + h2[i:] for g, h2 in cx._filt.items()}
-    reference_cancel_all(out, inc, lambda a, b: proj[a] == proj[b])
+    reference_cancel_all(out, inc, lambda a, b: proj[a] == proj[b], log)
     gens = [(g, cx.maslov(g), proj[g]) for g in sorted(out)]
     arrows = [(a, b) for a in out for b in out[a]]
     return FilteredComplex(cx.nvars - 1, cx.parity[: i - 1] + cx.parity[i:], gens, arrows)

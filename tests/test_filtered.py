@@ -428,14 +428,28 @@ def test_cancellation_matches_the_string_keyed_reference():
         scramble(build_sum(random_summand_sum(rng, max_summands=14)), rng, same_class=False)
         for _ in range(30)
     ]
+    seen = Counter()
     for cx in complexes:
         cx = shuffled_ids(cx, rng)
-        got, want = spectral_pages(cx), reference_spectral_pages(cx)
+        log = []
+        got, want = spectral_pages(cx), reference_spectral_pages(cx, log)
         assert [list(p.ranks.items()) for p in got] == [list(p.ranks.items()) for p in want]
+        seen["three pages"] += len(want) >= 3
+        seen["heap order"] += any(overtakes for _, _, overtakes in log)
         for i in range(1, cx.nvars + 1):
+            log = []
+            want = reference_component_homology(cx, i, log)
             part = component_homology(cx, i)
-            assert part.to_json_dict() == reference_component_homology(cx, i).to_json_dict()
+            assert part.to_json_dict() == want.to_json_dict()
             assert part.gen_ids == tuple(sorted(part.gen_ids))
+            seen["heap order"] += any(overtakes for _, _, overtakes in log)
+            levels = {cx.filt2(a)[: i - 1] + cx.filt2(a)[i:] for a, _, _ in log}
+            seen["levels in three coordinates"] += cx.nvars == 3 and len(levels) >= 2
+    # the corpus has the cases that pin the order of the picks: pages past
+    # E_2, an arrow switched on ahead of one already waiting, and a
+    # projection of three coordinates cancelling at two levels or more
+    assert all(seen[case] for case in
+               ("three pages", "heap order", "levels in three coordinates")), seen
 
 
 def with_random_arrows(cx, rng):

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import reference_product, reference_spin_product, reference_symmetric_normalize
-from hfl.filtered import FilteredComplex, MultiGradedVS, shift, tensor_graded
+from hfl.filtered import (
+    FilteredComplex,
+    MultiGradedVS,
+    component_homology,
+    shift,
+    tensor_graded,
+)
 from hfl.heegaard import oracle_compare, two_bridge_diagram
 from hfl.homology import CollapsedTable, ComponentData, table_from_invariants, two_component_cfl
 from hfl.laurent import (
@@ -417,6 +423,10 @@ ENTRIES = {
     "filtered.shift": (
         lambda v: shift(FilteredComplex(1, (0,), [("a", 0, (0,))]), (v,)), 1,
         "shift vector coordinate"),
+    "component_homology i": (
+        lambda v: component_homology(FilteredComplex(
+            2, (0, 0), [("a", 0, (0, 0)), ("b", -1, (-2, 0)), ("c", 0, (2, 2))], [("a", "b")]), v),
+        1, "coordinate index"),
     "MultiGradedVS nvars": (lambda v: MultiGradedVS(v, (0,)), 1, "rank table coordinate count"),
     "MultiGradedVS parity": (lambda v: MultiGradedVS(1, (v,)), 1, "rank table parity entry"),
     "MultiGradedVS Maslov": (
